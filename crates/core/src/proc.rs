@@ -104,6 +104,11 @@ impl ProcDomain for crate::qap_domain::QapDomain {
         if !(2..=1 << 16).contains(&n) {
             return Err(WireError::Malformed("implausible QAP size"));
         }
+        // Two n × n f64 matrices must follow. Check before reserving them:
+        // `n` is untrusted, and 65,536² entries would abort the worker.
+        if (r.remaining() as u64) < 16 * (n as u64) * (n as u64) {
+            return Err(WireError::Malformed("QAP matrices shorter than n²"));
+        }
         let mut flow = Vec::with_capacity(n * n);
         for _ in 0..n * n {
             flow.push(r.f64()?);
@@ -658,6 +663,28 @@ mod tests {
             rebuilt.instance().dist_matrix(),
             domain.instance().dist_matrix()
         );
+    }
+
+    #[test]
+    fn qap_spec_claiming_more_than_it_holds_is_a_typed_error() {
+        let cfg = PtsConfig::default();
+        let decode = |spec: &[u8]| QapDomain::decode_spec(&mut WireReader::new(spec), &cfg);
+        // A 72-byte spec claiming the largest size: rejected before the
+        // two 32 GiB matrices are reserved.
+        let mut huge = Vec::new();
+        wire::put_u64(&mut huge, 1 << 16);
+        huge.extend_from_slice(&[0; 64]);
+        assert!(matches!(decode(&huge), Err(WireError::Malformed(_))));
+        // A real n = 4,096 spec cut off after its first rows.
+        let mut cut = Vec::new();
+        wire::put_u64(&mut cut, 4096);
+        cut.extend_from_slice(&[0; 8 * 4096 * 3]);
+        assert!(matches!(decode(&cut), Err(WireError::Malformed(_))));
+        // A whole spec still decodes, and one byte short of whole does not.
+        let mut spec = Vec::new();
+        QapDomain::random(5, 1).encode_spec(&mut spec);
+        assert_eq!(decode(&spec).map(|d| d.instance().n()), Ok(5));
+        assert!(decode(&spec[..spec.len() - 1]).is_err());
     }
 
     #[test]

@@ -272,15 +272,13 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             clw_sync.advance(g, Arc::new(problem.snapshot()));
         }
 
-        let best = Arc::new(engine.best().clone());
-        meter::record_snapshot_alloc();
         t.send(
             parent,
             PtsMsg::Report {
                 tsw: tsw_index,
                 global: g,
                 cost: engine.best_cost(),
-                snapshot: SnapshotPayload::encode(cfg.snapshot_mode, &base, &best),
+                snapshot: SnapshotPayload::encode(cfg.snapshot_mode, &base, engine.best()),
                 tabu: Arc::new(engine.export_tabu()),
                 trace: engine.trace().points().to_vec(),
                 stats: *engine.stats(),

@@ -77,6 +77,14 @@ pub trait SearchProblem {
     fn snapshot(&self) -> Self::Snapshot;
 
     /// Restore a snapshot.
+    ///
+    /// Contract: after `restore`, [`SearchProblem::cost`] depends only on
+    /// the snapshot and the instance, never on the state restored from —
+    /// bit for bit, not merely within rounding. That is what lets an
+    /// implementation hand back a cost it stored when it last restored
+    /// the same snapshot (as [`crate::qap::Qap`] does) instead of
+    /// re-deriving it, and what keeps a worker that adopts a shared
+    /// solution on the same trajectory as every other worker adopting it.
     fn restore(&mut self, snapshot: &Self::Snapshot);
 
     /// Sample `count` candidate moves into `out` (cleared first).

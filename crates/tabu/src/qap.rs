@@ -8,7 +8,7 @@
 
 use crate::problem::{AttrPair, SearchProblem};
 use pts_util::Rng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A facility → location assignment, the QAP solution snapshot.
 ///
@@ -86,6 +86,31 @@ impl std::ops::Index<usize> for QapAssignment {
 /// which the parallel pipeline does once per worker — shares the O(n²)
 /// read-only data and copies only the O(n) assignment, so thousand-worker
 /// runs don't multiply the matrices.
+///
+/// # The restore memo
+///
+/// [`SearchProblem::restore`] must derive the exact cost of the restored
+/// assignment, an O(n²) sum. In the parallel pipeline most restores are of
+/// a solution another worker of the same run has just evaluated: every
+/// worker instantiates the same `Init` solution, and every TSW adopts the
+/// same broadcast best. So the instance keeps the exact costs of the last
+/// four assignments restored, and a restore that finds its assignment
+/// there costs an O(n) compare.
+///
+/// - **Shared by clones.** The memo sits behind the same kind of [`Arc`]
+///   as the matrices, because the cost it stores is a function of those
+///   matrices: every clone of one instance can use it, and an instance
+///   built from other matrices gets a memo of its own.
+/// - **Matched by full equality.** An entry is found only when the whole
+///   assignment is equal, never by a hash or a fingerprint alone, so a hit
+///   returns exactly the bits [`Qap::cost_exact`] would compute and a
+///   search trajectory cannot depend on the memo.
+/// - **A constant size.** The hits come from the handful of solutions a
+///   run shares at any one time (the current broadcast, the initial
+///   solution), so a few entries catch them, and a linear scan of a few
+///   entries stays cheaper than any index. Entries are evicted least
+///   recently used first: a run's private solutions pass through once,
+///   while a shared one is hit again and again and stays.
 #[derive(Clone, Debug)]
 pub struct Qap {
     n: usize,
@@ -96,6 +121,55 @@ pub struct Qap {
     /// Location of each facility.
     loc_of: Vec<usize>,
     cost: f64,
+    /// Exact costs of recently restored assignments, shared by every
+    /// clone of this instance.
+    memo: Arc<CostMemo>,
+}
+
+/// Assignments the restore memo of one instance holds.
+const MEMO_ENTRIES: usize = 4;
+
+/// The exact costs of the assignments restored most recently, most
+/// recently used first.
+#[derive(Debug, Default)]
+struct CostMemo {
+    entries: Mutex<Vec<(Vec<usize>, f64)>>,
+}
+
+impl CostMemo {
+    fn entries(&self) -> MutexGuard<'_, Vec<(Vec<usize>, f64)>> {
+        // The lock guards only scans and inserts, which cannot leave the
+        // entries half-written, so a panic elsewhere does not taint them.
+        self.entries.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The stored cost of `loc_of`, which becomes the most recent entry.
+    fn get(&self, loc_of: &[usize]) -> Option<f64> {
+        let mut entries = self.entries();
+        let i = entries.iter().position(|(key, _)| key[..] == *loc_of)?;
+        entries[..=i].rotate_right(1);
+        Some(entries[0].1)
+    }
+
+    /// Store `cost` for `loc_of` as the most recent entry, evicting the
+    /// least recent one when full.
+    fn insert(&self, loc_of: &[usize], cost: f64) {
+        let mut entries = self.entries();
+        // Another clone may have stored it while this one computed.
+        if entries.iter().any(|(key, _)| key[..] == *loc_of) {
+            return;
+        }
+        if entries.len() < MEMO_ENTRIES {
+            entries.push((loc_of.to_vec(), cost));
+        } else {
+            // Reuse the evicted entry's buffer.
+            let last = entries.last_mut().expect("the memo is full");
+            last.0.clear();
+            last.0.extend_from_slice(loc_of);
+            last.1 = cost;
+        }
+        entries.rotate_right(1);
+    }
 }
 
 impl Qap {
@@ -124,6 +198,7 @@ impl Qap {
             dist: dist.into(),
             loc_of,
             cost: 0.0,
+            memo: Arc::default(),
         };
         qap.cost = qap.cost_exact();
         qap
@@ -141,6 +216,7 @@ impl Qap {
             dist: dist.into(),
             loc_of: (0..n).collect(),
             cost: 0.0,
+            memo: Arc::default(),
         };
         qap.cost = qap.cost_exact();
         qap
@@ -172,11 +248,20 @@ impl Qap {
     }
 
     /// Recompute the cost from scratch.
+    ///
+    /// Sums `flow(i,j) · dist(loc(i), loc(j))` over `i < j`, added in
+    /// row-major order, with the flow row of `i` and the distance row of
+    /// its location hoisted out of the inner loop. Keep the order of the
+    /// additions: the pinned goldens depend on the exact bits.
     pub fn cost_exact(&self) -> f64 {
+        let n = self.n;
         let mut c = 0.0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                c += self.f(i, j) * self.d(self.loc_of[i], self.loc_of[j]);
+        for i in 0..n {
+            let flow_row = &self.flow[i * n + i + 1..(i + 1) * n];
+            let li = self.loc_of[i];
+            let dist_row = &self.dist[li * n..(li + 1) * n];
+            for (&f, &lj) in flow_row.iter().zip(&self.loc_of[i + 1..]) {
+                c += f * dist_row[lj];
             }
         }
         c
@@ -299,11 +384,21 @@ impl SearchProblem for Qap {
         QapAssignment::new(self.loc_of.clone())
     }
 
+    /// Restores the assignment with its exact cost, from the instance's
+    /// memo when a clone restored the same assignment recently (see
+    /// [`Qap`]). A miss computes outside the memo's lock.
     fn restore(&mut self, snapshot: &Self::Snapshot) {
         assert_eq!(snapshot.len(), self.n);
         self.loc_of.clear();
         self.loc_of.extend_from_slice(snapshot.as_slice());
-        self.cost = self.cost_exact();
+        self.cost = match self.memo.get(&self.loc_of) {
+            Some(cost) => cost,
+            None => {
+                let cost = self.cost_exact();
+                self.memo.insert(&self.loc_of, cost);
+                cost
+            }
+        };
     }
 
     fn trial_costs(&mut self, moves: &[Self::Move], out: &mut Vec<f64>) {
@@ -440,6 +535,138 @@ mod tests {
             .collect();
         assert_eq!(batch, scalar);
         assert_eq!(a.next_u64(), b.next_u64(), "RNG streams diverged");
+    }
+
+    /// The plain index-form double loop `cost_exact` was before its rows
+    /// were hoisted: the oracle the hoisted form must match bit for bit.
+    fn cost_index_form(q: &Qap) -> f64 {
+        let (n, flow, dist) = (q.n(), q.flow_matrix(), q.dist_matrix());
+        let loc = q.snapshot_assignment();
+        let mut c = 0.0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                c += flow[i * n + j] * dist[loc[i] * n + loc[j]];
+            }
+        }
+        c
+    }
+
+    /// A random permutation of `0..n`.
+    fn shuffled(n: usize, rng: &mut Rng) -> QapAssignment {
+        let mut loc_of: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut loc_of);
+        QapAssignment::new(loc_of)
+    }
+
+    /// The memo's assignments, most recent first.
+    fn memo_keys(q: &Qap) -> Vec<Vec<usize>> {
+        q.memo
+            .entries()
+            .iter()
+            .map(|(key, _)| key.clone())
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_cost_exact_is_bit_identical_to_the_index_form() {
+        for (n, steps) in [(2, 5), (3, 20), (17, 60), (64, 40), (256, 8)] {
+            let mut q = Qap::random(n, 31 + n as u64);
+            let mut rng = Rng::new(n as u64);
+            for _ in 0..steps {
+                assert_eq!(
+                    q.cost_exact().to_bits(),
+                    cost_index_form(&q).to_bits(),
+                    "n = {n}"
+                );
+                let mv = q.sample_move(&mut rng, None);
+                q.apply(&mv);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_cost_is_exact_on_hit_miss_and_re_miss() {
+        let mut q = Qap::random(20, 12);
+        let mut rng = Rng::new(13);
+        let snaps: Vec<QapAssignment> = (0..5).map(|_| shuffled(20, &mut rng)).collect();
+        let check = |q: &Qap| assert_eq!(q.cost().to_bits(), q.cost_exact().to_bits());
+
+        q.restore(&snaps[0]); // miss
+        check(&q);
+        assert_eq!(memo_keys(&q), [snaps[0].as_slice()]);
+        let mv = q.sample_move(&mut rng, None);
+        q.apply(&mv);
+        q.restore(&snaps[0]); // hit, from a different state
+        check(&q);
+        assert_eq!(memo_keys(&q).len(), 1);
+
+        for s in &snaps[1..] {
+            q.restore(s); // four misses: the fourth evicts snaps[0]
+            check(&q);
+        }
+        assert_eq!(memo_keys(&q).len(), MEMO_ENTRIES);
+        assert!(!memo_keys(&q).contains(&snaps[0].clone().into_vec()));
+        q.restore(&snaps[0]); // re-miss after eviction
+        check(&q);
+        assert_eq!(memo_keys(&q)[0], snaps[0].as_slice());
+        assert!(
+            !memo_keys(&q).contains(&snaps[1].clone().into_vec()),
+            "the least recently used entry goes first"
+        );
+    }
+
+    #[test]
+    fn memo_hits_refresh_an_entry_so_it_outlives_newer_misses() {
+        let mut q = Qap::random(12, 14);
+        let mut rng = Rng::new(15);
+        let shared = shuffled(12, &mut rng);
+        q.restore(&shared);
+        // A shared solution restored between private ones stays cached.
+        for _ in 0..3 * MEMO_ENTRIES {
+            q.restore(&shuffled(12, &mut rng));
+            q.restore(&shared);
+            assert_eq!(memo_keys(&q)[0], shared.as_slice());
+        }
+    }
+
+    #[test]
+    fn instances_with_different_matrices_keep_their_own_costs() {
+        let mut a = Qap::random(16, 1);
+        let mut b = Qap::random(16, 2);
+        let s = shuffled(16, &mut Rng::new(3));
+        a.restore(&s);
+        b.restore(&s);
+        assert_eq!(a.cost().to_bits(), a.cost_exact().to_bits());
+        assert_eq!(b.cost().to_bits(), b.cost_exact().to_bits());
+        assert_ne!(a.cost(), b.cost());
+    }
+
+    #[test]
+    fn clones_restoring_on_threads_agree_bitwise() {
+        let q = Qap::random(48, 21);
+        let mut rng = Rng::new(22);
+        let snaps: Vec<QapAssignment> = (0..6).map(|_| shuffled(48, &mut rng)).collect();
+        let expected: Vec<u64> = snaps
+            .iter()
+            .map(|s| {
+                let mut fresh = Qap::from_matrices(q.flow.to_vec(), q.dist.to_vec());
+                fresh.restore(s);
+                fresh.cost().to_bits()
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (mut clone, snaps, expected) = (q.clone(), &snaps, &expected);
+                scope.spawn(move || {
+                    for round in 0..50 {
+                        let k = (round * (t + 1) + t) % snaps.len();
+                        clone.restore(&snaps[k]);
+                        assert_eq!(clone.cost().to_bits(), expected[k]);
+                    }
+                });
+            }
+        });
+        assert!(memo_keys(&q).len() <= MEMO_ENTRIES);
     }
 
     #[test]

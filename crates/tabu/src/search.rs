@@ -16,6 +16,7 @@ use crate::problem::SearchProblem;
 use crate::tabu_list::TabuList;
 use crate::trace::Trace;
 use pts_util::Rng;
+use std::sync::Arc;
 
 /// How a compound move's tabu status is derived from its constituents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,7 +102,9 @@ pub struct TabuEngine<P: SearchProblem> {
     rng: Rng,
     tabu: TabuList<P::Attribute>,
     memory: FrequencyMemory<P::Attribute>,
-    best: P::Snapshot,
+    /// Shared rather than copied: reports ship it, and an improving
+    /// adopted broadcast becomes it, by reference count.
+    best: Arc<P::Snapshot>,
     best_cost: f64,
     iter: u64,
     stats: SearchStats,
@@ -113,7 +116,7 @@ pub struct TabuEngine<P: SearchProblem> {
 impl<P: SearchProblem> TabuEngine<P> {
     /// Create an engine anchored at the problem's current state.
     pub fn new(config: TabuSearchConfig, problem: &P, now: f64) -> TabuEngine<P> {
-        let best = problem.snapshot();
+        let best = Arc::new(problem.snapshot());
         let best_cost = problem.cost();
         let mut trace = Trace::new();
         trace.record(now, 0, best_cost);
@@ -141,8 +144,9 @@ impl<P: SearchProblem> TabuEngine<P> {
         self.best_cost
     }
 
+    /// The best solution so far. Clone the [`Arc`] to share it.
     #[inline]
-    pub fn best(&self) -> &P::Snapshot {
+    pub fn best(&self) -> &Arc<P::Snapshot> {
         &self.best
     }
 
@@ -191,10 +195,12 @@ impl<P: SearchProblem> TabuEngine<P> {
     }
 
     /// Adopt a foreign solution plus its tabu list (master broadcast).
+    /// When the solution improves the best so far, the engine shares
+    /// `snapshot` rather than copying it.
     pub fn adopt(
         &mut self,
         problem: &mut P,
-        snapshot: &P::Snapshot,
+        snapshot: &Arc<P::Snapshot>,
         tabu_entries: &[(P::Attribute, u64)],
         now: f64,
     ) {
@@ -203,7 +209,7 @@ impl<P: SearchProblem> TabuEngine<P> {
         let cost = problem.cost();
         if cost < self.best_cost {
             self.best_cost = cost;
-            self.best = snapshot.clone();
+            self.best = Arc::clone(snapshot);
             self.trace.record(now, self.iter, cost);
         }
     }
@@ -267,7 +273,7 @@ impl<P: SearchProblem> TabuEngine<P> {
         let improved = cost < self.best_cost;
         if improved {
             self.best_cost = cost;
-            self.best = problem.snapshot();
+            self.best = Arc::new(problem.snapshot());
             self.stats.improved_best += 1;
             self.trace.record(now, self.iter, cost);
         }
@@ -296,7 +302,7 @@ impl<P: SearchProblem> TabuEngine<P> {
         problem.restore(&self.best);
         SearchResult {
             best_cost: self.best_cost,
-            best: self.best,
+            best: Arc::unwrap_or_clone(self.best),
             final_cost,
             trace: self.trace,
             stats: self.stats,
@@ -487,11 +493,28 @@ mod tests {
         let mut copy = q.clone();
         let r = TabuSearch::new(config(200, 16)).run(&mut copy);
         assert!(r.best_cost < engine.best_cost());
-        engine.adopt(&mut q, &r.best, &[], 1.0);
+        let adopted = Arc::new(r.best);
+        engine.adopt(&mut q, &adopted, &[], 1.0);
         // The adopted cost is recomputed exactly; allow float slack vs the
         // incrementally tracked value.
         assert!((engine.best_cost() - r.best_cost).abs() < 1e-6);
         assert!((q.cost() - r.best_cost).abs() < 1e-6);
+        // The improving solution is shared, not copied.
+        assert!(Arc::ptr_eq(engine.best(), &adopted));
+    }
+
+    #[test]
+    fn engine_adopt_of_a_worse_solution_keeps_its_own_best() {
+        let mut q = Qap::random(12, 14);
+        let mut engine = TabuEngine::new(config(0, 15), &q, 0.0);
+        for _ in 0..50 {
+            engine.step(&mut q, 0.0);
+        }
+        let own = Arc::clone(engine.best());
+        let worse = Arc::new(Qap::random(12, 14).snapshot());
+        engine.adopt(&mut q, &worse, &[], 1.0);
+        assert!(Arc::ptr_eq(engine.best(), &own));
+        assert_eq!(q.snapshot(), *worse, "the problem still moves to it");
     }
 
     #[test]

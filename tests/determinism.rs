@@ -219,6 +219,51 @@ fn qap_pipeline_is_deterministic_too() {
 }
 
 #[test]
+fn qap_swarm_shaped_async_run_matches_pinned_golden_values() {
+    // Every other QAP determinism check compares a run with itself, so a
+    // change that is deterministic but wrong would pass them all. This one
+    // pins absolute values for a small run shaped like the benchmark's
+    // `qap-swarm` workload: many TSWs under a sub-master tree, delta
+    // snapshots, independent diversification streams. Each TSW adopts the
+    // same broadcast and each worker instantiates the same Init, so every
+    // shared-solution path through `Qap::restore` runs. Update these
+    // constants only with a change that is meant to alter the trajectory.
+    let domain = QapDomain::random(64, 11);
+    let out = Pts::builder()
+        .tsw_workers(64)
+        .clw_workers(1)
+        .shard_fanout_auto()
+        .candidates(5)
+        .depth(2)
+        .global_iters(3)
+        .local_iters(3)
+        .seed(7)
+        .snapshot_mode(SnapshotMode::Delta)
+        .differentiate_streams(true)
+        .sync(SyncPolicy::WaitAll)
+        .build()
+        .unwrap()
+        .execute(&domain, &AsyncEngine::new());
+    let bits: Vec<u64> = out
+        .outcome
+        .best_per_global_iter
+        .iter()
+        .map(|c| c.to_bits())
+        .collect();
+    assert_eq!(out.outcome.best_cost.to_bits(), 0x40e7_81e1_1e5d_dcde);
+    assert_eq!(
+        bits,
+        [
+            0x40e8_242f_f536_5131,
+            0x40e7_c4a0_6fe3_256e,
+            0x40e7_81e1_1e5d_dcde
+        ]
+    );
+    assert_eq!(out.outcome.trace.points().len(), 21);
+    assert_eq!(out.report.total_messages(), 2552);
+}
+
+#[test]
 fn tabu_delta_changes_bytes_but_never_the_trajectory() {
     // The broadcast tabu-delta knob is a pure wire optimization: the
     // resolved tabu list is exactly the sender's, so the search must be
