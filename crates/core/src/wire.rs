@@ -87,6 +87,10 @@ fn version_ok(v: u8) -> bool {
 /// per-message wire overhead not counted by [`PtsMsg::wire_size`].
 pub const FRAME_LEN_BYTES: usize = 4;
 
+/// Largest frame body [`read_frame`] accepts, and so the largest
+/// allocation a decoded frame may ask for.
+const MAX_FRAME: usize = 256 << 20;
+
 /// Fixed message-header bytes (mirrors the model's `HDR` charge).
 const HDR: usize = 32;
 /// Model bytes per tabu entry: 8-byte attribute + `u32` tenure.
@@ -385,6 +389,15 @@ impl WireProblem for crate::placement_problem::PlacementProblem {
             || site_pitch.partial_cmp(&0.0) != Some(Ordering::Greater)
         {
             return Err(WireError::Malformed("degenerate layout"));
+        }
+        // Decoding a snapshot allocates a table entry per slot, so a grid
+        // must fit `u32` slot ids and a table within the frame cap.
+        let slot_bytes = std::mem::size_of::<Option<pts_netlist::CellId>>();
+        let fits = rows.checked_mul(cols).is_some_and(|slots| {
+            u32::try_from(slots - 1).is_ok() && slots.saturating_mul(slot_bytes) <= MAX_FRAME
+        });
+        if !fits {
+            return Err(WireError::Malformed("layout too large"));
         }
         Ok(pts_place::layout::Layout::new(
             rows, cols, row_height, site_pitch,
@@ -1168,7 +1181,6 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>
         }
     }
     let n = u32::from_le_bytes(len) as usize;
-    const MAX_FRAME: usize = 256 << 20;
     if n > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -1590,6 +1602,50 @@ mod tests {
                 want: WIRE_VERSION
             })
         );
+    }
+
+    #[test]
+    fn oversized_placement_layouts_are_typed_errors() {
+        use crate::placement_problem::PlacementProblem;
+        use pts_place::layout::Layout;
+        let ctx = |rows: u64, cols: u64| {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, rows);
+            put_u64(&mut buf, cols);
+            put_f64(&mut buf, 2.0);
+            put_f64(&mut buf, 1.0);
+            buf
+        };
+        let decode = |buf: &[u8]| PlacementProblem::get_ctx(&mut WireReader::new(buf));
+        // 2^20 x 2^20 slots, then a 4-byte snapshot: without the bound,
+        // decoding the snapshot aborts on an 8 TiB slot table.
+        let mut hostile = ctx(1 << 20, 1 << 20);
+        put_u32(&mut hostile, 0);
+        assert!(matches!(decode(&hostile), Err(WireError::Malformed(_))));
+        // A product that overflows `usize`.
+        assert!(matches!(
+            decode(&ctx(1 << 33, 1 << 33)),
+            Err(WireError::Malformed(_))
+        ));
+        // The cap is exact: a 256 MiB table decodes, one more row does not.
+        assert!(decode(&ctx(1 << 12, 1 << 13)).is_ok());
+        assert!(matches!(
+            decode(&ctx((1 << 12) + 1, 1 << 13)),
+            Err(WireError::Malformed(_))
+        ));
+        // A real layout round-trips, and a placement on it decodes.
+        let layout = Layout::for_cells(2243);
+        let mut buf = Vec::new();
+        PlacementProblem::put_ctx(&layout, &mut buf);
+        assert_eq!(buf.len(), 32);
+        let got = decode(&buf).unwrap();
+        assert_eq!(got, layout);
+        let placement = pts_place::placement::Placement::sequential(layout, 2243);
+        let mut snap = Vec::new();
+        PlacementProblem::put_snapshot(&placement, &mut snap);
+        let decoded =
+            PlacementProblem::get_snapshot(&mut WireReader::new(&snap), snap.len(), &got).unwrap();
+        assert_eq!(decoded, placement);
     }
 
     #[test]

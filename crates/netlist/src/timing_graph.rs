@@ -36,12 +36,24 @@ impl std::error::Error for CombinationalLoop {}
 
 /// The timing structure of a netlist. Immutable once built; placement only
 /// changes edge (net) delays, never the structure.
+///
+/// Edges are stored flat, in compressed sparse rows: all in-edges in one
+/// array grouped by sink cell, all out-edges in another grouped by driver,
+/// and per-cell offsets into each, so cell `c`'s fan-in is
+/// `in_edges[in_start[c]..in_start[c + 1]]`. Within a cell the edges keep
+/// netlist order (net by net, sink by sink). The incremental timing walk
+/// reads these slices for every cell of every trial's cone, and every
+/// evaluator shares one graph through an `Arc`.
 #[derive(Clone, Debug)]
 pub struct TimingGraph {
-    /// In-edges per cell (indexed by `CellId`); the fan-in cone.
-    in_edges: Vec<Vec<TimingEdge>>,
-    /// Out-edges per cell; the fan-out cone.
-    out_edges: Vec<Vec<TimingEdge>>,
+    /// In-edges of every cell, grouped by sink; the fan-in cones.
+    in_edges: Vec<TimingEdge>,
+    /// `in_edges` offset of each cell's group, plus the total at the end.
+    in_start: Vec<u32>,
+    /// Out-edges of every cell, grouped by driver; the fan-out cones.
+    out_edges: Vec<TimingEdge>,
+    /// `out_edges` offset of each cell's group, plus the total at the end.
+    out_start: Vec<u32>,
     /// Combinational (`Logic`) cells in dependency order: every logic cell
     /// appears after all logic cells feeding it.
     topo_logic: Vec<CellId>,
@@ -49,7 +61,7 @@ pub struct TimingGraph {
     endpoints: Vec<CellId>,
     /// Cells where timing paths start (inputs, flip-flops).
     sources: Vec<CellId>,
-    /// Logic depth per cell: 0 for sources, 1 + max(pred) for logic.
+    /// Logic depth per cell: 0 for non-logic cells, 1 + max(pred) for logic.
     level: Vec<u32>,
 }
 
@@ -60,9 +72,30 @@ impl TimingGraph {
     /// flip-flop.
     pub fn build(netlist: &Netlist) -> Result<TimingGraph, CombinationalLoop> {
         let n = netlist.num_cells();
-        let mut in_edges: Vec<Vec<TimingEdge>> = vec![Vec::new(); n];
-        let mut out_edges: Vec<Vec<TimingEdge>> = vec![Vec::new(); n];
-
+        // Counting pass: group sizes land one slot to the right of their
+        // cell, so the prefix sum turns them into start offsets.
+        let mut in_start = vec![0u32; n + 1];
+        let mut out_start = vec![0u32; n + 1];
+        for (_, net) in netlist.nets() {
+            out_start[net.driver.index() + 1] += net.sinks.len() as u32;
+            for &sink in &net.sinks {
+                in_start[sink.index() + 1] += 1;
+            }
+        }
+        for c in 0..n {
+            in_start[c + 1] += in_start[c];
+            out_start[c + 1] += out_start[c];
+        }
+        // Fill pass, in netlist order so each group keeps its edge order.
+        let placeholder = TimingEdge {
+            from: CellId(0),
+            to: CellId(0),
+            net: NetId(0),
+        };
+        let mut in_edges = vec![placeholder; in_start[n] as usize];
+        let mut out_edges = vec![placeholder; out_start[n] as usize];
+        let mut in_next = in_start.clone();
+        let mut out_next = out_start.clone();
         for (nid, net) in netlist.nets() {
             for &sink in &net.sinks {
                 let e = TimingEdge {
@@ -70,10 +103,16 @@ impl TimingGraph {
                     to: sink,
                     net: nid,
                 };
-                in_edges[sink.index()].push(e);
-                out_edges[net.driver.index()].push(e);
+                let slot = &mut in_next[sink.index()];
+                in_edges[*slot as usize] = e;
+                *slot += 1;
+                let slot = &mut out_next[net.driver.index()];
+                out_edges[*slot as usize] = e;
+                *slot += 1;
             }
         }
+        let fan_in = |c: CellId| group(&in_edges, &in_start, c);
+        let fan_out = |c: CellId| group(&out_edges, &out_start, c);
 
         // Kahn's algorithm over logic cells only: an edge u->v constrains the
         // order iff both u and v are combinational (sources launch at fixed
@@ -84,10 +123,8 @@ impl TimingGraph {
         for (id, cell) in netlist.cells() {
             if cell.kind == CellKind::Logic {
                 logic_count += 1;
-                indegree[id.index()] = in_edges[id.index()]
-                    .iter()
-                    .filter(|e| is_logic(e.from))
-                    .count() as u32;
+                indegree[id.index()] =
+                    fan_in(id).iter().filter(|e| is_logic(e.from)).count() as u32;
             }
         }
         let mut queue: Vec<CellId> = netlist
@@ -100,7 +137,7 @@ impl TimingGraph {
             let u = queue[head];
             head += 1;
             topo_logic.push(u);
-            for e in &out_edges[u.index()] {
+            for e in fan_out(u) {
                 if is_logic(e.to) {
                     let d = &mut indegree[e.to.index()];
                     *d -= 1;
@@ -121,7 +158,7 @@ impl TimingGraph {
         // Logic depth.
         let mut level = vec![0u32; n];
         for &u in &topo_logic {
-            let l = in_edges[u.index()]
+            let l = fan_in(u)
                 .iter()
                 .map(|e| {
                     if is_logic(e.from) {
@@ -137,7 +174,7 @@ impl TimingGraph {
 
         let endpoints: Vec<CellId> = netlist
             .cells()
-            .filter(|(id, c)| c.kind.is_timing_endpoint() && !in_edges[id.index()].is_empty())
+            .filter(|&(id, c)| c.kind.is_timing_endpoint() && !fan_in(id).is_empty())
             .map(|(id, _)| id)
             .collect();
         let sources: Vec<CellId> = netlist
@@ -148,7 +185,9 @@ impl TimingGraph {
 
         Ok(TimingGraph {
             in_edges,
+            in_start,
             out_edges,
+            out_start,
             topo_logic,
             endpoints,
             sources,
@@ -156,14 +195,16 @@ impl TimingGraph {
         })
     }
 
+    /// A cell's fan-in edges, in netlist order.
     #[inline]
     pub fn in_edges(&self, cell: CellId) -> &[TimingEdge] {
-        &self.in_edges[cell.index()]
+        group(&self.in_edges, &self.in_start, cell)
     }
 
+    /// A cell's fan-out edges, in netlist order.
     #[inline]
     pub fn out_edges(&self, cell: CellId) -> &[TimingEdge] {
-        &self.out_edges[cell.index()]
+        group(&self.out_edges, &self.out_start, cell)
     }
 
     /// Combinational cells in topological (fan-in before fan-out) order.
@@ -195,8 +236,15 @@ impl TimingGraph {
 
     /// Total number of timing edges.
     pub fn num_edges(&self) -> usize {
-        self.in_edges.iter().map(Vec::len).sum()
+        self.in_edges.len()
     }
+}
+
+/// One cell's group of a CSR edge array.
+#[inline]
+fn group<'a>(edges: &'a [TimingEdge], start: &[u32], cell: CellId) -> &'a [TimingEdge] {
+    let i = cell.index();
+    &edges[start[i] as usize..start[i + 1] as usize]
 }
 
 #[cfg(test)]
@@ -268,6 +316,47 @@ mod tests {
         let g2 = CellId(2);
         assert!(tg.level(g1) < tg.level(g2));
         assert_eq!(tg.max_level(), tg.level(g2));
+    }
+
+    #[test]
+    fn flat_edge_groups_match_naive_per_cell_lists() {
+        // Naive per-cell lists: one `Vec` per cell, pushed in net order,
+        // sink by sink.
+        let generated =
+            [(3, 0.0, 1), (6, 0.15, 2), (14, 0.3, 3)].map(|(depth, fanout_tail, seed)| {
+                crate::generator::generate(&crate::generator::CircuitSpec {
+                    name: "csr".into(),
+                    n_inputs: 8,
+                    n_outputs: 6,
+                    n_flipflops: 7,
+                    n_logic: 90,
+                    depth,
+                    fanout_tail,
+                    seed,
+                })
+            });
+        for nl in generated.into_iter().chain([crate::c3540()]) {
+            let tg = TimingGraph::build(&nl).unwrap();
+            let mut fan_in = vec![Vec::new(); nl.num_cells()];
+            let mut fan_out = vec![Vec::new(); nl.num_cells()];
+            for (nid, net) in nl.nets() {
+                for &sink in &net.sinks {
+                    let e = TimingEdge {
+                        from: net.driver,
+                        to: sink,
+                        net: nid,
+                    };
+                    fan_in[sink.index()].push(e);
+                    fan_out[net.driver.index()].push(e);
+                }
+            }
+            for c in nl.cell_ids() {
+                assert_eq!(tg.in_edges(c), &fan_in[c.index()][..], "in-edges of {c}");
+                assert_eq!(tg.out_edges(c), &fan_out[c.index()][..], "out-edges of {c}");
+            }
+            let total: usize = fan_in.iter().map(Vec::len).sum();
+            assert_eq!(tg.num_edges(), total);
+        }
     }
 
     #[test]

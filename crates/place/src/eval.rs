@@ -3,9 +3,9 @@
 //!
 //! This is the interface the tabu search layers consume. A *trial* is
 //! read-only (no placement mutation) and cheap: incremental HPWL over
-//! affected nets, O(1) row-width max, first-order timing estimate. A
-//! *commit* mutates the placement and restores exact caches (full STA
-//! refresh).
+//! affected nets, O(1) row-width max, exact cone-bounded timing estimate.
+//! A *commit* mutates the placement and updates every cache exactly, with
+//! the same cone-bounded timing walk.
 
 use crate::area::RowAreaModel;
 use crate::cost::{CostScheme, RawObjectives};
@@ -67,10 +67,10 @@ pub struct Evaluator {
     area: RowAreaModel,
     scheme: CostScheme,
     alpha: f64,
-    /// Affected-net scratch for [`Evaluator::trial_swaps`]: one buffer
-    /// serves every candidate in a batch instead of a fresh `Vec` per
-    /// trial. Owned here (not by callers) so the batch path allocates
-    /// nothing after warm-up.
+    /// Affected-net scratch for [`Evaluator::trial_swaps`] and
+    /// [`Evaluator::commit_swap`]: one buffer serves every candidate in a
+    /// batch and every commit instead of a fresh `Vec` each. Owned here
+    /// (not by callers) so neither path allocates after warm-up.
     trial_nets: Vec<(NetId, f64)>,
 }
 
@@ -252,15 +252,14 @@ impl Evaluator {
             self.netlist.cell(b).width as u64,
         );
         // New net lengths, captured before mutation for the timing commit.
-        let wire_trial = self
-            .wirelength
-            .trial_swap(&self.netlist, &self.placement, a, b);
+        self.wirelength
+            .trial_swap_into(&self.netlist, &self.placement, a, b, &mut self.trial_nets);
         self.placement.swap_cells(a, b);
         self.wirelength
             .commit_swap(&self.netlist, &self.placement, a, b);
         self.area.apply_swap(ra, wa, rb, wb);
         self.sta
-            .commit_changes(&self.netlist, &self.timing, &wire_trial.nets);
+            .commit_changes(&self.netlist, &self.timing, &self.trial_nets);
     }
 
     /// Replace the placement wholesale (e.g. adopting the master's

@@ -7,20 +7,31 @@
 //!
 //! # Incremental trial evaluation
 //!
-//! A full forward sweep runs on every committed move (one O(V+E) pass),
+//! A full forward sweep runs when a model is built (one O(V+E) pass),
 //! caching per-cell arrivals and per-net delays. For a *trial* move that
 //! changes the lengths of a few nets, the new critical delay is computed
-//! **exactly** by incremental re-propagation: starting from the sinks of
-//! the changed nets, arrival times are recomputed in topological order (a
-//! min-heap on cached topo positions) into an epoch-stamped *overlay* — the
-//! cached state is never mutated, so no undo is needed and consecutive
-//! trials are independent. Work is bounded by the affected fan-out cone,
-//! which for a two-cell swap is a tiny fraction of the circuit.
+//! **exactly** by incremental re-propagation over the affected cone:
+//!
+//! - The changed nets' trial delays go into an epoch-stamped per-net
+//!   overlay, so every in-edge finds its delay in O(1). A net listed twice
+//!   keeps its first entry.
+//! - The sinks of the changed nets are queued in per-level buckets keyed by
+//!   [`TimingGraph::level`], and the levels are swept upward. A logic
+//!   cell's predecessors all sit on lower levels, so the sweep is a
+//!   topological order: every cell sees final inputs, and each cell whose
+//!   output arrival moves queues its fan-out on higher levels.
+//! - New arrivals land in an epoch-stamped per-cell overlay. The cached
+//!   state is never mutated, so no undo is needed and consecutive trials
+//!   are independent.
+//! - The critical delay is the max over all endpoints, re-deriving those
+//!   the cone reached.
+//!
+//! Work is bounded by the affected fan-out cone, which for a two-cell swap
+//! is a small fraction of the circuit. A commit runs the same walk and
+//! writes the overlay back.
 
 use crate::wirelength::WirelengthModel;
-use pts_netlist::{CellId, CellKind, NetId, Netlist, TimingGraph};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use pts_netlist::{CellId, NetId, Netlist, TimingGraph};
 
 /// Cached timing state for one placement.
 #[derive(Clone, Debug)]
@@ -34,17 +45,18 @@ pub struct StaModel {
     net_delay: Vec<f64>,
     /// Current critical (longest) path delay.
     critical: f64,
-    /// Position of each logic cell in the topological order (`u32::MAX`
-    /// for non-logic cells).
-    topo_pos: Vec<u32>,
-    // --- trial-evaluation scratch (epoch-stamped overlay) ---
+    // --- trial-evaluation scratch (epoch-stamped overlays) ---
     overlay_out: Vec<f64>,
     overlay_in: Vec<f64>,
     overlay_stamp: Vec<u32>,
     queued_stamp: Vec<u32>,
     endpoint_dirty_stamp: Vec<u32>,
+    /// Trial delay of each changed net, valid where `net_stamp == gen`.
+    net_overlay: Vec<f64>,
+    net_stamp: Vec<u32>,
     gen: u32,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Queued logic cells, one bucket per logic level.
+    buckets: Vec<Vec<CellId>>,
     /// Logic cells whose overlay entries changed in the current epoch.
     touched: Vec<CellId>,
 }
@@ -59,24 +71,22 @@ impl StaModel {
     ) -> StaModel {
         assert!(alpha >= 0.0, "net-delay coefficient must be non-negative");
         let n = netlist.num_cells();
-        let mut topo_pos = vec![u32::MAX; n];
-        for (pos, &c) in timing.topo_logic().iter().enumerate() {
-            topo_pos[c.index()] = pos as u32;
-        }
+        let m = netlist.num_nets();
         let mut model = StaModel {
             alpha,
             arrival_out: vec![0.0; n],
             arrival_in: vec![0.0; n],
-            net_delay: vec![0.0; netlist.num_nets()],
+            net_delay: vec![0.0; m],
             critical: 0.0,
-            topo_pos,
             overlay_out: vec![0.0; n],
             overlay_in: vec![0.0; n],
             overlay_stamp: vec![0; n],
             queued_stamp: vec![0; n],
             endpoint_dirty_stamp: vec![0; n],
+            net_overlay: vec![0.0; m],
+            net_stamp: vec![0; m],
             gen: 0,
-            heap: BinaryHeap::new(),
+            buckets: vec![Vec::new(); timing.max_level() as usize + 1],
             touched: Vec::new(),
         };
         model.refresh(netlist, timing, wirelength);
@@ -160,13 +170,42 @@ impl StaModel {
         self.critical = critical;
     }
 
+    // The two overlay lookups read both candidates before testing the
+    // stamp. The edge loop then keeps both arrays' pointers in registers;
+    // testing first re-reads the chosen array's pointer from `self` on
+    // every edge, which measured slower.
     #[inline]
     fn overlay_arrival_out(&self, cell: CellId) -> f64 {
-        if self.overlay_stamp[cell.index()] == self.gen {
-            self.overlay_out[cell.index()]
+        let i = cell.index();
+        let (trial, cached) = (self.overlay_out[i], self.arrival_out[i]);
+        if self.overlay_stamp[i] == self.gen {
+            trial
         } else {
-            self.arrival_out[cell.index()]
+            cached
         }
+    }
+
+    #[inline]
+    fn overlay_net_delay(&self, net: NetId) -> f64 {
+        let i = net.index();
+        let (trial, cached) = (self.net_overlay[i], self.net_delay[i]);
+        if self.net_stamp[i] == self.gen {
+            trial
+        } else {
+            cached
+        }
+    }
+
+    /// Input arrival of `cell` under the overlays: the max, in edge order,
+    /// over its in-edges of driver arrival plus net delay.
+    #[inline]
+    fn overlay_arrival_in(&self, timing: &TimingGraph, cell: CellId) -> f64 {
+        let mut a_in = 0.0f64;
+        for e in timing.in_edges(cell) {
+            let a = self.overlay_arrival_out(e.from) + self.overlay_net_delay(e.net);
+            a_in = a_in.max(a);
+        }
+        a_in
     }
 
     /// Exact critical delay if the given nets took the given new HPWLs.
@@ -174,7 +213,7 @@ impl StaModel {
     /// Incremental forward re-propagation over the affected cone; cached
     /// state is untouched (results live in an epoch-stamped overlay that is
     /// invalidated wholesale on the next call). Because consecutive calls
-    /// are independent and the overlay/heap scratch lives inside the
+    /// are independent and the overlay/bucket scratch lives inside the
     /// model, a batched candidate evaluation can call this once per
     /// candidate against the same cached state with zero allocation after
     /// warm-up and bit-identical results to one-at-a-time trials.
@@ -234,64 +273,57 @@ impl StaModel {
         timing: &TimingGraph,
         changed: &[(NetId, f64)],
     ) -> f64 {
-        // Fresh epoch for overlay / queued / endpoint-dirty stamps.
+        // Fresh epoch for every stamp array.
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
-            self.overlay_stamp.iter_mut().for_each(|s| *s = 0);
-            self.queued_stamp.iter_mut().for_each(|s| *s = 0);
-            self.endpoint_dirty_stamp.iter_mut().for_each(|s| *s = 0);
+            self.overlay_stamp.fill(0);
+            self.queued_stamp.fill(0);
+            self.endpoint_dirty_stamp.fill(0);
+            self.net_stamp.fill(0);
             self.gen = 1;
         }
-        self.heap.clear();
         self.touched.clear();
 
-        // The changed list is tiny; linear scan beats a map.
-        let delay_of = |model: &StaModel, n: NetId| -> f64 {
-            for &(c, h) in changed {
-                if c == n {
-                    return model.alpha * h;
-                }
+        // Seed: each changed net takes its trial delay (the first entry
+        // wins), and every sink of it must re-derive its arrival.
+        for &(nid, h) in changed {
+            if self.net_stamp[nid.index()] != self.gen {
+                self.net_stamp[nid.index()] = self.gen;
+                self.net_overlay[nid.index()] = self.alpha * h;
             }
-            model.net_delay[n.index()]
-        };
-
-        // Seed: every sink of a changed net must re-derive its arrival.
-        for &(nid, _) in changed {
-            let net = netlist.net(nid);
-            for &sink in &net.sinks {
-                self.enqueue(netlist, sink);
+            for &sink in &netlist.net(nid).sinks {
+                self.enqueue(timing, sink);
             }
         }
 
-        // Process in topological order; predecessors always finalize first.
-        while let Some(Reverse((_, cell_raw))) = self.heap.pop() {
-            let v = CellId(cell_raw);
-            let mut a_in = 0.0f64;
-            for e in timing.in_edges(v) {
-                let a = self.overlay_arrival_out(e.from) + delay_of(self, e.net);
-                a_in = a_in.max(a);
-            }
-            let a_out = a_in + netlist.cell(v).intrinsic_delay;
-            if (a_out - self.overlay_arrival_out(v)).abs() > 1e-15 {
-                self.overlay_out[v.index()] = a_out;
-                self.overlay_in[v.index()] = a_in;
-                self.overlay_stamp[v.index()] = self.gen;
-                self.touched.push(v);
-                for e in timing.out_edges(v) {
-                    self.enqueue(netlist, e.to);
+        // Sweep the levels upward; predecessors always finalize first.
+        // Processing a level only queues cells on higher ones.
+        for level in 1..self.buckets.len() {
+            let mut bucket = std::mem::take(&mut self.buckets[level]);
+            for &v in &bucket {
+                let a_in = self.overlay_arrival_in(timing, v);
+                let a_out = a_in + netlist.cell(v).intrinsic_delay;
+                // A cell is swept once per epoch, so its own overlay entry
+                // is still unset here.
+                if (a_out - self.arrival_out[v.index()]).abs() > 1e-15 {
+                    self.overlay_out[v.index()] = a_out;
+                    self.overlay_in[v.index()] = a_in;
+                    self.overlay_stamp[v.index()] = self.gen;
+                    self.touched.push(v);
+                    for e in timing.out_edges(v) {
+                        self.enqueue(timing, e.to);
+                    }
                 }
             }
+            bucket.clear();
+            self.buckets[level] = bucket;
         }
 
         // Critical = max over endpoints, re-deriving dirty ones.
         let mut critical = 0.0f64;
         for &ep in timing.endpoints() {
             let a_in = if self.endpoint_dirty_stamp[ep.index()] == self.gen {
-                let mut a = 0.0f64;
-                for e in timing.in_edges(ep) {
-                    let v = self.overlay_arrival_out(e.from) + delay_of(self, e.net);
-                    a = a.max(v);
-                }
+                let a = self.overlay_arrival_in(timing, ep);
                 self.overlay_in[ep.index()] = a;
                 a
             } else {
@@ -302,22 +334,17 @@ impl StaModel {
         critical
     }
 
-    fn enqueue(&mut self, netlist: &Netlist, cell: CellId) {
-        match netlist.cell(cell).kind {
-            CellKind::Logic => {
-                if self.queued_stamp[cell.index()] != self.gen {
-                    self.queued_stamp[cell.index()] = self.gen;
-                    self.heap
-                        .push(Reverse((self.topo_pos[cell.index()], cell.0)));
-                }
-            }
-            // Endpoints are not propagated through; they are re-derived in
-            // the final max. (A flip-flop's output arrival is fixed — only
-            // its input side is affected.)
-            CellKind::Output | CellKind::FlipFlop => {
-                self.endpoint_dirty_stamp[cell.index()] = self.gen;
-            }
-            CellKind::Input => {}
+    fn enqueue(&mut self, timing: &TimingGraph, cell: CellId) {
+        let level = timing.level(cell) as usize;
+        if level == 0 {
+            // Sinks are never inputs, so a level-0 sink is an endpoint: an
+            // output pad or a flip-flop. Endpoints are not propagated
+            // through; they are re-derived in the final max. (A flip-flop's
+            // output arrival is fixed; only its input side is affected.)
+            self.endpoint_dirty_stamp[cell.index()] = self.gen;
+        } else if self.queued_stamp[cell.index()] != self.gen {
+            self.queued_stamp[cell.index()] = self.gen;
+            self.buckets[level].push(cell);
         }
     }
 }
@@ -329,6 +356,282 @@ mod tests {
     use crate::placement::Placement;
     use pts_netlist::{generate, Cell, CellKind, CircuitSpec, NetlistBuilder, TimingGraph};
     use pts_util::Rng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The cone walk this module ran before the level sweep, kept as the
+    /// oracle the sweep must match bit for bit: cells pop from a min-heap
+    /// keyed by their position in [`TimingGraph::topo_logic`], and every
+    /// in-edge scans the changed-net list for its delay. It drives a
+    /// [`StaModel`] of its own through that model's cached state, overlay
+    /// and stamps, and never touches the net overlay or the buckets.
+    struct HeapWalk {
+        topo_pos: Vec<u32>,
+        heap: BinaryHeap<Reverse<(u32, u32)>>,
+    }
+
+    impl HeapWalk {
+        fn new(netlist: &Netlist, timing: &TimingGraph) -> HeapWalk {
+            let mut topo_pos = vec![u32::MAX; netlist.num_cells()];
+            for (pos, &c) in timing.topo_logic().iter().enumerate() {
+                topo_pos[c.index()] = pos as u32;
+            }
+            HeapWalk {
+                topo_pos,
+                heap: BinaryHeap::new(),
+            }
+        }
+
+        fn estimate(
+            &mut self,
+            m: &mut StaModel,
+            netlist: &Netlist,
+            timing: &TimingGraph,
+            changed: &[(NetId, f64)],
+        ) -> f64 {
+            if changed.is_empty() {
+                return m.critical;
+            }
+            self.propagate(m, netlist, timing, changed)
+        }
+
+        fn commit_changes(
+            &mut self,
+            m: &mut StaModel,
+            netlist: &Netlist,
+            timing: &TimingGraph,
+            changed: &[(NetId, f64)],
+        ) {
+            if changed.is_empty() {
+                return;
+            }
+            let critical = self.propagate(m, netlist, timing, changed);
+            for &c in &m.touched {
+                m.arrival_out[c.index()] = m.overlay_out[c.index()];
+                m.arrival_in[c.index()] = m.overlay_in[c.index()];
+            }
+            for &ep in timing.endpoints() {
+                if m.endpoint_dirty_stamp[ep.index()] == m.gen {
+                    m.arrival_in[ep.index()] = m.overlay_in[ep.index()];
+                }
+            }
+            for &(nid, h) in changed {
+                m.net_delay[nid.index()] = m.alpha * h;
+            }
+            m.critical = critical;
+        }
+
+        fn propagate(
+            &mut self,
+            m: &mut StaModel,
+            netlist: &Netlist,
+            timing: &TimingGraph,
+            changed: &[(NetId, f64)],
+        ) -> f64 {
+            m.gen = m.gen.wrapping_add(1);
+            if m.gen == 0 {
+                m.overlay_stamp.iter_mut().for_each(|s| *s = 0);
+                m.queued_stamp.iter_mut().for_each(|s| *s = 0);
+                m.endpoint_dirty_stamp.iter_mut().for_each(|s| *s = 0);
+                m.gen = 1;
+            }
+            self.heap.clear();
+            m.touched.clear();
+            let delay_of = |m: &StaModel, n: NetId| -> f64 {
+                for &(c, h) in changed {
+                    if c == n {
+                        return m.alpha * h;
+                    }
+                }
+                m.net_delay[n.index()]
+            };
+            let arrival_out = |m: &StaModel, c: CellId| -> f64 {
+                if m.overlay_stamp[c.index()] == m.gen {
+                    m.overlay_out[c.index()]
+                } else {
+                    m.arrival_out[c.index()]
+                }
+            };
+            for &(nid, _) in changed {
+                for &sink in &netlist.net(nid).sinks {
+                    self.enqueue(m, netlist, sink);
+                }
+            }
+            while let Some(Reverse((_, cell_raw))) = self.heap.pop() {
+                let v = CellId(cell_raw);
+                let mut a_in = 0.0f64;
+                for e in timing.in_edges(v) {
+                    a_in = a_in.max(arrival_out(m, e.from) + delay_of(m, e.net));
+                }
+                let a_out = a_in + netlist.cell(v).intrinsic_delay;
+                if (a_out - arrival_out(m, v)).abs() > 1e-15 {
+                    m.overlay_out[v.index()] = a_out;
+                    m.overlay_in[v.index()] = a_in;
+                    m.overlay_stamp[v.index()] = m.gen;
+                    m.touched.push(v);
+                    for e in timing.out_edges(v) {
+                        self.enqueue(m, netlist, e.to);
+                    }
+                }
+            }
+            let mut critical = 0.0f64;
+            for &ep in timing.endpoints() {
+                let a_in = if m.endpoint_dirty_stamp[ep.index()] == m.gen {
+                    let mut a = 0.0f64;
+                    for e in timing.in_edges(ep) {
+                        a = a.max(arrival_out(m, e.from) + delay_of(m, e.net));
+                    }
+                    m.overlay_in[ep.index()] = a;
+                    a
+                } else {
+                    m.arrival_in[ep.index()]
+                };
+                critical = critical.max(a_in);
+            }
+            critical
+        }
+
+        fn enqueue(&mut self, m: &mut StaModel, netlist: &Netlist, cell: CellId) {
+            match netlist.cell(cell).kind {
+                CellKind::Logic => {
+                    if m.queued_stamp[cell.index()] != m.gen {
+                        m.queued_stamp[cell.index()] = m.gen;
+                        self.heap
+                            .push(Reverse((self.topo_pos[cell.index()], cell.0)));
+                    }
+                }
+                CellKind::Output | CellKind::FlipFlop => {
+                    m.endpoint_dirty_stamp[cell.index()] = m.gen;
+                }
+                CellKind::Input => {}
+            }
+        }
+    }
+
+    /// Every cached quantity of two models, compared bit for bit.
+    fn assert_same_state(fast: &StaModel, oracle: &StaModel, nl: &Netlist, what: &str) {
+        assert_eq!(
+            fast.critical().to_bits(),
+            oracle.critical().to_bits(),
+            "{what}: critical"
+        );
+        for c in nl.cell_ids() {
+            assert_eq!(
+                fast.arrival_out(c).to_bits(),
+                oracle.arrival_out(c).to_bits(),
+                "{what}: arrival_out({c})"
+            );
+            assert_eq!(
+                fast.arrival_in(c).to_bits(),
+                oracle.arrival_in(c).to_bits(),
+                "{what}: arrival_in({c})"
+            );
+        }
+        for nid in nl.net_ids() {
+            assert_eq!(
+                fast.net_delay(nid).to_bits(),
+                oracle.net_delay(nid).to_bits(),
+                "{what}: net_delay({nid})"
+            );
+        }
+    }
+
+    fn random_pair(rng: &mut Rng, n: usize) -> (CellId, CellId) {
+        let a = CellId(rng.index(n) as u32);
+        let mut b = a;
+        while b == a {
+            b = CellId(rng.index(n) as u32);
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn level_sweep_matches_heap_walk_bit_for_bit() {
+        let shapes = [(3, 0.0), (5, 0.1), (8, 0.2), (11, 0.3), (14, 0.15)];
+        for (i, (depth, fanout_tail)) in shapes.into_iter().enumerate() {
+            let nl = generate(&CircuitSpec {
+                name: "oracle".into(),
+                n_inputs: 8,
+                n_outputs: 6,
+                n_flipflops: 9,
+                n_logic: 120,
+                depth,
+                fanout_tail,
+                seed: 500 + i as u64,
+            });
+            let tg = TimingGraph::build(&nl).unwrap();
+            let mut rng = Rng::new(41 + i as u64);
+            let n = nl.num_cells();
+            let mut p = Placement::random(Layout::for_cells(n), n, &mut rng);
+            let mut wl = WirelengthModel::new(&nl, &p);
+            let mut fast = StaModel::new(&nl, &tg, &wl, 0.2);
+            let mut oracle = fast.clone();
+            let mut walk = HeapWalk::new(&nl, &tg);
+            let mut nets = Vec::new();
+            let mut commits = 0;
+            for step in 0..400 {
+                if step % 10 == 5 {
+                    // Cross the epoch wrap within the next few calls. The
+                    // steps since the last wrap left stamps at small
+                    // epochs, which the restarted epochs revisit at once,
+                    // so every stamp array must be reset at the wrap.
+                    fast.gen = u32::MAX - 3;
+                    oracle.gen = u32::MAX - 3;
+                }
+                let (a, b) = random_pair(&mut rng, n);
+                wl.trial_swap_into(&nl, &p, a, b, &mut nets);
+                let want = walk.estimate(&mut oracle, &nl, &tg, &nets);
+                let got = fast.estimate(&nl, &tg, &nets);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "depth {depth}, step {step}: estimate"
+                );
+                if rng.index(3) == 0 {
+                    p.swap_cells(a, b);
+                    wl.commit_swap(&nl, &p, a, b);
+                    walk.commit_changes(&mut oracle, &nl, &tg, &nets);
+                    fast.commit_changes(&nl, &tg, &nets);
+                    commits += 1;
+                    assert_same_state(&fast, &oracle, &nl, &format!("depth {depth}, step {step}"));
+                }
+            }
+            assert!(fast.gen < 1000, "the epoch wrapped");
+            assert!(commits > 100);
+        }
+    }
+
+    #[test]
+    fn a_net_listed_twice_keeps_its_first_delay() {
+        let spec = CircuitSpec {
+            name: "dup".into(),
+            n_inputs: 6,
+            n_outputs: 5,
+            n_flipflops: 5,
+            n_logic: 60,
+            depth: 6,
+            fanout_tail: 0.2,
+            seed: 9,
+        };
+        let nl = generate(&spec);
+        let tg = TimingGraph::build(&nl).unwrap();
+        let mut rng = Rng::new(5);
+        let n = nl.num_cells();
+        let p = Placement::random(Layout::for_cells(n), n, &mut rng);
+        let wl = WirelengthModel::new(&nl, &p);
+        let mut fast = StaModel::new(&nl, &tg, &wl, 0.2);
+        let mut oracle = fast.clone();
+        let mut walk = HeapWalk::new(&nl, &tg);
+        for nid in nl.net_ids() {
+            let h = wl.net_hpwl(nid);
+            let twice = [(nid, 3.0 * h + 1.0), (nid, 0.0)];
+            let first = fast.estimate(&nl, &tg, &twice[..1]);
+            let got = fast.estimate(&nl, &tg, &twice);
+            let want = walk.estimate(&mut oracle, &nl, &tg, &twice);
+            assert_eq!(got.to_bits(), want.to_bits(), "{nid}: oracle");
+            assert_eq!(got.to_bits(), first.to_bits(), "{nid}: first entry");
+        }
+    }
 
     /// in(0) -> g1(1) -> g2(2) -> out(3), one row of 4 slots.
     fn chain() -> (Netlist, TimingGraph, Placement) {

@@ -171,6 +171,40 @@ fn vt_results_match_pinned_golden_values() {
 }
 
 #[test]
+fn vt_c3540_paper_cluster_matches_pinned_golden_values() {
+    // The highway goldens above run 56 cells at depth 5, where every timing
+    // cone is a handful of cells. This pins a run on c3540 (2,243 cells),
+    // whose cones reach over a hundred cells per trial, so a change to the
+    // incremental STA walk that is deterministic but wrong moves these
+    // values. Shaped like the benchmark's `place-paper` workload. Update
+    // the constants only with a change that is meant to alter the
+    // trajectory.
+    let netlist = Arc::new(by_name("c3540").unwrap());
+    let out = Pts::builder()
+        .tsw_workers(8)
+        .clw_workers(2)
+        .global_iters(2)
+        .local_iters(5)
+        .seed(11)
+        .sync(SyncPolicy::HalfReport)
+        .build()
+        .unwrap()
+        .run_placement(netlist, &VirtualEngine::paper());
+    let bits: Vec<u64> = out
+        .outcome
+        .best_per_global_iter
+        .iter()
+        .map(|c| c.to_bits())
+        .collect();
+    assert_eq!(out.outcome.best_cost.to_bits(), 0x3fdc_3f39_8235_8518);
+    assert_eq!(bits, [0x3fdc_5df0_5f1e_7d32, 0x3fdc_3f39_8235_8518]);
+    assert_eq!(out.outcome.end_time, 325.33767809523806);
+    assert_eq!(out.outcome.forced_reports, 8);
+    assert_eq!(out.outcome.trace.points().len(), 17);
+    assert_eq!(out.report.total_messages(), 547);
+}
+
+#[test]
 fn sharded_master_replays_identically() {
     // The sub-master tree must not cost determinism: identical seeds,
     // identical timeline — including the forces leaf sub-masters issue
