@@ -1,4 +1,4 @@
-//! Engine comparison — the three execution substrates at growing worker
+//! Engine comparison — the four execution substrates at growing worker
 //! counts, flat vs sharded master, full vs delta snapshot wire format.
 //!
 //! Not a paper figure: the paper had one substrate (a twelve-workstation
@@ -9,15 +9,14 @@
 //! root's message load, and what the delta-encoded snapshot protocol
 //! saves in simulated wire bytes and real snapshot allocations:
 //!
-//! * `sim` and `threads` spend one OS thread per logical process — at
+//! * `threads` spends one OS thread per logical process — at
 //!   `n_tsw = 1024` that is 2049 threads, which is where hosts start to
-//!   push back (and why they only run that point under `PTS_FULL=1`);
+//!   push back (and why it only runs that point under `PTS_FULL=1`);
 //! * `async` multiplexes all logical processes on the calling thread and
 //!   runs every point, flat and sharded;
-//! * `vt` does the same under the paper cluster's *virtual clock* — the
-//!   sim engine's timing model (bit-identical timeline) at async scale —
-//!   so it also runs every point, and uniquely reports virtual end time
-//!   and utilization at `n_tsw = 1024`;
+//! * `vt` does the same under the paper cluster's *virtual clock*, so it
+//!   also runs every point, and uniquely reports virtual end time and
+//!   utilization at `n_tsw = 1024`;
 //! * `proc` runs one OS process per rank over a socket star (this binary
 //!   re-enters itself as the workers), measuring what real process
 //!   isolation and the explicit wire codec cost; its flat rows run at
@@ -70,7 +69,7 @@ use pts_bench::emit;
 use pts_bench::kernel::{bench_qap_kernel, KernelBench};
 use pts_core::{
     take_snapshot_meter, take_trials, AsyncEngine, ExecutionEngine, ProcEngine, Pts, PtsConfig,
-    QapDomain, RunBuilder, SearchStrategy, SimEngine, SnapshotMeter, SnapshotMode, ThreadEngine,
+    QapDomain, RunBuilder, SearchStrategy, SnapshotMeter, SnapshotMode, ThreadEngine,
     VirtualEngine,
 };
 use pts_util::csv::CsvWriter;
@@ -666,7 +665,7 @@ fn main() {
 
 fn run_engine_table() {
     let full_profile = std::env::var("PTS_FULL").map(|v| v == "1").unwrap_or(false);
-    println!("== Engine comparison: sim vs threads vs async vs vt vs proc, flat vs sharded, at n_tsw = 4, 64, 1024 ==\n");
+    println!("== Engine comparison: threads vs async vs vt vs proc, flat vs sharded, at n_tsw = 4, 64, 1024 ==\n");
 
     // One QAP instance for the whole sweep; workers outnumber facilities
     // at the top end (ranges wrap), so streams are differentiated.
@@ -710,8 +709,7 @@ fn run_engine_table() {
         // ever gains a tiny point.
         let fanout = ((n_tsw as f64).sqrt().round() as usize).max(2);
         let proc_engine = ProcEngine::from_current_exe().expect("own path resolvable");
-        let engines: [(&str, &dyn ExecutionEngine<QapDomain>); 5] = [
-            ("sim", &SimEngine::paper()),
+        let engines: [(&str, &dyn ExecutionEngine<QapDomain>); 4] = [
             ("threads", &ThreadEngine),
             ("async", &AsyncEngine::new()),
             ("vt", &VirtualEngine::paper()),
@@ -902,7 +900,7 @@ fn run_engine_table() {
     }
 
     emit("engine_compare", &table, &csv);
-    println!("\n(sim/threads/proc at n_tsw = 1024 and all sharded sim/threads/proc rows run only with PTS_FULL=1 — proc at 1024 means 2049 OS processes.)");
+    println!("\n(threads/proc at n_tsw = 1024 and all sharded threads/proc rows run only with PTS_FULL=1 — proc at 1024 means 2049 OS processes.)");
     println!("(root msgs: rank-0 sent+received — O(n_tsw) flat, O(fan-out) sharded.)");
     println!("(ns/trial: wall time over the *metered* evaluation count — exact, early accepts and cut-shorts included; `~` marks proc rows, whose workers meter in their own processes, so the nominal upper bound is used.)");
     println!("(portfolio: `uniform` = single strategy; `k-strat` = heterogeneous portfolio — the 2-strat vt rows run the pinned intensify/diversify pair from tests/vt_scenarios.rs; see `pts run --portfolio`.)");

@@ -14,7 +14,7 @@
 
 pub mod kernel;
 
-use pts_core::{PlacementRunOutput, Pts, PtsConfig, SimEngine};
+use pts_core::{PlacementRunOutput, Pts, PtsConfig, VirtualEngine};
 use pts_netlist::Netlist;
 use pts_util::csv::CsvWriter;
 use pts_util::table::Table;
@@ -76,7 +76,7 @@ pub fn run_on_paper_cluster(cfg: &PtsConfig, netlist: Arc<Netlist>) -> Placement
     Pts::from_config(cfg.clone())
         .build()
         .expect("harness configs are valid")
-        .run_placement(netlist, &SimEngine::paper())
+        .run_placement(netlist, &VirtualEngine::paper())
 }
 
 /// Seeds used for averaged experiments under a profile. Single-seed runs

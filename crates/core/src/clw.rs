@@ -250,7 +250,7 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
     for step in 0..strat.depth {
         // m trial evaluations + one commit of the winner. The whole batch
         // is still charged as ONE compute call — the virtual-time ledger
-        // (and thus every pinned sim/vt golden) is oblivious to whether
+        // (and thus every pinned vt golden) is oblivious to whether
         // the trials ran through the scalar loop or the batched kernel.
         t.compute(cfg.work.per_trial * strat.candidates as f64)
             .await;

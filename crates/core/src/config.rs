@@ -24,7 +24,7 @@ pub enum SnapshotMode {
     /// solution), falling back to a full snapshot whenever the delta
     /// would be at least as large. Default. Bit-identical in search
     /// trajectory to [`SnapshotMode::Full`]; only wire sizes (and hence
-    /// the virtual timeline of the sim engine) differ.
+    /// the virtual timeline of the vt engine) differ.
     Delta,
     /// Always ship full snapshots — the paper's protocol, and the wire
     /// format every release before the delta layer used.
@@ -41,7 +41,7 @@ pub enum CostKind {
     WeightedSum,
 }
 
-/// Virtual-CPU work charged per algorithmic operation (sim engine only).
+/// Virtual-CPU work charged per algorithmic operation (vt engine only).
 ///
 /// Units are abstract "work units"; a speed-1.0 machine executes one unit
 /// per virtual second. Values approximate the relative real cost of each
@@ -244,7 +244,7 @@ pub struct PtsConfig {
     /// Default 2000; widen on slow CI hosts. Stragglers past the window
     /// are still killed and reaped unconditionally.
     pub reap_grace_ms: u64,
-    /// Virtual work accounting (sim engine).
+    /// Virtual work accounting (the vt engine's clock).
     pub work: WorkModel,
 }
 
@@ -328,10 +328,51 @@ pub struct ShardSpec {
     pub children: ShardChildren,
 }
 
+/// What one rank runs, decoded from the rank layout by
+/// [`PtsConfig::role_of`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Role {
+    /// The root master (rank 0).
+    Master,
+    /// TSW `i`.
+    Tsw(usize),
+    /// CLW `clw` of TSW `tsw`.
+    Clw {
+        /// Index of the TSW this CLW serves.
+        tsw: usize,
+        /// Index of the CLW within its TSW's group.
+        clw: usize,
+    },
+    /// Sub-master `shard` of the collection tree.
+    Shard(usize),
+}
+
 impl PtsConfig {
     /// Total number of processes: master + TSWs + TSWs×CLWs + sub-masters.
     pub fn total_procs(&self) -> usize {
         1 + self.n_tsw + self.n_tsw * self.n_clw + self.n_shards()
+    }
+
+    /// The role of `rank`: the inverse of [`PtsConfig::master_rank`],
+    /// [`PtsConfig::tsw_rank`], [`PtsConfig::clw_rank`] and
+    /// [`PtsConfig::shard_rank`].
+    pub fn role_of(&self, rank: usize) -> Role {
+        assert!(rank < self.total_procs(), "rank {rank} out of range");
+        let clw_lo = 1 + self.n_tsw;
+        let shard_lo = clw_lo + self.n_tsw * self.n_clw;
+        if rank == 0 {
+            Role::Master
+        } else if rank < clw_lo {
+            Role::Tsw(rank - 1)
+        } else if rank < shard_lo {
+            let k = rank - clw_lo;
+            Role::Clw {
+                tsw: k / self.n_clw,
+                clw: k % self.n_clw,
+            }
+        } else {
+            Role::Shard(rank - shard_lo)
+        }
     }
 
     /// Rank of the master process.
@@ -893,6 +934,32 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..cfg.total_procs()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn role_of_inverts_the_rank_layout() {
+        // Flat, and a two-level sharded tree (5 TSWs at fan-out 2: three
+        // leaf sub-masters under two).
+        for (n_tsw, n_clw, shard_fanout) in [(3, 2, 0), (5, 2, 2)] {
+            let cfg = PtsConfig {
+                n_tsw,
+                n_clw,
+                shard_fanout,
+                ..PtsConfig::default()
+            };
+            if shard_fanout > 0 {
+                assert_eq!(cfg.shard_levels(), [3, 2]);
+            }
+            for rank in 0..cfg.total_procs() {
+                let back = match cfg.role_of(rank) {
+                    Role::Master => cfg.master_rank(),
+                    Role::Tsw(i) => cfg.tsw_rank(i),
+                    Role::Clw { tsw, clw } => cfg.clw_rank(tsw, clw),
+                    Role::Shard(s) => cfg.shard_rank(s),
+                };
+                assert_eq!(back, rank, "{n_tsw}x{n_clw} fanout {shard_fanout}");
+            }
+        }
     }
 
     #[test]

@@ -4,30 +4,33 @@
 //! heterogeneous workstations). Here the same master/TSW/CLW pipeline runs
 //! on any [`ExecutionEngine`]:
 //!
-//! * [`SimEngine`] — the deterministic virtual-time heterogeneous cluster
-//!   (the paper's testbed substitute, exact replay, virtual metrics);
+//! * [`crate::virtual_engine::VirtualEngine`] — the deterministic
+//!   heterogeneous cluster under a discrete-event virtual clock (the
+//!   paper's testbed substitute: exact replay, virtual metrics, thousands
+//!   of logical workers on one OS thread);
 //! * [`ThreadEngine`] — native OS threads (real wall-clock parallelism);
 //! * [`crate::async_engine::AsyncEngine`] — cooperative futures on one OS
 //!   thread (thousands of logical workers, deterministic replay, wall
 //!   clock);
-//! * [`crate::virtual_engine::VirtualEngine`] — cooperative futures under
-//!   a discrete-event virtual clock: `SimEngine`'s timing model
-//!   (bit-identical timeline) at `AsyncEngine`'s scale.
+//! * [`crate::proc::ProcEngine`] — one OS process per worker rank over
+//!   sockets and the wire codec.
 //!
+//! Every engine runs rank 0 through [`run_master`] and every other rank
+//! through [`run_role`], so an engine only decides how ranks are hosted
+//! and wired: it builds one [`crate::transport::Transport`] per rank.
 //! Engines are chosen via trait objects (`&dyn ExecutionEngine<D>`), so
 //! run configuration code is substrate-independent, and all return the
 //! same unified [`RunReport`] — no engine-specific output types.
 
-use crate::config::PtsConfig;
+use crate::config::{PtsConfig, Role};
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
 use crate::master::{run_master, run_sub_master};
 use crate::messages::PtsMsg;
 use crate::report::{ClockDomain, RunReport};
-use crate::transport::{drive_sync, SimTransport, StatsSink, ThreadTransport};
+use crate::transport::{drive_sync, StatsSink, ThreadTransport, Transport};
 use crate::{clw::run_clw, tsw::run_tsw};
-use pts_vcluster::topology::{paper_cluster, round_robin_assignment};
-use pts_vcluster::{ClusterSpec, ProcStats, SimBuilder};
+use pts_vcluster::ProcStats;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -47,7 +50,7 @@ pub struct EngineOutput<D: PtsDomain> {
 /// plus a fully populated [`RunReport`]. `cfg` is validated by the caller
 /// ([`crate::builder::PtsRun`] guarantees it).
 pub trait ExecutionEngine<D: PtsDomain> {
-    /// Short engine name ("sim", "threads", "async", "vt") for logs and
+    /// Short engine name ("threads", "async", "vt", "proc") for logs and
     /// reports.
     fn name(&self) -> &'static str;
 
@@ -56,112 +59,28 @@ pub trait ExecutionEngine<D: PtsDomain> {
     fn execute(&self, cfg: &PtsConfig, domain: &D, initial: SnapshotOf<D>) -> EngineOutput<D>;
 }
 
-/// Deterministic virtual-time heterogeneous cluster engine.
-#[derive(Clone, Debug)]
-pub struct SimEngine {
-    cluster: ClusterSpec,
-}
-
-impl SimEngine {
-    /// Simulate on an arbitrary cluster description.
-    pub fn new(cluster: ClusterSpec) -> SimEngine {
-        SimEngine { cluster }
-    }
-
-    /// The paper's twelve-machine cluster (7 fast / 3 medium / 2 slow).
-    pub fn paper() -> SimEngine {
-        SimEngine::new(paper_cluster())
-    }
-
-    /// The cluster this engine simulates.
-    pub fn cluster(&self) -> &ClusterSpec {
-        &self.cluster
-    }
-}
-
-impl<D: PtsDomain> ExecutionEngine<D> for SimEngine {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn execute(&self, cfg: &PtsConfig, domain: &D, initial: SnapshotOf<D>) -> EngineOutput<D> {
-        let wall = Instant::now();
-        let assignment = round_robin_assignment(&self.cluster, cfg.total_procs());
-        let mut sim: SimBuilder<PtsMsg<D::Problem>> = SimBuilder::new(self.cluster.clone());
-        let outcome_slot: Arc<Mutex<Option<SearchOutcome<SnapshotOf<D>>>>> =
-            Arc::new(Mutex::new(None));
-
-        // Rank 0: master. Spawn order must equal rank order (SimTransport
-        // identifies rank with simulated pid).
-        {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let slot = Arc::clone(&outcome_slot);
-            sim.spawn(assignment[0], move |ctx| {
-                let mut t = SimTransport { ctx };
-                let outcome = drive_sync(run_master(
-                    &mut t,
-                    &cfg,
-                    &domain,
-                    initial,
-                    &RunControl::unlimited(),
-                ));
-                *slot.lock().unwrap() = Some(outcome);
-            });
-        }
-        // Ranks 1..=n_tsw: TSWs.
-        for i in 0..cfg.n_tsw {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let rank = cfg.tsw_rank(i);
-            sim.spawn(assignment[rank], move |ctx| {
-                let mut t = SimTransport { ctx };
-                drive_sync(run_tsw(&mut t, &cfg, i, &domain));
-            });
-        }
-        // Next ranks: CLWs, grouped by TSW.
-        for i in 0..cfg.n_tsw {
-            for j in 0..cfg.n_clw {
-                let cfg = cfg.clone();
-                let domain = domain.clone();
-                let rank = cfg.clw_rank(i, j);
-                let tsw_rank = cfg.tsw_rank(i);
-                sim.spawn(assignment[rank], move |ctx| {
-                    let mut t = SimTransport { ctx };
-                    drive_sync(run_clw(&mut t, &cfg, tsw_rank, j, &domain));
-                });
-            }
-        }
-        // Final ranks: sub-masters of the sharded collection tree (none
-        // under the default flat topology).
-        for s in 0..cfg.n_shards() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let rank = cfg.shard_rank(s);
-            sim.spawn(assignment[rank], move |ctx| {
-                let mut t = SimTransport { ctx };
-                drive_sync(run_sub_master(&mut t, &cfg, s, &domain));
-            });
-        }
-        debug_assert_eq!(sim.num_spawned(), cfg.total_procs());
-
-        let cluster_report = sim.run();
-        let outcome = outcome_slot
-            .lock()
-            .unwrap()
-            .take()
-            .expect("master deposits its outcome");
-        EngineOutput {
-            outcome,
-            report: RunReport {
-                engine: "sim",
-                clock: ClockDomain::Virtual,
-                end_time: cluster_report.end_time,
-                wall_seconds: wall.elapsed().as_secs_f64(),
-                per_proc: cluster_report.per_proc,
-                dead_ranks: vec![],
-            },
-        }
+/// Run worker `rank`'s role — TSW, CLW, or sub-master, as
+/// [`PtsConfig::role_of`] decodes it — to completion over `t`.
+///
+/// Rank 0 is the master, which engines run through [`run_master`]
+/// because it alone takes the initial solution and returns the outcome;
+/// every engine spawns ranks `1..cfg.total_procs()` through this one
+/// function, in rank order.
+///
+/// # Panics
+///
+/// If `rank` is the master's or out of range.
+pub async fn run_role<D: PtsDomain>(
+    t: &mut impl Transport<D::Problem>,
+    cfg: &PtsConfig,
+    domain: &D,
+    rank: usize,
+) {
+    match cfg.role_of(rank) {
+        Role::Master => panic!("rank 0 is the master: run it with run_master"),
+        Role::Tsw(i) => run_tsw(t, cfg, i, domain).await,
+        Role::Clw { tsw, clw } => run_clw(t, cfg, cfg.tsw_rank(tsw), clw, domain).await,
+        Role::Shard(s) => run_sub_master(t, cfg, s, domain).await,
     }
 }
 
@@ -186,103 +105,46 @@ impl<D: PtsDomain> ExecutionEngine<D> for ThreadEngine {
         let n = cfg.total_procs();
         let start = Instant::now();
         let stats_sink: StatsSink = Arc::new(Mutex::new(vec![ProcStats::default(); n]));
-
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (s, r) = channel::<PtsMsg<D::Problem>>();
-            senders.push(s);
-            receivers.push(Some(r));
-        }
-
-        let mut handles = Vec::new();
-        for i in 0..cfg.n_tsw {
-            let rank = cfg.tsw_rank(i);
-            let mut t = ThreadTransport::new(
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| channel::<PtsMsg<D::Problem>>()).unzip();
+        let transport = |rank, receiver| {
+            ThreadTransport::new(
                 rank,
                 start,
                 senders.clone(),
-                receivers[rank].take().expect("receiver unclaimed"),
+                receiver,
                 Arc::clone(&stats_sink),
-            );
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("pts-tsw{i}"))
-                    .spawn(move || {
-                        t.mark_thread_start();
-                        drive_sync(run_tsw(&mut t, &cfg, i, &domain))
-                    })
-                    .expect("spawn TSW thread"),
-            );
-        }
-        for i in 0..cfg.n_tsw {
-            for j in 0..cfg.n_clw {
-                let rank = cfg.clw_rank(i, j);
-                let tsw_rank = cfg.tsw_rank(i);
-                let mut t = ThreadTransport::new(
-                    rank,
-                    start,
-                    senders.clone(),
-                    receivers[rank].take().expect("receiver unclaimed"),
-                    Arc::clone(&stats_sink),
-                );
+            )
+        };
+
+        let mut receivers = receivers.into_iter();
+        let mut master_t = transport(cfg.master_rank(), receivers.next().expect("rank 0"));
+        let handles: Vec<_> = receivers
+            .enumerate()
+            .map(|(k, receiver)| {
+                let rank = k + 1;
+                let mut t = transport(rank, receiver);
                 let cfg = cfg.clone();
                 let domain = domain.clone();
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("pts-clw{i}.{j}"))
-                        .spawn(move || {
-                            t.mark_thread_start();
-                            drive_sync(run_clw(&mut t, &cfg, tsw_rank, j, &domain))
-                        })
-                        .expect("spawn CLW thread"),
-                );
-            }
-        }
-
-        for s in 0..cfg.n_shards() {
-            let rank = cfg.shard_rank(s);
-            let mut t = ThreadTransport::new(
-                rank,
-                start,
-                senders.clone(),
-                receivers[rank].take().expect("receiver unclaimed"),
-                Arc::clone(&stats_sink),
-            );
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            handles.push(
                 std::thread::Builder::new()
-                    .name(format!("pts-shard{s}"))
+                    .name(format!("pts-rank{rank}"))
                     .spawn(move || {
                         t.mark_thread_start();
-                        drive_sync(run_sub_master(&mut t, &cfg, s, &domain))
+                        drive_sync(run_role(&mut t, &cfg, &domain, rank))
                     })
-                    .expect("spawn sub-master thread"),
-            );
-        }
+                    .expect("spawn worker thread")
+            })
+            .collect();
 
-        let outcome = {
-            let mut master_t = ThreadTransport::new(
-                cfg.master_rank(),
-                start,
-                senders,
-                receivers[cfg.master_rank()]
-                    .take()
-                    .expect("master receiver"),
-                Arc::clone(&stats_sink),
-            );
-            master_t.mark_thread_start();
-            drive_sync(run_master(
-                &mut master_t,
-                cfg,
-                domain,
-                initial,
-                &RunControl::unlimited(),
-            ))
-        };
+        master_t.mark_thread_start();
+        let outcome = drive_sync(run_master(
+            &mut master_t,
+            cfg,
+            domain,
+            initial,
+            &RunControl::unlimited(),
+        ));
+        drop(master_t);
 
         for h in handles {
             h.join().expect("worker thread panicked");
@@ -312,9 +174,14 @@ mod tests {
     #[test]
     fn engines_are_object_safe() {
         // The whole point of the trait: substrate selected at runtime.
-        let engines: Vec<Box<dyn ExecutionEngine<QapDomain>>> =
-            vec![Box::new(SimEngine::paper()), Box::new(ThreadEngine)];
-        assert_eq!(engines[0].name(), "sim");
-        assert_eq!(engines[1].name(), "threads");
+        use crate::{AsyncEngine, ProcEngine, VirtualEngine};
+        let engines: Vec<Box<dyn ExecutionEngine<QapDomain>>> = vec![
+            Box::new(ThreadEngine),
+            Box::new(AsyncEngine::new()),
+            Box::new(VirtualEngine::paper()),
+            Box::new(ProcEngine::new("pts")),
+        ];
+        let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
+        assert_eq!(names, ["threads", "async", "vt", "proc"]);
     }
 }

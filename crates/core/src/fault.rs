@@ -21,7 +21,7 @@
 //! filters such events rather than panicking, so a seeded generator can
 //! pick targets uniformly.
 
-use crate::config::{PtsConfig, ShardChildren};
+use crate::config::{PtsConfig, Role, ShardChildren};
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
 use pts_util::Rng;
@@ -422,30 +422,24 @@ fn death_notifies<P: PtsProblem>(cfg: &PtsConfig, rank: usize) -> Vec<(usize, Pt
 /// precomputes these routes to synthesize Down frames on a real worker's
 /// EOF, mirroring what the vt fault injector delivers virtually.
 pub fn down_recipients(cfg: &PtsConfig, rank: usize) -> Vec<usize> {
-    let tsw_lo = 1;
-    let clw_lo = 1 + cfg.n_tsw;
-    let shard_lo = 1 + cfg.n_tsw + cfg.n_tsw * cfg.n_clw;
-    if rank == 0 {
+    match cfg.role_of(rank) {
         // The master's death is fatal, not excusable.
-        Vec::new()
-    } else if rank < clw_lo {
+        Role::Master => Vec::new(),
         // A TSW: parent collector + its CLW group.
-        let i = rank - tsw_lo;
-        std::iter::once(cfg.parent_of_tsw(i))
+        Role::Tsw(i) => std::iter::once(cfg.parent_of_tsw(i))
             .chain(cfg.clw_ranks(i))
-            .collect()
-    } else if rank < shard_lo {
+            .collect(),
         // A CLW: just its TSW.
-        let i = (rank - clw_lo) / cfg.n_clw;
-        vec![cfg.tsw_rank(i)]
-    } else {
+        Role::Clw { tsw, .. } => vec![cfg.tsw_rank(tsw)],
         // A sub-master: its parent and every child of its shard.
-        let spec = cfg.shard_spec(rank - shard_lo);
-        let children: Vec<usize> = match spec.children {
-            ShardChildren::Tsws { lo, hi } => (lo..hi).map(|i| cfg.tsw_rank(i)).collect(),
-            ShardChildren::Shards { lo, hi } => (lo..hi).map(|s| cfg.shard_rank(s)).collect(),
-        };
-        std::iter::once(spec.parent_rank).chain(children).collect()
+        Role::Shard(s) => {
+            let spec = cfg.shard_spec(s);
+            let children: Vec<usize> = match spec.children {
+                ShardChildren::Tsws { lo, hi } => (lo..hi).map(|i| cfg.tsw_rank(i)).collect(),
+                ShardChildren::Shards { lo, hi } => (lo..hi).map(|s| cfg.shard_rank(s)).collect(),
+            };
+            std::iter::once(spec.parent_rank).chain(children).collect()
+        }
     }
 }
 

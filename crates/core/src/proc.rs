@@ -1,14 +1,14 @@
-//! Fifth engine, `proc`: the pipeline as real OS processes.
+//! The `proc` engine: the pipeline as real OS processes.
 //!
 //! The paper ran its search on PVM — a master process and worker
-//! processes on separate machines, exchanging typed messages. Every
-//! engine so far kept all ranks in one address space (simulated, native
-//! threads, or cooperative tasks). [`ProcEngine`] finally crosses the
-//! process boundary: it spawns one child process per worker rank, wires
-//! every rank to a [`crate::socket::SocketRouter`] hub over Unix-domain
-//! (or TCP) sockets, and drives the unchanged `run_master` protocol from
-//! the parent — rank 0 speaks the same [`crate::wire`] codec over the
-//! same router as everyone else.
+//! processes on separate machines, exchanging typed messages. The other
+//! engines keep all ranks in one address space (native threads, or
+//! cooperative tasks under a wall or virtual clock). [`ProcEngine`]
+//! crosses the process boundary: it spawns one child process per worker
+//! rank, wires every rank to a [`crate::socket::SocketRouter`] hub over
+//! Unix-domain (or TCP) sockets, and drives the unchanged `run_master`
+//! protocol from the parent — rank 0 speaks the same [`crate::wire`]
+//! codec over the same router as everyone else.
 //!
 //! A child re-enters through its own binary: the engine launches
 //! `<worker_exe> __pts-worker --sock <addr> --rank <n>`, and any binary
@@ -17,9 +17,10 @@
 //! receives one *setup frame* — config, domain specification, decode
 //! context, initial solution — reconstructs the domain from the spec
 //! ([`ProcDomain`]), re-freezes it against the shipped initial (freezing
-//! is deterministic), and runs the rank's role exactly as the thread
-//! engine's threads do. Nothing in `master.rs`/`tsw.rs`/`clw.rs` knows
-//! whether its peers share its address space.
+//! is deterministic), and runs the rank's role through the same
+//! [`crate::engine::run_role`] every other engine uses. Nothing in
+//! `master.rs`/`tsw.rs`/`clw.rs` knows whether its peers share its
+//! address space.
 //!
 //! # Supervision
 //!
@@ -38,13 +39,12 @@
 use crate::config::PtsConfig;
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{EngineOutput, ExecutionEngine};
-use crate::master::{run_master, run_sub_master};
+use crate::engine::{run_role, EngineOutput, ExecutionEngine};
+use crate::master::run_master;
 use crate::report::{ClockDomain, RunReport};
 use crate::socket::{SocketRouter, SocketTransport};
 use crate::transport::drive_sync;
 use crate::wire::{self, WireError, WireProblem, WireReader};
-use crate::{clw::run_clw, tsw::run_tsw};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,29 +169,6 @@ where
     out
 }
 
-/// Run one worker rank's role to completion over its transport. The role
-/// is a pure function of the rank and topology, identical to the thread
-/// engine's spawn order.
-fn run_role<D: ProcDomain>(
-    t: &mut SocketTransport<D::Problem>,
-    cfg: &PtsConfig,
-    domain: &D,
-    rank: usize,
-) where
-    D::Problem: WireProblem,
-{
-    if rank >= 1 && rank <= cfg.n_tsw {
-        drive_sync(run_tsw(t, cfg, rank - 1, domain));
-    } else if rank <= cfg.n_tsw + cfg.n_tsw * cfg.n_clw {
-        let idx = rank - 1 - cfg.n_tsw;
-        let (i, j) = (idx / cfg.n_clw, idx % cfg.n_clw);
-        drive_sync(run_clw(t, cfg, cfg.tsw_rank(i), j, domain));
-    } else {
-        let s = rank - 1 - cfg.n_tsw - cfg.n_tsw * cfg.n_clw;
-        drive_sync(run_sub_master(t, cfg, s, domain));
-    }
-}
-
 fn worker_for_domain<D: ProcDomain>(
     stream: crate::socket::Stream,
     rank: usize,
@@ -214,7 +191,7 @@ where
     if cfg.heartbeat_ms > 0 {
         t.start_heartbeat(Duration::from_millis(cfg.heartbeat_ms));
     }
-    run_role(&mut t, cfg, &domain, rank);
+    drive_sync(run_role(&mut t, cfg, &domain, rank));
     Ok(())
 }
 

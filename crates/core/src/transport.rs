@@ -1,19 +1,19 @@
-//! Transport abstraction: the same master/TSW/CLW code runs on the virtual
-//! cluster (deterministic, heterogeneous, virtual time), on native threads
-//! (real parallel wall-clock execution), and on the two cooperative task
-//! runtimes (thousands of logical workers on one thread — wall clock or
-//! virtual time).
+//! Transport abstraction: the same master/TSW/CLW code runs on native
+//! threads (real parallel wall-clock execution), on the two cooperative
+//! task runtimes (thousands of logical workers on one thread — wall clock
+//! or virtual time), and over sockets between OS processes
+//! ([`crate::socket::SocketTransport`]).
 //!
 //! The protocol loops are `async`: [`Transport::recv`] and
 //! [`Transport::compute`] are their suspension points. Blocking
-//! substrates (the virtual cluster, native threads) resolve both futures
-//! on their first poll — they block *inside* the poll, so driving their
-//! protocol futures with [`drive_sync`] never actually suspends. The
-//! cooperative substrates suspend for real: [`TaskTransport`] returns
-//! `Pending` on an empty mailbox, and [`VirtualTransport`] additionally
-//! parks inside `compute` until the charged work completes on the task's
-//! machine — which is what lets one OS thread interleave thousands of
-//! workers in FIFO order or under a virtual clock, respectively.
+//! substrates (native threads, sockets) resolve both futures on their
+//! first poll — they block *inside* the poll, so driving their protocol
+//! futures with [`drive_sync`] never actually suspends. The cooperative
+//! substrates suspend for real: [`TaskTransport`] returns `Pending` on an
+//! empty mailbox, and [`VirtualTransport`] additionally parks inside
+//! `compute` until the charged work completes on the task's machine —
+//! which is what lets one OS thread interleave thousands of workers in
+//! FIFO order or under a virtual clock, respectively.
 //!
 //! All transports account per-process metrics into the same
 //! [`ProcStats`] shape, which is what lets the engines return one unified
@@ -21,7 +21,7 @@
 
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
-use pts_vcluster::{ProcCtx, ProcId, ProcStats, TaskCtx, VirtualTaskCtx};
+use pts_vcluster::{ProcStats, TaskCtx, VirtualTaskCtx};
 use std::future::Future;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -41,15 +41,14 @@ pub trait Transport<P: PtsProblem> {
     /// virtual-time cooperative substrate ([`VirtualTransport`]) the task
     /// parks until the charged work completes on its machine, which is
     /// how one OS thread interleaves thousands of workers *in virtual
-    /// time*. All other transports resolve on first poll (blocking
-    /// substrates block inside the call; wall-clock engines only record
-    /// the units).
+    /// time*. All other transports resolve on first poll: they run on a
+    /// wall clock and only record the units.
     fn compute(&mut self, work: f64) -> impl Future<Output = ()>;
     /// Deliver `msg` to the process at rank `dst`.
     fn send(&mut self, dst: usize, msg: PtsMsg<P>);
     /// Wait for the next message — the protocol's main suspension point.
     /// Blocking transports resolve on first poll; the cooperative
-    /// transport parks the task until a message arrives.
+    /// transports park the task until a message arrives.
     fn recv(&mut self) -> impl Future<Output = PtsMsg<P>>;
     /// Take a message if one has already arrived; never waits.
     fn try_recv(&mut self) -> Option<PtsMsg<P>>;
@@ -64,8 +63,9 @@ pub trait Transport<P: PtsProblem> {
         async move { Some(self.recv().await) }
     }
     /// Scheduling point inside a long compute stretch. On substrates
-    /// where peers progress independently (virtual cluster, threads) this
-    /// is a no-op; the cooperative transport re-enqueues the task so
+    /// where peers progress independently (threads, processes, and the
+    /// virtual clock, whose `compute` already suspends) this is a no-op;
+    /// the wall-clock cooperative transport re-enqueues the task so
     /// siblings run — and messages sent mid-stretch (a `CutShort`) can
     /// arrive before the stretch completes.
     fn yield_now(&mut self) -> impl Future<Output = ()> {
@@ -84,9 +84,9 @@ pub(crate) fn protocol_warn(rank: usize, what: &str) {
 
 /// Drive a protocol future built over a *blocking* transport.
 ///
-/// [`SimTransport`] and [`ThreadTransport`] block inside `poll` (the
-/// virtual-cluster token hand-off, a channel `recv`), so their protocol
-/// futures complete on the first poll. This is the synchronous engines'
+/// [`ThreadTransport`] and [`crate::socket::SocketTransport`] block
+/// inside `poll` (a channel or socket `recv`), so their protocol futures
+/// complete on the first poll. This is the thread and proc engines'
 /// bridge to the shared `async` protocol code.
 ///
 /// # Panics
@@ -102,52 +102,12 @@ pub fn drive_sync<F: Future>(fut: F) -> F::Output {
     }
 }
 
-/// Virtual-cluster transport: ranks coincide with simulated process ids
-/// (processes are spawned in rank order).
-pub struct SimTransport<P: PtsProblem> {
-    /// The simulated process handle this transport wraps.
-    pub ctx: ProcCtx<PtsMsg<P>>,
-}
-
-impl<P: PtsProblem> Transport<P> for SimTransport<P> {
-    fn rank(&self) -> usize {
-        self.ctx.id().index()
-    }
-
-    fn now(&self) -> f64 {
-        self.ctx.now()
-    }
-
-    fn compute(&mut self, work: f64) -> impl Future<Output = ()> {
-        // Blocks inside the call (virtual-cluster token hand-off); the
-        // returned future is already complete.
-        self.ctx.compute(work);
-        std::future::ready(())
-    }
-
-    fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
-        let bytes = msg.wire_size();
-        crate::meter::note_send(&msg);
-        self.ctx.send_sized(ProcId(dst), msg, bytes);
-    }
-
-    fn recv(&mut self) -> impl Future<Output = PtsMsg<P>> {
-        // Blocks inside poll: the simulated process hands the token over
-        // and resumes with the message — never `Pending`.
-        std::future::poll_fn(|_cx| Poll::Ready(self.ctx.recv()))
-    }
-
-    fn try_recv(&mut self) -> Option<PtsMsg<P>> {
-        self.ctx.try_recv()
-    }
-}
-
 /// Shared per-rank stats sink filled as thread transports retire.
 pub type StatsSink = Arc<Mutex<Vec<ProcStats>>>;
 
 /// Native-thread transport over std mpsc channels. Counts messages,
 /// bytes, charged work, and recv wait time so the thread engine can report
-/// the same per-process metrics shape as the simulator.
+/// the same per-process metrics shape as the virtual-time engine.
 pub struct ThreadTransport<P: PtsProblem> {
     rank: usize,
     start: Instant,
@@ -302,14 +262,13 @@ impl<P: PtsProblem> Transport<P> for TaskTransport<P> {
 /// Virtual-time cooperative transport: ranks coincide with task ids
 /// (tasks are spawned in rank order by
 /// [`crate::virtual_engine::VirtualEngine`]). Both `recv` *and*
-/// `compute` suspend — a parked future stands in for a parked simulated
-/// process, so the discrete-event executor can interleave thousands of
-/// workers under one virtual clock, bit-identically to the
-/// thread-per-process virtual cluster.
+/// `compute` suspend — a parked future stands in for a process blocked
+/// on its machine, so the discrete-event executor can interleave
+/// thousands of workers under one virtual clock.
 ///
-/// `yield_now` keeps the default no-op, matching [`SimTransport`]: on a
-/// virtual-time substrate `compute` itself is the scheduling point, so
-/// peers already interleave mid-stretch.
+/// `yield_now` keeps the default no-op: on a virtual-time substrate
+/// `compute` itself is the scheduling point, so peers already interleave
+/// mid-stretch.
 pub struct VirtualTransport<P: PtsProblem> {
     /// The virtual-time task handle this transport wraps.
     pub ctx: VirtualTaskCtx<PtsMsg<P>>,

@@ -1,49 +1,45 @@
-//! The virtual-time cooperative engine ("vt"): paper-style heterogeneity
-//! measurements at thousand-worker scale.
+//! The virtual-time engine ("vt"): the paper's heterogeneous testbed
+//! under a deterministic virtual clock, at thousand-worker scale.
 //!
-//! [`SimEngine`](crate::engine::SimEngine) owns the paper's timing model
-//! — machine speeds, background load, message latency, a deterministic
-//! virtual clock — but pays one OS thread per logical process, so
-//! Fig.-11-style measurements stop at tens of workers.
-//! [`AsyncEngine`](crate::async_engine::AsyncEngine) multiplexes
-//! thousands of logical workers on one thread, but only knows wall
-//! clock. [`VirtualEngine`] is both at once: the same master/TSW/CLW
-//! protocol runs as futures on
+//! The paper measured its search on twelve PVM workstations of three
+//! speed classes. [`VirtualEngine`] substitutes that testbed: the
+//! master/TSW/CLW protocol runs as futures on
 //! [`pts_vcluster::virtual_runtime::VirtualTaskCluster`], a
-//! discrete-event scheduler whose `compute` and `recv` suspend under the
-//! *same* virtual clock and machine model as the simulated cluster.
+//! discrete-event scheduler whose `compute` and `recv` suspend under one
+//! virtual clock and machine model — machine speeds, background load,
+//! message latency and bandwidth, per-route FIFO delivery.
 //!
-//! The resulting timeline is **bit-identical** to
-//! [`SimEngine`](crate::engine::SimEngine)'s on the same
-//! [`ClusterSpec`] — end time, utilization, per-process accounting,
-//! forced reports, and the search trajectory all match exactly (the
-//! `determinism` and `vt_scenarios` integration suites pin this) — while
-//! an `n_tsw = 1024` heterogeneous run fits in one OS thread's worth of
-//! resources. This is what lets the paper's utilization/speedup and
-//! half-report-vs-wait-all claims be measured far beyond the twelve
-//! workstations of the original testbed, deterministically, in CI.
+//! It is the repository's one virtual-clock engine. Runs replay bit for
+//! bit — end time, utilization, per-process accounting, forced reports,
+//! and the search trajectory (the `determinism` and `vt_scenarios`
+//! integration suites pin absolute values) — and an `n_tsw = 1024`
+//! heterogeneous run fits in one OS thread's worth of resources. This is
+//! what lets the paper's utilization/speedup and half-report-vs-wait-all
+//! claims be measured far beyond the twelve workstations of the original
+//! testbed, deterministically, in CI. The executor's timing model is
+//! checked against an independent thread-per-process token scheduler in
+//! `pts-vcluster`'s property tests.
 
 use crate::config::PtsConfig;
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{EngineOutput, ExecutionEngine};
+use crate::engine::{run_role, EngineOutput, ExecutionEngine};
 use crate::fault::{Contention, FaultSpec};
-use crate::master::{run_master, run_sub_master};
+use crate::master::run_master;
 use crate::messages::PtsMsg;
 use crate::report::{ClockDomain, RunReport};
 use crate::transport::VirtualTransport;
-use crate::{clw::run_clw, tsw::run_tsw};
 use pts_vcluster::topology::{paper_cluster, round_robin_assignment};
 use pts_vcluster::{ClusterSpec, VirtualTaskCluster};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Virtual-time cooperative engine: the deterministic heterogeneous
-/// cluster timing model at cooperative-futures scale.
+/// Virtual-time engine: the deterministic heterogeneous cluster timing
+/// model at cooperative-futures scale.
 ///
 /// ```
-/// use pts_core::{Pts, SimEngine, VirtualEngine};
+/// use pts_core::{ClockDomain, Pts, VirtualEngine};
 /// use pts_core::qap_domain::QapDomain;
 ///
 /// let run = Pts::builder()
@@ -55,12 +51,13 @@ use std::time::Instant;
 ///     .build()
 ///     .expect("valid configuration");
 /// let domain = QapDomain::random(16, 2);
-/// let vt = run.execute(&domain, &VirtualEngine::paper());
-/// let sim = run.execute(&domain, &SimEngine::paper());
-/// // Same timing model, same virtual timeline — bit for bit.
-/// assert_eq!(vt.report.end_time, sim.report.end_time);
-/// assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost);
-/// assert_eq!(vt.report.engine, "vt");
+/// let a = run.execute(&domain, &VirtualEngine::paper());
+/// let b = run.execute(&domain, &VirtualEngine::paper());
+/// // A deterministic virtual clock: the same run replays bit for bit.
+/// assert_eq!(a.report.end_time, b.report.end_time);
+/// assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
+/// assert_eq!(a.report.clock, ClockDomain::Virtual);
+/// assert_eq!(a.report.engine, "vt");
 /// ```
 #[derive(Clone, Debug)]
 pub struct VirtualEngine {
@@ -71,19 +68,7 @@ pub struct VirtualEngine {
 
 impl VirtualEngine {
     /// Simulate an arbitrary cluster description.
-    ///
-    /// # Panics
-    ///
-    /// If the cluster configures
-    /// [`send_overhead_work`](pts_vcluster::LinkModel::send_overhead_work):
-    /// the cooperative runtime's `send` is not a suspension point, so it
-    /// cannot charge marshalling work to the sender. Use
-    /// [`SimEngine`](crate::engine::SimEngine) for such clusters.
     pub fn new(cluster: ClusterSpec) -> VirtualEngine {
-        assert!(
-            cluster.link.send_overhead_work == 0.0,
-            "VirtualEngine does not support send_overhead_work; use SimEngine"
-        );
         VirtualEngine {
             cluster,
             contention: Contention::default(),
@@ -103,8 +88,8 @@ impl VirtualEngine {
 
     /// Model per-machine contention: processes sharing a machine
     /// time-slice it, so oversubscribed runs cost more virtual time.
-    /// The default ([`Contention::Exclusive`]) is the classic model —
-    /// and the bit-identical-to-`SimEngine` one.
+    /// The default ([`Contention::Exclusive`]) is the classic model, in
+    /// which every process computes at its machine's full speed.
     pub fn with_contention(mut self, contention: Contention) -> VirtualEngine {
         self.contention = contention;
         self
@@ -138,10 +123,8 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
         let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
             Rc::new(RefCell::new(None));
 
-        // Task 0: master. Spawn order must equal rank order
-        // (VirtualTransport identifies rank with task id), and machine
-        // assignment must match SimEngine's for the bit-identical
-        // timeline guarantee.
+        // Spawn order must equal rank order: VirtualTransport identifies
+        // rank with task id.
         {
             let cfg = cfg.clone();
             let domain = domain.clone();
@@ -153,41 +136,13 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
                 *slot.borrow_mut() = Some(outcome);
             });
         }
-        // Tasks 1..=n_tsw: TSWs.
-        for i in 0..cfg.n_tsw {
+        for (rank, &machine) in assignment.iter().enumerate().skip(1) {
             let cfg = cfg.clone();
             let domain = domain.clone();
-            let rank = cfg.tsw_rank(i);
-            cluster.spawn(assignment[rank], move |ctx| async move {
-                let mut t = VirtualTransport { ctx };
-                run_tsw(&mut t, &cfg, i, &domain).await;
+            cluster.spawn(machine, move |ctx| async move {
+                run_role(&mut VirtualTransport { ctx }, &cfg, &domain, rank).await;
             });
         }
-        // Next tasks: CLWs, grouped by TSW.
-        for i in 0..cfg.n_tsw {
-            for j in 0..cfg.n_clw {
-                let cfg = cfg.clone();
-                let domain = domain.clone();
-                let rank = cfg.clw_rank(i, j);
-                let tsw_rank = cfg.tsw_rank(i);
-                cluster.spawn(assignment[rank], move |ctx| async move {
-                    let mut t = VirtualTransport { ctx };
-                    run_clw(&mut t, &cfg, tsw_rank, j, &domain).await;
-                });
-            }
-        }
-        // Final tasks: sub-masters of the sharded collection tree (none
-        // under the default flat topology).
-        for s in 0..cfg.n_shards() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let rank = cfg.shard_rank(s);
-            cluster.spawn(assignment[rank], move |ctx| async move {
-                let mut t = VirtualTransport { ctx };
-                run_sub_master(&mut t, &cfg, s, &domain).await;
-            });
-        }
-        debug_assert_eq!(cluster.num_spawned(), cfg.total_procs());
 
         let cluster_report = cluster.run();
         let outcome = outcome_slot
@@ -212,8 +167,8 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
 mod tests {
     use super::*;
     use crate::builder::Pts;
-    use crate::engine::SimEngine;
     use crate::qap_domain::QapDomain;
+    use pts_vcluster::ProcStats;
 
     fn small_run() -> crate::builder::PtsRun {
         Pts::builder()
@@ -246,24 +201,53 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bits of every [`ProcStats`] field of every rank.
+    fn stats_fold(per_proc: &[ProcStats]) -> u64 {
+        per_proc
+            .iter()
+            .flat_map(|p| {
+                [
+                    p.machine as u64,
+                    p.busy_time.to_bits(),
+                    p.wait_time.to_bits(),
+                    p.work_done.to_bits(),
+                    p.messages_sent,
+                    p.messages_received,
+                    p.bytes_sent,
+                    p.messages_dropped,
+                    p.finished_at.to_bits(),
+                    p.fate as u64,
+                ]
+            })
+            .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
     #[test]
     fn vt_engine_matches_sim_report_exactly() {
-        // The engine's whole reason to exist: the SimEngine timeline
-        // without the thread-per-process cost. Everything the report
-        // carries — per-process virtual accounting included — must be
-        // bit-identical.
+        // Everything the report carries — per-process virtual accounting
+        // included — pinned bit for bit. The values were recorded from
+        // the thread-per-process token-scheduler engine this one
+        // replaced, which produced the identical run.
         let domain = QapDomain::random(18, 9);
-        let sim = small_run().execute(&domain, &SimEngine::paper());
         let vt = small_run().execute(&domain, &VirtualEngine::paper());
-        assert_eq!(vt.report.end_time, sim.report.end_time);
-        assert_eq!(vt.report.per_proc, sim.report.per_proc);
-        assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost);
-        assert_eq!(
-            vt.outcome.best_per_global_iter,
-            sim.outcome.best_per_global_iter
-        );
-        assert_eq!(vt.outcome.end_time, sim.outcome.end_time);
-        assert_eq!(vt.outcome.forced_reports, sim.outcome.forced_reports);
+        let per_iter: Vec<u64> = vt
+            .outcome
+            .best_per_global_iter
+            .iter()
+            .map(|c| c.to_bits())
+            .collect();
+        assert_eq!(vt.outcome.best_cost.to_bits(), 0x40aa_39be_2d19_b078);
+        assert_eq!(per_iter, [0x40ab_91ef_aaa4_b3ad, 0x40aa_39be_2d19_b078]);
+        assert_eq!(vt.outcome.end_time.to_bits(), 0x4060_293e_00a4_f9d9);
+        assert_eq!(vt.report.end_time.to_bits(), 0x4060_de8f_c39e_9777);
+        assert_eq!(vt.outcome.forced_reports, 2);
+        assert_eq!(vt.report.utilization().to_bits(), 0x3fdf_4ca5_f7c3_01cd);
+        assert_eq!(vt.report.total_messages(), 209);
+        assert_eq!(vt.report.total_bytes(), 13900);
+        assert_eq!(vt.report.num_procs(), 10);
+        assert_eq!(stats_fold(&vt.report.per_proc), 0xeb56_ddfd_1a51_b9bb);
     }
 
     #[test]
@@ -274,31 +258,5 @@ mod tests {
         assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
         assert_eq!(a.report.end_time, b.report.end_time);
         assert_eq!(a.report.per_proc, b.report.per_proc);
-    }
-
-    #[test]
-    #[should_panic(expected = "send_overhead_work")]
-    fn vt_engine_rejects_marshalling_overhead_clusters() {
-        use pts_vcluster::{LinkModel, Machine};
-        VirtualEngine::new(ClusterSpec::new(
-            vec![Machine::new("a", 1.0)],
-            LinkModel {
-                send_overhead_work: 1.0,
-                ..LinkModel::default()
-            },
-        ));
-    }
-
-    #[test]
-    fn vt_engine_is_object_safe_with_the_others() {
-        use crate::engine::{SimEngine, ThreadEngine};
-        use crate::AsyncEngine;
-        let engines: Vec<Box<dyn ExecutionEngine<QapDomain>>> = vec![
-            Box::new(SimEngine::paper()),
-            Box::new(ThreadEngine),
-            Box::new(AsyncEngine::new()),
-            Box::new(VirtualEngine::paper()),
-        ];
-        assert_eq!(engines[3].name(), "vt");
     }
 }

@@ -1,8 +1,8 @@
-//! Protocol edge cases on the simulated cluster: extreme report
+//! Protocol edge cases on the virtual-time cluster: extreme report
 //! fractions, degenerate worker counts, work-model scaling, and message
 //! accounting — all through the builder / engine-trait API.
 
-use pts_core::{Pts, PtsConfig, SearchStrategy, SimEngine, SyncPolicy, WorkModel};
+use pts_core::{Pts, PtsConfig, SearchStrategy, SyncPolicy, VirtualEngine, WorkModel};
 use pts_netlist::{by_name, highway};
 use pts_vcluster::topology::homogeneous;
 use std::sync::Arc;
@@ -32,7 +32,7 @@ fn tiny_report_fraction_forces_after_first_report() {
         .sync(SyncPolicy::HalfReport)
         .build()
         .unwrap();
-    let out = run.run_placement(Arc::new(highway()), &SimEngine::paper());
+    let out = run.run_placement(Arc::new(highway()), &VirtualEngine::paper());
     assert!(out.outcome.best_cost < out.outcome.initial_cost);
     // 2 of 3 TSWs forced per global iteration (the first reporter is not).
     assert_eq!(
@@ -57,8 +57,8 @@ fn report_fraction_one_equals_wait_all() {
         .build()
         .unwrap();
 
-    let a = run_frac.run_placement(netlist.clone(), &SimEngine::paper());
-    let b = run_all.run_placement(netlist, &SimEngine::paper());
+    let a = run_frac.run_placement(netlist.clone(), &VirtualEngine::paper());
+    let b = run_all.run_placement(netlist, &VirtualEngine::paper());
     assert_eq!(a.outcome.forced_reports, 0);
     assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
     assert_eq!(a.outcome.end_time, b.outcome.end_time);
@@ -73,7 +73,7 @@ fn many_clws_few_cells() {
         .clw_workers(8)
         .build()
         .unwrap();
-    let out = run.run_placement(Arc::new(highway()), &SimEngine::paper());
+    let out = run.run_placement(Arc::new(highway()), &VirtualEngine::paper());
     assert!(out.outcome.best_cost < out.outcome.initial_cost);
 }
 
@@ -82,7 +82,7 @@ fn work_model_scales_virtual_time_not_quality() {
     // Doubling all work costs must double-ish the virtual runtime but
     // leave the search trajectory identical (same seeds, same decisions).
     let netlist = Arc::new(by_name("highway").unwrap());
-    let engine = SimEngine::new(homogeneous(12));
+    let engine = VirtualEngine::new(homogeneous(12));
     let cheap = Pts::from_config(base())
         .build()
         .unwrap()
@@ -114,7 +114,7 @@ fn work_model_scales_virtual_time_not_quality() {
 fn message_accounting_is_complete() {
     let cfg = base();
     let run = Pts::from_config(cfg.clone()).build().unwrap();
-    let out = run.run_placement(Arc::new(highway()), &SimEngine::paper());
+    let out = run.run_placement(Arc::new(highway()), &VirtualEngine::paper());
     // Lower bound: every global iteration moves at least
     // (Investigate + Proposal) per CLW per local iteration plus reports
     // and broadcasts. Just sanity-check the magnitude.
@@ -134,7 +134,7 @@ fn message_accounting_is_complete() {
 #[test]
 fn utilization_is_sane() {
     let run = Pts::from_config(base()).build().unwrap();
-    let out = run.run_placement(Arc::new(highway()), &SimEngine::paper());
+    let out = run.run_placement(Arc::new(highway()), &VirtualEngine::paper());
     let u = out.report.utilization();
     assert!((0.0..=1.0).contains(&u));
     assert!(u > 0.05, "workers should spend some time computing: {u}");

@@ -30,7 +30,6 @@ pub mod intensify;
 pub mod memory;
 pub mod problem;
 pub mod qap;
-pub mod reactive;
 pub mod search;
 pub mod tabu_list;
 pub mod trace;
@@ -42,7 +41,6 @@ pub use intensify::{intensify, ElitePool};
 pub use memory::FrequencyMemory;
 pub use problem::{AttrPair, SearchProblem};
 pub use qap::{Qap, QapAssignment};
-pub use reactive::{ReactiveConfig, ReactiveTenure};
 pub use search::{SearchResult, TabuSearch, TabuSearchConfig};
 pub use tabu_list::TabuList;
 pub use trace::{Trace, TracePoint};

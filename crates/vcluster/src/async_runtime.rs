@@ -1,15 +1,13 @@
 //! A single-threaded cooperative task runtime: thousands of logical
 //! processes on one OS thread.
 //!
-//! [`SimBuilder`](crate::runtime::SimBuilder) gives every simulated
-//! process its own OS thread (only one ever runs, admitted by a token).
-//! That is faithful to the paper's PVM testbed but caps the process count
-//! at what the host will give us in threads and stacks — far below the
-//! "thousands of simulated workers on one host" target. This module is the
-//! scale-oriented substrate: every logical process is a *future*, polled
-//! by a deterministic FIFO executor, and a blocking receive is simply a
-//! poll that returns [`Poll::Pending`] until a message lands in the
-//! task's mailbox.
+//! One OS thread per logical process caps the process count at what the
+//! host will give us in threads and stacks — far below the "thousands of
+//! workers on one host" target. This module is the scale-oriented
+//! wall-clock substrate: every logical process is a *future*, polled by a
+//! deterministic FIFO executor, and a blocking receive is simply a poll
+//! that returns [`Poll::Pending`] until a message lands in the task's
+//! mailbox. [`crate::virtual_runtime`] is its virtual-clock sibling.
 //!
 //! Design notes:
 //!
@@ -21,15 +19,15 @@
 //! * **Deterministic.** The ready queue is FIFO, tasks are polled on one
 //!   thread in a fixed order, and nothing consults real time for
 //!   scheduling — identical inputs replay identical executions, like the
-//!   virtual cluster.
-//! * **Accounting matches the virtual cluster's shape.** Each task fills
+//!   virtual-time runtime.
+//! * **Accounting matches the virtual-time runtime's shape.** Each task fills
 //!   a [`ProcStats`]: messages, bytes, charged work units, and wall-clock
 //!   time spent parked in `recv`. Clocks are host wall-clock seconds
 //!   (there is no virtual time here; this runtime trades the timing model
 //!   for scale).
 //!
 //! Deadlock (every live task parked with an empty mailbox) panics with
-//! the list of stuck tasks, mirroring the virtual cluster's poisoning.
+//! the list of stuck tasks, like the virtual-time runtime.
 
 use crate::metrics::{ProcStats, RunReport};
 use std::cell::RefCell;
@@ -49,7 +47,7 @@ struct Hub<M> {
     /// Whether a task id is already in `ready` (dedup guard).
     queued: RefCell<Vec<bool>>,
     /// Completed tasks are never rescheduled; sends to them are dropped
-    /// (the virtual cluster's "undeliverable" semantics).
+    /// (PVM's "undeliverable" semantics).
     done: RefCell<Vec<bool>>,
     stats: RefCell<Vec<ProcStats>>,
     /// When each task last parked in `recv` (wall-clock wait accounting).
@@ -134,8 +132,7 @@ impl<M> Hub<M> {
     }
 }
 
-/// Handle through which a task interacts with the runtime — the
-/// cooperative analogue of [`crate::process::ProcCtx`].
+/// Handle through which a task interacts with the runtime.
 ///
 /// Cheap to clone (shares the hub); `recv` is the only suspension point.
 pub struct TaskCtx<M> {
@@ -243,11 +240,6 @@ impl<M> TaskCluster<M> {
         let id = self.spawners.len();
         self.spawners.push(Box::new(move |ctx| Box::pin(f(ctx))));
         id
-    }
-
-    /// Number of tasks registered so far.
-    pub fn num_spawned(&self) -> usize {
-        self.spawners.len()
     }
 
     /// Drive every task to completion and report per-task metrics.

@@ -1,36 +1,29 @@
-//! Virtual-time cooperative runtime: the timing model of the token
-//! scheduler ([`crate::runtime::SimBuilder`]) without its
-//! thread-per-process cost.
+//! Virtual-time cooperative runtime: the heterogeneous-cluster timing
+//! model, with every logical process a future on one OS thread.
 //!
-//! [`SimBuilder`](crate::runtime::SimBuilder) gives every simulated
-//! process an OS thread and advances a virtual clock by handing a token
-//! to the ready process with the smallest `(wake, pid)`. That timing
-//! model is what the paper's measurements need — per-machine speed,
-//! background load, message latency — but one thread per logical process
-//! caps runs at tens of workers. [`crate::async_runtime::TaskCluster`]
-//! scales to thousands of logical processes on one thread, but only
-//! knows wall clock.
+//! The paper's measurements need a cluster timing model — per-machine
+//! speed, background load, message latency — and a deterministic clock.
+//! [`crate::async_runtime::TaskCluster`] scales to thousands of logical
+//! processes on one thread, but only knows wall clock.
+//! [`VirtualTaskCluster`] adds the clock: every logical process is a
+//! *future*, and the executor is a discrete-event scheduler over an
+//! [`EventQueue`] of `(virtual_time, task)` wake-ups. `compute` charges
+//! work against the task's machine — integrating speed and
+//! [`crate::machine::LoadModel`] through
+//! [`crate::machine::Machine::compute_end`] — and suspends the future
+//! until the charged end time; `recv` parks the future until a message's
+//! [`Envelope::deliver_at`] is reached. Every scheduling decision is a
+//! deterministic function of virtual times and task ids (`(wake, task)`
+//! order, mailbox delivery by `(arrival, send seq)`, per-route FIFO), so
+//! identical inputs replay identical runs, while thousands of tasks fit
+//! in one OS thread. Only `compute` and `recv` suspend; `send` is
+//! synchronous.
 //!
-//! [`VirtualTaskCluster`] is both at once: every logical process is a
-//! *future* (like the task cluster), and the executor is a discrete-event
-//! scheduler over an [`EventQueue`] of `(virtual_time, task)` wake-ups
-//! (like the token scheduler). `compute` charges work against the task's
-//! machine — integrating speed and [`crate::machine::LoadModel`] exactly
-//! as the token scheduler does — and suspends the future until the
-//! charged end time; `recv` parks the future until a message's
-//! [`Envelope::deliver_at`] is reached. Because every scheduling decision
-//! is the same deterministic function of virtual times and task ids that
-//! the token scheduler uses (`(wake, pid)` order, mailbox delivery by
-//! `(arrival, send seq)`, per-route FIFO), a run here is **bit-identical
-//! in timeline and accounting** to the same program under `SimBuilder` —
-//! which the cross-runtime property tests assert — while thousands of
-//! tasks fit in one OS thread.
-//!
-//! One deliberate restriction:
-//! [`crate::message::LinkModel::send_overhead_work`] must be zero. Charging marshalling work inside `send` would make `send` a
-//! suspension point, and this runtime keeps `send` synchronous (only
-//! `compute` and `recv` suspend). [`VirtualTaskCluster::new`] rejects
-//! clusters that configure it; use the token scheduler for those.
+//! The timing model is checked against an independent implementation:
+//! this crate's property tests keep a thread-per-process token scheduler
+//! (one OS thread per process, one token admitting exactly one at a
+//! time) and require this executor to reproduce its observation log,
+//! end time, and per-process accounting bit for bit.
 //!
 //! # Contention and faults
 //!
@@ -107,12 +100,12 @@ impl Ord for Event {
 /// them in deterministic earliest-first order, cancel lazily.
 ///
 /// Pop order is `(time, task id, schedule seq)`. Breaking time ties by
-/// *task id* — not insertion order — mirrors the token scheduler's
-/// `(wake, pid)` rule, which is what makes the virtual-time executor
-/// bit-identical to [`crate::runtime::SimBuilder`]; the monotonically
-/// increasing `seq` totalizes the order when one task holds several
-/// entries at the same instant (the executor never does, but the queue
-/// does not rely on that).
+/// *task id* — not insertion order — makes the schedule a function of
+/// virtual times and task ids alone (the `(wake, pid)` rule of the
+/// token-scheduler model the property tests compare against); the
+/// monotonically increasing `seq` totalizes the order when one task
+/// holds several entries at the same instant (the executor never does,
+/// but the queue does not rely on that).
 ///
 /// Cancellation is lazy: a cancelled ticket stays in the heap and is
 /// skipped on pop, so both `schedule` and `cancel` are `O(log n)` /
@@ -182,7 +175,7 @@ impl EventQueue {
     }
 }
 
-/// Lifecycle of one task, mirroring the token scheduler's process status.
+/// Lifecycle of one task.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum TaskStatus {
     /// Has exactly one wake-up in the event queue (initial start, a
@@ -263,9 +256,9 @@ struct VHub<M> {
     send_seq: Cell<u64>,
     queue: RefCell<EventQueue>,
     slots: RefCell<Vec<Slot<M>>>,
-    /// Last delivery time per (src, dst) pair: enforces FIFO channels
-    /// exactly like the token scheduler (a small message never overtakes
-    /// a large one on the same route).
+    /// Last delivery time per (src, dst) pair: enforces FIFO channels (a
+    /// small message never overtakes a large one on the same route), as
+    /// PVM/TCP guarantee.
     pair_last: RefCell<HashMap<(usize, usize), f64>>,
     /// Tracked-compute + fault state; `None` on the historical fast path
     /// (no contention model, no fault plan).
@@ -553,9 +546,9 @@ impl<M> VHub<M> {
         }
         match s.mailbox.earliest() {
             Some(t) => {
-                // A message is in flight: wake when it arrives. Matching
-                // the token scheduler, a later send with an earlier
-                // delivery does NOT move this wake-up forward.
+                // A message is in flight: wake when it arrives. A later
+                // send with an earlier delivery does NOT move this
+                // wake-up forward (the token-scheduler model's rule).
                 s.status = TaskStatus::Scheduled;
                 drop(slots);
                 self.queue.borrow_mut().schedule(t, id);
@@ -671,9 +664,8 @@ impl<M> VHub<M> {
     }
 }
 
-/// Handle through which a task interacts with the virtual-time runtime —
-/// the cooperative analogue of [`crate::process::ProcCtx`], with
-/// `compute` and `recv` as the suspension points.
+/// Handle through which a task interacts with the virtual-time runtime,
+/// with `compute` and `recv` as the suspension points.
 ///
 /// Cheap to clone (shares the hub).
 pub struct VirtualTaskCtx<M> {
@@ -706,8 +698,7 @@ impl<M> VirtualTaskCtx<M> {
     /// Charge `work` units on this task's machine and suspend until the
     /// charged end time (speed and background load integrate exactly as
     /// in [`crate::machine::Machine::compute_end`]). Even zero work
-    /// yields through the scheduler, matching the token hand-off of the
-    /// thread-backed runtime.
+    /// yields through the scheduler.
     pub fn compute(&self, work: f64) -> impl Future<Output = ()> + '_ {
         let mut begun = false;
         std::future::poll_fn(move |_cx| {
@@ -776,21 +767,7 @@ pub struct VirtualTaskCluster<M> {
 impl<M> VirtualTaskCluster<M> {
     /// A cluster with no tasks yet; add them with
     /// [`VirtualTaskCluster::spawn`].
-    ///
-    /// # Panics
-    ///
-    /// If the cluster's
-    /// [`send_overhead_work`](crate::message::LinkModel::send_overhead_work)
-    /// is non-zero:
-    /// this runtime's `send` never suspends, so it cannot charge
-    /// marshalling work to the sender (use
-    /// [`crate::runtime::SimBuilder`] for such clusters).
     pub fn new(cluster: ClusterSpec) -> VirtualTaskCluster<M> {
-        assert!(
-            cluster.link.send_overhead_work == 0.0,
-            "the virtual-time task runtime does not support send_overhead_work \
-             (send is not a suspension point); use SimBuilder instead"
-        );
         VirtualTaskCluster {
             cluster,
             spawners: Vec::new(),
@@ -833,14 +810,8 @@ impl<M> VirtualTaskCluster<M> {
         id
     }
 
-    /// Number of tasks registered so far.
-    pub fn num_spawned(&self) -> usize {
-        self.spawners.len()
-    }
-
     /// Drive every task to completion under the virtual clock and report
-    /// per-task metrics (virtual-time accounting, like the token
-    /// scheduler's).
+    /// per-task metrics (virtual-time accounting).
     ///
     /// Panics if the cohort deadlocks (all live tasks parked in `recv`
     /// with no scheduled wake-ups) or any task panics — unless a
@@ -899,8 +870,7 @@ impl<M> VirtualTaskCluster<M> {
             .iter()
             .enumerate()
             .map(|(id, &(machine, _))| {
-                // Every task starts runnable at t = 0, like the token
-                // scheduler's initial Ready(0.0) states.
+                // Every task starts runnable at t = 0.
                 queue.schedule(0.0, id);
                 Slot {
                     status: TaskStatus::Scheduled,
@@ -1048,7 +1018,6 @@ mod tests {
                 latency: 0.5,
                 local_latency: 0.01,
                 bytes_per_sec: 1e9,
-                send_overhead_work: 0.0,
             },
         )
     }
@@ -1182,8 +1151,7 @@ mod tests {
     #[test]
     fn simultaneous_wakes_run_in_task_id_order() {
         // Two receivers get messages deliverable at the same instant; the
-        // lower task id must run first — the token scheduler's
-        // `(wake, pid)` rule.
+        // lower task id must run first — the `(wake, pid)` rule.
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut vt: VirtualTaskCluster<u32> = VirtualTaskCluster::new(homogeneous(1));
         for w in 0..2usize {
@@ -1303,8 +1271,8 @@ mod tests {
     #[test]
     fn scales_to_thousands_of_tasks() {
         // The point of this runtime: virtual-time measurements at worker
-        // counts the thread-backed scheduler cannot reach. 2001 tasks on
-        // a heterogeneous cluster, one OS thread.
+        // counts a thread-per-process scheduler cannot reach. 2001 tasks
+        // on a heterogeneous cluster, one OS thread.
         let mut vt: VirtualTaskCluster<u64> = VirtualTaskCluster::new(homogeneous(12));
         const N: u64 = 2000;
         vt.spawn(0, move |ctx| async move {
@@ -1340,16 +1308,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "send_overhead_work")]
-    fn rejects_marshalling_overhead() {
-        let cluster = ClusterSpec::new(
-            vec![Machine::new("a", 1.0)],
-            LinkModel {
-                send_overhead_work: 2.0,
-                ..LinkModel::default()
-            },
-        );
-        let _: VirtualTaskCluster<u32> = VirtualTaskCluster::new(cluster);
+    #[should_panic(expected = "boom")]
+    fn task_panic_propagates() {
+        let mut vt: VirtualTaskCluster<u32> = VirtualTaskCluster::new(homogeneous(2));
+        vt.spawn(0, |ctx| async move {
+            ctx.compute(1.0).await;
+            panic!("boom");
+        });
+        vt.spawn(1, |ctx| async move {
+            ctx.compute(0.5).await;
+        });
+        vt.run();
     }
 
     /// Two equal computes on one machine, finish times collected by task.

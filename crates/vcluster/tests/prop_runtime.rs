@@ -1,16 +1,21 @@
-//! Property tests for the virtual-time runtimes: determinism, clock
+//! Property tests for the virtual-time runtime: determinism, clock
 //! monotonicity, message conservation, and FIFO ordering over randomized
-//! process/topology structures — plus the cross-runtime law that the
-//! cooperative discrete-event executor ([`VirtualTaskCluster`]) replays
-//! the token scheduler ([`SimBuilder`]) bit for bit, and model-checked
-//! properties of the [`EventQueue`] that drives it.
+//! process/topology structures — plus the cross-implementation law that
+//! the cooperative discrete-event executor ([`VirtualTaskCluster`])
+//! replays the thread-per-process token scheduler
+//! ([`token_oracle::TokenCluster`], the reference model kept beside these
+//! tests) bit for bit, and model-checked properties of the
+//! [`EventQueue`] that drives it.
+
+mod token_oracle;
 
 use proptest::prelude::*;
 use pts_vcluster::machine::{LoadModel, Machine};
 use pts_vcluster::message::LinkModel;
 use pts_vcluster::topology::ClusterSpec;
-use pts_vcluster::{Contention, EventQueue, SimBuilder, VirtualTaskCluster};
+use pts_vcluster::{Contention, EventQueue, VirtualTaskCluster};
 use std::sync::{Arc, Mutex};
+use token_oracle::TokenCluster;
 
 /// A randomized star workload: `n_workers` send `msgs_each` messages to a
 /// collector after per-message compute bursts.
@@ -37,9 +42,9 @@ fn arb_star() -> impl Strategy<Value = StarSpec> {
         })
 }
 
-/// Run the star workload; return the collector's observation log
-/// `(worker, msg_index, virtual_time)` and the full run report.
-fn run_star(spec: &StarSpec) -> (Vec<(u64, u64, f64)>, pts_vcluster::RunReport) {
+/// The star's cluster: a speed-1.0 hub machine, then one machine per
+/// worker, so every process has a machine to itself.
+fn star_cluster(spec: &StarSpec) -> ClusterSpec {
     let machines: Vec<Machine> = std::iter::once(Machine::new("hub", 1.0))
         .chain(
             spec.speeds
@@ -48,22 +53,27 @@ fn run_star(spec: &StarSpec) -> (Vec<(u64, u64, f64)>, pts_vcluster::RunReport) 
                 .map(|(i, &s)| Machine::new(format!("w{i}"), s)),
         )
         .collect();
-    let cluster = ClusterSpec::new(
+    ClusterSpec::new(
         machines,
         LinkModel {
             latency: spec.latency,
             local_latency: spec.latency / 2.0,
             bytes_per_sec: 1e9,
-            send_overhead_work: 0.0,
         },
-    );
+    )
+}
+
+/// Run the star workload on the token-scheduler reference; return the
+/// collector's observation log `(worker, msg_index, virtual_time)` and
+/// the full run report.
+fn run_star_token(spec: &StarSpec) -> (Vec<(u64, u64, f64)>, pts_vcluster::RunReport) {
     let n_workers = spec.speeds.len();
     let total = n_workers * spec.msgs_each;
     let log: Arc<Mutex<Vec<(u64, u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let mut sim: SimBuilder<(u64, u64)> = SimBuilder::new(cluster);
+    let mut token: TokenCluster<(u64, u64)> = TokenCluster::new(star_cluster(spec));
     let l = Arc::clone(&log);
-    let hub = sim.spawn(0, move |ctx| {
+    let hub = token.spawn(0, move |ctx| {
         for _ in 0..total {
             let (w, i) = ctx.recv();
             l.lock().unwrap().push((w, i, ctx.now()));
@@ -72,48 +82,30 @@ fn run_star(spec: &StarSpec) -> (Vec<(u64, u64, f64)>, pts_vcluster::RunReport) 
     for w in 0..n_workers {
         let bursts = spec.bursts.clone();
         let msgs = spec.msgs_each;
-        sim.spawn(1 + w, move |ctx| {
+        token.spawn(1 + w, move |ctx| {
             for i in 0..msgs {
                 ctx.compute(bursts[i % bursts.len()]);
                 ctx.send_sized(hub, (w as u64, i as u64), 64);
             }
         });
     }
-    let report = sim.run();
+    let report = token.run();
     let out = log.lock().unwrap().clone();
     (out, report)
 }
 
 /// The identical star workload on the cooperative virtual-time executor;
-/// returns the observation log, the end time, and the full per-process
-/// accounting for bit-for-bit comparison against the token scheduler.
-/// One process per machine, so `contention` must be behaviourally inert.
+/// returns the observation log and the full per-process accounting. One
+/// process per machine, so `contention` must be behaviourally inert.
 fn run_star_vt(
     spec: &StarSpec,
     contention: Contention,
 ) -> (Vec<(u64, u64, f64)>, pts_vcluster::RunReport) {
-    let machines: Vec<Machine> = std::iter::once(Machine::new("hub", 1.0))
-        .chain(
-            spec.speeds
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| Machine::new(format!("w{i}"), s)),
-        )
-        .collect();
-    let cluster = ClusterSpec::new(
-        machines,
-        LinkModel {
-            latency: spec.latency,
-            local_latency: spec.latency / 2.0,
-            bytes_per_sec: 1e9,
-            send_overhead_work: 0.0,
-        },
-    );
     let n_workers = spec.speeds.len();
     let total = n_workers * spec.msgs_each;
     let log: Arc<Mutex<Vec<(u64, u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let mut vt: VirtualTaskCluster<(u64, u64)> = VirtualTaskCluster::new(cluster);
+    let mut vt: VirtualTaskCluster<(u64, u64)> = VirtualTaskCluster::new(star_cluster(spec));
     vt.set_contention(contention);
     let l = Arc::clone(&log);
     let hub = vt.spawn(0, move |ctx| async move {
@@ -165,15 +157,16 @@ proptest! {
 
     #[test]
     fn replay_is_bit_identical(spec in arb_star()) {
-        let (log_a, report_a) = run_star(&spec);
-        let (log_b, report_b) = run_star(&spec);
+        let (log_a, report_a) = run_star_vt(&spec, Contention::Exclusive);
+        let (log_b, report_b) = run_star_vt(&spec, Contention::Exclusive);
         prop_assert_eq!(log_a, log_b);
         prop_assert_eq!(report_a.end_time, report_b.end_time);
+        prop_assert_eq!(report_a.per_proc, report_b.per_proc);
     }
 
     #[test]
     fn collector_times_are_monotone(spec in arb_star()) {
-        let (log, report) = run_star(&spec);
+        let (log, report) = run_star_vt(&spec, Contention::Exclusive);
         for w in log.windows(2) {
             prop_assert!(w[1].2 >= w[0].2, "receive times must be non-decreasing");
         }
@@ -189,11 +182,11 @@ proptest! {
         // observation log, end time, and every per-process counter
         // (busy/wait virtual seconds included) must be equal, bit for
         // bit, over arbitrary star workloads.
-        let (log_sim, report_sim) = run_star(&spec);
+        let (log_token, report_token) = run_star_token(&spec);
         let (log_vt, report_vt) = run_star_vt(&spec, Contention::Exclusive);
-        prop_assert_eq!(log_sim, log_vt);
-        prop_assert_eq!(report_sim.end_time, report_vt.end_time);
-        prop_assert_eq!(report_sim.per_proc, report_vt.per_proc);
+        prop_assert_eq!(log_token, log_vt);
+        prop_assert_eq!(report_token.end_time, report_vt.end_time);
+        prop_assert_eq!(report_token.per_proc, report_vt.per_proc);
     }
 
     #[test]
@@ -317,7 +310,7 @@ proptest! {
 
     #[test]
     fn all_messages_delivered_exactly_once(spec in arb_star()) {
-        let (log, _report) = run_star(&spec);
+        let (log, _report) = run_star_vt(&spec, Contention::Exclusive);
         prop_assert_eq!(log.len(), spec.speeds.len() * spec.msgs_each);
         let mut seen = std::collections::HashSet::new();
         for &(w, i, _) in &log {
@@ -327,7 +320,7 @@ proptest! {
 
     #[test]
     fn per_worker_fifo_holds(spec in arb_star()) {
-        let (log, _) = run_star(&spec);
+        let (log, _) = run_star_vt(&spec, Contention::Exclusive);
         let mut last_index: std::collections::HashMap<u64, u64> = Default::default();
         for &(w, i, _) in &log {
             if let Some(&prev) = last_index.get(&w) {
@@ -345,15 +338,15 @@ proptest! {
             LinkModel::default(),
         );
         let finish: Arc<Mutex<[f64; 2]>> = Arc::new(Mutex::new([0.0; 2]));
-        let mut sim: SimBuilder<()> = SimBuilder::new(cluster);
+        let mut vt: VirtualTaskCluster<()> = VirtualTaskCluster::new(cluster);
         for m in 0..2 {
             let f = Arc::clone(&finish);
-            sim.spawn(m, move |ctx| {
-                ctx.compute(10.0);
+            vt.spawn(m, move |ctx| async move {
+                ctx.compute(10.0).await;
                 f.lock().unwrap()[m] = ctx.now();
             });
         }
-        sim.run();
+        vt.run();
         let [fast, slow] = *finish.lock().unwrap();
         prop_assert!((fast - 10.0).abs() < 1e-9);
         prop_assert!((slow - 10.0 / speed).abs() < 1e-6);

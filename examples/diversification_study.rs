@@ -21,7 +21,7 @@ fn main() {
     let with = base.clone().diversify(true).build().unwrap();
     let without = base.diversify(false).build().unwrap();
 
-    let engine = SimEngine::paper();
+    let engine = VirtualEngine::paper();
     let a = with.run_placement(netlist.clone(), &engine);
     let b = without.run_placement(netlist, &engine);
 

@@ -32,10 +32,13 @@ fn main() {
         .build()
         .expect("valid configuration");
 
-    // Substrates as trait objects: the simulated heterogeneous cluster
-    // and native OS threads, selected uniformly.
+    // Substrates as trait objects: the virtual-time heterogeneous
+    // cluster and native OS threads, selected uniformly.
     let engines: Vec<(&str, Box<dyn ExecutionEngine<QapDomain>>)> = vec![
-        ("virtual 12-machine cluster", Box::new(SimEngine::paper())),
+        (
+            "virtual 12-machine cluster",
+            Box::new(VirtualEngine::paper()),
+        ),
         ("native threads", Box::new(ThreadEngine)),
     ];
 
@@ -73,13 +76,13 @@ fn main() {
         );
     }
 
-    // Determinism: the virtual cluster replays bit-identically.
-    let a = run.execute(&domain, &SimEngine::paper());
-    let b = run.execute(&domain, &SimEngine::paper());
+    // Determinism: the virtual clock replays bit-identically.
+    let a = run.execute(&domain, &VirtualEngine::paper());
+    let b = run.execute(&domain, &VirtualEngine::paper());
     assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
     assert_eq!(a.outcome.end_time, b.outcome.end_time);
     println!(
-        "sim replay is bit-identical: best {:.1}",
+        "vt replay is bit-identical: best {:.1}",
         a.outcome.best_cost
     );
 }

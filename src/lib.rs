@@ -20,10 +20,9 @@
 //! ## Quickstart
 //!
 //! Configure a run with the validated builder, pick an execution engine
-//! (the simulated heterogeneous cluster, native threads, cooperative
-//! async tasks, or the virtual-time cooperative engine — all behind the
-//! same [`core::ExecutionEngine`] trait), and run any wired-in problem
-//! domain:
+//! (the virtual-time heterogeneous cluster, native threads, cooperative
+//! async tasks, or worker processes — all behind the same
+//! [`core::ExecutionEngine`] trait), and run any wired-in problem domain:
 //!
 //! ```
 //! use parallel_tabu_search::prelude::*;
@@ -39,15 +38,15 @@
 //!     .build()
 //!     .expect("valid configuration");
 //!
-//! // Same entry point, either substrate:
-//! let engine: &dyn ExecutionEngine<PlacementDomain> = &SimEngine::paper();
+//! // Same entry point, any substrate:
+//! let engine: &dyn ExecutionEngine<PlacementDomain> = &VirtualEngine::paper();
 //! let out = run.run_placement(netlist, engine);
 //! assert!(out.outcome.best_cost < out.outcome.initial_cost);
 //! // Unified metrics — no engine-specific output types:
 //! assert!(out.report.total_messages() > 0);
 //!
 //! // The pipeline is problem-generic: the same run drives QAP.
-//! let qap = run.execute(&QapDomain::random(16, 7), &SimEngine::paper());
+//! let qap = run.execute(&QapDomain::random(16, 7), &VirtualEngine::paper());
 //! assert!(qap.outcome.best_cost <= qap.outcome.initial_cost);
 //! ```
 
@@ -64,8 +63,8 @@ pub mod prelude {
         run_sequential_baseline, AsyncEngine, ClockDomain, ConfigError, Contention, CostKind,
         DeltaSnapshot, ExecutionEngine, FaultMix, FaultSpec, MasterOutcome, PlacementDomain,
         PlacementRunOutput, ProcEngine, Pts, PtsConfig, PtsDomain, PtsRun, QapDomain, RunBuilder,
-        RunReport, SearchStrategy, SimEngine, SnapshotMode, SyncPolicy, ThreadEngine,
-        VirtualEngine, WorkerFault,
+        RunReport, SearchStrategy, SnapshotMode, SyncPolicy, ThreadEngine, VirtualEngine,
+        WorkerFault,
     };
     pub use pts_netlist::{benchmark_names, by_name, Netlist, TimingGraph};
     pub use pts_place::{Evaluator, Layout, Placement};

@@ -2,6 +2,9 @@
 //! identical seeds must produce bit-identical outcomes, including virtual
 //! timing — the property the paper's testbed could never offer.
 
+mod common;
+
+use common::RunPin;
 use parallel_tabu_search::prelude::*;
 use std::sync::Arc;
 
@@ -24,7 +27,7 @@ fn run_on(
 }
 
 fn run(seed: u64, sync: SyncPolicy, netlist: Arc<Netlist>) -> PlacementRunOutput {
-    run_on(seed, sync, netlist, &SimEngine::paper())
+    run_on(seed, sync, netlist, &VirtualEngine::paper())
 }
 
 #[test]
@@ -65,12 +68,13 @@ fn different_seeds_explore_differently() {
 #[test]
 fn sim_results_match_pinned_golden_values() {
     // Golden values captured from the redesigned engine at the point the
-    // old `Engine::Sim` enum path was replaced (the shim itself is gone
-    // as of the sharded-master PR) — pinning them keeps the trait-based
-    // `SimEngine` bit-compatible with that lineage across future
-    // refactors (RNG salting, scheme freezing, scheduling, sharding). If
-    // a change is *supposed* to alter the search trajectory, update
-    // these constants deliberately in the same commit.
+    // old `Engine::Sim` enum path was replaced — pinning them keeps the
+    // virtual-clock engine (first the thread-per-process token
+    // scheduler, now the vt engine, which replays it bit for bit)
+    // compatible with that lineage across refactors (RNG salting,
+    // scheme freezing, scheduling, sharding). If a change is *supposed*
+    // to alter the search trajectory, update these constants
+    // deliberately in the same commit.
     //
     // `SnapshotMode::Full` is that lineage's wire format: every message
     // size — and hence the whole virtual timeline — must still match the
@@ -87,7 +91,7 @@ fn sim_results_match_pinned_golden_values() {
         .snapshot_mode(SnapshotMode::Full)
         .build()
         .unwrap()
-        .run_placement(netlist, &SimEngine::paper());
+        .run_placement(netlist, &VirtualEngine::paper());
     assert_eq!(out.outcome.initial_cost, 0.4545454545454546);
     assert_eq!(out.outcome.best_cost, 0.3443553378135912);
     assert_eq!(out.outcome.end_time, 356.30363866666653);
@@ -126,21 +130,50 @@ fn sim_results_match_pinned_golden_values_delta_mode() {
 
 #[test]
 fn vt_engine_is_bit_identical_to_sim_on_the_paper_cluster() {
-    // The vt engine's contract: SimEngine's virtual timeline without its
-    // thread-per-process cost. Not statistically close — *equal*: end
-    // time, utilization, per-process virtual accounting, trajectory, and
-    // forced reports, under both sync policies.
+    // The vt engine replaced a thread-per-process token-scheduler engine
+    // whose timeline it reproduced exactly. These are that engine's
+    // values — end time, utilization, per-process virtual accounting,
+    // trajectory, and forced reports, under both sync policies — pinned
+    // on vt. Update them only with a change meant to alter the timeline.
     let netlist = Arc::new(by_name("c532").unwrap());
-    for sync in [SyncPolicy::HalfReport, SyncPolicy::WaitAll] {
-        let sim = run_on(7, sync, netlist.clone(), &SimEngine::paper());
+    let per_round = vec![
+        0x3fda_a579_938d_67dc,
+        0x3fd9_6ce6_4b52_d49c,
+        0x3fd8_32c7_d715_da2e,
+    ];
+    let pins = [
+        (
+            SyncPolicy::HalfReport,
+            RunPin {
+                best: 0x3fd8_32c7_d715_da2e,
+                per_round: per_round.clone(),
+                end_time: 0x4076_3357_9dbd_5c59,
+                report_end: 0x4076_60aa_044a_e856,
+                forced: 3,
+                utilization: 0x3fdd_7737_2e6b_f7c2,
+                messages: 369,
+                bytes: 41348,
+                stats: 0x86b9_00e7_bf37_5c58,
+            },
+        ),
+        (
+            SyncPolicy::WaitAll,
+            RunPin {
+                best: 0x3fd8_32c7_d715_da2e,
+                per_round,
+                end_time: 0x4076_3357_9dbd_5c59,
+                report_end: 0x4076_60aa_044a_e856,
+                forced: 0,
+                utilization: 0x3fdd_a544_5576_f124,
+                messages: 321,
+                bytes: 39820,
+                stats: 0xb64e_1d75_90f1_7750,
+            },
+        ),
+    ];
+    for (sync, pin) in pins {
         let vt = run_on(7, sync, netlist.clone(), &VirtualEngine::paper());
-        assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost);
-        assert_eq!(vt.outcome.best_placement, sim.outcome.best_placement);
-        assert_eq!(vt.outcome.end_time, sim.outcome.end_time);
-        assert_eq!(vt.outcome.forced_reports, sim.outcome.forced_reports);
-        assert_eq!(vt.report.end_time, sim.report.end_time);
-        assert_eq!(vt.report.utilization(), sim.report.utilization());
-        assert_eq!(vt.report.per_proc, sim.report.per_proc);
+        assert_eq!(RunPin::placement(&vt), pin, "{sync:?}");
         assert_eq!(vt.report.clock, ClockDomain::Virtual);
         assert_eq!(vt.report.engine, "vt");
     }
@@ -148,12 +181,11 @@ fn vt_engine_is_bit_identical_to_sim_on_the_paper_cluster() {
 
 #[test]
 fn vt_results_match_pinned_golden_values() {
-    // The same golden constants `sim_results_match_pinned_golden_values_delta_mode`
-    // pins for SimEngine, reproduced by the cooperative vt engine — plus
-    // the virtual utilization, pinned here for both engines (the paper's
-    // headline metric, previously unpinned). If a change deliberately
-    // alters the timeline, update these constants in the same commit as
-    // the sim goldens.
+    // The golden constants `sim_results_match_pinned_golden_values_delta_mode`
+    // pins (captured on the token-scheduler engine vt replaced), plus the
+    // virtual utilization — the paper's headline metric. If a change
+    // deliberately alters the timeline, update these constants in the
+    // same commit as the other goldens.
     let netlist = Arc::new(by_name("highway").unwrap());
     let out = run_on(7, SyncPolicy::HalfReport, netlist, &VirtualEngine::paper());
     assert_eq!(out.outcome.initial_cost, 0.4545454545454546);
@@ -221,7 +253,7 @@ fn sharded_master_replays_identically() {
             .shard_fanout(2)
             .build()
             .unwrap()
-            .run_placement(nl, &SimEngine::paper())
+            .run_placement(nl, &VirtualEngine::paper())
     };
     let a = run(netlist.clone());
     let b = run(netlist);
@@ -244,8 +276,8 @@ fn qap_pipeline_is_deterministic_too() {
         .seed(7)
         .build()
         .unwrap();
-    let a = run.execute(&domain, &SimEngine::paper());
-    let b = run.execute(&domain, &SimEngine::paper());
+    let a = run.execute(&domain, &VirtualEngine::paper());
+    let b = run.execute(&domain, &VirtualEngine::paper());
     assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
     assert_eq!(a.outcome.best, b.outcome.best);
     assert_eq!(a.outcome.end_time, b.outcome.end_time);
@@ -316,7 +348,7 @@ fn tabu_delta_changes_bytes_but_never_the_trajectory() {
             .tabu_delta(tabu_delta)
             .build()
             .unwrap()
-            .run_placement(nl, &SimEngine::paper())
+            .run_placement(nl, &VirtualEngine::paper())
     };
     let off = run(false, netlist.clone());
     let on = run(true, netlist);
@@ -341,9 +373,9 @@ fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
     // A heterogeneous portfolio adds strategy stamps to the wire, a
     // quality-rate reduction at leaf sub-masters, and the root's
     // epsilon-greedy reallocator — all of which must be functions of the
-    // run seed alone. Identical seeds replay bit-identically, and the vt
-    // engine reproduces the sim engine's whole timeline, reallocation
-    // decisions included.
+    // run seed alone. Identical seeds replay bit-identically, and the
+    // whole timeline, reallocation decisions included, matches the
+    // values pinned from the token-scheduler engine vt replaced.
     let netlist = Arc::new(by_name("c532").unwrap());
     let strategies = [
         SearchStrategy {
@@ -359,7 +391,7 @@ fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
             ..Default::default()
         },
     ];
-    let run = |nl, engine: &dyn ExecutionEngine<PlacementDomain>| {
+    let run = |nl| {
         Pts::builder()
             .tsw_workers(4)
             .clw_workers(2)
@@ -371,10 +403,10 @@ fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
             .portfolio(strategies)
             .build()
             .unwrap()
-            .run_placement(nl, engine)
+            .run_placement(nl, &VirtualEngine::paper())
     };
-    let a = run(netlist.clone(), &SimEngine::paper());
-    let b = run(netlist.clone(), &SimEngine::paper());
+    let a = run(netlist.clone());
+    let b = run(netlist);
     assert_eq!(a.outcome.best_cost, b.outcome.best_cost);
     assert_eq!(a.outcome.best_placement, b.outcome.best_placement);
     assert_eq!(a.outcome.end_time, b.outcome.end_time);
@@ -382,14 +414,24 @@ fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
     assert_eq!(a.report.total_messages(), b.report.total_messages());
     assert_eq!(a.report.total_bytes(), b.report.total_bytes());
 
-    let vt = run(netlist, &VirtualEngine::paper());
-    assert_eq!(vt.outcome.best_cost, a.outcome.best_cost);
-    assert_eq!(vt.outcome.best_placement, a.outcome.best_placement);
-    assert_eq!(vt.outcome.end_time, a.outcome.end_time);
-    assert_eq!(vt.outcome.forced_reports, a.outcome.forced_reports);
-    assert_eq!(vt.report.end_time, a.report.end_time);
-    assert_eq!(vt.report.utilization(), a.report.utilization());
-    assert_eq!(vt.report.per_proc, a.report.per_proc);
+    assert_eq!(
+        RunPin::placement(&a),
+        RunPin {
+            best: 0x3fd8_078f_6179_e904,
+            per_round: vec![
+                0x3fda_c717_aece_fe26,
+                0x3fd9_8183_1ffe_daa4,
+                0x3fd8_078f_6179_e904
+            ],
+            end_time: 0x407f_c1a8_78d4_648d,
+            report_end: 0x4080_081e_6614_e921,
+            forced: 6,
+            utilization: 0x3fd2_bdcb_5dec_8099,
+            messages: 483,
+            bytes: 64148,
+            stats: 0x2ba4_adfb_f1fc_27d9,
+        }
+    );
 }
 
 #[test]

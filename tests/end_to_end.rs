@@ -1,5 +1,5 @@
 //! End-to-end: parallel tabu search improves placement quality on every
-//! paper benchmark circuit, on the simulated heterogeneous cluster.
+//! paper benchmark circuit, on the virtual-time heterogeneous cluster.
 
 use parallel_tabu_search::prelude::*;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ fn improves_all_benchmark_circuits() {
     for name in benchmark_names() {
         let netlist = Arc::new(by_name(name).unwrap());
         let run = small_run();
-        let out = run.run_placement(netlist, &SimEngine::paper());
+        let out = run.run_placement(netlist, &VirtualEngine::paper());
         let o = &out.outcome;
         assert!(
             o.best_cost < o.initial_cost,
@@ -49,7 +49,7 @@ fn improves_all_benchmark_circuits() {
 #[test]
 fn fuzzy_cost_stays_in_unit_interval() {
     let netlist = Arc::new(by_name("c532").unwrap());
-    let out = small_run().run_placement(netlist, &SimEngine::paper());
+    let out = small_run().run_placement(netlist, &VirtualEngine::paper());
     let o = &out.outcome;
     assert!((0.0..=1.0).contains(&o.best_cost));
     assert!((0.0..=1.0).contains(&o.initial_cost));
@@ -62,7 +62,7 @@ fn weighted_sum_scheme_works_end_to_end() {
         .build()
         .unwrap();
     let netlist = Arc::new(by_name("highway").unwrap());
-    let out = run.run_placement(netlist, &SimEngine::paper());
+    let out = run.run_placement(netlist, &VirtualEngine::paper());
     let o = &out.outcome;
     // Weighted-sum cost is 1.0 at the initial solution by construction.
     assert!((o.initial_cost - 1.0).abs() < 1e-9);
@@ -72,12 +72,12 @@ fn weighted_sum_scheme_works_end_to_end() {
 #[test]
 fn more_iterations_do_not_hurt() {
     let netlist = Arc::new(by_name("c532").unwrap());
-    let short = small_run().run_placement(netlist.clone(), &SimEngine::paper());
+    let short = small_run().run_placement(netlist.clone(), &VirtualEngine::paper());
     let long_run = Pts::from_config(small_run().config().clone())
         .global_iters(6)
         .build()
         .unwrap();
-    let long = long_run.run_placement(netlist, &SimEngine::paper());
+    let long = long_run.run_placement(netlist, &VirtualEngine::paper());
     assert!(
         long.outcome.best_cost <= short.outcome.best_cost + 1e-12,
         "longer searches keep the best-so-far, never lose it"
@@ -88,7 +88,7 @@ fn more_iterations_do_not_hurt() {
 fn qap_improves_end_to_end_on_both_engines() {
     let domain = QapDomain::random(30, 3);
     let run = small_run();
-    let engines: [&dyn ExecutionEngine<QapDomain>; 2] = [&SimEngine::paper(), &ThreadEngine];
+    let engines: [&dyn ExecutionEngine<QapDomain>; 2] = [&VirtualEngine::paper(), &ThreadEngine];
     for engine in engines {
         let out = run.execute(&domain, engine);
         assert!(

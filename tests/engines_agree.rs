@@ -1,8 +1,9 @@
-//! The sim engine, the native thread engine, and the two cooperative
-//! engines (async, vt) run the same protocol code behind one
-//! `ExecutionEngine` trait; all must produce valid, improving searches
-//! with the same unified report shape — and the deterministic engines
-//! (sim, async, vt) must agree on the search itself.
+//! The virtual-time engine (vt), the native thread engine, the
+//! wall-clock cooperative engine (async), and the worker-process engine
+//! (proc) run the same protocol code behind one `ExecutionEngine` trait;
+//! all must produce valid, improving searches with the same unified
+//! report shape — and the deterministic engines (vt, async) must agree
+//! on the search itself.
 
 use parallel_tabu_search::prelude::*;
 use std::sync::Arc;
@@ -22,11 +23,12 @@ fn run() -> PtsRun {
 #[test]
 fn all_engines_improve_and_stay_consistent() {
     let netlist = Arc::new(by_name("c532").unwrap());
+    let proc_engine = ProcEngine::new(env!("CARGO_BIN_EXE_pts"));
     let engines: [&dyn ExecutionEngine<PlacementDomain>; 4] = [
-        &SimEngine::paper(),
+        &VirtualEngine::paper(),
         &ThreadEngine,
         &AsyncEngine::new(),
-        &VirtualEngine::paper(),
+        &proc_engine,
     ];
     let mut initial_costs = Vec::new();
     for engine in engines {
@@ -92,8 +94,9 @@ fn async_engine_matches_sim_best_cost_under_wait_all() {
     // Under WaitAll nothing in the search trajectory depends on timing
     // (no ForceReport/CutShort is ever sent), so the two deterministic
     // engines — virtual time and cooperative FIFO — must walk the exact
-    // same search and land on the same best cost, round for round.
-    let domain = QapDomain::random(24, 3);
+    // same search and land on the same best placement, round for round,
+    // on the paper's own domain too.
+    let netlist = Arc::new(by_name("c532").unwrap());
     let run = Pts::builder()
         .tsw_workers(3)
         .clw_workers(2)
@@ -105,15 +108,16 @@ fn async_engine_matches_sim_best_cost_under_wait_all() {
         .seed(0xFEED)
         .build()
         .unwrap();
-    let sim = run.execute(&domain, &SimEngine::paper());
-    let task = run.execute(&domain, &AsyncEngine::new());
-    assert_eq!(sim.outcome.initial_cost, task.outcome.initial_cost);
+    let vt = run.run_placement(netlist.clone(), &VirtualEngine::paper());
+    let task = run.run_placement(netlist, &AsyncEngine::new());
+    assert_eq!(vt.outcome.initial_cost, task.outcome.initial_cost);
     assert_eq!(
-        sim.outcome.best_per_global_iter, task.outcome.best_per_global_iter,
+        vt.outcome.best_per_global_iter, task.outcome.best_per_global_iter,
         "engines diverged mid-search"
     );
-    assert_eq!(sim.outcome.best_cost, task.outcome.best_cost);
-    assert_eq!(sim.outcome.forced_reports, 0);
+    assert_eq!(vt.outcome.best_cost, task.outcome.best_cost);
+    assert_eq!(vt.outcome.best_placement, task.outcome.best_placement);
+    assert_eq!(vt.outcome.forced_reports, 0);
     assert_eq!(task.outcome.forced_reports, 0);
 }
 
@@ -138,8 +142,8 @@ fn sharded_master_with_covering_fanout_is_bit_identical_to_flat() {
             .unwrap()
     };
     for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
-        let flat = build(0, sync).execute(&domain, &SimEngine::paper());
-        let covering = build(3, sync).execute(&domain, &SimEngine::paper());
+        let flat = build(0, sync).execute(&domain, &VirtualEngine::paper());
+        let covering = build(3, sync).execute(&domain, &VirtualEngine::paper());
         assert_eq!(covering.report.num_procs(), flat.report.num_procs());
         assert_eq!(
             flat.outcome.best_per_global_iter,
@@ -179,8 +183,8 @@ fn sharded_tree_matches_flat_search_under_wait_all() {
             .build()
             .unwrap()
     };
-    let flat = build(0).execute(&domain, &SimEngine::paper());
-    let sharded = build(2).execute(&domain, &SimEngine::paper());
+    let flat = build(0).execute(&domain, &VirtualEngine::paper());
+    let sharded = build(2).execute(&domain, &VirtualEngine::paper());
     // 5 extra logical processes: the sub-master tree.
     assert_eq!(
         sharded.report.num_procs(),
@@ -219,14 +223,14 @@ fn sharded_async_matches_sharded_sim_and_replays_identically() {
         .seed(0xBEEF)
         .build()
         .unwrap();
-    let sim = run.execute(&domain, &SimEngine::paper());
+    let vt = run.execute(&domain, &VirtualEngine::paper());
     let task_a = run.execute(&domain, &AsyncEngine::new());
     let task_b = run.execute(&domain, &AsyncEngine::new());
     assert_eq!(
-        sim.outcome.best_per_global_iter,
+        vt.outcome.best_per_global_iter,
         task_a.outcome.best_per_global_iter
     );
-    assert_eq!(sim.outcome.best_cost, task_a.outcome.best_cost);
+    assert_eq!(vt.outcome.best_cost, task_a.outcome.best_cost);
     assert_eq!(
         task_a.outcome.best_per_global_iter,
         task_b.outcome.best_per_global_iter
@@ -326,12 +330,8 @@ fn delta_mode_is_bit_identical_to_full_mode_on_all_engines() {
             .build()
             .unwrap()
     };
-    let engines: [&dyn ExecutionEngine<QapDomain>; 4] = [
-        &SimEngine::paper(),
-        &ThreadEngine,
-        &AsyncEngine::new(),
-        &VirtualEngine::paper(),
-    ];
+    let engines: [&dyn ExecutionEngine<QapDomain>; 3] =
+        [&VirtualEngine::paper(), &ThreadEngine, &AsyncEngine::new()];
     for engine in engines {
         for fanout in [0usize, 2] {
             let delta = build(SnapshotMode::Delta, fanout).execute(&domain, engine);
@@ -406,7 +406,7 @@ fn uniform_portfolio_is_identical_to_empty_portfolio_on_all_engines() {
     // leaves' quality-rate reduction, the root's epsilon-greedy
     // reallocator — while giving it exactly one thing to choose. The
     // search must be trajectory-identical to the empty-portfolio run on
-    // all five engines, flat and through the sharded collection tree
+    // all four engines, flat and through the sharded collection tree
     // (WaitAll, so the wall-clock engines are deterministic too).
     let domain = QapDomain::random(24, 3);
     let build = |portfolio: bool, fanout: usize| {
@@ -431,11 +431,10 @@ fn uniform_portfolio_is_identical_to_empty_portfolio_on_all_engines() {
         b.build().unwrap()
     };
     let proc_engine = ProcEngine::new(env!("CARGO_BIN_EXE_pts"));
-    let engines: [&dyn ExecutionEngine<QapDomain>; 5] = [
-        &SimEngine::paper(),
+    let engines: [&dyn ExecutionEngine<QapDomain>; 4] = [
+        &VirtualEngine::paper(),
         &ThreadEngine,
         &AsyncEngine::new(),
-        &VirtualEngine::paper(),
         &proc_engine,
     ];
     for engine in engines {
@@ -451,10 +450,10 @@ fn uniform_portfolio_is_identical_to_empty_portfolio_on_all_engines() {
             assert_eq!(empty.outcome.best_cost, uniform.outcome.best_cost);
             assert_eq!(empty.outcome.best, uniform.outcome.best);
             assert_eq!(empty.outcome.initial_cost, uniform.outcome.initial_cost);
-            // On the virtual-clock engines the whole timeline must match:
+            // On the virtual clock the whole timeline must match:
             // strategy ids ride formerly-zero header bytes, so no frame
             // changes size and no compute charge moves.
-            if engine.name() == "sim" || engine.name() == "vt" {
+            if engine.name() == "vt" {
                 assert_eq!(empty.outcome.end_time, uniform.outcome.end_time);
                 assert_eq!(
                     empty.report.total_messages(),
@@ -469,14 +468,14 @@ fn uniform_portfolio_is_identical_to_empty_portfolio_on_all_engines() {
 #[test]
 fn reports_carry_engine_specific_clocks() {
     let netlist = Arc::new(by_name("highway").unwrap());
-    let sim = run().run_placement(netlist.clone(), &SimEngine::paper());
+    let vt = run().run_placement(netlist.clone(), &VirtualEngine::paper());
     let thr = run().run_placement(netlist, &ThreadEngine);
-    assert_eq!(sim.report.clock, ClockDomain::Virtual);
+    assert_eq!(vt.report.clock, ClockDomain::Virtual);
     assert_eq!(thr.report.clock, ClockDomain::Wall);
     // Thread engine: search time IS wall time.
     assert!((thr.report.end_time - thr.report.wall_seconds).abs() < 1e-9);
-    // Sim engine: virtual utilization is meaningful.
-    assert!(sim.report.utilization() > 0.0);
+    // vt engine: virtual utilization is meaningful.
+    assert!(vt.report.utilization() > 0.0);
 }
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -535,7 +534,7 @@ fn single_worker_degenerate_case() {
         .local_iters(6)
         .build()
         .unwrap();
-    let out = run.run_placement(netlist, &SimEngine::paper());
+    let out = run.run_placement(netlist, &VirtualEngine::paper());
     assert!(out.outcome.best_cost < out.outcome.initial_cost);
     assert_eq!(
         out.outcome.forced_reports, 0,

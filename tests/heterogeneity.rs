@@ -3,11 +3,10 @@
 //! half-report run finishes in far less time than the wait-all run, at
 //! comparable final quality.
 //!
-//! Every claim is checked on *both* virtual-time engines — the
-//! thread-per-process simulated cluster (`sim`) and the cooperative
-//! discrete-event engine (`vt`) — at sizes parameterized through the
-//! shared scenario helper; `tests/vt_scenarios.rs` extends the same
-//! scenarios to thousand-worker scale, which only `vt` can reach.
+//! Every claim is checked on the virtual-time engine (`vt`) at sizes
+//! parameterized through the shared scenario helper;
+//! `tests/vt_scenarios.rs` extends the same scenarios to thousand-worker
+//! scale.
 
 mod common;
 
@@ -23,19 +22,14 @@ fn run(n_tsw: usize, n_clw: usize, sync: SyncPolicy) -> PtsRun {
 #[test]
 fn half_report_finishes_faster_at_comparable_quality() {
     let netlist = Arc::new(by_name("c532").unwrap());
-    // The paper-scale shape on both engines, plus a larger shape on the
-    // cooperative engine (where worker count is no longer capped by OS
-    // threads).
-    let cases: [(&dyn ExecutionEngine<PlacementDomain>, usize, usize); 3] = [
-        (&SimEngine::paper(), 4, 4),
-        (&VirtualEngine::paper(), 4, 4),
-        (&VirtualEngine::paper(), 12, 2),
-    ];
-    for (engine, n_tsw, n_clw) in cases {
-        let het = run(n_tsw, n_clw, SyncPolicy::HalfReport).run_placement(netlist.clone(), engine);
-        let hom = run(n_tsw, n_clw, SyncPolicy::WaitAll).run_placement(netlist.clone(), engine);
+    // The paper-scale shape, plus a larger one (worker count is not
+    // capped by OS threads).
+    let engine = VirtualEngine::paper();
+    for (n_tsw, n_clw) in [(4, 4), (12, 2)] {
+        let het = run(n_tsw, n_clw, SyncPolicy::HalfReport).run_placement(netlist.clone(), &engine);
+        let hom = run(n_tsw, n_clw, SyncPolicy::WaitAll).run_placement(netlist.clone(), &engine);
 
-        let tag = format!("{} {n_tsw}x{n_clw}", engine.name());
+        let tag = format!("{n_tsw}x{n_clw}");
         assert!(
             het.outcome.end_time < hom.outcome.end_time,
             "{tag}: half-report ({:.2}) must beat wait-all ({:.2}) in virtual time: \
@@ -66,38 +60,28 @@ fn half_report_finishes_faster_at_comparable_quality() {
 fn wait_all_gated_by_slowest_machine() {
     // On a homogeneous cluster wait-all and half-report should take
     // similar time (nobody is a straggler); on the paper's heterogeneous
-    // cluster the gap must be large. Identical claim on both virtual-time
-    // engines — their timelines are bit-identical by construction, so
-    // this also cross-checks the vt scheduler against the sim one.
+    // cluster the gap must be large.
     let netlist = Arc::new(by_name("highway").unwrap());
+    let end_time = |cluster: ClusterSpec, sync| {
+        let out = run(4, 4, sync).run_placement(netlist.clone(), &VirtualEngine::new(cluster));
+        out.outcome.end_time
+    };
 
-    type EngineCtor = fn(ClusterSpec) -> Box<dyn ExecutionEngine<PlacementDomain>>;
-    let ctors: [(&str, EngineCtor); 2] = [
-        ("sim", |c| Box::new(SimEngine::new(c))),
-        ("vt", |c| Box::new(VirtualEngine::new(c))),
-    ];
-    for (name, ctor) in ctors {
-        let end_time = |cluster: ClusterSpec, sync| {
-            let out = run(4, 4, sync).run_placement(netlist.clone(), ctor(cluster).as_ref());
-            out.outcome.end_time
-        };
+    let het_gap = end_time(paper_cluster(), SyncPolicy::WaitAll)
+        / end_time(paper_cluster(), SyncPolicy::HalfReport);
+    let hom_gap = end_time(homogeneous(12), SyncPolicy::WaitAll)
+        / end_time(homogeneous(12), SyncPolicy::HalfReport);
 
-        let het_gap = end_time(paper_cluster(), SyncPolicy::WaitAll)
-            / end_time(paper_cluster(), SyncPolicy::HalfReport);
-        let hom_gap = end_time(homogeneous(12), SyncPolicy::WaitAll)
-            / end_time(homogeneous(12), SyncPolicy::HalfReport);
-
-        assert!(
-            het_gap > hom_gap,
-            "{name}: heterogeneity must amplify the wait-all penalty \
-             (het ratio {het_gap:.2} vs hom ratio {hom_gap:.2})"
-        );
-        assert!(
-            het_gap > 1.3,
-            "{name}: on the paper cluster, wait-all should cost at least 30% more time \
-             (ratio {het_gap:.2})"
-        );
-    }
+    assert!(
+        het_gap > hom_gap,
+        "heterogeneity must amplify the wait-all penalty \
+         (het ratio {het_gap:.2} vs hom ratio {hom_gap:.2})"
+    );
+    assert!(
+        het_gap > 1.3,
+        "on the paper cluster, wait-all should cost at least 30% more time \
+         (ratio {het_gap:.2})"
+    );
 }
 
 #[test]
@@ -105,19 +89,14 @@ fn half_report_speeds_up_qap_runs_too() {
     // The heterogeneity mechanism is problem-independent: the same gap
     // must appear when the pipeline runs quadratic assignment.
     let domain = QapDomain::random(24, 5);
-    let engines: [&dyn ExecutionEngine<QapDomain>; 2] =
-        [&SimEngine::paper(), &VirtualEngine::paper()];
-    for engine in engines {
-        let het = run(4, 4, SyncPolicy::HalfReport).execute(&domain, engine);
-        let hom = run(4, 4, SyncPolicy::WaitAll).execute(&domain, engine);
-        assert!(
-            het.outcome.end_time < hom.outcome.end_time,
-            "{}: half-report ({:.2}) must beat wait-all ({:.2}) on QAP as well",
-            engine.name(),
-            het.outcome.end_time,
-            hom.outcome.end_time
-        );
-        assert!(het.outcome.forced_reports > 0, "{}", engine.name());
-        assert_eq!(hom.outcome.forced_reports, 0, "{}", engine.name());
-    }
+    let het = run(4, 4, SyncPolicy::HalfReport).execute(&domain, &VirtualEngine::paper());
+    let hom = run(4, 4, SyncPolicy::WaitAll).execute(&domain, &VirtualEngine::paper());
+    assert!(
+        het.outcome.end_time < hom.outcome.end_time,
+        "half-report ({:.2}) must beat wait-all ({:.2}) on QAP as well",
+        het.outcome.end_time,
+        hom.outcome.end_time
+    );
+    assert!(het.outcome.forced_reports > 0);
+    assert_eq!(hom.outcome.forced_reports, 0);
 }

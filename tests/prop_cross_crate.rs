@@ -99,7 +99,7 @@ proptest! {
             .seed(seed)
             .build()
             .unwrap();
-        let out = run.run_placement(netlist.clone(), &SimEngine::paper());
+        let out = run.run_placement(netlist.clone(), &VirtualEngine::paper());
         let o = &out.outcome;
         out.outcome.best_placement.check_consistency().unwrap();
         prop_assert!(o.best_cost <= o.initial_cost);

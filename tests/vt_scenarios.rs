@@ -1,22 +1,22 @@
 //! The vt scenario matrix: paper-style heterogeneity claims pinned at
 //! thousand-worker scale.
 //!
-//! `SimEngine` spends one OS thread per logical process, so Fig.-11-style
-//! measurements (half-report vs wait-all timing on a heterogeneous
-//! cluster) historically stopped at tens of workers. `VirtualEngine`
-//! carries the *same* virtual clock and machine model on cooperative
-//! futures, so the same claims run — deterministically, in CI — at
-//! `n_tsw` = 12, 256 and 1024 on one OS thread, across a scenario matrix
-//! of sync policy x cluster shape x shard fan-out x snapshot mode.
+//! A thread-per-process virtual clock stops Fig.-11-style measurements
+//! (half-report vs wait-all timing on a heterogeneous cluster) at tens
+//! of workers. `VirtualEngine` carries the virtual clock and machine
+//! model on cooperative futures, so the same claims run —
+//! deterministically, in CI — at `n_tsw` = 12, 256 and 1024 on one OS
+//! thread, across a scenario matrix of sync policy x cluster shape x
+//! shard fan-out x snapshot mode.
 //!
-//! The small-scale corner of the matrix is also executed on `SimEngine`
-//! and compared bit-for-bit: the large-scale numbers are extrapolations
-//! of a timing model whose implementation is *proven identical* where
-//! both engines can run.
+//! The small-scale corner of the matrix is pinned bit for bit to the
+//! values the thread-per-process token-scheduler engine produced before
+//! vt replaced it: the large-scale numbers are extrapolations of a
+//! timing model shown identical where both engines could run.
 
 mod common;
 
-use common::{scaled_paper_cluster, scenario};
+use common::{scaled_paper_cluster, scenario, RunPin};
 use parallel_tabu_search::prelude::*;
 
 #[test]
@@ -174,7 +174,7 @@ fn scenario_matrix_sync_x_cluster_x_fanout_x_snapshot() {
                 // change. Under WaitAll nothing depends on timing, so the
                 // trajectory must be bit-identical across modes (under
                 // HalfReport the vt clock legitimately *sees* the smaller
-                // delta messages arrive earlier, like the sim engine).
+                // delta messages arrive earlier).
                 if sync == SyncPolicy::WaitAll {
                     let full = run(SnapshotMode::Full);
                     assert_eq!(
@@ -194,40 +194,119 @@ fn scenario_matrix_sync_x_cluster_x_fanout_x_snapshot() {
 
 #[test]
 fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
-    // Where both engines can run (small worker counts), every matrix cell
-    // must produce the *same run* on vt and sim — not statistically, but
-    // bit-for-bit: timeline, per-process accounting, forces, trajectory.
-    // This is what licenses reading the thousand-worker vt numbers as
-    // "what SimEngine would have measured".
+    // Every cell of the small-worker corner must reproduce, bit for bit,
+    // the run the token-scheduler engine produced before vt replaced it:
+    // timeline, per-process accounting, forces, trajectory. This is what
+    // licenses reading the thousand-worker vt numbers as "what the
+    // thread-per-process model would have measured". All eight cells
+    // share one trajectory; the timeline and traffic differ per cell.
     let domain = QapDomain::random(24, 3);
+    let pin = |end_time, report_end, forced, utilization, messages, bytes, stats| RunPin {
+        best: 0x40b9_71b9_5d8e_140b,
+        per_round: vec![
+            0x40ba_52c1_5591_1d93,
+            0x40b9_9b6b_c31b_fc8e,
+            0x40b9_71b9_5d8e_140b,
+        ],
+        end_time,
+        report_end,
+        forced,
+        utilization,
+        messages,
+        bytes,
+        stats,
+    };
+    // In loop order: fan-out 0 then 2; HalfReport then WaitAll; Delta
+    // then Full.
+    let mut pins = [
+        pin(
+            0x406f_4e79_55d1_2a47,
+            0x406f_f551_7448_2c81,
+            6,
+            0x3fdd_0515_6853_679c,
+            480,
+            34352,
+            0x154d_d40b_e8c7_9d9e,
+        ),
+        pin(
+            0x406f_4e7b_f4e7_db64,
+            0x406f_f552_917e_9e2d,
+            6,
+            0x3fdd_0513_2877_dfc3,
+            480,
+            40088,
+            0x7621_9b46_e71a_ab67,
+        ),
+        pin(
+            0x407d_0793_0715_bca2,
+            0x407d_d6a4_0660_2ef5,
+            0,
+            0x3fd3_f8dc_874f_3750,
+            445,
+            34276,
+            0x29dd_022f_22c5_a728,
+        ),
+        pin(
+            0x407d_0794_56a1_1531,
+            0x407d_d6a4_4dad_cb60,
+            0,
+            0x3fd3_f8db_a452_e2b4,
+            445,
+            39820,
+            0x544f_b32b_3d91_840c,
+        ),
+        pin(
+            0x406d_b05a_330a_a7b1,
+            0x406e_58d9_4d40_f133,
+            6,
+            0x3fd6_6e29_e774_4303,
+            501,
+            45500,
+            0x83bb_84f5_e013_58c5,
+        ),
+        pin(
+            0x406d_b069_99af_f83a,
+            0x406e_58f0_1bb9_8fb1,
+            6,
+            0x3fd6_6e20_1900_cffd,
+            501,
+            54044,
+            0x0d37_2fe0_98fb_51ae,
+        ),
+        pin(
+            0x407d_1d00_b527_6bae,
+            0x407d_d6a9_4cf1_0cfe,
+            0,
+            0x3fce_844a_953b_ee64,
+            480,
+            46312,
+            0x3abe_f207_d9e2_7f17,
+        ),
+        pin(
+            0x407d_1d03_32b0_2d8a,
+            0x407d_d6a9_943e_a969,
+            0,
+            0x3fce_8448_1528_bcfd,
+            480,
+            54592,
+            0x1b4b_c120_78e6_fba4,
+        ),
+    ]
+    .into_iter();
     for fanout in [0usize, 2] {
         for sync in [SyncPolicy::HalfReport, SyncPolicy::WaitAll] {
             for mode in [SnapshotMode::Delta, SnapshotMode::Full] {
-                let run = scenario(5, 2, 3, 4, sync)
+                let vt = scenario(5, 2, 3, 4, sync)
                     .candidates(4)
                     .depth(2)
                     .shard_fanout(fanout)
                     .snapshot_mode(mode)
                     .seed(0xFEED)
                     .build()
-                    .unwrap();
-                let sim = run.execute(&domain, &SimEngine::paper());
-                let vt = run.execute(&domain, &VirtualEngine::paper());
+                    .unwrap()
+                    .execute(&domain, &VirtualEngine::paper());
                 let tag = format!("fanout={fanout} {sync:?} {mode:?}");
-                assert_eq!(vt.report.end_time, sim.report.end_time, "{tag}");
-                assert_eq!(vt.report.per_proc, sim.report.per_proc, "{tag}");
-                assert_eq!(vt.report.utilization(), sim.report.utilization(), "{tag}");
-                assert_eq!(vt.outcome.best_cost, sim.outcome.best_cost, "{tag}");
-                assert_eq!(vt.outcome.best, sim.outcome.best, "{tag}");
-                assert_eq!(
-                    vt.outcome.best_per_global_iter, sim.outcome.best_per_global_iter,
-                    "{tag}"
-                );
-                assert_eq!(
-                    vt.outcome.forced_reports, sim.outcome.forced_reports,
-                    "{tag}"
-                );
-                assert_eq!(vt.outcome.end_time, sim.outcome.end_time, "{tag}");
+                assert_eq!(RunPin::engine(&vt), pins.next().unwrap(), "{tag}");
             }
         }
     }
@@ -357,7 +436,7 @@ fn mixed_portfolio_matches_or_beats_uniform_best_on_the_paper_cluster() {
 fn utilization_improves_under_half_report_at_scale() {
     // The paper's utilization argument: forcing stragglers keeps fast
     // machines from idling at the barrier, so overall busy/(busy+wait)
-    // rises. Measured here at a scale the thread-backed simulator cannot
+    // rises. Measured here at a scale a thread-per-process clock cannot
     // reach.
     let domain = QapDomain::random(64, 7);
     let run = |sync| {
