@@ -40,6 +40,27 @@ const SIGKILL: i32 = 9;
 /// `at / HORIZON` survives into the wall-clock plan.
 const CHAOS_HORIZON: f64 = 100.0;
 
+/// Field `n` of `/proc/<pid>/stat`, numbered from 1 as in proc(5). The
+/// command name (field 2) may hold spaces, so fields 3 on are counted
+/// after its closing parenthesis.
+fn stat_field(pid: &str, n: usize) -> Option<String> {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    let rest = stat.rsplit(')').next()?;
+    rest.split_whitespace()
+        .nth(n.checked_sub(3)?)
+        .map(str::to_owned)
+}
+
+/// Whether `pid` is a zombie that exited with status 0: a CLW winds
+/// down on its own once its TSW is gone. `kill` still returns 0 on such
+/// a zombie but lands on nothing. A zombie that ended any other way
+/// (killed, or crashed before its planned kill) does not count: the
+/// engine must still report it dead. The exit status is field 52.
+fn exited_cleanly(pid: i32) -> bool {
+    let pid = pid.to_string();
+    stat_field(&pid, 3).as_deref() == Some("Z") && stat_field(&pid, 52).as_deref() == Some("0")
+}
+
 /// Worker-rank processes among this driver's children: scan `/proc` for
 /// `__pts-worker` cmdlines whose ppid is us, returning `(pid, rank)`.
 fn worker_children() -> Vec<(i32, usize)> {
@@ -71,15 +92,7 @@ fn worker_children() -> Vec<(i32, usize)> {
         else {
             continue;
         };
-        let Ok(stat) = std::fs::read_to_string(format!("/proc/{name}/stat")) else {
-            continue;
-        };
-        let ppid = stat
-            .rsplit(')')
-            .next()
-            .and_then(|rest| rest.split_whitespace().nth(1))
-            .unwrap_or("");
-        if ppid == me {
+        if stat_field(&name, 4).as_deref() == Some(me.as_str()) {
             out.push((name.parse().unwrap(), rank));
         }
     }
@@ -183,7 +196,13 @@ impl Scenario {
                 }
                 if let Some(pid) = pids[slot] {
                     struck[slot] = true;
-                    if unsafe { kill(pid, SIGKILL) } == 0 {
+                    // Skip a victim that already exited cleanly, and do
+                    // not count a kill that raced such an exit: checked
+                    // again after the kill.
+                    // SAFETY: `kill` takes no pointers and touches no
+                    // memory of this process.
+                    let sent = !exited_cleanly(pid) && unsafe { kill(pid, SIGKILL) } == 0;
+                    if sent && !exited_cleanly(pid) {
                         landed.push(*rank);
                     }
                 }

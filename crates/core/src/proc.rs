@@ -47,7 +47,7 @@ use crate::transport::drive_sync;
 use crate::wire::{self, WireError, WireProblem, WireReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -62,6 +62,9 @@ const BARRIER_TIMEOUT: Duration = Duration::from_secs(20);
 const REAP_TIMEOUT: Duration = Duration::from_secs(10);
 /// How often the supervisor polls children for exits and stale streams.
 const MONITOR_TICK: Duration = Duration::from_millis(25);
+/// `reap`'s longest pause between polls; its first pause is 1 ms, and
+/// each one doubles up to this.
+const REAP_POLL_CAP: Duration = Duration::from_millis(20);
 
 /// A domain that can be reconstructed inside another OS process from a
 /// byte specification — the proc engine's serialization boundary for
@@ -468,18 +471,18 @@ impl ProcEngine {
         // exits are the protocol's own wind-down — never excused.
         let children = Arc::new(Mutex::new(children));
         let dead = Arc::new(Mutex::new(Vec::<usize>::new()));
-        let monitor_stop = Arc::new(AtomicBool::new(false));
+        // Dropping `monitor_stop` ends the monitor's wait between ticks.
+        let (monitor_stop, stop) = std::sync::mpsc::channel::<()>();
         let monitor = {
             let children = Arc::clone(&children);
             let dead = Arc::clone(&dead);
-            let stop = Arc::clone(&monitor_stop);
             let sup = router.supervisor();
             let stale_after = (cfg.heartbeat_ms > 0).then(|| (3 * cfg.heartbeat_ms).max(1_000));
             std::thread::Builder::new()
                 .name("pts-proc-monitor".into())
                 .spawn(move || {
                     let mut settled = vec![false; total];
-                    while !stop.load(Ordering::Acquire) {
+                    loop {
                         {
                             let mut kids = children.lock().expect("children lock");
                             for (rank, child) in kids.iter_mut() {
@@ -506,23 +509,11 @@ impl ProcEngine {
                                 }
                             }
                         }
-                        std::thread::sleep(MONITOR_TICK);
-                    }
-                    // Final sweep: a crash in the last tick (the master can
-                    // finish a degraded round well inside MONITOR_TICK of
-                    // the kill) must still reach `dead`. Only exit statuses
-                    // count here — staleness is meaningless at teardown,
-                    // when every stream goes quiet.
-                    let mut kids = children.lock().expect("children lock");
-                    for (rank, child) in kids.iter_mut() {
-                        if settled[*rank] {
-                            continue;
-                        }
-                        if let Ok(Some(status)) = child.try_wait() {
-                            settled[*rank] = true;
-                            if !status.success() {
-                                dead.lock().expect("dead lock").push(*rank);
-                            }
+                        if !matches!(
+                            stop.recv_timeout(MONITOR_TICK),
+                            Err(RecvTimeoutError::Timeout)
+                        ) {
+                            break;
                         }
                     }
                 })
@@ -542,15 +533,19 @@ impl ProcEngine {
             stats
         };
         drop(t);
-        monitor_stop.store(true, Ordering::Release);
+        drop(monitor_stop);
         let _ = monitor.join();
         let mut children = Arc::try_unwrap(children)
             .expect("monitor joined; no other owner")
             .into_inner()
             .expect("children lock");
-        reap(&mut children, REAP_TIMEOUT);
+        // A crash in the monitor's last tick (the master can finish a
+        // degraded round well inside MONITOR_TICK of the kill) must still
+        // reach `dead`: `reap` reports every abnormal exit it collects.
+        let crashed = reap(&mut children, REAP_TIMEOUT);
         router.finish();
         let mut dead_ranks = dead.lock().expect("dead lock").clone();
+        dead_ranks.extend(crashed);
         dead_ranks.sort_unstable();
         dead_ranks.dedup();
 
@@ -584,23 +579,40 @@ impl ProcEngine {
 /// grace window is a parameter — wind-down uses [`REAP_TIMEOUT`], error
 /// paths the configurable `PtsConfig::reap_grace_ms` — but stragglers
 /// are killed unconditionally either way: no path leaves an orphan.
-fn reap(children: &mut Vec<(usize, Child)>, timeout: Duration) {
+/// Polls back off from 1 ms to [`REAP_POLL_CAP`]: children that are
+/// already exiting are reaped within about a millisecond. Returns the
+/// ranks that exited abnormally on their own (a crash or an outside
+/// kill) — never the stragglers killed here.
+fn reap(children: &mut Vec<(usize, Child)>, timeout: Duration) -> Vec<usize> {
     let deadline = Instant::now() + timeout;
+    let mut pause = Duration::from_millis(1);
+    let mut crashed = Vec::new();
     loop {
-        children.retain_mut(|(_, c)| !matches!(c.try_wait(), Ok(Some(_))));
+        children.retain_mut(|(rank, c)| match c.try_wait() {
+            Ok(Some(status)) => {
+                if !status.success() {
+                    crashed.push(*rank);
+                }
+                false
+            }
+            _ => true,
+        });
         if children.is_empty() {
-            return;
+            return crashed;
         }
-        if Instant::now() >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(pause.min(left));
+        pause = (pause * 2).min(REAP_POLL_CAP);
     }
     for (_, c) in children.iter_mut() {
         let _ = c.kill();
         let _ = c.wait();
     }
     children.clear();
+    crashed
 }
 
 impl<D: ProcDomain> ExecutionEngine<D> for ProcEngine

@@ -1153,12 +1153,30 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
     Ok((dst, msg))
 }
 
-/// Write one length-prefixed frame (`u32` length + body).
-pub fn write_frame<W: std::io::Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
+/// One length-prefixed frame (`u32` length + body) as stream bytes.
+pub(crate) fn frame(body: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_LEN_BYTES + body.len());
     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(body);
-    w.write_all(&frame)
+    frame
+}
+
+/// Write one length-prefixed frame (`u32` length + body).
+pub fn write_frame<W: std::io::Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
+    w.write_all(&frame(body))
+}
+
+/// Body length a frame's length prefix announces — checked against the
+/// frame cap before anything is allocated for the body.
+pub(crate) fn frame_body_len(prefix: [u8; FRAME_LEN_BYTES]) -> std::io::Result<usize> {
+    let n = u32::from_le_bytes(prefix) as usize;
+    if n > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte cap"),
+        ));
+    }
+    Ok(n)
 }
 
 /// Read one length-prefixed frame. Returns `None` on clean EOF at a frame
@@ -1180,14 +1198,7 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>
             Err(e) => return Err(e),
         }
     }
-    let n = u32::from_le_bytes(len) as usize;
-    if n > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {n} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; n];
+    let mut body = vec![0u8; frame_body_len(len)?];
     r.read_exact(&mut body)?;
     Ok(Some(body))
 }
