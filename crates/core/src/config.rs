@@ -450,6 +450,18 @@ impl PtsConfig {
         }
     }
 
+    /// The rank `rank` answers to in the protocol tree: a TSW's collector,
+    /// a CLW's TSW, a sub-master's parent; `None` for the root master.
+    /// The proc engine links every rank to this one.
+    pub fn parent_rank(&self, rank: usize) -> Option<usize> {
+        match self.role_of(rank) {
+            Role::Master => None,
+            Role::Tsw(i) => Some(self.parent_of_tsw(i)),
+            Role::Clw { tsw, .. } => Some(self.tsw_rank(tsw)),
+            Role::Shard(s) => Some(self.shard_spec(s).parent_rank),
+        }
+    }
+
     /// The root master's direct children: all TSWs when flat, otherwise
     /// the top level of the sub-master tree.
     pub fn root_children(&self) -> ShardChildren {

@@ -418,9 +418,9 @@ fn death_notifies<P: PtsProblem>(cfg: &PtsConfig, rank: usize) -> Vec<(usize, Pt
 /// The ranks a dying `rank` owes a [`PtsMsg::Down`] notice: the parent
 /// that would otherwise wait on its report, and the children that would
 /// otherwise wait on its broadcasts. Rank 0 (the master) notifies nobody
-/// — its death ends the run. Non-generic on purpose: the socket router
-/// precomputes these routes to synthesize Down frames on a real worker's
-/// EOF, mirroring what the vt fault injector delivers virtually.
+/// — its death ends the run. On the proc engine these are exactly the
+/// rank's link peers (its [`PtsConfig::parent_rank`] and the ranks that
+/// answer to it), and each one reads the notice off its link's end.
 pub fn down_recipients(cfg: &PtsConfig, rank: usize) -> Vec<usize> {
     match cfg.role_of(rank) {
         // The master's death is fatal, not excusable.
@@ -453,6 +453,29 @@ mod tests {
             n_tsw,
             n_clw,
             ..PtsConfig::default()
+        }
+    }
+
+    #[test]
+    fn down_recipients_are_exactly_the_link_peers() {
+        let sharded = |n_tsw, n_clw, shard_fanout| PtsConfig {
+            shard_fanout,
+            ..cfg(n_tsw, n_clw)
+        };
+        for c in [cfg(3, 1), cfg(2, 2), sharded(4, 2, 2), sharded(9, 1, 2)] {
+            let total = c.total_procs();
+            assert!(
+                down_recipients(&c, 0).is_empty(),
+                "the master's death is fatal"
+            );
+            for rank in 1..total {
+                let mut peers: Vec<usize> = c.parent_rank(rank).into_iter().collect();
+                peers.extend((0..total).filter(|&r| c.parent_rank(r) == Some(rank)));
+                let mut notified = down_recipients(&c, rank);
+                peers.sort_unstable();
+                notified.sort_unstable();
+                assert_eq!(notified, peers, "rank {rank} of {total}");
+            }
         }
     }
 

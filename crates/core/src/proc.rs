@@ -5,36 +5,41 @@
 //! engines keep all ranks in one address space (native threads, or
 //! cooperative tasks under a wall or virtual clock). [`ProcEngine`]
 //! crosses the process boundary: it spawns one child process per worker
-//! rank, wires every rank to a [`crate::socket::SocketRouter`] hub over
-//! Unix-domain (or TCP) sockets, and drives the unchanged `run_master`
+//! rank, links every parent–child pair of the protocol tree with a socket
+//! of its own, wires every rank to a [`crate::socket::SocketRouter`] hub
+//! for launch and supervision, and drives the unchanged `run_master`
 //! protocol from the parent — rank 0 speaks the same [`crate::wire`]
-//! codec over the same router as everyone else.
+//! codec over the same kind of links as everyone else.
 //!
 //! A child re-enters through its own binary: the engine launches
-//! `<worker_exe> __pts-worker --sock <addr> --rank <n>`, and any binary
-//! hosting the engine calls [`maybe_worker`] first thing in `main` to
-//! dispatch that invocation. The worker handshakes with the router,
-//! receives one *setup frame* — config, domain specification, decode
-//! context, initial solution — reconstructs the domain from the spec
-//! ([`ProcDomain`]), re-freezes it against the shipped initial (freezing
-//! is deterministic), and runs the rank's role through the same
-//! [`crate::engine::run_role`] every other engine uses. Nothing in
-//! `master.rs`/`tsw.rs`/`clw.rs` knows whether its peers share its
-//! address space.
+//! `<worker_exe> __pts-worker --sock <addr> --rank <n>`, adding `--links`
+//! for a rank with protocol children, and any binary hosting the engine
+//! calls [`maybe_worker`] first thing in `main` to dispatch that
+//! invocation. A worker given `--links` binds its link listener before it
+//! says hello (it learns its role only from the setup frame, but the
+//! engine knows every role before it spawns); rank 0 binds its own before
+//! any child exists. The worker handshakes with the router, which hands
+//! it one *setup frame* — its uplink, then config, domain specification,
+//! decode context, initial solution — connects its uplink and accepts its
+//! children's, reconstructs the domain from the spec ([`ProcDomain`]),
+//! re-freezes it against the shipped initial (freezing is deterministic),
+//! and runs the rank's role through the same [`crate::engine::run_role`]
+//! every other engine uses. Nothing in `master.rs`/`tsw.rs`/`clw.rs`
+//! knows whether its peers share its address space.
 //!
 //! # Supervision
 //!
-//! Real processes die. The engine runs a monitor thread alongside the
-//! master that polls every child with `try_wait`: a nonzero exit marks
-//! that rank down at the router (its protocol neighbours receive
-//! [`crate::PtsMsg::Down`] and excuse it through the same
-//! quorum-over-the-living machinery the vt engine exercises), and the
-//! run completes degraded-but-truthful — [`RunReport::dead_ranks`]
-//! lists every rank that was lost. With `heartbeat_ms > 0` workers
-//! also beacon on idle streams, so a *hung* child (alive but silent)
-//! is excused once its stream has been quiet for three beacon
-//! intervals. Clean exits are never excused: a worker only exits zero
-//! after the protocol's own `Stop` wind-down.
+//! Real processes die. A dead rank's links end, and each link peer reads
+//! that end as [`crate::PtsMsg::Down`] and excuses the rank through the
+//! same quorum-over-the-living machinery the vt engine exercises; the run
+//! completes degraded-but-truthful, and [`RunReport::dead_ranks`] lists
+//! every rank that was lost. The engine runs a monitor thread alongside
+//! the master that polls every child with `try_wait`, recording each
+//! abnormal exit. With `heartbeat_ms > 0` workers also beacon to the
+//! router, so a *hung* child (alive but silent) is found once it has been
+//! quiet for three beacon intervals (at least a second) — and killed on
+//! the spot, which ends its links. Clean exits are never excused: a
+//! worker only exits zero after the protocol's own `Stop` wind-down.
 
 use crate::config::PtsConfig;
 use crate::control::RunControl;
@@ -42,7 +47,7 @@ use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
 use crate::engine::{run_role, EngineOutput, ExecutionEngine};
 use crate::master::run_master;
 use crate::report::{ClockDomain, RunReport};
-use crate::socket::{SocketRouter, SocketTransport};
+use crate::socket::{Handshake, Listener, SocketRouter, SocketTransport, Stream};
 use crate::transport::drive_sync;
 use crate::wire::{self, WireError, WireProblem, WireReader};
 use std::path::PathBuf;
@@ -51,7 +56,8 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a worker keeps retrying its first connect, and how long the
+/// How long a worker keeps retrying its first connect — and, once its
+/// setup frame is in, waits for its children to link — and how long the
 /// router waits for the full rank barrier.
 const CONNECT_OVERALL: Duration = Duration::from_secs(10);
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(20);
@@ -173,7 +179,8 @@ where
 }
 
 fn worker_for_domain<D: ProcDomain>(
-    stream: crate::socket::Stream,
+    stream: Stream,
+    links: Vec<(usize, Stream)>,
     rank: usize,
     cfg: &PtsConfig,
     r: &mut WireReader<'_>,
@@ -189,7 +196,7 @@ where
     // Freezing is deterministic in (domain, initial): the worker arrives
     // at the same cost scheme the parent froze before spawning.
     let domain = domain.freeze(&initial);
-    let mut t = SocketTransport::<D::Problem>::new(stream, rank, ctx)
+    let mut t = SocketTransport::<D::Problem>::new(stream, links, rank, ctx)
         .map_err(|e| format!("transport: {e}"))?;
     if cfg.heartbeat_ms > 0 {
         t.start_heartbeat(Duration::from_millis(cfg.heartbeat_ms));
@@ -241,17 +248,34 @@ fn chaos_maybe_crash(rank: u32) {
     });
 }
 
-/// Worker-process entry: connect to `addr`, handshake as `rank`, decode
-/// the setup frame, and run this rank's role to completion.
-pub fn worker_main(addr: &str, rank: u32) -> Result<(), String> {
+/// Worker-process entry: bind a link listener when the rank has protocol
+/// children (`links`), connect to `addr`, handshake as `rank` — which
+/// links the rank to its tree neighbours — decode the setup frame, and
+/// run this rank's role to completion.
+pub fn worker_main(addr: &str, rank: u32, links: bool) -> Result<(), String> {
+    let listener = links
+        .then(|| Listener::bind_like(addr))
+        .transpose()
+        .map_err(|e| format!("rank {rank} link listener: {e}"))?;
     // The handshake is domain-independent; generics begin after the kind
     // byte. QAP's problem type anchors the generic handshake call.
-    let hs = SocketTransport::<pts_tabu::qap::Qap>::handshake(addr, rank, CONNECT_OVERALL)
-        .map_err(|e| format!("rank {rank} handshake: {e}"))?;
-    // After the handshake so the barrier completes and the crash lands
-    // on a live, routed rank — the case supervision must survive.
+    let Handshake {
+        stream,
+        setup,
+        links,
+    } = SocketTransport::<pts_tabu::qap::Qap>::handshake(
+        addr,
+        rank,
+        listener.as_ref(),
+        CONNECT_OVERALL,
+    )
+    .map_err(|e| format!("rank {rank} handshake: {e}"))?;
+    // Every child has linked: the listener has done its work.
+    drop(listener);
+    // After the handshake, so the barrier completes and the crash lands
+    // on a live, linked rank — the case supervision must survive.
     chaos_maybe_crash(rank);
-    let mut r = WireReader::new(&hs.setup);
+    let mut r = WireReader::new(&setup);
     let version = r.u8().map_err(|e| format!("setup: {e}"))?;
     if !(wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION).contains(&version) {
         return Err(format!("setup version {version}"));
@@ -261,21 +285,14 @@ pub fn worker_main(addr: &str, rank: u32) -> Result<(), String> {
     let cfg =
         wire::get_config_versioned(&mut r, version).map_err(|e| format!("setup config: {e}"))?;
     let kind = r.u8().map_err(|e| format!("setup kind: {e}"))?;
+    let rank = rank as usize;
     match kind {
         <crate::qap_domain::QapDomain as ProcDomain>::KIND => {
-            worker_for_domain::<crate::qap_domain::QapDomain>(
-                hs.stream,
-                rank as usize,
-                &cfg,
-                &mut r,
-            )
+            worker_for_domain::<crate::qap_domain::QapDomain>(stream, links, rank, &cfg, &mut r)
         }
         <crate::placement_problem::PlacementDomain as ProcDomain>::KIND => {
             worker_for_domain::<crate::placement_problem::PlacementDomain>(
-                hs.stream,
-                rank as usize,
-                &cfg,
-                &mut r,
+                stream, links, rank, &cfg, &mut r,
             )
         }
         other => Err(format!("unknown domain kind {other}")),
@@ -284,8 +301,9 @@ pub fn worker_main(addr: &str, rank: u32) -> Result<(), String> {
 
 /// Re-entry hook for binaries hosting the proc engine: call first thing
 /// in `main`. When the process was launched as
-/// `<exe> __pts-worker --sock <addr> --rank <n>`, runs the worker role
-/// and exits the process; otherwise returns so `main` proceeds normally.
+/// `<exe> __pts-worker --sock <addr> --rank <n> [--links]`, runs the
+/// worker role and exits the process; otherwise returns so `main`
+/// proceeds normally.
 pub fn maybe_worker() {
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) != Some("__pts-worker") {
@@ -308,7 +326,7 @@ pub fn maybe_worker() {
             std::process::exit(2);
         }
     };
-    match worker_main(&addr, rank) {
+    match worker_main(&addr, rank, args.iter().any(|a| a == "--links")) {
         Ok(()) => std::process::exit(0),
         Err(e) => {
             eprintln!("pts worker rank {rank}: {e}");
@@ -408,30 +426,34 @@ impl ProcEngine {
             SocketKind::Unix => SocketRouter::bind_unix_auto()?,
             SocketKind::Tcp => SocketRouter::bind_tcp_loopback()?,
         };
-        // Arm supervision before any stream exists: a rank's EOF (or an
-        // explicit `mark_down` from the monitor below) notifies exactly
-        // its protocol neighbours, mirroring `fault::death_notifies`.
-        router.set_down_routes(
-            (0..cfg.total_procs())
-                .map(|r| crate::fault::down_recipients(cfg, r))
-                .collect(),
-        );
         let addr = router.addr().to_string();
         let total = cfg.total_procs();
+        // The protocol tree, one link per edge: a rank's death reaches
+        // exactly its link peers, the ranks `fault::down_recipients`
+        // names for the virtual engines.
+        let parents: Vec<Option<usize>> = (0..total).map(|r| cfg.parent_rank(r)).collect();
+        let mut has_children = vec![false; total];
+        for p in parents.iter().flatten() {
+            has_children[*p] = true;
+        }
+        // Rank 0's link listener exists before any child does.
+        let links0 = Listener::bind_like(&addr)?;
         let setup = encode_setup(cfg, domain, &initial);
         let failure_grace = Duration::from_millis(cfg.reap_grace_ms);
 
-        // Children first (they retry-connect while the barrier runs).
+        // Children first (they connect while the barrier runs).
         // Rank-tagged so the monitor can name the rank a corpse held.
         let mut children: Vec<(usize, Child)> = Vec::with_capacity(total - 1);
-        for rank in 1..total {
-            let spawned = Command::new(&self.worker_exe)
+        for (rank, &links) in has_children.iter().enumerate().skip(1) {
+            let mut command = Command::new(&self.worker_exe);
+            command
                 .arg("__pts-worker")
                 .args(["--sock", &addr])
-                .args(["--rank", &rank.to_string()])
-                .stdin(Stdio::null())
-                .spawn();
-            match spawned {
+                .args(["--rank", &rank.to_string()]);
+            if links {
+                command.arg("--links");
+            }
+            match command.stdin(Stdio::null()).spawn() {
                 Ok(child) => children.push((rank, child)),
                 Err(e) => {
                     reap(&mut children, failure_grace);
@@ -446,10 +468,12 @@ impl ProcEngine {
         // Barrier on one thread, rank-0 handshake on this one (the
         // barrier counts the master's connection too).
         let barrier = std::thread::spawn(move || {
-            let result = router.run_barrier(total, &setup, BARRIER_TIMEOUT);
+            let result = router.run_barrier(&parents, &setup, BARRIER_TIMEOUT);
             (router, result)
         });
-        let handshake = SocketTransport::<D::Problem>::handshake(&addr, 0, CONNECT_OVERALL);
+        let handshake =
+            SocketTransport::<D::Problem>::handshake(&addr, 0, Some(&links0), CONNECT_OVERALL);
+        drop(links0);
         let (mut router, barrier_result) = barrier.join().expect("barrier thread");
         let hs = match (handshake, barrier_result) {
             (Ok(hs), Ok(())) => hs,
@@ -465,10 +489,11 @@ impl ProcEngine {
         };
 
         // Supervisor: poll children while the master runs. An abnormal
-        // exit marks the rank down (neighbours excuse it and the run
-        // degrades instead of hanging); so does a stream gone silent
-        // past three heartbeat intervals when beacons are enabled. Clean
-        // exits are the protocol's own wind-down — never excused.
+        // exit is recorded (the rank's link peers have already read its
+        // links' end as `Down`, so the run degrades instead of hanging).
+        // A rank whose beacons stopped past three heartbeat intervals is
+        // hung: it is recorded and killed at once, which ends its links.
+        // Clean exits are the protocol's own wind-down — never excused.
         let children = Arc::new(Mutex::new(children));
         let dead = Arc::new(Mutex::new(Vec::<usize>::new()));
         // Dropping `monitor_stop` ends the monitor's wait between ticks.
@@ -489,23 +514,25 @@ impl ProcEngine {
                                 if settled[*rank] {
                                     continue;
                                 }
-                                match child.try_wait() {
-                                    Ok(Some(status)) if !status.success() => {
+                                let lost = match child.try_wait() {
+                                    Ok(Some(status)) => {
                                         settled[*rank] = true;
-                                        dead.lock().expect("dead lock").push(*rank);
-                                        sup.mark_down(*rank);
+                                        !status.success()
                                     }
-                                    Ok(Some(_)) => settled[*rank] = true,
                                     Ok(None) => {
-                                        if let Some(limit) = stale_after {
-                                            if sup.idle_ms(*rank).is_some_and(|ms| ms > limit) {
-                                                settled[*rank] = true;
-                                                dead.lock().expect("dead lock").push(*rank);
-                                                sup.mark_down(*rank);
-                                            }
+                                        let hung = stale_after.is_some_and(|limit| {
+                                            sup.idle_ms(*rank).is_some_and(|ms| ms > limit)
+                                        });
+                                        if hung {
+                                            settled[*rank] = true;
+                                            let _ = child.kill();
                                         }
+                                        hung
                                     }
-                                    Err(_) => {}
+                                    Err(_) => false,
+                                };
+                                if lost {
+                                    dead.lock().expect("dead lock").push(*rank);
                                 }
                             }
                         }
@@ -520,10 +547,10 @@ impl ProcEngine {
                 .expect("spawn monitor thread")
         };
 
-        // Rank 0 derives the decode context locally — its copy of the
-        // setup frame is redundant (it composed it).
+        // Rank 0 derives the decode context locally: it composed the
+        // setup, so the router sent it only its link block.
         let ctx = <D::Problem as WireProblem>::ctx_of(&initial);
-        let mut t = SocketTransport::<D::Problem>::new(hs.stream, 0, ctx)?;
+        let mut t = SocketTransport::<D::Problem>::new(hs.stream, hs.links, 0, ctx)?;
         let outcome: SearchOutcome<SnapshotOf<D>> =
             drive_sync(run_master(&mut t, cfg, domain, initial, &self.control));
 
@@ -550,10 +577,11 @@ impl ProcEngine {
         dead_ranks.dedup();
 
         // Rank 0's counters are its own (accurate local accounting);
-        // worker ranks' traffic comes from the hub, which saw every
-        // frame. busy/work stay 0 for ranks that lived in other
-        // processes — like the async engine, the proc report measures
-        // traffic, not worker CPU.
+        // worker ranks' traffic comes from the hub: the frames it
+        // forwarded, plus the link counts each worker's final frame
+        // reported (a rank killed mid-run loses only its own). busy/work
+        // stay 0 for ranks that lived in other processes — like the async
+        // engine, the proc report measures traffic, not worker CPU.
         let mut per_proc = router.traffic().to_proc_stats();
         if per_proc.is_empty() {
             per_proc = vec![Default::default(); total];

@@ -523,7 +523,13 @@ impl Server {
         while !stop.load(Ordering::Acquire) {
             let accepted: std::io::Result<Stream> = match &self.listener {
                 ServeListener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                ServeListener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                // Progress frames are small: send each at once rather than
+                // hold it for the client's delayed ACK (Nagle). Failing to
+                // is slower, not wrong, so it does not end the loop.
+                ServeListener::Tcp(l) => l.accept().map(|(s, _)| {
+                    let _ = s.set_nodelay(true);
+                    Stream::Tcp(s)
+                }),
             };
             match accepted {
                 Ok(stream) => {

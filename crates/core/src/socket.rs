@@ -1,64 +1,82 @@
 //! Socket substrate: the PTS protocol over real OS streams.
 //!
-//! Two halves, both speaking the [`crate::wire`] codec:
+//! A proc run wires its ranks two ways, both speaking the
+//! [`crate::wire`] codec:
 //!
-//! * [`SocketRouter`] — the hub of a star topology, owned by the process
-//!   that spawns a run (the [`crate::proc::ProcEngine`] or `pts-serve`).
-//!   It binds one listening socket, barriers until every rank of the
-//!   topology has connected and identified itself, hands each connection
-//!   its setup frame, and then forwards message frames between ranks.
-//!   Forwarding is *opaque*: the router reads the destination rank
-//!   straight out of the fixed frame header ([`crate::wire::peek_dst`])
-//!   and never decodes a payload — so the router is not generic over the
-//!   problem type and one router binary-path serves every domain.
-//!   A forwarder never waits on a rank that is not reading: it hands
-//!   each frame to the destination socket with one non-waiting `send(2)`,
-//!   and whatever does not fit goes to that rank's *backlog*, which a
-//!   drain thread (spawned on the rank's first overflow) writes out in
-//!   order. So a rank's `send` never waits for its receiver to read —
-//!   the guarantee every in-process transport has, and the one that keeps
-//!   two ranks that each send the other more than a socket buffer holds
-//!   from deadlocking.
-//! * [`SocketTransport`] — the per-rank endpoint implementing
-//!   [`Transport`]. Like [`crate::transport::ThreadTransport`] it is a
-//!   blocking transport: `recv` resolves on first poll, so protocol
-//!   futures built over it are driven with
-//!   [`crate::transport::drive_sync`]. There is no reader thread: the
-//!   protocol thread frames and decodes its own socket through a buffered
-//!   read half, so a message costs the receiver one wake-up.
+//! * **Links.** Every parent–child edge of the protocol tree — master or
+//!   sub-master ↔ TSW, sub-master ↔ sub-master, TSW ↔ CLW — is a stream of
+//!   its own. All protocol traffic but one frame kind runs between tree
+//!   neighbours, so a message costs one hop and one wake-up of its
+//!   receiver. A rank with protocol children binds a [`Listener`] before
+//!   it says hello to the router, and inside
+//!   [`SocketTransport::handshake`] each child connects its *uplink* to its
+//!   parent's listener. Sends on a link never wait: one non-waiting
+//!   `send(2)`, and whatever the peer's socket has no room for goes to the
+//!   link's backlog, which a drain thread (spawned on the first overflow)
+//!   writes out in order. So two ranks that each send the other more than
+//!   a socket buffer holds cannot deadlock — the guarantee every
+//!   in-process transport has.
+//! * **The router.** [`SocketRouter`] is the hub of a star over every rank,
+//!   owned by the process that spawns a run (the
+//!   [`crate::proc::ProcEngine`]). It runs the launch barrier: it gathers
+//!   every rank's hello, which carries the address of the rank's link
+//!   listener, and only then hands each rank its setup frame, led by a link
+//!   block that names the rank's uplink. Every listener is therefore bound
+//!   before any child learns of it, and no connect retries. After the
+//!   barrier the router forwards the one frame kind off the tree — the
+//!   `Init` a master or sub-master sends each CLW — reads heartbeats, and
+//!   totals per-rank traffic. Forwarding is *opaque*: the router reads the
+//!   destination rank straight out of the fixed frame header
+//!   ([`crate::wire::peek_dst`]) and never decodes a payload, so one router
+//!   serves every domain. It hands each frame on the way links do, through
+//!   a never-waiting outbox per rank.
 //!
-//! Ranks connect with bounded-backoff retry (the router may still be
-//! binding when a freshly spawned worker first tries); the router's
-//! barrier has a deadline and fails naming the ranks that never arrived
-//! (a worker that crashed on startup turns into a clear error, not a
-//! hang). The barrier's acceptor blocks in `accept`; however the barrier
-//! ends, it shuts the listener down, which ends that `accept` (on Linux;
-//! elsewhere one throwaway connect wakes it), and joins the acceptor, so
-//! the listener closes with the barrier.
+//! [`SocketTransport`] is the per-rank endpoint implementing [`Transport`].
+//! Like [`crate::transport::ThreadTransport`] it is a blocking transport:
+//! `recv` resolves on first poll, so protocol futures built over it are
+//! driven with [`crate::transport::drive_sync`]. There is no reader
+//! thread. A receive first takes a frame already buffered from any of the
+//! rank's streams, and only then waits in `poll(2)` over the router stream
+//! and every link.
 //!
-//! The router is also the run's *supervisor*. A worker stream reaching
-//! EOF — clean exit or SIGKILL, the socket cannot tell — makes the router
-//! synthesize [`PtsMsg::Down`] frames to that rank's protocol neighbours
-//! (routes precomputed by the engine via
-//! [`SocketRouter::set_down_routes`]), so masters excuse the dead through
-//! the same quorum-over-the-living machinery the virtual engines use.
-//! Each origin's frames are read and forwarded by one thread in order,
-//! and a synthesized Down takes the same path as every frame before it —
-//! onto the destination's backlog whenever that is not empty — so the
-//! Down always trails anything the departed rank actually sent: a clean
-//! wind-down delivers its `Stop`s first and the trailing Down lands on
-//! peers that are already gone. Heartbeat frames
-//! ([`crate::wire::encode_heartbeat_frame`]) keep the router's last-seen
-//! clock advancing on idle streams so a *hung* (not dead) child is
-//! distinguishable from a quiet one. On the endpoint side, a transport
-//! whose own stream reaches EOF synthesizes [`PtsMsg::Stop`] — the
-//! protocol's ordinary shutdown message — and writes toward a departed
-//! peer are silently dropped, matching `ThreadTransport`'s
-//! dropped-receiver rule.
+//! # Ends of streams
+//!
+//! A link's end — EOF, a read error, or a length prefix past the frame cap
+//! — reads as [`PtsMsg::Down`]`{peer}` exactly once, after every frame the
+//! link brought, so the notice trails everything the peer sent and a clean
+//! wind-down delivers its `Stop` first. The ranks that read it are the
+//! peer's link neighbours, exactly the ones
+//! [`crate::fault::down_recipients`] names for the virtual engines, and
+//! the masters excuse the dead through the same quorum-over-the-living
+//! machinery. An uplink to rank 0 ending means the run itself is over: it
+//! reads as a sticky [`PtsMsg::Stop`], as the end of the router stream
+//! does. The router synthesizes nothing. Writes toward a departed peer are
+//! dropped, matching `ThreadTransport`'s dropped-receiver rule; a dropped
+//! transport first writes out what its links still hold.
+//!
+//! # Launch, supervision and accounting
+//!
+//! Workers retry their router connect with bounded backoff; the barrier
+//! has a deadline and fails naming the ranks that never arrived (a worker
+//! that crashed on startup turns into a clear error, not a hang). The
+//! barrier's acceptor blocks in `accept`; however the barrier ends, it
+//! shuts the listener down, which ends that `accept` (on Linux; elsewhere
+//! one throwaway connect wakes it), and joins the acceptor, so the
+//! listener closes with the barrier. A parent accepts its children's
+//! uplinks within the same handshake deadline, waiting in `poll(2)`.
+//!
+//! Heartbeat frames ([`crate::wire::encode_heartbeat_frame`]) keep the
+//! router's last-seen clock advancing on a rank's router stream, so the
+//! engine's monitor can tell a *hung* rank from a quiet one. The router
+//! counts the frames it forwards; link traffic never passes it, so each
+//! transport reports its link counts in one final frame as it drops
+//! ([`crate::wire::LinkTally`]) and the router adds them to the rank's
+//! totals. A rank killed mid-run never sends that frame: it loses its own
+//! link counts, and only those.
 
 use crate::messages::PtsMsg;
 use crate::transport::Transport;
-use crate::wire::{self, WireProblem, FRAME_LEN_BYTES};
+use crate::wire::{self, LinkTally, WireError, WireProblem, WireReader, FRAME_LEN_BYTES};
 use pts_vcluster::ProcStats;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -71,14 +89,27 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One byte of handshake version + 4 bytes of rank: what a connecting
-/// rank writes before anything else.
-const HELLO_BYTES: usize = 5;
+/// Fixed part of a hello, what a rank writes first on its router stream
+/// and on its uplink: one byte of wire version, four of rank, two of
+/// link-address length. The address follows; it is empty on an uplink and
+/// from a rank without protocol children.
+const HELLO_BYTES: usize = 7;
 
 /// Initial size of a [`FrameReader`]'s buffer, and so the most one read
 /// takes in while no larger frame is pending: many protocol frames at
 /// once (a QAP-256 round moves about 2 KB).
 const READ_CHUNK: usize = 64 << 10;
+
+/// The uplink rank of a setup frame's link block for a rank without one.
+const NO_PARENT: u32 = u32::MAX;
+
+/// How long a dropping transport may take to write out what its links
+/// still hold before it gives the rest up.
+const FLUSH_LIMIT: Duration = Duration::from_secs(10);
+
+fn invalid(what: String) -> std::io::Error {
+    std::io::Error::new(ErrorKind::InvalidData, what)
+}
 
 /// A connected stream of either family. Unix-domain is the default
 /// (lowest latency, no port allocation); TCP loopback is the option for
@@ -112,6 +143,20 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.set_read_timeout(d),
             Stream::Tcp(s) => s.set_read_timeout(d),
+        }
+    }
+
+    fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_write_timeout(d),
+            Stream::Tcp(s) => s.set_write_timeout(d),
+        }
+    }
+
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            Stream::Unix(s) => s.set_nonblocking(on),
+            Stream::Tcp(s) => s.set_nonblocking(on),
         }
     }
 }
@@ -150,15 +195,17 @@ impl Write for Stream {
     }
 }
 
-/// Socket calls that never wait. `std` has no per-call "don't wait"
-/// flag, and setting `O_NONBLOCK` would change every clone of the socket
-/// (a rank's heartbeat thread writes through one), so `recv(2)` and
-/// `send(2)` are declared directly, the way `pts_util::cputime` declares
-/// `getrusage` — the workspace builds without the `libc` crate, and std
-/// already links the system C library.
+/// Socket calls that never wait, and the one wait over many sockets.
+/// `std` has no per-call "don't wait" flag, and setting `O_NONBLOCK`
+/// would change every clone of the socket (a rank's heartbeat thread
+/// writes through one), so `recv(2)` and `send(2)` are declared directly,
+/// the way `pts_util::cputime` declares `getrusage` — the workspace
+/// builds without the `libc` crate, and std already links the system C
+/// library. `std` has no `poll(2)` either.
 mod sys {
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::{c_int, c_short, c_void};
     use std::os::unix::io::AsRawFd;
+    use std::time::Instant;
 
     #[cfg(any(target_os = "linux", target_os = "android"))]
     const MSG_DONTWAIT: c_int = 0x40;
@@ -174,10 +221,46 @@ mod sys {
 
     const SHUT_RDWR: c_int = 2;
 
+    /// `POLLIN`, the same bit on Linux, macOS and the BSDs.
+    const POLLIN: c_short = 0x1;
+    // `nfds_t` is an `unsigned long` on Linux and an `unsigned int` on
+    // macOS and the BSDs.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NfdsT = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NfdsT = std::os::raw::c_uint;
+
+    /// One C `struct pollfd`: the same fields, types and order on every
+    /// Unix.
+    #[repr(C)]
+    pub struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    impl PollFd {
+        /// Watch `sock` for bytes to read, its end, or an error.
+        pub fn readable(sock: &impl AsRawFd) -> PollFd {
+            PollFd {
+                fd: sock.as_raw_fd(),
+                events: POLLIN,
+                revents: 0,
+            }
+        }
+
+        /// Whether the last [`poll_readable`] found this socket with
+        /// something to read: bytes, its end, or an error.
+        pub fn ready(&self) -> bool {
+            self.revents != 0
+        }
+    }
+
     extern "C" {
         fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
         fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
         fn shutdown(fd: c_int, how: c_int) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     }
 
     /// Retry a call interrupted by a signal; map `-1` to the OS error.
@@ -239,36 +322,43 @@ mod sys {
         // the call, so its descriptor stays open and names this socket.
         retry(|| unsafe { shutdown(sock.as_raw_fd(), SHUT_RDWR) } as isize).map(drop)
     }
-}
 
-/// How a [`FrameReader`] may wait for bytes.
-#[derive(Clone, Copy)]
-enum Wait {
-    /// Block in `read` until bytes or EOF arrive.
-    Block,
-    /// Block in `read`, but no later than this instant (the socket's read
-    /// timeout).
-    Until(Instant),
-    /// Take only bytes that have already arrived.
-    Never,
+    /// Wait until a socket in `fds` has something to read — bytes, its
+    /// end, or an error — or until `until` passes: forever when `None`,
+    /// and an instant already past only looks. Returns how many sockets
+    /// are ready, 0 when the wait ran out.
+    pub fn poll_readable(fds: &mut [PollFd], until: Option<Instant>) -> std::io::Result<usize> {
+        retry(|| {
+            // Whole milliseconds, rounded up so the wait never ends early;
+            // recomputed when a signal interrupts the wait.
+            let timeout = until.map_or(-1, |at| {
+                let left = at.saturating_duration_since(Instant::now());
+                c_int::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+            });
+            // SAFETY: `fds` is an exclusively borrowed array of
+            // `fds.len()` `PollFd`s, each laid out as a C `struct pollfd`
+            // (`repr(C)`). `poll` writes only their `revents` fields,
+            // inside the array, and keeps no pointer past the call.
+            unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout) as isize }
+        })
+    }
 }
 
 /// What [`FrameReader::next_frame`] found.
 enum Next<'a> {
     /// A whole frame, length prefix included.
     Frame(&'a [u8]),
-    /// No whole frame yet, and the wait is over. A partial frame stays
-    /// buffered for the next call.
+    /// No whole frame yet. A partial frame stays buffered for the next
+    /// call.
     Pending,
-    /// The stream is over: EOF, a read error, or a length prefix past
-    /// the frame cap (refused before anything is allocated for it).
+    /// The stream is over, and every whole frame it brought was taken.
     Closed,
 }
 
 /// A socket's read half with its own buffer, framing in place: one read
 /// can bring in many frames, and a frame split across reads waits in the
-/// buffer for its rest. The router's forwarders and every rank's
-/// transport read through one.
+/// buffer for its rest. The router's forwarders and every stream of a
+/// rank's transport read through one.
 struct FrameReader {
     stream: Stream,
     /// Bytes `start..end` are read and not yet framed; the rest is room
@@ -276,8 +366,10 @@ struct FrameReader {
     buf: Vec<u8>,
     start: usize,
     end: usize,
-    /// Whether the socket carries a read timeout from a `Wait::Until`.
-    timed: bool,
+    /// The stream ended: EOF, a read error, or a length prefix past the
+    /// frame cap (refused before anything is allocated for it). Whole
+    /// frames read before the end are still handed out.
+    closed: bool,
 }
 
 impl FrameReader {
@@ -287,112 +379,196 @@ impl FrameReader {
             buf: vec![0; READ_CHUNK],
             start: 0,
             end: 0,
-            timed: false,
+            closed: false,
         }
     }
 
-    /// The next whole frame, reading as `wait` allows when the buffer
-    /// holds none.
-    fn next_frame(&mut self, wait: Wait) -> Next<'_> {
+    /// Bytes from `start` the pending frame needs, length prefix
+    /// included; `None` when the prefix announces more than the frame
+    /// cap.
+    fn need(&self) -> Option<usize> {
+        if self.end - self.start < FRAME_LEN_BYTES {
+            return Some(FRAME_LEN_BYTES);
+        }
+        let prefix = self.buf[self.start..self.start + FRAME_LEN_BYTES]
+            .try_into()
+            .expect("slice of FRAME_LEN_BYTES");
+        wire::frame_body_len(prefix)
+            .ok()
+            .map(|body| FRAME_LEN_BYTES + body)
+    }
+
+    /// The next whole frame. With `block`, read — waiting — until one is
+    /// whole or the stream ends; without, take only what the buffer holds.
+    fn next_frame(&mut self, block: bool) -> Next<'_> {
         loop {
-            let held = self.end - self.start;
-            let need = if held < FRAME_LEN_BYTES {
-                FRAME_LEN_BYTES
-            } else {
-                let prefix = self.buf[self.start..self.start + FRAME_LEN_BYTES]
-                    .try_into()
-                    .expect("slice of FRAME_LEN_BYTES");
-                match wire::frame_body_len(prefix) {
-                    Ok(body) => FRAME_LEN_BYTES + body,
-                    Err(_) => return Next::Closed,
-                }
+            let Some(need) = self.need() else {
+                self.closed = true;
+                return Next::Closed;
             };
-            if held >= need {
+            if self.end - self.start >= need {
                 let frame = self.start..self.start + need;
                 self.start += need;
                 return Next::Frame(&self.buf[frame]);
             }
-            match self.fill(need, wait) {
-                Ok(0) => return Next::Closed,
-                Ok(_) => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Next::Pending
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Next::Closed,
+            if self.closed {
+                return Next::Closed;
             }
+            if !block {
+                return Next::Pending;
+            }
+            self.fill(true);
         }
     }
 
-    /// Read more bytes after making room for the pending frame, which
-    /// needs `need` bytes from `start` (the buffer grows only for a frame
-    /// larger than itself). `Ok(0)` is EOF.
-    fn fill(&mut self, need: usize, wait: Wait) -> std::io::Result<usize> {
+    /// Read once — waiting with `block`, otherwise taking only bytes that
+    /// have already arrived — after making room for the pending frame
+    /// (the buffer grows only for a frame larger than itself). The
+    /// stream's end, a read error or an over-cap prefix closes the reader.
+    fn fill(&mut self, block: bool) {
+        let Some(need) = self.need() else {
+            self.closed = true;
+            return;
+        };
         if self.start == self.end {
             self.start = 0;
             self.end = 0;
         }
-        if self.start + need > self.buf.len() {
+        // Room for the whole pending frame, and for one more byte at least.
+        let want = need.max(self.end - self.start + 1);
+        if self.start + want > self.buf.len() {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
-            if need > self.buf.len() {
-                self.buf.resize(need, 0);
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
             }
         }
-        let block = self.arm(wait)?;
         let room = &mut self.buf[self.end..];
-        let n = if block {
-            self.stream.read(room)?
+        let got = if block {
+            self.stream.read(room)
         } else {
-            sys::recv_now(&self.stream, room)?
+            sys::recv_now(&self.stream, room)
         };
-        self.end += n;
-        Ok(n)
-    }
-
-    /// Give the socket the read timeout `wait` asks for; `false` when the
-    /// read must not wait at all.
-    fn arm(&mut self, wait: Wait) -> std::io::Result<bool> {
-        let limit = match wait {
-            Wait::Never => return Ok(false),
-            Wait::Block => None,
-            Wait::Until(at) => {
-                let left = at.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    return Ok(false);
-                }
-                Some(left)
-            }
-        };
-        if limit.is_some() || self.timed {
-            self.stream.set_read_timeout(limit)?;
-            self.timed = limit.is_some();
+        match got {
+            Ok(0) => self.closed = true,
+            Ok(n) => self.end += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => self.closed = true,
         }
-        Ok(true)
     }
 }
 
-enum Listener {
+enum ListenSock {
     Unix(UnixListener),
     Tcp(TcpListener),
 }
 
-impl AsRawFd for Listener {
-    fn as_raw_fd(&self) -> RawFd {
-        match self {
-            Listener::Unix(l) => l.as_raw_fd(),
-            Listener::Tcp(l) => l.as_raw_fd(),
+/// A listening socket of either family and the address its peers connect
+/// to: the router's, or a rank's link listener. A Unix socket's file goes
+/// when the listener drops.
+pub struct Listener {
+    sock: ListenSock,
+    addr: String,
+    unix_path: Option<PathBuf>,
+}
+
+impl Listener {
+    /// Bind a fresh Unix-domain socket under the system temp directory
+    /// (unique per process and per listener).
+    pub fn bind_unix_auto() -> std::io::Result<Listener> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "pts-{}-{}.sock",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_file(&path);
+        let sock = UnixListener::bind(&path)?;
+        Ok(Listener {
+            sock: ListenSock::Unix(sock),
+            addr: format!("unix:{}", path.display()),
+            unix_path: Some(path),
+        })
+    }
+
+    /// Bind an ephemeral TCP loopback port.
+    pub fn bind_tcp_loopback() -> std::io::Result<Listener> {
+        let sock = TcpListener::bind("127.0.0.1:0")?;
+        Ok(Listener {
+            addr: format!("tcp:{}", sock.local_addr()?),
+            sock: ListenSock::Tcp(sock),
+            unix_path: None,
+        })
+    }
+
+    /// Bind a fresh listener of the family `addr` (`unix:…` or `tcp:…`)
+    /// names: how a rank binds its link listener beside the router's.
+    pub fn bind_like(addr: &str) -> std::io::Result<Listener> {
+        if addr.starts_with("unix:") {
+            Listener::bind_unix_auto()
+        } else if addr.starts_with("tcp:") {
+            Listener::bind_tcp_loopback()
+        } else {
+            Err(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("address {addr:?} has neither unix: nor tcp: scheme"),
+            ))
+        }
+    }
+
+    /// The address peers connect to (`unix:<path>` or `tcp:<addr>`).
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// Accept one connection. A TCP stream sends small frames at once:
+    /// Nagle's algorithm would hold each until the peer's delayed ACK.
+    fn accept(&self) -> std::io::Result<Stream> {
+        match &self.sock {
+            ListenSock::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            ListenSock::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
+        }
+    }
+
+    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match &self.sock {
+            ListenSock::Unix(l) => l.set_nonblocking(on),
+            ListenSock::Tcp(l) => l.set_nonblocking(on),
         }
     }
 }
 
-/// Connect to a router address string (`unix:<path>` or `tcp:<addr>`).
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match &self.sock {
+            ListenSock::Unix(l) => l.as_raw_fd(),
+            ListenSock::Tcp(l) => l.as_raw_fd(),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Some(path) = &self.unix_path {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Connect to an address string (`unix:<path>` or `tcp:<addr>`); a TCP
+/// stream sends small frames at once (`TCP_NODELAY`).
 fn connect_once(addr: &str) -> std::io::Result<Stream> {
     if let Some(path) = addr.strip_prefix("unix:") {
         Ok(Stream::Unix(UnixStream::connect(path)?))
     } else if let Some(sock) = addr.strip_prefix("tcp:") {
-        Ok(Stream::Tcp(TcpStream::connect(sock)?))
+        let s = TcpStream::connect(sock)?;
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
     } else {
         Err(std::io::Error::new(
             ErrorKind::InvalidInput,
@@ -429,10 +605,130 @@ pub fn connect_retry(addr: &str, overall: Duration, seed: u64) -> std::io::Resul
     }
 }
 
-/// Per-rank traffic counters the router accumulates while forwarding —
-/// the source of `messages_sent` / `bytes_sent` / `messages_received` in
-/// the proc engine's [`crate::report::RunReport`] (worker processes take
-/// their local stats with them when they exit; the hub sees every frame).
+/// A hello announcing `rank` and its link-listener address (empty for
+/// none).
+fn hello(rank: u32, link_addr: &str) -> std::io::Result<Vec<u8>> {
+    let len = u16::try_from(link_addr.len())
+        .map_err(|_| invalid(format!("link address of {} bytes", link_addr.len())))?;
+    let mut out = Vec::with_capacity(HELLO_BYTES + link_addr.len());
+    out.push(wire::WIRE_VERSION);
+    out.extend_from_slice(&rank.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(link_addr.as_bytes());
+    Ok(out)
+}
+
+/// Read a hello: the peer's rank and link-listener address. A hello of
+/// another wire version, or an address that is not UTF-8, is
+/// `InvalidData`; the address is at most 64 KiB by construction.
+fn read_hello(stream: &mut Stream) -> std::io::Result<(u32, String)> {
+    let mut fixed = [0u8; HELLO_BYTES];
+    stream.read_exact(&mut fixed)?;
+    if fixed[0] != wire::WIRE_VERSION {
+        return Err(invalid(format!("hello of wire version {}", fixed[0])));
+    }
+    let rank = u32::from_le_bytes(fixed[1..5].try_into().expect("4 rank bytes"));
+    let len = u16::from_le_bytes(fixed[5..7].try_into().expect("2 length bytes"));
+    let mut addr = vec![0; len as usize];
+    stream.read_exact(&mut addr)?;
+    let addr = String::from_utf8(addr).map_err(|_| invalid("hello address not UTF-8".into()))?;
+    Ok((rank, addr))
+}
+
+/// The link block opening the setup frame the router sends one rank: its
+/// uplink's rank (or [`NO_PARENT`]) and listener address, then how many
+/// children will link to the rank's own listener.
+fn put_link_block(out: &mut Vec<u8>, uplink: Option<(usize, &str)>, children: u32) {
+    let (parent, addr) = uplink.map_or((NO_PARENT, ""), |(p, a)| (p as u32, a));
+    wire::put_u32(out, parent);
+    wire::put_u32(out, addr.len() as u32);
+    out.extend_from_slice(addr.as_bytes());
+    wire::put_u32(out, children);
+}
+
+/// A decoded link block: the uplink to connect, if any, and the number
+/// of children to accept.
+struct LinkBlock {
+    uplink: Option<(usize, String)>,
+    children: usize,
+}
+
+fn get_link_block(r: &mut WireReader<'_>) -> Result<LinkBlock, WireError> {
+    let parent = r.u32()?;
+    let len = r.u32()? as usize;
+    let addr = std::str::from_utf8(r.bytes(len)?)
+        .map_err(|_| WireError::Malformed("link address not UTF-8"))?;
+    let children = r.u32()? as usize;
+    Ok(LinkBlock {
+        uplink: (parent != NO_PARENT).then(|| (parent as usize, addr.to_string())),
+        children,
+    })
+}
+
+/// Write one rank's setup frame: the length prefix and its link block,
+/// then the engine's `setup` bytes, which go out without a copy.
+fn send_setup(
+    stream: &mut Stream,
+    uplink: Option<(usize, &str)>,
+    children: u32,
+    setup: &[u8],
+) -> std::io::Result<()> {
+    let mut block = Vec::new();
+    put_link_block(&mut block, uplink, children);
+    let len = u32::try_from(block.len() + setup.len())
+        .map_err(|_| invalid(format!("setup frame of {} bytes", setup.len())))?;
+    let mut head = len.to_le_bytes().to_vec();
+    head.extend_from_slice(&block);
+    stream.write_all(&head)?;
+    stream.write_all(setup)
+}
+
+/// Accept `n` children on `listener`, each identified by its hello, by
+/// `deadline`: waits in `poll(2)`, never sleeps. Fails naming how many
+/// never linked, or on a rank linking twice.
+fn accept_links(
+    listener: &Listener,
+    n: usize,
+    deadline: Instant,
+) -> std::io::Result<Vec<(usize, Stream)>> {
+    listener.set_nonblocking(true)?;
+    let mut links: Vec<(usize, Stream)> = Vec::new();
+    while links.len() < n {
+        let mut stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let mut wait = [sys::PollFd::readable(listener)];
+                if sys::poll_readable(&mut wait, Some(deadline))? == 0 {
+                    return Err(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        format!("{} of {n} link children never connected", n - links.len()),
+                    ));
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        // Some systems hand the listener's non-blocking mode on.
+        stream.set_nonblocking(false)?;
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+        let (child, _) = read_hello(&mut stream)?;
+        stream.set_read_timeout(None)?;
+        let child = child as usize;
+        if links.iter().any(|(r, _)| *r == child) {
+            return Err(invalid(format!("rank {child} linked twice")));
+        }
+        links.push((child, stream));
+    }
+    Ok(links)
+}
+
+/// Per-rank traffic counters the router accumulates — the source of
+/// `messages_sent` / `bytes_sent` / `messages_received` in the proc
+/// engine's [`crate::report::RunReport`]. The frames the router forwards
+/// count as it forwards them; each rank's link traffic arrives in its
+/// final tally frame.
 pub struct RouterTraffic {
     sent_msgs: Vec<AtomicU64>,
     sent_bytes: Vec<AtomicU64>,
@@ -446,6 +742,13 @@ impl RouterTraffic {
             sent_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
             recv_msgs: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    /// Add `rank`'s link traffic, from its final frame.
+    fn add(&self, rank: usize, tally: &LinkTally) {
+        self.sent_msgs[rank].fetch_add(tally.sent, Ordering::Relaxed);
+        self.sent_bytes[rank].fetch_add(tally.bytes, Ordering::Relaxed);
+        self.recv_msgs[rank].fetch_add(tally.received, Ordering::Relaxed);
     }
 
     /// Fold the counters into per-rank [`ProcStats`] (traffic fields
@@ -462,96 +765,56 @@ impl RouterTraffic {
     }
 }
 
-/// One rank's delivery end at the router.
+/// The never-waiting write end toward one peer: a rank's delivery end at
+/// the router, or a link's write half.
 struct Outbox {
     state: Mutex<Outgoing>,
-    /// Wakes the drain thread when bytes join the backlog or the router
-    /// closes the outbox.
+    /// Wakes the drain thread when bytes join the backlog or the outbox
+    /// closes.
     ready: Condvar,
+    /// Name for the drain thread.
+    drain_name: String,
 }
 
 struct Outgoing {
-    /// The rank's socket; `None` once the rank is gone (a failed write)
-    /// or the router finished.
+    /// The peer's socket; `None` once the peer is gone (a failed write)
+    /// or the outbox finished.
     stream: Option<Stream>,
-    /// Bytes accepted for the rank that its socket had no room for yet,
+    /// Bytes accepted for the peer that its socket had no room for yet,
     /// oldest first.
     backlog: Vec<u8>,
     /// The drain thread is writing bytes it took off `backlog`: later
     /// frames queue behind them even while `backlog` is empty.
     draining: bool,
-    /// The drain thread, spawned on the rank's first overflow.
+    /// The outbox is finishing: the drain thread leaves once the backlog
+    /// is written out.
+    closing: bool,
+    /// The drain thread, spawned on the first overflow.
     drain: Option<JoinHandle<()>>,
 }
 
 impl Outbox {
-    fn new(stream: Stream) -> Outbox {
-        Outbox {
+    fn new(stream: Stream, drain_name: String) -> Arc<Outbox> {
+        Arc::new(Outbox {
             state: Mutex::new(Outgoing {
                 stream: Some(stream),
                 backlog: Vec::new(),
                 draining: false,
+                closing: false,
                 drain: None,
             }),
             ready: Condvar::new(),
-        }
+            drain_name,
+        })
     }
 
-    /// Shut the rank's socket and release its drain thread.
-    fn close(&self) {
-        if let Ok(mut out) = self.state.lock() {
-            if let Some(s) = out.stream.take() {
-                s.shutdown();
-            }
-        }
-        self.ready.notify_all();
-    }
-}
-
-/// The state forwarders, drain threads and the supervisor share, sized
-/// per rank by the barrier.
-struct Hub {
-    outboxes: Vec<Outbox>,
-    traffic: Arc<RouterTraffic>,
-    /// Per-rank death-notice recipients (protocol neighbours). Empty
-    /// routes mean EOF stays silent.
-    down_routes: Vec<Vec<usize>>,
-    /// Per-rank "Down already announced" latches (idempotence: EOF and an
-    /// engine-side `mark_down` may race).
-    down_flags: Vec<AtomicBool>,
-    /// Per-rank last-frame-seen clock, milliseconds since `epoch`.
-    /// Heartbeats refresh it without being forwarded.
-    last_seen: Vec<AtomicU64>,
-    epoch: Instant,
-}
-
-impl Hub {
-    fn new(outboxes: Vec<Outbox>, down_routes: Vec<Vec<usize>>, epoch: Instant) -> Hub {
-        let n = outboxes.len();
-        let now_ms = epoch.elapsed().as_millis() as u64;
-        Hub {
-            outboxes,
-            traffic: Arc::new(RouterTraffic::new(n)),
-            down_routes,
-            down_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            last_seen: (0..n).map(|_| AtomicU64::new(now_ms)).collect(),
-            epoch,
-        }
-    }
-
-    fn idle_ms(&self, rank: usize) -> Option<u64> {
-        let seen = self.last_seen.get(rank)?.load(Ordering::Relaxed);
-        Some((self.epoch.elapsed().as_millis() as u64).saturating_sub(seen))
-    }
-
-    /// Hand `frame` (length prefix included) to rank `dst` without
-    /// waiting: straight into its socket when nothing is queued ahead of
-    /// it and the socket has room, onto its backlog otherwise. `false`
-    /// when the rank is gone — the frame is dropped, matching
-    /// `ThreadTransport`'s dropped-receiver rule.
-    fn deliver(self: &Arc<Hub>, dst: usize, frame: &[u8]) -> bool {
-        let outbox = &self.outboxes[dst];
-        let mut out = outbox.state.lock().expect("outbox lock");
+    /// Hand `frame` (length prefix included) to the peer without waiting:
+    /// straight into its socket when nothing is queued ahead of it and
+    /// the socket has room, onto the backlog otherwise. `false` when the
+    /// peer is gone — the frame is dropped, matching `ThreadTransport`'s
+    /// dropped-receiver rule.
+    fn deliver(self: &Arc<Outbox>, frame: &[u8]) -> bool {
+        let mut out = self.state.lock().expect("outbox lock");
         let Some(stream) = out.stream.as_ref() else {
             return false;
         };
@@ -573,26 +836,24 @@ impl Hub {
                 out.stream = None;
                 return false;
             };
-            let hub = Arc::clone(self);
+            let outbox = Arc::clone(self);
             out.drain = Some(
                 std::thread::Builder::new()
-                    .name(format!("pts-sock-drain{dst}"))
-                    .spawn(move || hub.drain(dst, stream))
+                    .name(self.drain_name.clone())
+                    .spawn(move || outbox.drain(stream))
                     .expect("spawn drain thread"),
             );
         }
         out.backlog.extend_from_slice(&frame[sent..]);
-        outbox.ready.notify_one();
+        self.ready.notify_one();
         true
     }
 
-    /// Rank `dst`'s drain thread: write its backlog out in order, waiting
-    /// for the rank to read, until the router closes the outbox or the
-    /// rank is gone.
-    fn drain(&self, dst: usize, mut stream: Stream) {
-        let outbox = &self.outboxes[dst];
+    /// The drain thread: write the backlog out in order, waiting for the
+    /// peer to read, until the outbox finishes or the peer is gone.
+    fn drain(&self, mut stream: Stream) {
         let mut batch = Vec::new();
-        let mut out = outbox.state.lock().expect("outbox lock");
+        let mut out = self.state.lock().expect("outbox lock");
         loop {
             if out.stream.is_none() {
                 out.backlog.clear();
@@ -601,7 +862,10 @@ impl Hub {
             }
             if out.backlog.is_empty() {
                 out.draining = false;
-                out = outbox.ready.wait(out).expect("outbox lock");
+                if out.closing {
+                    return;
+                }
+                out = self.ready.wait(out).expect("outbox lock");
                 continue;
             }
             std::mem::swap(&mut batch, &mut out.backlog);
@@ -609,53 +873,89 @@ impl Hub {
             drop(out);
             let written = stream.write_all(&batch);
             batch.clear();
-            out = outbox.state.lock().expect("outbox lock");
+            out = self.state.lock().expect("outbox lock");
             if written.is_err() {
                 out.stream = None;
             }
         }
     }
 
-    /// Deliver a synthesized `Down{origin}` frame to each of `origin`'s
-    /// route neighbours, exactly once per rank across EOF/`mark_down`
-    /// races. Synthesized frames bypass the traffic counters: they are
-    /// supervision, and counting them would make fault-free teardown
-    /// stats racy.
-    fn announce_down(self: &Arc<Hub>, origin: usize) {
-        let Some(flag) = self.down_flags.get(origin) else {
-            return;
+    /// Close the outbox and join its drain thread. With `flush`, the drain
+    /// thread first writes the backlog out, for no longer than
+    /// [`FLUSH_LIMIT`]; without, the socket shuts at once and the backlog
+    /// is dropped.
+    fn finish(&self, flush: bool) {
+        let drain = match self.state.lock() {
+            Ok(mut out) => {
+                out.closing = true;
+                if let Some(s) = &out.stream {
+                    if flush {
+                        let _ = s.set_write_timeout(Some(FLUSH_LIMIT));
+                    } else {
+                        s.shutdown();
+                    }
+                }
+                out.drain.take()
+            }
+            Err(_) => None,
         };
-        if flag.swap(true, Ordering::SeqCst) {
-            return;
+        self.ready.notify_all();
+        if let Some(handle) = drain {
+            let _ = handle.join();
         }
-        let Some(recipients) = self.down_routes.get(origin) else {
-            return;
-        };
-        for &dst in recipients {
-            if dst < self.outboxes.len() {
-                self.deliver(
-                    dst,
-                    &wire::frame(&wire::encode_down_frame(origin, dst as u32)),
-                );
+        if let Ok(mut out) = self.state.lock() {
+            if let Some(s) = out.stream.take() {
+                s.shutdown();
             }
         }
     }
+}
 
-    /// Forward rank `origin`'s frames until its stream ends, then announce
-    /// it down.
-    fn forward(self: &Arc<Hub>, origin: usize, mut reader: FrameReader) {
-        loop {
-            let frame = match reader.next_frame(Wait::Block) {
-                Next::Frame(frame) => frame,
-                Next::Pending => continue,
-                Next::Closed => break,
-            };
+/// The state forwarders, drain threads and the supervisor share, sized
+/// per rank by the barrier.
+struct Hub {
+    outboxes: Vec<Arc<Outbox>>,
+    traffic: Arc<RouterTraffic>,
+    /// Per-rank last-frame-seen clock, milliseconds since `epoch`.
+    /// Heartbeats refresh it without being forwarded.
+    last_seen: Vec<AtomicU64>,
+    epoch: Instant,
+}
+
+impl Hub {
+    fn new(outboxes: Vec<Arc<Outbox>>, epoch: Instant) -> Hub {
+        let n = outboxes.len();
+        let now_ms = epoch.elapsed().as_millis() as u64;
+        Hub {
+            outboxes,
+            traffic: Arc::new(RouterTraffic::new(n)),
+            last_seen: (0..n).map(|_| AtomicU64::new(now_ms)).collect(),
+            epoch,
+        }
+    }
+
+    fn idle_ms(&self, rank: usize) -> Option<u64> {
+        let seen = self.last_seen.get(rank)?.load(Ordering::Relaxed);
+        Some((self.epoch.elapsed().as_millis() as u64).saturating_sub(seen))
+    }
+
+    /// Read rank `origin`'s frames until its stream ends: a heartbeat
+    /// only refreshes its last-seen clock, its final tally joins its
+    /// traffic, and every other frame goes on to the rank its header
+    /// names. The end itself — a clean exit or a killed process, the
+    /// socket cannot tell — needs no notice from here: the rank's link
+    /// peers read it off their links.
+    fn forward(&self, origin: usize, mut reader: FrameReader) {
+        while let Next::Frame(frame) = reader.next_frame(true) {
             self.last_seen[origin]
                 .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
             let body = &frame[FRAME_LEN_BYTES..];
             if wire::is_heartbeat(body) {
-                // Liveness beacon: last-seen refreshed above, never forwarded
-                // and never counted — heartbeats are supervision, not traffic.
+                // Liveness beacon: supervision, not traffic.
+                continue;
+            }
+            if let Some(tally) = wire::decode_tally(body) {
+                self.traffic.add(origin, &tally);
                 continue;
             }
             let dst = match wire::peek_dst(body) {
@@ -668,70 +968,46 @@ impl Hub {
             let traffic = &self.traffic;
             traffic.sent_msgs[origin].fetch_add(1, Ordering::Relaxed);
             traffic.sent_bytes[origin].fetch_add(body.len() as u64, Ordering::Relaxed);
-            if dst >= self.outboxes.len() {
+            let Some(outbox) = self.outboxes.get(dst) else {
                 crate::transport::protocol_warn(origin, &format!("frame for unknown rank {dst}"));
                 continue;
-            }
-            if self.deliver(dst, frame) {
+            };
+            if outbox.deliver(frame) {
                 traffic.recv_msgs[dst].fetch_add(1, Ordering::Relaxed);
             }
         }
-        // EOF — clean exit or a killed process, the socket cannot tell.
-        // Tell the rank's protocol neighbours it is down; the quorum
-        // machinery sorts death from wind-down (a clean exit's Stop frames
-        // were delivered or queued above, by this same thread, before
-        // this notice).
-        self.announce_down(origin);
     }
 }
 
-/// The star hub: accepts one connection per rank, then forwards frames
-/// by destination rank until every connection winds down.
+/// The star hub: runs the launch barrier over one connection per rank,
+/// then forwards the frames ranks address through it until every
+/// connection winds down.
 pub struct SocketRouter {
     listener: Option<Listener>,
     addr: String,
     forwarders: Vec<JoinHandle<()>>,
-    /// Death-notice routes waiting for the barrier to size the hub.
-    down_routes: Vec<Vec<usize>>,
     hub: Arc<Hub>,
-    unix_path: Option<PathBuf>,
 }
 
 impl SocketRouter {
-    fn listening(listener: Listener, addr: String, unix_path: Option<PathBuf>) -> SocketRouter {
+    fn listening(listener: Listener) -> SocketRouter {
         SocketRouter {
+            addr: listener.addr().to_string(),
             listener: Some(listener),
-            addr,
             forwarders: Vec::new(),
-            down_routes: Vec::new(),
-            hub: Arc::new(Hub::new(Vec::new(), Vec::new(), Instant::now())),
-            unix_path,
+            hub: Arc::new(Hub::new(Vec::new(), Instant::now())),
         }
     }
 
     /// Bind a fresh Unix-domain socket under the system temp directory
     /// (unique per process and per router).
     pub fn bind_unix_auto() -> std::io::Result<SocketRouter> {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "pts-{}-{}.sock",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)?;
-        Ok(SocketRouter::listening(
-            Listener::Unix(listener),
-            format!("unix:{}", path.display()),
-            Some(path),
-        ))
+        Listener::bind_unix_auto().map(SocketRouter::listening)
     }
 
     /// Bind an ephemeral TCP loopback port.
     pub fn bind_tcp_loopback() -> std::io::Result<SocketRouter> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = format!("tcp:{}", listener.local_addr()?);
-        Ok(SocketRouter::listening(Listener::Tcp(listener), addr, None))
+        Listener::bind_tcp_loopback().map(SocketRouter::listening)
     }
 
     /// The address workers connect to (`unix:<path>` or `tcp:<addr>`).
@@ -744,24 +1020,6 @@ impl SocketRouter {
         Arc::clone(&self.hub.traffic)
     }
 
-    /// Install per-rank death-notice routes: when rank `r`'s stream
-    /// reaches EOF (or the engine calls [`SocketRouter::mark_down`]), the
-    /// router delivers a synthesized [`PtsMsg::Down`]`{rank: r}` frame to
-    /// every rank in `routes[r]`. Must be called before the barrier; with
-    /// no routes installed, EOF stays silent (the pre-supervision
-    /// behaviour, which `pts-serve`'s setup-only paths rely on).
-    pub fn set_down_routes(&mut self, routes: Vec<Vec<usize>>) {
-        self.down_routes = routes;
-    }
-
-    /// Announce rank `rank` as down to its route neighbours now, without
-    /// waiting for its stream to reach EOF — the engine's supervisor
-    /// calls this when `try_wait` sees an abnormal child exit or a
-    /// heartbeat goes stale. Idempotent per rank.
-    pub fn mark_down(&self, rank: usize) {
-        self.hub.announce_down(rank);
-    }
-
     /// Milliseconds since the router last saw a frame (heartbeats
     /// included) from `rank`. `None` before the barrier or for an unknown
     /// rank.
@@ -770,29 +1028,32 @@ impl SocketRouter {
     }
 
     /// A cloneable handle over the supervision state
-    /// ([`SocketRouter::mark_down`] / [`SocketRouter::idle_ms`]) for the
-    /// engine's monitor thread, which runs while the router itself is
-    /// parked in the master's call stack. Take it *after* the barrier —
-    /// the per-rank state is sized there.
+    /// ([`SocketRouter::idle_ms`]) for the engine's monitor thread, which
+    /// runs while the router itself is parked in the master's call stack.
+    /// Take it *after* the barrier — the per-rank state is sized there.
     pub fn supervisor(&self) -> RouterSupervisor {
         RouterSupervisor {
             hub: Arc::clone(&self.hub),
         }
     }
 
-    /// Accept until all `total` ranks (0..total) have connected and said
-    /// hello, send `setup` to each as the first frame on its connection,
-    /// and start forwarding. Fails after `timeout`, naming the ranks
-    /// that never arrived.
+    /// Accept until every rank `0..parents.len()` has connected and said
+    /// hello, then send each rank its setup frame — its link block (the
+    /// uplink to `parents[rank]`, and how many ranks name it their
+    /// parent), then `setup`, which rank 0 composed and so does not get —
+    /// and start forwarding. Fails after
+    /// `timeout`, naming the ranks that never arrived, and when a rank's
+    /// parent said hello without a link listener.
     pub fn run_barrier(
         &mut self,
-        total: usize,
+        parents: &[Option<usize>],
         setup: &[u8],
         timeout: Duration,
     ) -> std::io::Result<()> {
+        let total = parents.len();
         let listener = Arc::new(self.listener.take().expect("barrier runs once"));
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::channel::<(u32, Stream)>();
+        let (tx, rx) = std::sync::mpsc::channel::<(u32, Stream, String)>();
         let (accept_from, accept_stop) = (Arc::clone(&listener), Arc::clone(&stop));
         let acceptor = std::thread::Builder::new()
             .name("pts-sock-accept".into())
@@ -811,22 +1072,50 @@ impl SocketRouter {
         }
         drop(listener);
 
-        // Hand every rank its setup frame, then start forwarding.
-        let mut outboxes = Vec::with_capacity(total);
-        let mut readers = Vec::with_capacity(total);
-        for (rank, mut stream) in gathered?.into_iter().enumerate() {
+        let (mut streams, addrs): (Vec<Stream>, Vec<String>) = gathered?.into_iter().unzip();
+        // Every uplink must lead to a listener, checked before any rank
+        // hears of one.
+        let mut children = vec![0u32; total];
+        for (rank, parent) in parents.iter().enumerate() {
+            let Some(p) = *parent else { continue };
+            if addrs.get(p).is_none_or(String::is_empty) {
+                return Err(invalid(format!(
+                    "rank {rank}'s parent {p} has no link listener"
+                )));
+            }
+            children[p] += 1;
+        }
+        // Hand every rank its setup frame, deepest ranks first: a parent's
+        // handshake waits for its children's uplinks, so they connect
+        // while its own setup is on the wire. (A cycle in `parents` only
+        // caps the depth.)
+        let mut depth = vec![0usize; total];
+        for (rank, d) in depth.iter_mut().enumerate() {
+            let mut up = parents[rank];
+            while let Some(p) = up.filter(|_| *d < total) {
+                *d += 1;
+                up = parents[p];
+            }
+        }
+        let mut order: Vec<usize> = (0..total).collect();
+        order.sort_by_key(|&rank| std::cmp::Reverse(depth[rank]));
+        for rank in order {
+            let stream = &mut streams[rank];
             stream.set_read_timeout(None)?;
-            wire::write_frame(&mut stream, setup).map_err(|e| {
+            let uplink = parents[rank].map(|p| (p, addrs[p].as_str()));
+            let setup = if rank == 0 { &[][..] } else { setup };
+            send_setup(stream, uplink, children[rank], setup).map_err(|e| {
                 std::io::Error::new(e.kind(), format!("sending setup to rank {rank}: {e}"))
             })?;
-            readers.push(FrameReader::new(stream.try_clone()?));
-            outboxes.push(Outbox::new(stream));
         }
-        self.hub = Arc::new(Hub::new(
-            outboxes,
-            std::mem::take(&mut self.down_routes),
-            self.hub.epoch,
-        ));
+        // Then start forwarding.
+        let mut outboxes = Vec::with_capacity(total);
+        let mut readers = Vec::with_capacity(total);
+        for (rank, stream) in streams.into_iter().enumerate() {
+            readers.push(FrameReader::new(stream.try_clone()?));
+            outboxes.push(Outbox::new(stream, format!("pts-sock-drain{rank}")));
+        }
+        self.hub = Arc::new(Hub::new(outboxes, self.hub.epoch));
         for (rank, reader) in readers.into_iter().enumerate() {
             let hub = Arc::clone(&self.hub);
             let handle = std::thread::Builder::new()
@@ -840,23 +1129,13 @@ impl SocketRouter {
 
     /// Close every connection and join the forwarder and drain threads.
     /// Called after the run's processes have exited (or to abort a failed
-    /// run).
+    /// run), so nothing still queued has a reader.
     pub fn finish(&mut self) {
         for outbox in &self.hub.outboxes {
-            outbox.close();
+            outbox.finish(false);
         }
         for handle in self.forwarders.drain(..) {
             let _ = handle.join();
-        }
-        for outbox in &self.hub.outboxes {
-            let drain = outbox
-                .state
-                .lock()
-                .ok()
-                .and_then(|mut out| out.drain.take());
-            if let Some(handle) = drain {
-                let _ = handle.join();
-            }
         }
     }
 }
@@ -864,9 +1143,6 @@ impl SocketRouter {
 impl Drop for SocketRouter {
     fn drop(&mut self) {
         self.finish();
-        if let Some(path) = &self.unix_path {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -878,11 +1154,6 @@ pub struct RouterSupervisor {
 }
 
 impl RouterSupervisor {
-    /// Same as [`SocketRouter::mark_down`].
-    pub fn mark_down(&self, rank: usize) {
-        self.hub.announce_down(rank);
-    }
-
     /// Same as [`SocketRouter::idle_ms`].
     pub fn idle_ms(&self, rank: usize) -> Option<u64> {
         self.hub.idle_ms(rank)
@@ -890,20 +1161,20 @@ impl RouterSupervisor {
 }
 
 /// Collect one identified connection per rank `0..total` from the
-/// acceptor, or fail: on the deadline (naming the ranks that never
-/// arrived), on a rank outside the topology, or on a rank connecting
-/// twice.
+/// acceptor, with its link-listener address, or fail: on the deadline
+/// (naming the ranks that never arrived), on a rank outside the
+/// topology, or on a rank connecting twice.
 fn gather(
-    rx: &Receiver<(u32, Stream)>,
+    rx: &Receiver<(u32, Stream, String)>,
     total: usize,
     timeout: Duration,
-) -> std::io::Result<Vec<Stream>> {
+) -> std::io::Result<Vec<(Stream, String)>> {
     let deadline = Instant::now() + timeout;
-    let mut conns: Vec<Option<Stream>> = (0..total).map(|_| None).collect();
+    let mut conns: Vec<Option<(Stream, String)>> = (0..total).map(|_| None).collect();
     let mut have = 0usize;
     while have < total {
         let remaining = deadline.saturating_duration_since(Instant::now());
-        let (rank, stream) = match rx.recv_timeout(remaining) {
+        let (rank, stream, addr) = match rx.recv_timeout(remaining) {
             Ok(conn) => conn,
             Err(RecvTimeoutError::Timeout) => {
                 let missing: Vec<String> = conns
@@ -928,30 +1199,21 @@ fn gather(
                 ));
             }
         };
-        let slot = conns.get_mut(rank as usize).ok_or_else(|| {
-            std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("rank {rank} outside topology of {total}"),
-            )
-        })?;
+        let slot = conns
+            .get_mut(rank as usize)
+            .ok_or_else(|| invalid(format!("rank {rank} outside topology of {total}")))?;
         if slot.is_some() {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("rank {rank} connected twice"),
-            ));
+            return Err(invalid(format!("rank {rank} connected twice")));
         }
-        *slot = Some(stream);
+        *slot = Some((stream, addr));
         have += 1;
     }
     Ok(conns.into_iter().flatten().collect())
 }
 
-fn accept_loop(listener: &Listener, stop: &AtomicBool, tx: Sender<(u32, Stream)>) {
+fn accept_loop(listener: &Listener, stop: &AtomicBool, tx: Sender<(u32, Stream, String)>) {
     loop {
-        let accepted: std::io::Result<Stream> = match listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
+        let accepted = listener.accept();
         // The barrier is over: the listener was shut down, or this is the
         // wake-up connection (or a rank too late to count).
         if stop.load(Ordering::Acquire) {
@@ -968,79 +1230,155 @@ fn accept_loop(listener: &Listener, stop: &AtomicBool, tx: Sender<(u32, Stream)>
         {
             continue;
         }
-        let mut hello = [0u8; HELLO_BYTES];
-        if stream.read_exact(&mut hello).is_err() || hello[0] != wire::WIRE_VERSION {
+        let Ok((rank, addr)) = read_hello(&mut stream) else {
             continue;
-        }
-        let rank = u32::from_le_bytes(hello[1..5].try_into().expect("4 rank bytes"));
-        if tx.send((rank, stream)).is_err() {
+        };
+        if tx.send((rank, stream, addr)).is_err() {
             return;
         }
     }
 }
 
-/// Outcome of [`SocketTransport::handshake`]: the connected stream plus
+/// Outcome of [`SocketTransport::handshake`]: the connected streams plus
 /// the raw setup frame the router sent (the caller decodes it — its
 /// contents are domain-specific).
 pub struct Handshake {
-    /// The connected, identified stream.
+    /// The connected, identified router stream.
     pub stream: Stream,
-    /// The router's setup frame, verbatim.
+    /// The engine's setup bytes, verbatim (the router's link block taken
+    /// off the front); empty for rank 0, which composed them.
     pub setup: Vec<u8>,
+    /// One stream per protocol-tree neighbour, with its rank: the uplink
+    /// first when the rank has a parent, then every child.
+    pub links: Vec<(usize, Stream)>,
 }
 
-/// Per-rank socket endpoint implementing [`Transport`]. There is no
-/// reader thread: the protocol thread reads its own socket through a
-/// buffered read half and decodes each frame as it takes it. `recv`
-/// blocks in `read` inside the first poll, so
-/// [`crate::transport::drive_sync`] drives protocol futures built over
-/// this transport; `try_recv` takes only bytes that have already arrived
-/// (a non-waiting `recv(2)`); `recv_deadline` waits with the socket's
-/// read timeout. `send` never waits for the receiver to read — the
-/// router's per-rank backlog takes what the receiver's socket cannot.
+/// One link of a transport: a stream to a protocol-tree neighbour.
+struct Link {
+    peer: usize,
+    reader: FrameReader,
+    out: Arc<Outbox>,
+    /// The link's end has been handed to the protocol (as `Down`, or as
+    /// the run's end from rank 0).
+    ended: bool,
+}
+
+/// Per-rank socket endpoint implementing [`Transport`]: the rank's router
+/// stream and one link per protocol-tree neighbour. There is no reader
+/// thread: the protocol thread reads its own sockets through buffered
+/// read halves and decodes each frame as it takes it. A receive first
+/// takes a frame already buffered from any stream and only then waits in
+/// `poll(2)` — forever in `recv`, not at all in `try_recv`, and up to the
+/// deadline in `recv_deadline` — so [`crate::transport::drive_sync`]
+/// drives protocol futures built over this transport. `send` never waits
+/// for the receiver to read: a link's backlog, or the router's for the
+/// frames that cross it, takes what the receiver's socket cannot.
 pub struct SocketTransport<P: WireProblem> {
     rank: usize,
     start: Instant,
     // Shared with the optional heartbeat thread; the lock serializes
     // whole frames so a beacon never interleaves a protocol message.
     writer: Arc<Mutex<Stream>>,
+    /// The router stream's read half.
     reader: FrameReader,
+    links: Vec<Link>,
+    /// Scratch for `poll(2)`: the router stream, then every open link.
+    polls: Vec<sys::PollFd>,
     ctx: P::Ctx,
     /// The heartbeat thread and the sender whose drop stops it.
     heartbeat: Option<(Sender<()>, JoinHandle<()>)>,
     stats: ProcStats,
+    /// Link traffic, which the router never sees; reported in the final
+    /// frame.
+    tally: LinkTally,
     eof: bool,
 }
 
 impl<P: WireProblem> SocketTransport<P> {
-    /// Connect to the router (with retry), identify as `rank`, and read
-    /// the setup frame. Domain-independent first phase — the caller
-    /// decodes the setup, recovers the decode context, then finishes
-    /// with [`SocketTransport::new`].
-    pub fn handshake(addr: &str, rank: u32, overall: Duration) -> std::io::Result<Handshake> {
+    /// Connect to the router (with retry), say hello as `rank` — with the
+    /// address of `listener` when the rank has protocol children — and
+    /// read the setup frame. Then link up: connect the uplink its link
+    /// block names, and accept as many children on `listener` as it
+    /// counts, all within `overall`. Domain-independent first phase — the
+    /// caller decodes the setup, recovers the decode context, then
+    /// finishes with [`SocketTransport::new`].
+    pub fn handshake(
+        addr: &str,
+        rank: u32,
+        listener: Option<&Listener>,
+        overall: Duration,
+    ) -> std::io::Result<Handshake> {
         let mut stream = connect_retry(addr, overall, rank as u64)?;
-        let mut hello = [0u8; HELLO_BYTES];
-        hello[0] = wire::WIRE_VERSION;
-        hello[1..5].copy_from_slice(&rank.to_le_bytes());
-        stream.write_all(&hello)?;
-        let setup = wire::read_frame(&mut stream)?.ok_or_else(|| {
+        stream.write_all(&hello(rank, listener.map_or("", Listener::addr))?)?;
+        let mut setup = wire::read_frame(&mut stream)?.ok_or_else(|| {
             std::io::Error::new(ErrorKind::UnexpectedEof, "router closed before setup frame")
         })?;
-        Ok(Handshake { stream, setup })
+        let (block, at) = {
+            let mut r = WireReader::new(&setup);
+            let block =
+                get_link_block(&mut r).map_err(|e| invalid(format!("setup link block: {e}")))?;
+            (block, setup.len() - r.remaining())
+        };
+        setup.drain(..at);
+        // Every rank gets its setup frame at once, so the children are
+        // connecting now: the link deadline starts here, not before the
+        // barrier.
+        let deadline = Instant::now() + overall;
+        let mut links = Vec::new();
+        if let Some((parent, parent_addr)) = block.uplink {
+            // The parent bound its listener before its hello, and the
+            // barrier ended only after every hello: this connect cannot
+            // come too early.
+            let mut up = connect_once(&parent_addr).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("uplink to rank {parent}: {e}"))
+            })?;
+            up.write_all(&hello(rank, "")?)?;
+            links.push((parent, up));
+        }
+        if block.children > 0 {
+            let listener = listener
+                .ok_or_else(|| invalid(format!("rank {rank} has link children but no listener")))?;
+            links.extend(accept_links(listener, block.children, deadline)?);
+        }
+        Ok(Handshake {
+            stream,
+            setup,
+            links,
+        })
     }
 
-    /// Wrap an identified stream as rank `rank`'s transport. `ctx` is
-    /// the domain's decode context (from the setup frame, or derived
-    /// locally on the master).
-    pub fn new(stream: Stream, rank: usize, ctx: P::Ctx) -> std::io::Result<SocketTransport<P>> {
+    /// Wrap rank `rank`'s router stream and its `links` (peer rank and
+    /// stream, as [`SocketTransport::handshake`] returns them) as its
+    /// transport. `ctx` is the domain's decode context (from the setup
+    /// frame, or derived locally on the master).
+    pub fn new(
+        stream: Stream,
+        links: Vec<(usize, Stream)>,
+        rank: usize,
+        ctx: P::Ctx,
+    ) -> std::io::Result<SocketTransport<P>> {
+        let links = links
+            .into_iter()
+            .map(|(peer, stream)| {
+                Ok(Link {
+                    peer,
+                    reader: FrameReader::new(stream.try_clone()?),
+                    out: Outbox::new(stream, format!("pts-link-drain{peer}")),
+                    ended: false,
+                })
+            })
+            .collect::<std::io::Result<Vec<Link>>>()?;
         Ok(SocketTransport {
             rank,
             start: Instant::now(),
             reader: FrameReader::new(stream.try_clone()?),
             writer: Arc::new(Mutex::new(stream)),
+            polls: Vec::with_capacity(links.len() + 1),
+            links,
             ctx,
             heartbeat: None,
             stats: ProcStats::default(),
+            tally: LinkTally::default(),
             eof: false,
         })
     }
@@ -1073,46 +1411,91 @@ impl<P: WireProblem> SocketTransport<P> {
         self.heartbeat = Some((stop_tx, handle));
     }
 
-    /// Take the next message off the socket, waiting as `wait` allows.
-    /// `None` when none arrived in time, or at EOF — which also latches
-    /// `eof`. Heartbeats are skipped and undecodable frames dropped.
-    fn next_msg(&mut self, wait: Wait) -> Option<PtsMsg<P>> {
-        while !self.eof {
-            match self.reader.next_frame(wait) {
-                Next::Frame(frame) => {
-                    let body = &frame[FRAME_LEN_BYTES..];
-                    if wire::is_heartbeat(body) {
-                        // Beacons are router-facing; never surface them.
-                        continue;
-                    }
-                    match wire::decode_msg::<P>(body, &self.ctx) {
-                        Ok((_dst, msg)) => {
-                            self.stats.messages_received += 1;
-                            return Some(msg);
-                        }
-                        Err(e) => crate::transport::protocol_warn(
-                            self.rank,
-                            &format!("dropping undecodable frame: {e}"),
-                        ),
-                    }
+    /// The next message already buffered on any stream; failing that, the
+    /// first stream end not yet reported. A link's end reads as `Down` of
+    /// its peer, once; the router stream's, or rank 0's link's, latches
+    /// `eof` instead. Heartbeats are skipped and undecodable frames
+    /// dropped.
+    fn take_buffered(&mut self) -> Option<PtsMsg<P>> {
+        while let Next::Frame(frame) = self.reader.next_frame(false) {
+            if let Some(msg) = decode_frame::<P>(frame, &self.ctx, self.rank) {
+                self.stats.messages_received += 1;
+                return Some(msg);
+            }
+        }
+        for link in &mut self.links {
+            while let Next::Frame(frame) = link.reader.next_frame(false) {
+                if let Some(msg) = decode_frame::<P>(frame, &self.ctx, self.rank) {
+                    self.stats.messages_received += 1;
+                    self.tally.received += 1;
+                    return Some(msg);
                 }
-                Next::Pending => return None,
-                // Stream EOF (router gone / run torn down): wind down
-                // through the protocol's normal path.
-                Next::Closed => self.eof = true,
+            }
+        }
+        if self.reader.closed {
+            // The router is gone: the run is being torn down.
+            self.eof = true;
+            return None;
+        }
+        for link in &mut self.links {
+            if link.reader.closed && !link.ended {
+                link.ended = true;
+                if link.peer == 0 {
+                    // The master is gone: the run is over.
+                    self.eof = true;
+                    return None;
+                }
+                return Some(PtsMsg::Down { rank: link.peer });
             }
         }
         None
     }
 
+    /// Take the next message, waiting for bytes until `until` (forever
+    /// when `None`; an instant already past only looks). `None` when none
+    /// arrived in time, or at the end of the run — which also latches
+    /// `eof`.
+    fn next_msg(&mut self, until: Option<Instant>) -> Option<PtsMsg<P>> {
+        loop {
+            if let Some(msg) = self.take_buffered() {
+                return Some(msg);
+            }
+            if self.eof {
+                return None;
+            }
+            let open = self.links.iter().filter(|l| !l.reader.closed);
+            self.polls.clear();
+            self.polls.push(sys::PollFd::readable(&self.reader.stream));
+            self.polls
+                .extend(open.map(|l| sys::PollFd::readable(&l.reader.stream)));
+            match sys::poll_readable(&mut self.polls, until) {
+                Ok(0) => return None,
+                Ok(_) => {}
+                Err(_) => {
+                    // The streams cannot be waited on: treat it as the end.
+                    self.eof = true;
+                    return None;
+                }
+            }
+            let mut ready = self.polls.iter().map(sys::PollFd::ready);
+            if ready.next() == Some(true) {
+                self.reader.fill(false);
+            }
+            for link in self.links.iter_mut().filter(|l| !l.reader.closed) {
+                if ready.next() == Some(true) {
+                    link.reader.fill(false);
+                }
+            }
+        }
+    }
+
     /// Wait for a message until `until` (forever when `None`: then the
-    /// result is always `Some`); a stream that ended reads as a sticky
+    /// result is always `Some`); the end of the run reads as a sticky
     /// `Stop`.
     fn recv_blocking(&mut self, until: Option<Instant>) -> Option<PtsMsg<P>> {
         let blocked = Instant::now();
-        let wait = until.map_or(Wait::Block, Wait::Until);
         let got = loop {
-            if let Some(msg) = self.next_msg(wait) {
+            if let Some(msg) = self.next_msg(until) {
                 break Some(msg);
             }
             if self.eof {
@@ -1127,11 +1510,28 @@ impl<P: WireProblem> SocketTransport<P> {
     }
 
     /// Take the locally accounted stats (rank 0 feeds these into the
-    /// run report; worker processes' stats die with the process).
+    /// run report; a worker's reach the router as it drops).
     pub fn take_stats(&mut self) -> ProcStats {
         let mut stats = std::mem::take(&mut self.stats);
         stats.finished_at = self.now();
         stats
+    }
+}
+
+/// Decode one frame taken off a rank's stream; `None` for a heartbeat,
+/// and for an undecodable frame, which is dropped with a warning.
+fn decode_frame<P: WireProblem>(frame: &[u8], ctx: &P::Ctx, rank: usize) -> Option<PtsMsg<P>> {
+    let body = &frame[FRAME_LEN_BYTES..];
+    if wire::is_heartbeat(body) {
+        // Beacons are router-facing; never surface them.
+        return None;
+    }
+    match wire::decode_msg::<P>(body, ctx) {
+        Ok((_dst, msg)) => Some(msg),
+        Err(e) => {
+            crate::transport::protocol_warn(rank, &format!("dropping undecodable frame: {e}"));
+            None
+        }
     }
 }
 
@@ -1151,18 +1551,25 @@ impl<P: WireProblem> Transport<P> for SocketTransport<P> {
     }
 
     fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
+        let bytes = msg.wire_size();
         self.stats.messages_sent += 1;
-        self.stats.bytes_sent += msg.wire_size();
+        self.stats.bytes_sent += bytes;
         crate::meter::note_send(&msg);
-        let frame = wire::encode_msg(&msg, dst as u32);
-        // A torn-down router means the run is winding up; like a dropped
-        // channel receiver, the write is silently discarded.
-        let mut w = self.writer.lock().expect("writer lock");
-        let _ = wire::write_frame(&mut *w, &frame);
+        let frame = wire::frame(&wire::encode_msg(&msg, dst as u32));
+        // A departed receiver means the run is winding up; like a dropped
+        // channel receiver, the frame is silently discarded.
+        if let Some(link) = self.links.iter().find(|l| l.peer == dst) {
+            self.tally.sent += 1;
+            self.tally.bytes += bytes;
+            link.out.deliver(&frame);
+        } else {
+            let mut w = self.writer.lock().expect("writer lock");
+            let _ = w.write_all(&frame);
+        }
     }
 
     fn recv(&mut self) -> impl std::future::Future<Output = PtsMsg<P>> {
-        // Blocks inside poll on the socket — never `Pending`.
+        // Blocks inside poll on the sockets — never `Pending`.
         std::future::poll_fn(|_cx| {
             let msg = self.recv_blocking(None);
             std::task::Poll::Ready(msg.expect("a wait without deadline ends in a message"))
@@ -1170,17 +1577,18 @@ impl<P: WireProblem> Transport<P> for SocketTransport<P> {
     }
 
     fn try_recv(&mut self) -> Option<PtsMsg<P>> {
-        self.next_msg(Wait::Never)
+        self.next_msg(Some(Instant::now()))
     }
 
     fn recv_deadline(
         &mut self,
         deadline: f64,
     ) -> impl std::future::Future<Output = Option<PtsMsg<P>>> {
-        // Wall clock is controllable enough here: a dead peer is an EOF,
-        // but a *hung* peer is silence — bound the wait so the protocol's
-        // liveness timeouts work on real sockets, not just virtual time.
-        // A deadline past what `Instant` can hold is no deadline.
+        // Wall clock is controllable enough here: a dead peer is a link's
+        // end, but a *hung* peer is silence — bound the wait so the
+        // protocol's liveness timeouts work on real sockets, not just
+        // virtual time. A deadline past what `Instant` can hold is no
+        // deadline.
         let until = Duration::try_from_secs_f64(deadline.max(0.0))
             .ok()
             .and_then(|d| self.start.checked_add(d));
@@ -1191,7 +1599,16 @@ impl<P: WireProblem> Transport<P> for SocketTransport<P> {
 impl<P: WireProblem> Drop for SocketTransport<P> {
     fn drop(&mut self) {
         let heartbeat = self.heartbeat.take();
-        if let Ok(w) = self.writer.lock() {
+        // Write out what the links still hold, then tell the router what
+        // they carried: the final frame.
+        for link in &self.links {
+            link.out.finish(true);
+        }
+        if let Ok(mut w) = self.writer.lock() {
+            if !self.links.is_empty() {
+                let tally = wire::encode_tally_frame(self.rank as u32, &self.tally);
+                let _ = wire::write_frame(&mut *w, &tally);
+            }
             w.shutdown();
         }
         if let Some((stop, hb)) = heartbeat {
@@ -1208,29 +1625,51 @@ mod tests {
     use pts_tabu::qap::{Qap, QapAssignment};
     use std::sync::Arc as StdArc;
 
-    fn start_pair(router: &mut SocketRouter) -> (SocketTransport<Qap>, SocketTransport<Qap>) {
-        // Each rank handshakes on its own thread: the setup frame only
-        // arrives once the barrier completes, so sequential handshakes
-        // would deadlock by construction.
-        let joiners: Vec<_> = (0..2u32)
+    /// Bring up one transport per rank of a tree whose rank `r` answers to
+    /// `parents[r]`, over `router`: every rank with children binds a link
+    /// listener, and every rank handshakes on a thread of its own — the
+    /// setup frames only arrive once the barrier completes, so sequential
+    /// handshakes would deadlock by construction.
+    fn start_tree(
+        router: &mut SocketRouter,
+        parents: &[Option<usize>],
+    ) -> Vec<SocketTransport<Qap>> {
+        let joiners: Vec<_> = (0..parents.len())
             .map(|rank| {
                 let addr = router.addr().to_string();
+                let parent_of_some = parents.contains(&Some(rank));
                 std::thread::spawn(move || {
-                    SocketTransport::<Qap>::handshake(&addr, rank, Duration::from_secs(5)).unwrap()
+                    let listener = parent_of_some.then(|| Listener::bind_like(&addr).unwrap());
+                    let hs = SocketTransport::<Qap>::handshake(
+                        &addr,
+                        rank as u32,
+                        listener.as_ref(),
+                        Duration::from_secs(5),
+                    )
+                    .unwrap();
+                    let setup: &[u8] = if rank == 0 { b"" } else { b"setup!" };
+                    assert_eq!(hs.setup, setup);
+                    SocketTransport::new(hs.stream, hs.links, rank, ()).unwrap()
                 })
             })
             .collect();
         router
-            .run_barrier(2, b"setup!", Duration::from_secs(5))
+            .run_barrier(parents, b"setup!", Duration::from_secs(5))
             .unwrap();
-        let mut handshakes = joiners.into_iter().map(|j| j.join().unwrap());
-        let (h0, h1) = (handshakes.next().unwrap(), handshakes.next().unwrap());
-        assert_eq!(h0.setup, b"setup!");
-        assert_eq!(h1.setup, b"setup!");
-        (
-            SocketTransport::new(h0.stream, 0, ()).unwrap(),
-            SocketTransport::new(h1.stream, 1, ()).unwrap(),
-        )
+        joiners.into_iter().map(|j| j.join().unwrap()).collect()
+    }
+
+    /// Two ranks joined only through the router.
+    fn start_pair(router: &mut SocketRouter) -> (SocketTransport<Qap>, SocketTransport<Qap>) {
+        let mut ranks = start_tree(router, &[None, None]).into_iter();
+        (ranks.next().unwrap(), ranks.next().unwrap())
+    }
+
+    /// A chain 0 ← 1 ← 2: rank 1's uplink leads to rank 0, rank 2's to
+    /// rank 1.
+    fn start_chain(router: &mut SocketRouter) -> [SocketTransport<Qap>; 3] {
+        let ranks = start_tree(router, &[None, Some(0), Some(1)]);
+        ranks.try_into().ok().expect("three ranks")
     }
 
     #[test]
@@ -1293,16 +1732,37 @@ mod tests {
         let mut router = SocketRouter::bind_unix_auto().unwrap();
         let addr = router.addr().to_string();
         let joiner = std::thread::spawn(move || {
-            SocketTransport::<Qap>::handshake(&addr, 1, Duration::from_secs(5))
+            SocketTransport::<Qap>::handshake(&addr, 1, None, Duration::from_secs(5))
         });
         let err = router
-            .run_barrier(3, b"", Duration::from_millis(300))
+            .run_barrier(&[None; 3], b"", Duration::from_millis(300))
             .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("missing ranks [0, 2]"), "got: {msg}");
         // The rank that did connect sees EOF once the router is dropped.
         drop(router);
         let _ = joiner.join();
+    }
+
+    #[test]
+    fn a_parent_without_a_link_listener_fails_the_barrier() {
+        let mut router = SocketRouter::bind_unix_auto().unwrap();
+        let joiners: Vec<_> = (0..2u32)
+            .map(|rank| {
+                let addr = router.addr().to_string();
+                std::thread::spawn(move || {
+                    SocketTransport::<Qap>::handshake(&addr, rank, None, Duration::from_secs(5))
+                })
+            })
+            .collect();
+        let err = router
+            .run_barrier(&[None, Some(0)], b"", Duration::from_secs(5))
+            .unwrap_err();
+        assert!(err.to_string().contains("no link listener"), "got: {err}");
+        drop(router);
+        for j in joiners {
+            assert!(j.join().unwrap().is_err(), "no setup frame, no handshake");
+        }
     }
 
     #[test]
@@ -1319,38 +1779,6 @@ mod tests {
             "gave up far past the 80ms deadline: {:?}",
             start.elapsed()
         );
-    }
-
-    #[test]
-    fn eof_announces_down_to_route_neighbours() {
-        let mut router = SocketRouter::bind_unix_auto().unwrap();
-        // Rank 0's death notifies rank 1; rank 1's death notifies nobody.
-        router.set_down_routes(vec![vec![1], vec![]]);
-        let (a, mut b) = start_pair(&mut router);
-        drop(a); // rank 0 "dies": its stream reaches EOF at the router
-        match drive_sync(b.recv()) {
-            PtsMsg::Down { rank: 0 } => {}
-            other => panic!("expected Down{{0}}, got {}", other.tag()),
-        }
-        drop(b);
-        router.finish();
-    }
-
-    #[test]
-    fn mark_down_is_idempotent_with_eof() {
-        let mut router = SocketRouter::bind_unix_auto().unwrap();
-        router.set_down_routes(vec![vec![1], vec![]]);
-        let (a, mut b) = start_pair(&mut router);
-        // The engine's supervisor announces first; the later EOF must not
-        // produce a second notice.
-        router.mark_down(0);
-        router.mark_down(0);
-        drop(a);
-        assert!(matches!(drive_sync(b.recv()), PtsMsg::Down { rank: 0 }));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(b.try_recv().is_none(), "Down{{0}} announced more than once");
-        drop(b);
-        router.finish();
     }
 
     #[test]
@@ -1427,61 +1855,183 @@ mod tests {
         PtsMsg::Investigate { seq, strategy: 0 }
     }
 
+    /// Ranks `x` and `y` each send the other eight bulky frames before
+    /// either reads, then each reads all eight. This only completes if no
+    /// send waits on a rank that is not reading.
+    fn exchange_bulk(x: &mut SocketTransport<Qap>, y: &mut SocketTransport<Qap>) {
+        let snap = bulky();
+        let (rx, ry) = (x.rank, y.rank);
+        for (t, dst) in [(&mut *x, ry), (&mut *y, rx)] {
+            for _ in 0..8 {
+                let snapshot = StdArc::clone(&snap);
+                t.send(dst, PtsMsg::Init { snapshot });
+            }
+        }
+        for t in [x, y] {
+            for _ in 0..8 {
+                match drive_sync(t.recv()) {
+                    PtsMsg::Init { snapshot } => assert!(snapshot == snap),
+                    other => panic!("got {}", other.tag()),
+                }
+            }
+        }
+    }
+
     #[test]
     fn bulk_exchange_past_socket_buffers_completes() {
         within(Duration::from_secs(30), || {
             let mut router = SocketRouter::bind_unix_auto().unwrap();
             let (mut a, mut b) = start_pair(&mut router);
-            let snap = bulky();
-            // Both ranks send before either reads: this only completes if
-            // the router never waits on a rank that is not reading.
-            for (t, dst) in [(&mut a, 1), (&mut b, 0)] {
-                for _ in 0..8 {
-                    let snapshot = StdArc::clone(&snap);
-                    t.send(dst, PtsMsg::Init { snapshot });
-                }
-            }
-            for t in [&mut a, &mut b] {
-                for _ in 0..8 {
-                    match drive_sync(t.recv()) {
-                        PtsMsg::Init { snapshot } => assert!(snapshot == snap),
-                        other => panic!("got {}", other.tag()),
-                    }
-                }
-            }
+            exchange_bulk(&mut a, &mut b);
             drop((a, b));
             router.finish();
         });
     }
 
     #[test]
-    fn down_trails_a_backlogged_burst() {
+    fn link_peers_exchange_past_socket_buffers() {
         within(Duration::from_secs(30), || {
             let mut router = SocketRouter::bind_unix_auto().unwrap();
-            router.set_down_routes(vec![vec![1], vec![]]);
-            let (mut a, mut b) = start_pair(&mut router);
+            let [r0, mut r1, mut r2] = start_chain(&mut router);
+            exchange_bulk(&mut r1, &mut r2);
+            // The router carried none of it.
+            let routed = router.traffic().to_proc_stats();
+            assert!(routed.iter().all(|p| p.messages_sent == 0));
+            drop((r0, r1, r2));
+            router.finish();
+        });
+    }
+
+    #[test]
+    fn a_link_end_trails_a_backlogged_burst_with_one_down() {
+        within(Duration::from_secs(30), || {
+            let mut router = SocketRouter::bind_unix_auto().unwrap();
+            let [r0, mut r1, mut r2] = start_chain(&mut router);
             let snap = bulky();
             // Rank 1 is not reading, so most of the burst still waits in
-            // the router's backlog when rank 0 leaves.
+            // rank 2's link backlog when rank 2 leaves. Its drop writes the
+            // backlog out, which takes rank 1 reading: drop it on a thread.
             for _ in 0..4 {
                 let snapshot = StdArc::clone(&snap);
-                a.send(1, PtsMsg::Init { snapshot });
+                r2.send(1, PtsMsg::Init { snapshot });
             }
-            a.send(1, investigate(9));
-            drop(a);
+            r2.send(1, investigate(9));
+            let leaving = std::thread::spawn(move || drop(r2));
             for _ in 0..4 {
-                assert!(matches!(drive_sync(b.recv()), PtsMsg::Init { .. }));
+                assert!(matches!(drive_sync(r1.recv()), PtsMsg::Init { .. }));
             }
             assert!(matches!(
-                drive_sync(b.recv()),
+                drive_sync(r1.recv()),
                 PtsMsg::Investigate { seq: 9, .. }
             ));
-            match drive_sync(b.recv()) {
-                PtsMsg::Down { rank: 0 } => {}
-                other => panic!("expected Down{{0}} last, got {}", other.tag()),
+            match drive_sync(r1.recv()) {
+                PtsMsg::Down { rank: 2 } => {}
+                other => panic!("expected Down{{2}} last, got {}", other.tag()),
             }
-            drop(b);
+            leaving.join().unwrap();
+            // Exactly one notice: nothing follows it.
+            assert!(r1.try_recv().is_none());
+            let deadline = r1.now() + 0.1;
+            assert!(drive_sync(r1.recv_deadline(deadline)).is_none());
+            drop((r0, r1));
             router.finish();
+        });
+    }
+
+    #[test]
+    fn an_uplink_end_from_rank_zero_is_a_sticky_stop() {
+        within(Duration::from_secs(30), || {
+            let mut router = SocketRouter::bind_unix_auto().unwrap();
+            let [mut r0, mut r1, r2] = start_chain(&mut router);
+            r0.send(1, investigate(3));
+            drop(r0);
+            assert!(matches!(
+                drive_sync(r1.recv()),
+                PtsMsg::Investigate { seq: 3, .. }
+            ));
+            // The router stream is still open: the end is the link's.
+            assert!(matches!(drive_sync(r1.recv()), PtsMsg::Stop));
+            assert!(matches!(drive_sync(r1.recv()), PtsMsg::Stop), "sticky");
+            assert!(r1.try_recv().is_none());
+            drop((r1, r2));
+            router.finish();
+        });
+    }
+
+    /// Run the real protocol over sockets, every rank on a thread of its
+    /// own, and check what the router carried.
+    fn routed_run(cfg: crate::config::PtsConfig) {
+        use crate::domain::PtsDomain;
+        let total = cfg.total_procs();
+        let parents: Vec<Option<usize>> = (0..total).map(|r| cfg.parent_rank(r)).collect();
+        let domain = crate::qap_domain::QapDomain::random(10, 3);
+        let initial = domain.initial(cfg.seed);
+        let mut router = SocketRouter::bind_unix_auto().unwrap();
+        let mut ranks = start_tree(&mut router, &parents).into_iter();
+        let mut master = ranks.next().unwrap();
+        let workers: Vec<_> = ranks
+            .enumerate()
+            .map(|(i, mut t)| {
+                let (cfg, domain) = (cfg.clone(), domain.clone());
+                std::thread::spawn(move || {
+                    drive_sync(crate::engine::run_role(&mut t, &cfg, &domain, i + 1));
+                    t
+                })
+            })
+            .collect();
+        let ctl = crate::control::RunControl::unlimited();
+        drive_sync(crate::master::run_master(
+            &mut master,
+            &cfg,
+            &domain,
+            initial,
+            &ctl,
+        ));
+        let mut ranks: Vec<SocketTransport<Qap>> = std::iter::once(master)
+            .chain(workers.into_iter().map(|w| w.join().unwrap()))
+            .collect();
+
+        // Every rank is done, and the router forwarded nothing but one
+        // `Init` to each CLW.
+        let routed = router.traffic().to_proc_stats();
+        let clws = cfg.n_tsw * cfg.n_clw;
+        assert_eq!(
+            routed.iter().map(|p| p.messages_sent).sum::<u64>(),
+            clws as u64
+        );
+        for (rank, p) in routed.iter().enumerate() {
+            let is_clw = matches!(cfg.role_of(rank), crate::config::Role::Clw { .. });
+            assert_eq!(p.messages_received, u64::from(is_clw), "rank {rank}");
+        }
+
+        // Once each rank's final frame is in, the router's totals are each
+        // rank's own counts.
+        let own: Vec<ProcStats> = ranks.iter_mut().map(|t| t.take_stats()).collect();
+        drop(ranks);
+        router.finish();
+        let totals = router.traffic().to_proc_stats();
+        for (rank, (got, want)) in totals.iter().zip(&own).enumerate() {
+            assert_eq!(
+                (got.messages_sent, got.bytes_sent, got.messages_received),
+                (want.messages_sent, want.bytes_sent, want.messages_received),
+                "rank {rank}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fault_free_run_routes_only_init_to_clws() {
+        within(Duration::from_secs(60), || {
+            let cfg = |n_tsw, n_clw, shard_fanout| crate::config::PtsConfig {
+                n_tsw,
+                n_clw,
+                shard_fanout,
+                global_iters: 3,
+                local_iters: 4,
+                ..crate::config::PtsConfig::default()
+            };
+            routed_run(cfg(2, 2, 0));
+            routed_run(cfg(4, 2, 2));
         });
     }
 
@@ -1490,11 +2040,9 @@ mod tests {
         let mut router = SocketRouter::bind_unix_auto().unwrap();
         let path = router.addr().strip_prefix("unix:").unwrap().to_string();
         let mut rogue = UnixStream::connect(&path).unwrap();
-        let mut hello = [wire::WIRE_VERSION, 0, 0, 0, 0];
-        hello[1..].copy_from_slice(&7u32.to_le_bytes());
-        rogue.write_all(&hello).unwrap();
+        rogue.write_all(&hello(7, "").unwrap()).unwrap();
         let err = router
-            .run_barrier(2, b"", Duration::from_secs(5))
+            .run_barrier(&[None, None], b"", Duration::from_secs(5))
             .unwrap_err();
         assert!(err.to_string().contains("outside topology"), "got: {err}");
         assert!(
@@ -1512,7 +2060,7 @@ mod tests {
             // so only the shutdown can end its `accept`.
             std::fs::remove_file(&path).unwrap();
             let err = router
-                .run_barrier(1, b"", Duration::from_millis(100))
+                .run_barrier(&[None], b"", Duration::from_millis(100))
                 .unwrap_err();
             assert_eq!(err.kind(), ErrorKind::TimedOut, "got: {err}");
         });
@@ -1522,7 +2070,7 @@ mod tests {
     /// to write raw frames into.
     fn direct() -> (SocketTransport<Qap>, UnixStream) {
         let (ours, theirs) = UnixStream::pair().unwrap();
-        let t = SocketTransport::new(Stream::Unix(ours), 1, ()).unwrap();
+        let t = SocketTransport::new(Stream::Unix(ours), Vec::new(), 1, ()).unwrap();
         (t, theirs)
     }
 

@@ -73,7 +73,13 @@ use std::sync::Arc;
 ///   the config block grows an aspiration + portfolio tail. No frame
 ///   changes size, so v1 frames decode as v2 with all-default strategy
 ///   fields.
-pub const WIRE_VERSION: u8 = 2;
+/// * 3 — direct links between protocol-tree neighbours: a rank's hello
+///   carries its link-listener address, the router opens each rank's
+///   setup frame with a link block naming the rank's uplink, and a
+///   worker's final [`LinkTally`] frame reports the traffic its links
+///   carried past the router. Message frames do not change, so v1 and
+///   v2 message frames still decode.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Oldest frame version this codec still decodes.
 pub const MIN_WIRE_VERSION: u8 = 1;
@@ -128,6 +134,9 @@ mod tag {
     /// transports drop it on read. Kept out of the protocol enum so the
     /// `wire_size` model and the virtual engines are untouched.
     pub const HEARTBEAT: u8 = 13;
+    /// A worker's final frame to the router: its [`super::LinkTally`].
+    /// Like a heartbeat it is consumed by the router, never forwarded.
+    pub const TALLY: u8 = 14;
 }
 
 /// Why a buffer failed to decode.
@@ -954,23 +963,56 @@ pub fn encode_heartbeat_frame(origin: u32) -> Vec<u8> {
     out
 }
 
-/// Encode a [`PtsMsg::Down`] frame for `dead_rank` addressed to `dst`,
-/// without naming a problem type — byte-identical to
-/// `encode_msg(&PtsMsg::Down { rank }, dst)`, so the router (which is
-/// generic over nothing) can synthesize death notices on a worker EOF.
-pub fn encode_down_frame(dead_rank: usize, dst: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HDR);
+/// The traffic a worker's links carried, which the router never saw:
+/// what the worker sent over them (messages and [`PtsMsg::wire_size`]
+/// bytes) and the messages it read from them. A worker reports it in
+/// its final frame ([`encode_tally_frame`]) and the router adds it to
+/// the rank's totals.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkTally {
+    /// Messages sent over links.
+    pub sent: u64,
+    /// Wire bytes of those messages.
+    pub bytes: u64,
+    /// Messages read from links.
+    pub received: u64,
+}
+
+/// Bytes of a tally frame after its header: three `u64` counts.
+const TALLY_BODY: usize = 24;
+
+/// Encode `origin`'s final tally frame: a header whose destination is a
+/// sentinel (the router consumes it), then the three counts.
+pub fn encode_tally_frame(origin: u32, tally: &LinkTally) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HDR + TALLY_BODY);
     put_header(
         &mut out,
-        tag::DOWN,
+        tag::TALLY,
         PayloadKind::None,
-        dst,
-        narrow(dead_rank),
+        u32::MAX,
+        origin,
         0,
         0,
         0.0,
     );
+    put_u64(&mut out, tally.sent);
+    put_u64(&mut out, tally.bytes);
+    put_u64(&mut out, tally.received);
     out
+}
+
+/// The counts of a tally frame; `None` for any other frame, and for a
+/// tally frame of the wrong length.
+pub fn decode_tally(buf: &[u8]) -> Option<LinkTally> {
+    if buf.len() != HDR + TALLY_BODY || !version_ok(buf[0]) || buf[1] != tag::TALLY {
+        return None;
+    }
+    let mut r = WireReader::new(&buf[HDR..]);
+    Some(LinkTally {
+        sent: r.u64().ok()?,
+        bytes: r.u64().ok()?,
+        received: r.u64().ok()?,
+    })
 }
 
 /// Decode a message encoded by [`encode_msg`]. Returns the destination
@@ -1455,13 +1497,24 @@ mod tests {
     }
 
     #[test]
-    fn down_frame_helper_matches_encode_msg() {
-        let msg: PtsMsg<Qap> = PtsMsg::Down { rank: 17 };
-        assert_eq!(encode_down_frame(17, 4), encode_msg(&msg, 4));
-        match decode_msg::<Qap>(&encode_down_frame(17, 4), &()).unwrap() {
-            (4, PtsMsg::Down { rank: 17 }) => {}
-            other => panic!("decoded {:?}", (other.0, other.1.tag())),
-        }
+    fn tally_frames_roundtrip_and_never_decode_as_messages() {
+        let tally = LinkTally {
+            sent: 9,
+            bytes: 2_283,
+            received: 7,
+        };
+        let frame = encode_tally_frame(4, &tally);
+        assert_eq!(decode_tally(&frame), Some(tally));
+        assert!(decode_msg::<Qap>(&frame, &()).is_err());
+        assert!(!is_heartbeat(&frame));
+        // Anything else, or a tally cut short or stamped outside the
+        // version window, is no tally.
+        assert_eq!(decode_tally(&encode_msg(&PtsMsg::<Qap>::Stop, 0)), None);
+        assert_eq!(decode_tally(&encode_heartbeat_frame(4)), None);
+        assert_eq!(decode_tally(&frame[..frame.len() - 1]), None);
+        let mut bad = frame.clone();
+        bad[0] = 9;
+        assert_eq!(decode_tally(&bad), None);
     }
 
     #[test]

@@ -30,12 +30,14 @@ fn worker_exe() -> &'static str {
 /// (and as candidate victims).
 static CHAOS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-// SIGKILL delivery without a libc dependency — same offline-FFI
-// precedent as `pts_util::cputime` and the serve signal handler.
+// SIGKILL and SIGSTOP delivery without a libc dependency — same
+// offline-FFI precedent as `pts_util::cputime` and the serve signal
+// handler. Linux signal numbers: this suite reads `/proc` anyway.
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
 }
 const SIGKILL: i32 = 9;
+const SIGSTOP: i32 = 19;
 
 /// Worker-rank processes among this test process's children: scan
 /// `/proc` for `__pts-worker` cmdlines whose ppid is us, returning
@@ -107,6 +109,19 @@ fn run_with_midrun_kill(
     domain: QapDomain,
     victim: usize,
 ) -> (EngineOutput<QapDomain>, bool) {
+    let (out, struck) = run_with_midrun_signal(run, domain, victim, SIGKILL);
+    (out, struck.is_some())
+}
+
+/// Execute `run` on the proc engine while sending worker `victim`
+/// signal `sig` once the search is demonstrably mid-run (first round
+/// completed). Returns the engine output and when the signal landed.
+fn run_with_midrun_signal(
+    run: &PtsRun,
+    domain: QapDomain,
+    victim: usize,
+    sig: i32,
+) -> (EngineOutput<QapDomain>, Option<Instant>) {
     let rounds = Arc::new(AtomicU32::new(0));
     let rounds2 = Arc::clone(&rounds);
     let ctl = RunControl::unlimited().with_progress(Arc::new(move |_g, _b| {
@@ -120,7 +135,7 @@ fn run_with_midrun_kill(
     // after the first progress report — mid-collection, not pre-run.
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut victim_pid = None;
-    let mut killed = false;
+    let mut struck = None;
     while Instant::now() < deadline && !search.is_finished() {
         if victim_pid.is_none() {
             victim_pid = worker_children()
@@ -130,14 +145,16 @@ fn run_with_midrun_kill(
         }
         if let Some(pid) = victim_pid {
             if rounds.load(Ordering::SeqCst) >= 1 {
-                killed = unsafe { kill(pid, SIGKILL) } == 0;
+                // SAFETY: `kill` takes no pointers and touches no memory
+                // of this process.
+                struck = (unsafe { kill(pid, sig) } == 0).then(Instant::now);
                 break;
             }
         }
         std::thread::sleep(Duration::from_millis(2));
     }
     let out = search.join().expect("chaos run must complete, not hang");
-    (out, killed)
+    (out, struck)
 }
 
 #[test]
@@ -224,6 +241,74 @@ fn empty_chaos_plan_is_bit_identical_to_async() {
         proc_out.outcome.best_per_global_iter, async_out.outcome.best_per_global_iter,
         "armed-but-idle supervision must not perturb the search"
     );
+    assert!(
+        worker_children().is_empty(),
+        "worker processes outlived the engine: {:?}",
+        worker_children()
+    );
+}
+
+#[test]
+fn stopped_worker_is_excused_and_killed_at_detection() {
+    let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    // A SIGSTOPped rank is alive but silent: its links stay open, so no
+    // link end tells anyone. Its heartbeats stop, the monitor finds it
+    // hung, and killing it there ends its links at once.
+    let run = chaos_run(2, 10, 0xC4407);
+    let domain = QapDomain::random(24, 23);
+    let victim = run.config().clw_rank(1, 0);
+    assert_eq!(victim, 4);
+    let (out, struck) = run_with_midrun_signal(&run, domain, victim, SIGSTOP);
+    let stopped = struck.expect("the SIGSTOP never landed — run too short to observe");
+    let after = stopped.elapsed();
+
+    assert!(
+        out.report.dead_ranks.contains(&victim),
+        "rank {victim} hung but dead_ranks = {:?}",
+        out.report.dead_ranks
+    );
+    assert_eq!(out.outcome.best_per_global_iter.len(), 10);
+    assert!(
+        after < Duration::from_secs(5),
+        "the engine returned {after:?} after the stop"
+    );
+    assert!(
+        worker_children().is_empty(),
+        "worker processes outlived the engine: {:?}",
+        worker_children()
+    );
+}
+
+#[test]
+fn sigkilled_tsw_under_a_sub_master_is_excused_and_truthfully_reported() {
+    let _serial = CHAOS.lock().unwrap_or_else(|e| e.into_inner());
+    // Sharded: the victim's links lead to a sub-master and to its CLW,
+    // and those two are the ranks that read its end.
+    let run = Pts::builder()
+        .tsw_workers(4)
+        .clw_workers(1)
+        .shard_fanout(2)
+        .global_iters(10)
+        .local_iters(30)
+        .sync(SyncPolicy::WaitAll)
+        .heartbeat_ms(50)
+        .seed(0xC4408)
+        .build()
+        .unwrap();
+    assert!(run.config().n_shards() > 0, "the tree must be sharded");
+    let domain = QapDomain::random(24, 29);
+    let victim = run.config().tsw_rank(1);
+    let (out, killed) = run_with_midrun_kill(&run, domain, victim);
+
+    assert!(
+        killed,
+        "the chaos kill never landed — run too short to observe"
+    );
+    // Truthful both ways: the victim, and nobody else (its CLW winds down
+    // cleanly on the victim's end).
+    assert_eq!(out.report.dead_ranks, vec![victim]);
+    assert!(out.outcome.best_cost <= out.outcome.initial_cost);
+    assert_eq!(out.outcome.best_per_global_iter.len(), 10);
     assert!(
         worker_children().is_empty(),
         "worker processes outlived the engine: {:?}",

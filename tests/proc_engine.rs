@@ -8,11 +8,13 @@
 //! Worker processes re-enter this test binary's companion CLI (`pts`),
 //! which calls `maybe_worker()` first thing in `main`.
 
+use parallel_tabu_search::core::proc::SocketKind;
 use parallel_tabu_search::core::{
-    AsyncEngine, ProcEngine, Pts, PtsRun, QapDomain, RunControl, SyncPolicy,
+    AsyncEngine, ProcEngine, Pts, PtsRun, QapDomain, RunControl, RunReport, SyncPolicy,
 };
 use parallel_tabu_search::netlist::by_name;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The binary that hosts worker ranks (calls `proc::maybe_worker()`).
 fn worker_exe() -> &'static str {
@@ -29,6 +31,30 @@ fn wait_all_run(n_tsw: usize, n_clw: usize, global: u32) -> PtsRun {
         .seed(0xFEED)
         .build()
         .unwrap()
+}
+
+/// `wait_all_run` with its collection tree cut at fan-out `fanout`
+/// (0 keeps it flat).
+fn wait_all_tree(n_tsw: usize, n_clw: usize, fanout: usize) -> PtsRun {
+    Pts::builder()
+        .tsw_workers(n_tsw)
+        .clw_workers(n_clw)
+        .global_iters(4)
+        .local_iters(8)
+        .sync(SyncPolicy::WaitAll)
+        .shard_fanout(fanout)
+        .seed(0xFEED)
+        .build()
+        .unwrap()
+}
+
+/// Per-rank `(messages_sent, messages_received, bytes_sent)`.
+fn traffic(report: &RunReport) -> Vec<(u64, u64, u64)> {
+    report
+        .per_proc
+        .iter()
+        .map(|p| (p.messages_sent, p.messages_received, p.bytes_sent))
+        .collect()
 }
 
 #[test]
@@ -132,4 +158,80 @@ fn cancelled_control_stops_after_first_round() {
         "a cancelled run stops at the first round boundary"
     );
     assert!(out.outcome.best_cost <= out.outcome.initial_cost);
+}
+
+#[test]
+fn proc_per_rank_traffic_matches_async_twin() {
+    // Most traffic crosses links the router never sees: the per-rank
+    // report is whole only if every worker's final frame brought its link
+    // counts in.
+    let domain = QapDomain::random(14, 21);
+    for (n_tsw, n_clw, fanout) in [(3, 1, 0), (2, 2, 0), (4, 2, 2)] {
+        let run = wait_all_tree(n_tsw, n_clw, fanout);
+        let async_out = run.execute(&domain, &AsyncEngine::new());
+        let proc_out = run.execute(&domain, &ProcEngine::new(worker_exe()));
+        let shape = format!("{n_tsw}x{n_clw} fan-out {fanout}");
+        assert_eq!(
+            proc_out.outcome.best_cost, async_out.outcome.best_cost,
+            "{shape}"
+        );
+        let (got, want) = (traffic(&proc_out.report), traffic(&async_out.report));
+        assert_eq!(got.len(), want.len(), "{shape}");
+        // A sub-master's `GroupReport` carries the trace it merged from its
+        // TSWs' reports by wall-clock stamp, and the report that wins a
+        // cost tie is the first to arrive, so its wire bytes follow socket
+        // timing (ROADMAP item 2). Its message counts do not.
+        let sub_masters = 1 + n_tsw + n_tsw * n_clw;
+        for (rank, (g, w)) in got.iter().zip(&want).enumerate() {
+            if rank < sub_masters {
+                assert_eq!(g, w, "{shape}: rank {rank} (sent, received, bytes)");
+            } else {
+                assert_eq!(
+                    (g.0, g.1),
+                    (w.0, w.1),
+                    "{shape}: rank {rank} (sent, received)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn proc_over_tcp_matches_async_and_keeps_pace() {
+    let tcp = || ProcEngine::new(worker_exe()).with_socket(SocketKind::Tcp);
+    let domain = QapDomain::random(14, 21);
+    for fanout in [0, 2] {
+        let run = wait_all_tree(4, 2, fanout);
+        let async_out = run.execute(&domain, &AsyncEngine::new());
+        let proc_out = run.execute(&domain, &tcp());
+        assert_eq!(proc_out.outcome.best_cost, async_out.outcome.best_cost);
+        assert_eq!(
+            proc_out.outcome.best_per_global_iter,
+            async_out.outcome.best_per_global_iter
+        );
+        let sent =
+            |r: &RunReport| -> Vec<u64> { r.per_proc.iter().map(|p| p.messages_sent).collect() };
+        assert_eq!(sent(&proc_out.report), sent(&async_out.report));
+    }
+
+    // Many short rounds of small frames: with Nagle's algorithm on, each
+    // frame waits for the peer's delayed ACK and this run takes seconds.
+    let run = Pts::builder()
+        .tsw_workers(1)
+        .clw_workers(1)
+        .global_iters(50)
+        .local_iters(2)
+        .sync(SyncPolicy::WaitAll)
+        .seed(0xFEED)
+        .build()
+        .unwrap();
+    let domain = QapDomain::random(64, 5);
+    let started = Instant::now();
+    let out = run.execute(&domain, &tcp());
+    let took = started.elapsed();
+    assert_eq!(out.outcome.best_per_global_iter.len(), 50);
+    assert!(
+        took < Duration::from_secs(1),
+        "50 rounds over TCP took {took:?}"
+    );
 }
