@@ -4,9 +4,9 @@
 //! the batched path (`trial_costs` over the whole list) across problem
 //! sizes and candidate-list lengths, plus the speedup ratio. The batched
 //! kernel is bit-identical to scalar by contract (see
-//! `tests/batch_kernel.rs`); this binary shows what the row-hoisted walk
-//! buys in time. The QAP-256 / batch-32 point is the one
-//! `engine_compare --time-check` gates through `BENCH_time.json`.
+//! `tests/batch_kernel.rs`); this binary shows what the hoisted rows and
+//! the two-candidate walk buy in time. The QAP-256 / batch-32 point is
+//! the one `engine_compare --time-check` gates through `BENCH_time.json`.
 //!
 //! Run in release mode — debug timings are meaningless:
 //! `cargo run --release -p pts-bench --bin kernel_bench`

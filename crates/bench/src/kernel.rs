@@ -3,11 +3,12 @@
 //! Measures the cost of one trial evaluation through the two paths the
 //! engine can take on the QAP domain: the scalar path (`trial_cost` per
 //! move, one bounds-checked matrix walk each) and the batched path
-//! (`trial_costs` over a whole candidate list, which hoists the swapped
-//! pair's flow/distance rows out of the inner loop). Both paths are
-//! bit-identical by contract — this module measures *time only* and is
-//! what `BENCH_time.json` gates on: the batched kernel must stay ≥ 1.5×
-//! faster than scalar at QAP-256, measured in the same process run.
+//! (`trial_costs` over a whole candidate list, which hoists each move's
+//! flow/distance rows out of the inner loop and walks two candidates per
+//! pass over the facilities). Both paths are bit-identical by contract —
+//! this module measures *time only* and is what `BENCH_time.json` gates
+//! on: the batched kernel must stay ≥ 1.5× faster than scalar at QAP-256,
+//! measured in the same process run.
 //!
 //! Methodology: the two paths are interleaved round by round (scalar
 //! pass, then batched pass, over the same freshly sampled candidate

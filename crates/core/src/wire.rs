@@ -154,7 +154,8 @@ pub enum WireError {
     Tag(u8),
     /// The buffer ended before the structure it claims to hold.
     Truncated,
-    /// Counts/sizes in the frame are mutually inconsistent.
+    /// Counts/sizes in the frame are mutually inconsistent, or a field
+    /// holds a value no valid message has.
     Malformed(&'static str),
 }
 
@@ -665,11 +666,17 @@ fn put_trace(trace: &[TracePoint], out: &mut Vec<u8>) {
     }
 }
 
+/// Decode `n` trace points. A time that is not finite is malformed: the
+/// collector orders every point by time when it merges traces.
 fn get_trace(r: &mut WireReader<'_>, n: usize) -> Result<Vec<TracePoint>, WireError> {
     let mut trace = Vec::with_capacity(n);
     for _ in 0..n {
+        let time = r.f64()?;
+        if !time.is_finite() {
+            return Err(WireError::Malformed("trace time is not finite"));
+        }
         trace.push(TracePoint {
-            time: r.f64()?,
+            time,
             iter: r.u32()? as u64,
             best_cost: r.f64()?,
         });

@@ -269,6 +269,10 @@ impl Qap {
 
     /// Cost delta of swapping the locations of facilities `a` and `b`
     /// (O(n) incremental).
+    ///
+    /// The plain per-index loop, kept as the scalar reference: `trial_cost`
+    /// uses it, and the batched kernel and `apply`, which walk hoisted rows
+    /// instead, must match it bit for bit.
     pub fn swap_delta(&self, a: usize, b: usize) -> f64 {
         if a == b {
             return 0.0;
@@ -291,33 +295,113 @@ impl Qap {
         self.loc_of.clone()
     }
 
-    /// Batched [`Qap::swap_delta`]: hoists the flow/distance rows of `a`
-    /// and `b` out of the k-loop and walks k in three contiguous segments
-    /// (below, between, above the swapped pair) instead of testing
-    /// `k == a || k == b` every iteration. The accumulation visits the
-    /// same k values in the same ascending order with the same two `+=`
-    /// per k as the scalar kernel, so the result is bit-identical.
+    /// [`Qap::swap_delta`] of one move, or of two moves in one pass over
+    /// the facilities: the segment walker behind `trial_costs` and `apply`.
+    ///
+    /// Each lane hoists the flow rows of its two facilities and the
+    /// distance rows of their locations out of the k-loop. The walk splits
+    /// `0..n` at the sorted union of every lane's facilities: between two
+    /// split points every lane adds without a test, and at a split point a
+    /// lane adds unless the point is one of its own facilities. So each
+    /// lane visits the same k, in the same ascending order, with the same
+    /// two `+=` per k as `swap_delta`, and its delta is bit-identical. Two
+    /// lanes only interleave two independent add chains, so each lane's
+    /// dependent additions fill the other's add latency; more lanes run out
+    /// of registers for their rows.
+    ///
+    /// A lane with `a == b` skips index `a` only once, where `swap_delta`
+    /// returns `0.0` without a walk, so callers handle a self-swap
+    /// themselves.
     #[inline]
-    fn swap_delta_rows(&self, a: usize, b: usize) -> f64 {
+    fn swap_deltas<const L: usize>(&self, moves: [(usize, usize); L]) -> [f64; L] {
+        const { assert!(L == 1 || L == 2, "one or two lanes") };
         let n = self.n;
-        let (la, lb) = (self.loc_of[a], self.loc_of[b]);
-        let fa = &self.flow[a * n..a * n + n];
-        let fb = &self.flow[b * n..b * n + n];
-        let da = &self.dist[la * n..la * n + n];
-        let db = &self.dist[lb * n..lb * n + n];
-        let (first, second) = if a < b { (a, b) } else { (b, a) };
-        let mut delta = 0.0;
-        let seg = |delta: &mut f64, lo: usize, hi: usize| {
-            for k in lo..hi {
-                let lk = self.loc_of[k];
-                *delta += fa[k] * (db[lk] - da[lk]);
-                *delta += fb[k] * (da[lk] - db[lk]);
+        // Filled in place: built with `array::map`, the lanes were not
+        // inlined, and the bounds checks lost that every row is n long.
+        let mut lanes = [Lane::EMPTY; L];
+        let mut points = [0; 4];
+        for (i, (a, b)) in moves.into_iter().enumerate() {
+            lanes[i] = Lane::new(self, a, b);
+            [points[2 * i], points[2 * i + 1]] = [a, b];
+        }
+        let points = &mut points[..2 * L];
+        points.sort_unstable();
+        let mut lo = 0;
+        for &p in points.iter() {
+            // A facility two lanes share is one split point.
+            if p < lo {
+                continue;
             }
-        };
-        seg(&mut delta, 0, first);
-        seg(&mut delta, first + 1, second);
-        seg(&mut delta, second + 1, n);
-        delta
+            Lane::walk(&mut lanes, &self.loc_of, lo, p);
+            let lp = self.loc_of[p];
+            for lane in lanes.iter_mut() {
+                if p != lane.a && p != lane.b {
+                    lane.add(p, lp);
+                }
+            }
+            lo = p + 1;
+        }
+        Lane::walk(&mut lanes, &self.loc_of, lo, n);
+        lanes.map(|lane| lane.delta)
+    }
+}
+
+/// One move's share of a [`Qap::swap_deltas`] walk: its two facilities,
+/// their flow rows, the distance rows of their locations, and its running
+/// delta.
+#[derive(Clone, Copy)]
+struct Lane<'q> {
+    a: usize,
+    b: usize,
+    fa: &'q [f64],
+    fb: &'q [f64],
+    da: &'q [f64],
+    db: &'q [f64],
+    delta: f64,
+}
+
+impl<'q> Lane<'q> {
+    const EMPTY: Lane<'q> = Lane {
+        a: 0,
+        b: 0,
+        fa: &[],
+        fb: &[],
+        da: &[],
+        db: &[],
+        delta: 0.0,
+    };
+
+    #[inline(always)]
+    fn new(q: &'q Qap, a: usize, b: usize) -> Lane<'q> {
+        let n = q.n;
+        let row = |m: &'q [f64], i: usize| &m[i * n..][..n];
+        Lane {
+            a,
+            b,
+            fa: row(&q.flow, a),
+            fb: row(&q.flow, b),
+            da: row(&q.dist, q.loc_of[a]),
+            db: row(&q.dist, q.loc_of[b]),
+            delta: 0.0,
+        }
+    }
+
+    /// Facility `k`, at location `lk`: `swap_delta`'s two additions.
+    #[inline(always)]
+    fn add(&mut self, k: usize, lk: usize) {
+        self.delta += self.fa[k] * (self.db[lk] - self.da[lk]);
+        self.delta += self.fb[k] * (self.da[lk] - self.db[lk]);
+    }
+
+    /// Every lane adds every facility of `lo..hi`, whose locations
+    /// `loc_of` holds.
+    #[inline(always)]
+    fn walk<const L: usize>(lanes: &mut [Lane<'q>; L], loc_of: &[usize], lo: usize, hi: usize) {
+        for (k, &lk) in (lo..hi).zip(&loc_of[lo..hi]) {
+            for lane in lanes.iter_mut() {
+                lane.add(k, lk);
+            }
+        }
     }
 }
 
@@ -352,9 +436,18 @@ impl SearchProblem for Qap {
         self.cost + self.swap_delta(mv.0, mv.1)
     }
 
+    /// Commits the swap with its delta from the one-lane walk over hoisted
+    /// rows (`Qap::swap_deltas`), so the committed cost is `cost +
+    /// swap_delta(a, b)` bit for bit. A self-swap adds `swap_delta`'s
+    /// `0.0` itself, since the walk does not return it.
     fn apply(&mut self, mv: &Self::Move) {
-        self.cost += self.swap_delta(mv.0, mv.1);
-        self.loc_of.swap(mv.0, mv.1);
+        let (a, b) = *mv;
+        self.cost += if a == b {
+            0.0
+        } else {
+            self.swap_deltas([(a, b)])[0]
+        };
+        self.loc_of.swap(a, b);
     }
 
     fn undo(&mut self, mv: &Self::Move) {
@@ -401,16 +494,27 @@ impl SearchProblem for Qap {
         };
     }
 
+    /// Trial-costs the moves two at a time, each pair in one two-lane walk
+    /// over hoisted rows (`Qap::swap_deltas`); an odd batch's last move
+    /// takes the one-lane walk. Every cost equals `trial_cost` bit for
+    /// bit, and a self-swap costs the current cost.
     fn trial_costs(&mut self, moves: &[Self::Move], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(moves.len());
-        for &(a, b) in moves {
-            let cost = if a == b {
+        let trial = |&(a, b): &(usize, usize), delta: f64| {
+            if a == b {
                 self.cost
             } else {
-                self.cost + self.swap_delta_rows(a, b)
-            };
-            out.push(cost);
+                self.cost + delta
+            }
+        };
+        let mut pairs = moves.chunks_exact(2);
+        for pair in &mut pairs {
+            let deltas = self.swap_deltas([pair[0], pair[1]]);
+            out.extend(pair.iter().zip(deltas).map(|(mv, delta)| trial(mv, delta)));
+        }
+        for mv in pairs.remainder() {
+            out.push(trial(mv, self.swap_deltas([*mv])[0]));
         }
     }
 }

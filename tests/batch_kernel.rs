@@ -327,3 +327,102 @@ fn empty_improvement_batch_keeps_scalar_winner() {
         );
     }
 }
+
+/// Instance sizes of the hand-built QAP cases: the smallest instances,
+/// where every facility is an edge case, and one larger.
+const EDGE_SIZES: [usize; 5] = [2, 3, 4, 5, 17];
+
+/// Every move between two edge facilities, self-swaps included: every
+/// facility of a small instance, and on a larger one both ends, their
+/// neighbours and an adjacent middle pair. So the list holds each move's
+/// reverse, moves sharing one facility, facilities 0 and n − 1, and
+/// adjacent facilities.
+fn edge_moves(n: usize) -> Vec<(usize, usize)> {
+    let facilities: Vec<usize> = if n <= 5 {
+        (0..n).collect()
+    } else {
+        vec![0, 1, n / 2, n / 2 + 1, n - 2, n - 1]
+    };
+    facilities
+        .iter()
+        .flat_map(|&a| facilities.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
+/// `trial_costs` over `moves` equals per-move `trial_cost`, bit for bit.
+fn assert_batch_matches_scalar(q: &mut Qap, moves: &[(usize, usize)], out: &mut Vec<f64>) {
+    q.trial_costs(moves, out);
+    assert_eq!(out.len(), moves.len());
+    for (mv, &cost) in moves.iter().zip(out.iter()) {
+        assert_eq!(
+            cost.to_bits(),
+            q.trial_cost(mv).to_bits(),
+            "n = {}, batch {moves:?}, move {mv:?}",
+            q.n()
+        );
+    }
+}
+
+#[test]
+fn qap_pair_walk_edge_cases_match_scalar_bitwise() {
+    for n in EDGE_SIZES {
+        let mut q = Qap::random(n, 40 + n as u64);
+        let moves = edge_moves(n);
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            // Every ordered pair of edge moves as one pair walk: the same
+            // move twice, a move and its reverse, two moves sharing one
+            // facility, and a self-swap in either lane.
+            for &first in &moves {
+                for &second in &moves {
+                    assert_batch_matches_scalar(&mut q, &[first, second], &mut out);
+                }
+            }
+            // Batch lengths 0–9 from every offset: pairs and the odd
+            // remainder at every position.
+            for len in 0..=9 {
+                for start in 0..moves.len() {
+                    let batch: Vec<_> = (start..start + len)
+                        .map(|i| moves[i % moves.len()])
+                        .collect();
+                    assert_batch_matches_scalar(&mut q, &batch, &mut out);
+                }
+            }
+            q.apply(&(0, n - 1));
+        }
+    }
+}
+
+#[test]
+fn qap_commits_add_the_scalar_delta_bitwise() {
+    for n in EDGE_SIZES {
+        let mut q = Qap::random(n, 50 + n as u64);
+        // apply and undo of every edge move, self-swaps included; each
+        // move stays applied, so the next starts from another state.
+        for mv in edge_moves(n) {
+            for undo in [false, true, false] {
+                let want = q.cost() + q.swap_delta(mv.0, mv.1);
+                if undo {
+                    q.undo(&mv);
+                } else {
+                    q.apply(&mv);
+                }
+                assert_eq!(q.cost().to_bits(), want.to_bits(), "n = {n}, {mv:?}");
+            }
+        }
+        // diversify commits through apply: replay its moves on a twin,
+        // checking each step, and land on the same cost bits.
+        let mut rng = Rng::new(n as u64);
+        for _ in 0..4 {
+            let mut twin = q.clone();
+            let applied = q.diversify(&mut rng, (0, n), 5, 3, None);
+            for mv in &applied {
+                let want = twin.cost() + twin.swap_delta(mv.0, mv.1);
+                twin.apply(mv);
+                assert_eq!(twin.cost().to_bits(), want.to_bits(), "n = {n}, {mv:?}");
+            }
+            assert_eq!(q.cost().to_bits(), twin.cost().to_bits());
+            assert_eq!(q.snapshot(), twin.snapshot());
+        }
+    }
+}

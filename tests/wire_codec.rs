@@ -383,3 +383,36 @@ proptest! {
         check_roundtrip::<Qap>(&msg, 0, &());
     }
 }
+
+#[test]
+fn non_finite_trace_times_are_malformed() {
+    // The collector orders merged trace points by time, so a report whose
+    // trace holds a NaN or infinite time must fail decoding rather than
+    // reach the merge. Report and GroupReport share the trace decoder.
+    for time in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for trace in [vec![(time, 1, 9.0)], vec![(0.5, 1, 10.0), (time, 2, 9.0)]] {
+            for variant in [3, 4] {
+                let msg = qap_msg(
+                    variant,
+                    4,
+                    7,
+                    1,
+                    2,
+                    9.0,
+                    vec![],
+                    trace.clone(),
+                    vec![],
+                    [0; 5],
+                    false,
+                    false,
+                );
+                let buf = encode_msg(&msg, 0);
+                assert!(
+                    matches!(decode_msg::<Qap>(&buf, &()), Err(WireError::Malformed(_))),
+                    "{} with trace time {time} must be malformed",
+                    msg.tag()
+                );
+            }
+        }
+    }
+}
