@@ -1,6 +1,6 @@
 //! Microbenchmarks: candidate-list construction and compound moves on the
 //! placement problem (the CLW inner loop), including the early-accept
-//! ablation from DESIGN.md.
+//! ablation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pts_core::PlacementProblem;

@@ -1,5 +1,5 @@
 //! Microbenchmarks: tabu list operations and attribute-scheme ablation
-//! ((cell,slot) pairs vs plain cell attributes — the DESIGN.md ablation).
+//! ((cell,slot) pairs vs plain cell attributes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pts_tabu::tabu_list::TabuList;

@@ -1,8 +1,7 @@
 //! Microbenchmarks: static timing — full refresh vs incremental estimate.
 //!
 //! The incremental cone-bounded estimate is what makes trial moves cheap;
-//! this bench quantifies its advantage over a full forward sweep (the
-//! DESIGN.md ablation for the incremental-STA design choice).
+//! this bench quantifies its advantage over a full forward sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pts_netlist::{c1355, c532, CellId, TimingGraph};

@@ -4,8 +4,8 @@
 //! (395 cells), *c1355* (1451 cells) and *c3540* (2243 cells). The original
 //! netlists are not redistributable here, so these presets generate
 //! synthetic circuits with **the same cell counts** and ISCAS-like structure
-//! (see `DESIGN.md` §2 for the substitution argument). Seeds are fixed:
-//! every run of the experiment harness sees the exact same circuits.
+//! (see [`crate::generator`]). Seeds are fixed: every run of the experiment
+//! harness sees the exact same circuits.
 
 use crate::generator::{generate, CircuitSpec};
 use crate::netlist::Netlist;

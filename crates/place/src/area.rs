@@ -7,6 +7,7 @@
 //! maximum in O(1).
 
 use crate::placement::Placement;
+use crate::top;
 use pts_netlist::Netlist;
 
 /// Cached per-row cell-width sums.
@@ -35,18 +36,8 @@ impl RowAreaModel {
     }
 
     fn rebuild_top3(&mut self) {
-        self.top3.clear();
-        for (row, &w) in self.row_width.iter().enumerate() {
-            let pos = self
-                .top3
-                .iter()
-                .position(|&(tw, _)| tw < w)
-                .unwrap_or(self.top3.len());
-            if pos < 3 {
-                self.top3.insert(pos, (w, row));
-                self.top3.truncate(3);
-            }
-        }
+        let rows = self.row_width.iter().enumerate().map(|(row, &w)| (w, row));
+        top::refill(&mut self.top3, 3, rows);
     }
 
     /// Current widest-row width: the area objective.

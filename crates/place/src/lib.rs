@@ -27,6 +27,7 @@ pub mod init;
 pub mod layout;
 pub mod placement;
 pub mod timing;
+mod top;
 pub mod wirelength;
 
 pub use cost::{CostScheme, RawObjectives};

@@ -15,23 +15,97 @@
 //! - The changed nets' trial delays go into an epoch-stamped per-net
 //!   overlay, so every in-edge finds its delay in O(1). A net listed twice
 //!   keeps its first entry.
-//! - The sinks of the changed nets are queued in per-level buckets keyed by
-//!   [`TimingGraph::level`], and the levels are swept upward. A logic
-//!   cell's predecessors all sit on lower levels, so the sweep is a
-//!   topological order: every cell sees final inputs, and each cell whose
-//!   output arrival moves queues its fan-out on higher levels.
+//! - Cells are queued in per-level buckets keyed by [`TimingGraph::level`],
+//!   and the levels are swept upward. A logic cell's predecessors all sit
+//!   on lower levels, so the sweep is a topological order: every cell sees
+//!   final inputs. A cell is queued only when an in-edge that changed can
+//!   move its max input (see below): a sink of a changed net, or a fan-out
+//!   of a cell whose output arrival moved.
 //! - New arrivals land in an epoch-stamped per-cell overlay. The cached
 //!   state is never mutated, so no undo is needed and consecutive trials
 //!   are independent.
-//! - The critical delay is the max over all endpoints, re-deriving those
-//!   the cone reached.
+//! - The critical delay is the max of the endpoints the walk reached,
+//!   re-derived, and the largest cached arrival of the others.
 //!
-//! Work is bounded by the affected fan-out cone, which for a two-cell swap
-//! is a small fraction of the circuit. A commit runs the same walk and
-//! writes the overlay back.
+//! Work is bounded by the part of the fan-out cone whose arrivals move,
+//! which for a two-cell swap is a small fraction of the circuit. A commit
+//! runs the same walk and writes the overlay back.
+//!
+//! # Which cells the walk sweeps
+//!
+//! A swept logic cell whose output arrival moves by more than a tolerance
+//! `τ` (1e-15) is *touched*: its new arrivals go into the overlay and its
+//! fan-out is tested. A cell whose output moves by `τ` or less keeps its
+//! cached arrivals. Its in-edges did move, so its cached input arrival `A`
+//! can differ from `M`, the max over its in-edges of cached driver arrival
+//! plus cached net delay. The gap is bounded. Let `X = fl(A + d)` be the
+//! cached output arrival, `d` the intrinsic delay, `Y = fl(M + d)` the
+//! output the sweep found, and `u = ε/2` the unit roundoff. A rounding
+//! moves a value by at most `u` times the rounded value, and the sweep
+//! left the cell, so `|X − Y| ≤ τ(1 + 2u)`. Then
+//!
+//! ```text
+//! |A − M| ≤ |A + d − X| + |X − Y| + |Y − (M + d)|
+//!         ≤ u|X| + τ(1 + 2u) + u(|X| + τ(1 + 2u))
+//!         ≤ τ(1 + 2ε) + ε|X|.
+//! ```
+//!
+//! The gap does not grow: a later sweep that leaves the cell compares
+//! against the same `X` again. The margin the walk allows is
+//! `τ + 4ε·max(|X|, |A|)`. It covers the gap and the rounding of the test
+//! itself once `A > τ`; below that, the test's floor is not positive and
+//! `M`, a max seeded with 0, is not negative. An endpoint is rewritten
+//! whenever it is re-derived, so its `A` equals `M` exactly and the margin
+//! is only slack.
+//!
+//! An in-edge of a cell *changes* when its net is in the changed list or
+//! its driver is touched; the others read cached values in the sweep. The
+//! walk queues the cell unless both the edge's cached value and its trial
+//! value lie below `A` by more than the margin. If every changed in-edge
+//! fails that test, each lies below `M` before and after, so the max is
+//! still `M`, bit for bit, since a max returns one of its operands. The
+//! sweep would find `Y` again and leave the cell. Skipping it therefore
+//! changes nothing: the touched cells, every arrival and every critical
+//! delay are those of the unpruned walk. The test is a negated `<`, so a
+//! NaN anywhere queues the cell.
+//!
+//! The test runs at two sites:
+//!
+//! - **Fan-out.** A touched cell tests each out-edge with its new output
+//!   arrival.
+//! - **Seed edges.** Each sink of a changed net is tested with the driver's
+//!   *cached* arrival and the net's trial delay. If the sweep later touches
+//!   the driver, its fan-out loop tests the same edge again with the new
+//!   arrival. The driver sits on a lower level than the sink, so that test
+//!   runs before the sink's level is swept.
+//!
+//! # Endpoint leaders
+//!
+//! The model keeps the four largest cached endpoint arrivals, rebuilt on
+//! every full refresh and after every commit that rewrites an endpoint.
+//! Every endpoint outside the leaders lies at or below the last of them,
+//! so the largest endpoint the walk did not reach is the first leader that
+//! it did not reach. A trial takes the max of that and the endpoints it
+//! re-derived. Only when every leader was reached does it scan all
+//! endpoints.
 
+use crate::top;
 use crate::wirelength::WirelengthModel;
 use pts_netlist::{CellId, NetId, Netlist, TimingGraph};
+
+/// A swept cell whose output arrival moves by no more than this keeps its
+/// cached arrivals, and the walk does not go past it.
+const TOLERANCE: f64 = 1e-15;
+
+/// How many of the largest cached endpoint arrivals the model keeps.
+const LEADERS: usize = 4;
+
+/// How far below a cell's cached input arrival `arrival_in` an in-edge's
+/// value must lie before it cannot be the cell's max input (module docs).
+#[inline]
+fn staleness_margin(arrival_out: f64, arrival_in: f64) -> f64 {
+    TOLERANCE + 4.0 * f64::EPSILON * arrival_out.abs().max(arrival_in.abs())
+}
 
 /// Cached timing state for one placement.
 #[derive(Clone, Debug)]
@@ -59,6 +133,10 @@ pub struct StaModel {
     buckets: Vec<Vec<CellId>>,
     /// Logic cells whose overlay entries changed in the current epoch.
     touched: Vec<CellId>,
+    /// Endpoints the current epoch re-derives, each once.
+    dirty_endpoints: Vec<CellId>,
+    /// The [`LEADERS`] largest cached endpoint input arrivals, descending.
+    leaders: Vec<(f64, CellId)>,
 }
 
 impl StaModel {
@@ -88,6 +166,8 @@ impl StaModel {
             gen: 0,
             buckets: vec![Vec::new(); timing.max_level() as usize + 1],
             touched: Vec::new(),
+            dirty_endpoints: Vec::new(),
+            leaders: Vec::with_capacity(LEADERS),
         };
         model.refresh(netlist, timing, wirelength);
         model
@@ -168,6 +248,17 @@ impl StaModel {
             critical = critical.max(a_in);
         }
         self.critical = critical;
+        self.rebuild_leaders(timing);
+    }
+
+    /// Refill the leaders from the cached endpoint input arrivals.
+    fn rebuild_leaders(&mut self, timing: &TimingGraph) {
+        let arrival_in = &self.arrival_in;
+        let endpoints = timing
+            .endpoints()
+            .iter()
+            .map(|&ep| (arrival_in[ep.index()], ep));
+        top::refill(&mut self.leaders, LEADERS, endpoints);
     }
 
     // The two overlay lookups read both candidates before testing the
@@ -252,16 +343,29 @@ impl StaModel {
         }
         // ...dirty endpoints take their recomputed input arrivals (their
         // output side — a flip-flop's launch — is unaffected)...
-        for &ep in timing.endpoints() {
-            if self.endpoint_dirty_stamp[ep.index()] == self.gen {
-                self.arrival_in[ep.index()] = self.overlay_in[ep.index()];
-            }
+        for i in 0..self.dirty_endpoints.len() {
+            let ep = self.dirty_endpoints[i];
+            self.arrival_in[ep.index()] = self.overlay_in[ep.index()];
         }
-        // ...and the changed nets take their new delays.
-        for &(nid, h) in changed {
-            self.net_delay[nid.index()] = self.alpha * h;
+        // ...and the changed nets take their trial delays, which for a net
+        // listed twice is its first entry, as in the walk.
+        for &(nid, _) in changed {
+            self.net_delay[nid.index()] = self.net_overlay[nid.index()];
         }
         self.critical = critical;
+        if !self.dirty_endpoints.is_empty() {
+            self.rebuild_leaders(timing);
+        }
+    }
+
+    /// Whether an in-edge of `cell` whose value moves from `old` to `new`
+    /// can move the cell's max input: unless both lie below its cached
+    /// input arrival by more than the staleness margin (module docs).
+    #[inline]
+    fn can_move(&self, cell: CellId, old: f64, new: f64) -> bool {
+        let i = cell.index();
+        let floor = self.arrival_in[i] - staleness_margin(self.arrival_out[i], self.arrival_in[i]);
+        !(old < floor && new < floor)
     }
 
     /// Shared cone re-propagation. Fills the overlay (arrivals of affected
@@ -283,16 +387,26 @@ impl StaModel {
             self.gen = 1;
         }
         self.touched.clear();
+        self.dirty_endpoints.clear();
 
         // Seed: each changed net takes its trial delay (the first entry
-        // wins), and every sink of it must re-derive its arrival.
+        // wins), and each sink whose max input the new delay can move is
+        // queued. The driver's cached arrival stands in for its trial one:
+        // if the sweep touches the driver, its fan-out loop tests the edge
+        // again.
         for &(nid, h) in changed {
-            if self.net_stamp[nid.index()] != self.gen {
-                self.net_stamp[nid.index()] = self.gen;
-                self.net_overlay[nid.index()] = self.alpha * h;
+            let i = nid.index();
+            if self.net_stamp[i] != self.gen {
+                self.net_stamp[i] = self.gen;
+                self.net_overlay[i] = self.alpha * h;
             }
-            for &sink in &netlist.net(nid).sinks {
-                self.enqueue(timing, sink);
+            let net = netlist.net(nid);
+            let launch = self.arrival_out[net.driver.index()];
+            let (old, new) = (launch + self.net_delay[i], launch + self.net_overlay[i]);
+            for &sink in &net.sinks {
+                if self.can_move(sink, old, new) {
+                    self.enqueue(timing, sink);
+                }
             }
         }
 
@@ -305,13 +419,18 @@ impl StaModel {
                 let a_out = a_in + netlist.cell(v).intrinsic_delay;
                 // A cell is swept once per epoch, so its own overlay entry
                 // is still unset here.
-                if (a_out - self.arrival_out[v.index()]).abs() > 1e-15 {
+                let cached = self.arrival_out[v.index()];
+                if (a_out - cached).abs() > TOLERANCE {
                     self.overlay_out[v.index()] = a_out;
                     self.overlay_in[v.index()] = a_in;
                     self.overlay_stamp[v.index()] = self.gen;
                     self.touched.push(v);
                     for e in timing.out_edges(v) {
-                        self.enqueue(timing, e.to);
+                        let old = cached + self.net_delay[e.net.index()];
+                        let new = a_out + self.overlay_net_delay(e.net);
+                        if self.can_move(e.to, old, new) {
+                            self.enqueue(timing, e.to);
+                        }
                     }
                 }
             }
@@ -319,19 +438,30 @@ impl StaModel {
             self.buckets[level] = bucket;
         }
 
-        // Critical = max over endpoints, re-deriving dirty ones.
+        // Critical = max of the dirty endpoints, re-derived, and the
+        // largest clean one: the first leader the walk did not reach, or an
+        // exact scan when it reached them all.
         let mut critical = 0.0f64;
-        for &ep in timing.endpoints() {
-            let a_in = if self.endpoint_dirty_stamp[ep.index()] == self.gen {
-                let a = self.overlay_arrival_in(timing, ep);
-                self.overlay_in[ep.index()] = a;
-                a
-            } else {
-                self.arrival_in[ep.index()]
-            };
-            critical = critical.max(a_in);
+        for i in 0..self.dirty_endpoints.len() {
+            let ep = self.dirty_endpoints[i];
+            let a = self.overlay_arrival_in(timing, ep);
+            self.overlay_in[ep.index()] = a;
+            critical = critical.max(a);
         }
-        critical
+        let clean = |ep: &CellId| self.endpoint_dirty_stamp[ep.index()] != self.gen;
+        let rest = self
+            .leaders
+            .iter()
+            .find(|(_, ep)| clean(ep))
+            .map(|&(a, _)| a)
+            .unwrap_or_else(|| {
+                timing
+                    .endpoints()
+                    .iter()
+                    .filter(|ep| clean(ep))
+                    .fold(0.0f64, |acc, ep| acc.max(self.arrival_in[ep.index()]))
+            });
+        critical.max(rest)
     }
 
     fn enqueue(&mut self, timing: &TimingGraph, cell: CellId) {
@@ -341,7 +471,10 @@ impl StaModel {
             // output pad or a flip-flop. Endpoints are not propagated
             // through; they are re-derived in the final max. (A flip-flop's
             // output arrival is fixed; only its input side is affected.)
-            self.endpoint_dirty_stamp[cell.index()] = self.gen;
+            if self.endpoint_dirty_stamp[cell.index()] != self.gen {
+                self.endpoint_dirty_stamp[cell.index()] = self.gen;
+                self.dirty_endpoints.push(cell);
+            }
         } else if self.queued_stamp[cell.index()] != self.gen {
             self.queued_stamp[cell.index()] = self.gen;
             self.buckets[level].push(cell);
@@ -633,6 +766,133 @@ mod tests {
         }
     }
 
+    /// The staleness bound the pruning relies on (module docs): a logic
+    /// cell's cached input arrival lies within `τ(1 + 2ε) + ε|X|` of its
+    /// in-edges' max, and an endpoint's equals it.
+    fn assert_staleness_bound(m: &StaModel, tg: &TimingGraph, what: &str) {
+        let max_in = |c: CellId| {
+            tg.in_edges(c).iter().fold(0.0f64, |a, e| {
+                a.max(m.arrival_out(e.from) + m.net_delay(e.net))
+            })
+        };
+        for &v in tg.topo_logic() {
+            let (a, x) = (m.arrival_in(v), m.arrival_out(v));
+            let bound = TOLERANCE * (1.0 + 2.0 * f64::EPSILON) + f64::EPSILON * x.abs();
+            assert!(
+                (a - max_in(v)).abs() <= bound,
+                "{what}: arrival_in({v}) {a} vs in-edge max {}",
+                max_in(v)
+            );
+        }
+        for &ep in tg.endpoints() {
+            assert_eq!(
+                m.arrival_in(ep).to_bits(),
+                max_in(ep).to_bits(),
+                "{what}: endpoint {ep}"
+            );
+        }
+    }
+
+    #[test]
+    fn pruned_walk_matches_heap_walk_on_many_circuits() {
+        // The debug build runs a fifth of the circuits, about a second.
+        let circuits = if cfg!(debug_assertions) { 12 } else { 60 };
+        for seed in 0..circuits {
+            let mut rng = Rng::new(7_000 + seed);
+            let depth = 2 + rng.index(14);
+            let fanout_tail = 0.05 * rng.index(8) as f64;
+            let alpha = [0.05, 0.1, 0.15, 0.2, 0.3, 0.7][rng.index(6)];
+            let nl = generate(&CircuitSpec {
+                name: "stress".into(),
+                n_inputs: 4 + rng.index(8),
+                n_outputs: 3 + rng.index(8),
+                n_flipflops: rng.index(12),
+                n_logic: 40 + rng.index(120),
+                depth,
+                fanout_tail,
+                seed: 900 + seed,
+            });
+            let tg = TimingGraph::build(&nl).unwrap();
+            let n = nl.num_cells();
+            let mut p = Placement::random(Layout::for_cells(n), n, &mut rng);
+            let mut wl = WirelengthModel::new(&nl, &p);
+            let mut fast = StaModel::new(&nl, &tg, &wl, alpha);
+            let mut oracle = fast.clone();
+            let mut walk = HeapWalk::new(&nl, &tg);
+            let mut nets = Vec::new();
+            for step in 0..1000 {
+                let what = format!("seed {seed} (depth {depth}, alpha {alpha}), step {step}");
+                let (a, b) = random_pair(&mut rng, n);
+                wl.trial_swap_into(&nl, &p, a, b, &mut nets);
+                let want = walk.estimate(&mut oracle, &nl, &tg, &nets);
+                let got = fast.estimate(&nl, &tg, &nets);
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: estimate");
+                if rng.index(2) == 0 {
+                    p.swap_cells(a, b);
+                    wl.commit_swap(&nl, &p, a, b);
+                    walk.commit_changes(&mut oracle, &nl, &tg, &nets);
+                    fast.commit_changes(&nl, &tg, &nets);
+                    assert_same_state(&fast, &oracle, &nl, &what);
+                    assert_staleness_bound(&fast, &tg, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_prunes_and_touches_what_the_heap_walk_touches() {
+        let nl = pts_netlist::c3540();
+        let tg = TimingGraph::build(&nl).unwrap();
+        let mut rng = Rng::new(3540);
+        let n = nl.num_cells();
+        let mut p = Placement::random(Layout::for_cells(n), n, &mut rng);
+        let mut wl = WirelengthModel::new(&nl, &p);
+        let mut fast = StaModel::new(&nl, &tg, &wl, 0.15);
+        let mut oracle = fast.clone();
+        let mut walk = HeapWalk::new(&nl, &tg);
+        let mut nets = Vec::new();
+        let sorted = |cells: &[CellId]| {
+            let mut cells = cells.to_vec();
+            cells.sort_unstable();
+            cells
+        };
+        let stamped = |m: &StaModel, c: CellId| m.queued_stamp[c.index()] == m.gen;
+        let dirty = |m: &StaModel, c: CellId| m.endpoint_dirty_stamp[c.index()] == m.gen;
+        let (mut swept, mut popped) = (0, 0);
+        for step in 0..2000 {
+            let (a, b) = random_pair(&mut rng, n);
+            wl.trial_swap_into(&nl, &p, a, b, &mut nets);
+            if rng.index(4) == 0 {
+                p.swap_cells(a, b);
+                wl.commit_swap(&nl, &p, a, b);
+                walk.commit_changes(&mut oracle, &nl, &tg, &nets);
+                fast.commit_changes(&nl, &tg, &nets);
+                assert_same_state(&fast, &oracle, &nl, &format!("step {step}"));
+            } else {
+                let want = walk.estimate(&mut oracle, &nl, &tg, &nets);
+                let got = fast.estimate(&nl, &tg, &nets);
+                assert_eq!(got.to_bits(), want.to_bits(), "step {step}: estimate");
+            }
+            assert_eq!(
+                sorted(&fast.touched),
+                sorted(&oracle.touched),
+                "step {step}: touched"
+            );
+            for &ep in tg.endpoints() {
+                assert!(
+                    !dirty(&fast, ep) || dirty(&oracle, ep),
+                    "step {step}: endpoint {ep} dirty only in the pruned walk"
+                );
+            }
+            swept += nl.cell_ids().filter(|&c| stamped(&fast, c)).count();
+            popped += nl.cell_ids().filter(|&c| stamped(&oracle, c)).count();
+        }
+        assert!(
+            swept as f64 <= 0.6 * popped as f64,
+            "swept {swept} cells where the heap walk popped {popped}"
+        );
+    }
+
     /// in(0) -> g1(1) -> g2(2) -> out(3), one row of 4 slots.
     fn chain() -> (Netlist, TimingGraph, Placement) {
         let mut b = NetlistBuilder::new("chain");
@@ -860,6 +1120,36 @@ mod tests {
         // And committing the reverse restores the original.
         sta.commit_changes(&nl, &tg, &[(NetId(1), 1.0)]);
         assert!((sta.critical() - 4.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn commit_keeps_the_first_delay_of_a_net_listed_twice() {
+        let (nl, tg, p) = chain();
+        let wl = WirelengthModel::new(&nl, &p);
+        let mut sta = StaModel::new(&nl, &tg, &wl, 0.5);
+        sta.commit_changes(&nl, &tg, &[(NetId(1), 5.0), (NetId(1), 0.2)]);
+        // 0 + 0.5 + 1 + 2.5 + 2 + 0.5 = 6.5, from the first entry...
+        assert!(
+            (sta.critical() - 6.5).abs() < 1e-9,
+            "got {}",
+            sta.critical()
+        );
+        let d1 = sta.net_delay(NetId(1));
+        assert!((d1 - 2.5).abs() < 1e-12, "net_delay(n1) = {d1}");
+        // ...and a later trial builds on it: 0 + 1.5 + 1 + 2.5 + 2 + 0.5.
+        let est = sta.estimate(&nl, &tg, &[(NetId(0), 3.0)]);
+        let mut fresh = sta.clone();
+        fresh.refresh_from_lengths(&nl, &tg, |n| match n {
+            NetId(0) => 3.0,
+            NetId(1) => 5.0,
+            _ => wl.net_hpwl(n),
+        });
+        assert!((fresh.critical() - 7.5).abs() < 1e-9);
+        assert!(
+            (est - fresh.critical()).abs() < 1e-9,
+            "estimate {est} vs refreshed {}",
+            fresh.critical()
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Each net's bounding box is cached; a trial swap recomputes only the nets
 //! incident to the two cells (found by a stamp-based dedup, no allocation in
 //! the hot path) against hypothetical swapped positions. Committing updates
-//! the caches. `total()` is maintained as a running sum with periodic exact
-//! resummation guarded by tests.
+//! the caches. `total()` is a running sum of the per-net changes. Nothing
+//! resums it during a search: it is re-anchored only when
+//! `Evaluator::adopt_placement` builds a new model, and tests check it
+//! against an exact resummation.
 
 use crate::placement::Placement;
 use pts_netlist::{CellId, NetId, Netlist};
@@ -167,8 +169,8 @@ impl WirelengthModel {
         }
     }
 
-    /// Recompute everything from scratch (used by tests and periodic
-    /// drift-correction).
+    /// Recompute everything from scratch. Only tests and the `hpwl` bench
+    /// call it; an evaluator that adopts a placement builds a new model.
     pub fn rebuild(&mut self, netlist: &Netlist, placement: &Placement) {
         let mut total = 0.0;
         for (nid, net) in netlist.nets() {
