@@ -338,13 +338,6 @@ impl RunBuilder {
         self
     }
 
-    /// Delta-encode broadcast tabu lists (default off). See
-    /// [`PtsConfig::tabu_delta`].
-    pub fn tabu_delta(mut self, on: bool) -> Self {
-        self.cfg.tabu_delta = on;
-        self
-    }
-
     /// Proc-engine worker heartbeat interval in milliseconds
     /// (0 = disabled). See [`PtsConfig::heartbeat_ms`].
     pub fn heartbeat_ms(mut self, ms: u64) -> Self {

@@ -219,16 +219,6 @@ pub struct PtsConfig {
     /// hanging forever on a crashed worker under a
     /// [`pts_vcluster::FaultPlan`]; fault-free runs never hit it.
     pub liveness_timeout: f64,
-    /// Delta-encode the tabu list riding `Broadcast`/`GroupBroadcast`
-    /// against the previous round's list (uniform-aging diff with
-    /// fallback-to-full, mirroring [`SnapshotMode::Delta`] for
-    /// snapshots). Off by default: with the knob off every broadcast
-    /// carries the full list and wire sizes are bit-identical to the
-    /// pre-delta protocol, which the pinned virtual-time goldens rely
-    /// on. Turning it on changes message *sizes* (and thus virtual
-    /// timelines) but never the search trajectory — the resolved list
-    /// is always exactly the sender's.
-    pub tabu_delta: bool,
     /// Worker heartbeat interval in milliseconds for the proc engine,
     /// `0` = disabled (default). When positive, every worker process
     /// writes a socket-layer liveness beacon at this cadence so the
@@ -272,7 +262,6 @@ impl Default for PtsConfig {
             snapshot_mode: SnapshotMode::Delta,
             differentiate_streams: false,
             liveness_timeout: 0.0,
-            tabu_delta: false,
             heartbeat_ms: 0,
             reap_grace_ms: 2000,
             work: WorkModel::default(),

@@ -39,7 +39,7 @@
 use crate::config::{PtsConfig, ShardChildren, SyncPolicy};
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuBase, TabuPayload};
+use crate::messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuPayload};
 use crate::transport::{protocol_warn, Transport};
 use pts_tabu::search::SearchStats;
 use pts_tabu::trace::Trace;
@@ -584,11 +584,6 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
     // The base every child currently shares with this node: the initial
     // solution, re-anchored on each broadcast sent below.
     let mut base: BaseOf<D> = SnapshotBase::initial(Arc::clone(&initial));
-    // The tabu list the children last adopted: empty at the start (no
-    // tabu entries exist anywhere before the first local iteration),
-    // then each broadcast's list. Only the root needs one — sub-masters
-    // relay tabu payloads verbatim.
-    let mut tabu_base: TabuBase<D::Problem> = TabuBase::initial();
     let mut red: Reduction<D> = Reduction::new(initial_cost, initial, children.len());
     red.merged.record(t.now(), 0, red.best_cost);
     let mut best_per_global_iter = Vec::with_capacity(cfg.global_iters as usize);
@@ -664,7 +659,7 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
             // hold, ship it once per child (Arc clones), then re-anchor
             // the shared base on what was just broadcast.
             let payload = SnapshotPayload::encode(cfg.snapshot_mode, &base, &red.best_snapshot);
-            let tabu_payload = TabuPayload::encode(cfg.tabu_delta, &tabu_base, &red.best_tabu);
+            let tabu_payload = TabuPayload::Full(Arc::clone(&red.best_tabu));
             send_down::<D, T>(
                 t,
                 cfg,
@@ -673,7 +668,6 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
                 StrategyDown::PerChild(&assign),
             );
             base.advance(g, Arc::clone(&red.best_snapshot));
-            tabu_base.advance(g, Arc::clone(&red.best_tabu));
         } else {
             send_down::<D, T>(t, cfg, children, None, StrategyDown::Uniform(0));
             break;

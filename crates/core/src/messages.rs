@@ -79,209 +79,25 @@ impl<P: PtsProblem> Clone for SnapshotBase<P> {
 /// Wire overhead of a delta payload: the base sequence + entry count.
 const DELTA_HDR: u64 = 8;
 
-/// Wire overhead of a tabu delta: base sequence (4) + removed count (4)
-/// + uniform aging decrement (8).
-const TABU_DELTA_HDR: u64 = 16;
-
-/// Wire bytes of one bare tabu attribute (a removed-entry marker).
-const TABU_ATTR_BYTES: u64 = 8;
-
-/// The tabu list both ends of a link hold, mirroring [`SnapshotBase`]:
-/// `seq` 0 is the run start (an empty list — no tabu entries exist before
-/// the first local iteration anywhere), `seq` `g + 1` the tabu list that
-/// rode the global broadcast concluding round `g`.
-pub struct TabuBase<P: PtsProblem> {
-    /// Which broadcast this base is (0 = the empty run-start list).
-    pub seq: u32,
-    /// The resolved full tabu list.
-    pub entries: SharedTabu<P>,
-}
-
-impl<P: PtsProblem> TabuBase<P> {
-    /// The run-initial base (sequence 0, empty).
-    pub fn initial() -> TabuBase<P> {
-        TabuBase {
-            seq: 0,
-            entries: Arc::new(Vec::new()),
-        }
-    }
-
-    /// Re-anchor on the tabu list broadcast concluding round `global`.
-    pub fn advance(&mut self, global: u32, entries: SharedTabu<P>) {
-        self.seq = global + 1;
-        self.entries = entries;
-    }
-}
-
-impl<P: PtsProblem> Clone for TabuBase<P> {
-    fn clone(&self) -> Self {
-        TabuBase {
-            seq: self.seq,
-            entries: Arc::clone(&self.entries),
-        }
-    }
-}
-
-/// A tabu list as it rides a broadcast: the full entry list, or a delta
-/// against a [`TabuBase`] the sender knows the receiver holds — the same
-/// shared-base scheme as [`SnapshotPayload`], with the same strict
-/// fallback-to-full when the delta would not be smaller.
-///
-/// Exported tabu entries carry *remaining* tenures, which shrink
-/// uniformly as the owning engine iterates. A plain attr-level diff would
-/// therefore see every persisting entry as changed and never win; the
-/// delta instead ships one uniform `aged` decrement — persisting base
-/// entries age by `aged` (expiring at zero for free) — plus explicit
-/// `added` entries (new or refreshed attributes) and `removed`
-/// attributes (gone before their aged tenure would have expired).
+/// A tabu list as it rides a broadcast: always the complete entry list,
+/// shared across recipients behind an [`Arc`].
 pub enum TabuPayload<P: PtsProblem> {
     /// The complete tabu list.
     Full(SharedTabu<P>),
-    /// A delta to apply against the receiver's copy of base `base_seq`.
-    Delta {
-        /// Sequence of the [`TabuBase`] the delta was diffed against.
-        base_seq: u32,
-        /// Uniform tenure decrement applied to every persisting base
-        /// entry; an entry whose tenure drops to zero (or below) expires.
-        aged: u64,
-        /// Entries to (re)insert after aging: new attributes and
-        /// attributes whose tenure does not follow the uniform aging.
-        added: Arc<TabuEntries<P>>,
-        /// Attributes dropped although their aged tenure was positive.
-        removed: Arc<Vec<<P as pts_tabu::SearchProblem>::Attribute>>,
-    },
 }
 
 impl<P: PtsProblem> Clone for TabuPayload<P> {
     fn clone(&self) -> Self {
-        match self {
-            TabuPayload::Full(t) => TabuPayload::Full(Arc::clone(t)),
-            TabuPayload::Delta {
-                base_seq,
-                aged,
-                added,
-                removed,
-            } => TabuPayload::Delta {
-                base_seq: *base_seq,
-                aged: *aged,
-                added: Arc::clone(added),
-                removed: Arc::clone(removed),
-            },
-        }
+        let TabuPayload::Full(t) = self;
+        TabuPayload::Full(Arc::clone(t))
     }
 }
 
 impl<P: PtsProblem> TabuPayload<P> {
-    /// Encode `full` for the wire: when `delta_enabled` (the
-    /// [`crate::config::PtsConfig::tabu_delta`] knob), a delta against
-    /// `base` when that is strictly smaller than the full list; the full
-    /// list otherwise. Like [`SnapshotPayload::encode`], the payload's
-    /// wire bytes never exceed the full encoding's.
-    pub fn encode(delta_enabled: bool, base: &TabuBase<P>, full: &SharedTabu<P>) -> TabuPayload<P> {
-        if delta_enabled {
-            use std::collections::HashMap;
-            let new_map: HashMap<&<P as pts_tabu::SearchProblem>::Attribute, u64> =
-                full.iter().map(|(a, t)| (a, *t)).collect();
-            // Pick the uniform decrement freeing the most persisting
-            // entries: the mode of (base tenure - new tenure) over the
-            // attributes present on both sides (ties to the smaller
-            // decrement, deterministically).
-            let mut decr_count: HashMap<u64, usize> = HashMap::new();
-            for (a, bt) in base.entries.iter() {
-                if let Some(&nt) = new_map.get(a) {
-                    if *bt >= nt {
-                        *decr_count.entry(*bt - nt).or_insert(0) += 1;
-                    }
-                }
-            }
-            let aged = decr_count
-                .iter()
-                .max_by(|x, y| x.1.cmp(y.1).then(y.0.cmp(x.0)))
-                .map(|(&d, _)| d)
-                .unwrap_or(0);
-            let base_map: HashMap<&<P as pts_tabu::SearchProblem>::Attribute, u64> =
-                base.entries.iter().map(|(a, t)| (a, *t)).collect();
-            // An entry is free exactly when uniform aging of its base
-            // counterpart reproduces it; everything else ships in `added`.
-            let added: TabuEntries<P> = full
-                .iter()
-                .filter(|(a, t)| base_map.get(a).copied() != Some(t + aged))
-                .cloned()
-                .collect();
-            // A base entry that would have survived aging but is absent
-            // from the new list must be removed explicitly; one that ages
-            // out expires for free.
-            let removed: Vec<<P as pts_tabu::SearchProblem>::Attribute> = base
-                .entries
-                .iter()
-                .filter(|(a, bt)| *bt > aged && !new_map.contains_key(a))
-                .map(|(a, _)| a.clone())
-                .collect();
-            let delta_bytes = TABU_DELTA_HDR
-                + TABU_ENTRY_BYTES * added.len() as u64
-                + TABU_ATTR_BYTES * removed.len() as u64;
-            if delta_bytes < TABU_ENTRY_BYTES * full.len() as u64 {
-                return TabuPayload::Delta {
-                    base_seq: base.seq,
-                    aged,
-                    added: Arc::new(added),
-                    removed: Arc::new(removed),
-                };
-            }
-        }
-        TabuPayload::Full(Arc::clone(full))
-    }
-
-    /// Reconstruct the full tabu list. `None` when the payload is a delta
-    /// against a base the holder does not share — a protocol violation;
-    /// callers warn and drop, mirroring [`SnapshotPayload::resolve`].
-    /// Entry *sets* are reconstructed exactly; order may differ from the
-    /// sender's ([`pts_tabu::tabu_list::TabuList::import`] rebuilds from
-    /// a map, so order never reaches search behaviour).
-    pub fn resolve(&self, base: &TabuBase<P>) -> Option<SharedTabu<P>> {
-        match self {
-            TabuPayload::Full(t) => Some(Arc::clone(t)),
-            TabuPayload::Delta {
-                base_seq,
-                aged,
-                added,
-                removed,
-            } => (*base_seq == base.seq).then(|| {
-                use std::collections::HashSet;
-                let replaced: HashSet<&<P as pts_tabu::SearchProblem>::Attribute> =
-                    added.iter().map(|(a, _)| a).collect();
-                let dropped: HashSet<&<P as pts_tabu::SearchProblem>::Attribute> =
-                    removed.iter().collect();
-                let mut out: TabuEntries<P> = Vec::with_capacity(base.entries.len() + added.len());
-                for (a, bt) in base.entries.iter() {
-                    if replaced.contains(a) || dropped.contains(a) {
-                        continue;
-                    }
-                    if *bt > *aged {
-                        out.push((a.clone(), bt - aged));
-                    }
-                }
-                out.extend(added.iter().cloned());
-                Arc::new(out)
-            }),
-        }
-    }
-
     /// Wire bytes this payload occupies.
     pub fn wire_bytes(&self) -> u64 {
-        match self {
-            TabuPayload::Full(t) => TABU_ENTRY_BYTES * t.len() as u64,
-            TabuPayload::Delta { added, removed, .. } => {
-                TABU_DELTA_HDR
-                    + TABU_ENTRY_BYTES * added.len() as u64
-                    + TABU_ATTR_BYTES * removed.len() as u64
-            }
-        }
-    }
-
-    /// `true` when delta-encoded.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, TabuPayload::Delta { .. })
+        let TabuPayload::Full(t) = self;
+        TABU_ENTRY_BYTES * t.len() as u64
     }
 }
 
@@ -390,10 +206,7 @@ pub enum PtsMsg<P: PtsProblem> {
         /// Best solution across all TSW reports of the round, usually as
         /// a delta against the previous broadcast.
         snapshot: SnapshotPayload<P>,
-        /// Tabu list accompanying the winning solution, delta-encoded
-        /// against the previous broadcast's list when
-        /// [`crate::config::PtsConfig::tabu_delta`] is on and that is
-        /// smaller.
+        /// Tabu list accompanying the winning solution, in full.
         tabu: TabuPayload<P>,
         /// Strategy id the receiving TSW's group runs from this round on
         /// (see [`crate::config::PtsConfig::portfolio`]). Always `0` in
@@ -454,8 +267,7 @@ pub enum PtsMsg<P: PtsProblem> {
         /// Cumulative `ForceReport`s issued inside this subtree.
         forced: u64,
         /// Strategy id this subtree currently runs (`0` in uniform runs;
-        /// rides the header's spare kind byte — reports never carry tabu
-        /// deltas, so the byte was always zero).
+        /// rides header byte 3, which v1 frames leave zero).
         strategy: u8,
         /// Observed quality-per-virtual-second of the subtree this round:
         /// cost improvement divided by elapsed collection time.
@@ -475,8 +287,7 @@ pub enum PtsMsg<P: PtsProblem> {
         /// Best solution across the whole tree this round.
         snapshot: SnapshotPayload<P>,
         /// Tabu list accompanying the winning solution (relayed verbatim,
-        /// like the snapshot payload — every process below holds the same
-        /// tabu base).
+        /// like the snapshot payload).
         tabu: TabuPayload<P>,
         /// Strategy id the receiving subtree's group runs from this round
         /// on (`0` in uniform runs; rides the unused origin bytes).
@@ -564,9 +375,6 @@ impl<P: PtsProblem> PtsMsg<P> {
             // bit-compatible with the pre-redesign engine (the pinned
             // golden values in tests/determinism.rs depend on it).
             PtsMsg::Init { snapshot } => HDR + snapshot.wire_bytes() + 64,
-            // A Full tabu payload costs exactly what the pre-delta
-            // protocol charged (entry count × entry bytes), so virtual
-            // timelines stay bit-compatible whenever `tabu_delta` is off.
             PtsMsg::Broadcast { snapshot, tabu, .. } => {
                 HDR + snapshot.wire_bytes() + tabu.wire_bytes()
             }
@@ -808,106 +616,6 @@ mod tests {
         advanced.advance(2, Arc::clone(&base.snapshot));
         assert_eq!(advanced.seq, 3);
         assert!(delta.resolve(&advanced).is_some());
-    }
-
-    /// Resolve a tabu payload and compare entry *sets* with the expected
-    /// list (resolve reconstructs the set exactly; order is unspecified).
-    fn assert_resolves_to(p: &TabuPayload<Qap>, base: &TabuBase<Qap>, expect: &TabuEntries<Qap>) {
-        let got = p.resolve(base).expect("shared base");
-        let mut got: Vec<_> = got.iter().cloned().collect();
-        let mut want = expect.clone();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn tabu_payload_deltas_when_smaller_and_falls_back_when_not() {
-        // Base: the list broadcast last round. New list: the same engine
-        // a few iterations later — most entries persist with uniformly
-        // shrunk tenures, a couple are new, one expired early.
-        let mut base = TabuBase::<Qap>::initial();
-        let old: SharedTabu<Qap> = Arc::new(vec![
-            ((0, 1), 7),
-            ((2, 3), 6),
-            ((4, 5), 5),
-            ((6, 7), 4),
-            ((8, 9), 3),
-        ]);
-        base.advance(0, Arc::clone(&old));
-        assert_eq!(base.seq, 1);
-
-        // Three iterations later: everyone aged by 3, (8,9) expired for
-        // free (tenure 3), (10,11) is new, and (6,7) was dropped although
-        // its aged tenure would have been 1.
-        let new: SharedTabu<Qap> =
-            Arc::new(vec![((0, 1), 4), ((2, 3), 3), ((4, 5), 2), ((10, 11), 7)]);
-        let p = TabuPayload::<Qap>::encode(true, &base, &new);
-        assert!(p.is_delta());
-        // 16 B header + 1 added entry (12 B) + 1 removed attr (8 B)
-        // beats the 4-entry (48 B) full list.
-        assert_eq!(p.wire_bytes(), 16 + 12 + 8);
-        assert!(p.wire_bytes() < TabuPayload::<Qap>::Full(Arc::clone(&new)).wire_bytes());
-        assert_resolves_to(&p, &base, &new);
-
-        // A completely unrelated list: every entry ships in `added`, so
-        // the delta cannot win and the encoder must fall back to Full.
-        let far: SharedTabu<Qap> = Arc::new(vec![((20, 21), 7), ((22, 23), 6), ((24, 25), 5)]);
-        let p = TabuPayload::<Qap>::encode(true, &base, &far);
-        assert!(!p.is_delta());
-        assert_eq!(p.wire_bytes(), 12 * 3);
-
-        // Knob off: always Full, even when a delta would be tiny.
-        let p = TabuPayload::<Qap>::encode(false, &base, &new);
-        assert!(!p.is_delta());
-        assert_eq!(p.wire_bytes(), 12 * 4);
-    }
-
-    #[test]
-    fn tabu_payload_resolve_rejects_unshared_base() {
-        let mut base = TabuBase::<Qap>::initial();
-        let old: SharedTabu<Qap> = Arc::new(vec![((0, 1), 9), ((2, 3), 8), ((4, 5), 7)]);
-        base.advance(2, Arc::clone(&old));
-        let new: SharedTabu<Qap> = Arc::new(vec![((0, 1), 5), ((2, 3), 4), ((4, 5), 3)]);
-        let p = TabuPayload::<Qap>::encode(true, &base, &new);
-        assert!(p.is_delta());
-        assert_resolves_to(&p, &base, &new);
-        // A holder anchored elsewhere must reject the delta.
-        let stale = TabuBase::<Qap>::initial();
-        assert!(p.resolve(&stale).is_none());
-        // A Full payload resolves against any base.
-        let full = TabuPayload::<Qap>::Full(Arc::clone(&new));
-        assert!(full.resolve(&stale).is_some());
-    }
-
-    #[test]
-    fn tabu_payload_roundtrips_edge_cases() {
-        // Empty → empty against the initial (empty) base: the delta
-        // (16 B) is NOT smaller than the 0 B full list — must be Full.
-        let base = TabuBase::<Qap>::initial();
-        let empty: SharedTabu<Qap> = Arc::new(vec![]);
-        let p = TabuPayload::<Qap>::encode(true, &base, &empty);
-        assert!(!p.is_delta());
-        assert_eq!(p.wire_bytes(), 0);
-
-        // Everything expires: aged swallows the whole base, nothing added
-        // or removed — a 16 B delta against whatever the base cost.
-        let mut base = TabuBase::<Qap>::initial();
-        let old: SharedTabu<Qap> = Arc::new(vec![((0, 1), 2), ((2, 3), 1)]);
-        base.advance(4, Arc::clone(&old));
-        let gone: SharedTabu<Qap> = Arc::new(vec![]);
-        // Nothing persists, so aged is 0 and both entries need explicit
-        // removal (2 × 8 B + 16 B header = 32 B) — NOT smaller than the
-        // 0 B full list; the encoder must fall back.
-        let p = TabuPayload::<Qap>::encode(true, &base, &gone);
-        assert!(!p.is_delta());
-
-        // Identical lists (a repeated broadcast with no iterations in
-        // between): aged 0, nothing added/removed — a 16 B delta.
-        let p = TabuPayload::<Qap>::encode(true, &base, &old);
-        assert!(p.is_delta());
-        assert_eq!(p.wire_bytes(), 16);
-        assert_resolves_to(&p, &base, &old);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! live in [`pts_vcluster::ProcStats`]; these counters isolate the
 //! snapshot-payload share of that traffic and count every full-snapshot
 //! materialization (a deep clone or a delta application), which is what
-//! the `engine_compare` benchmark reports and the `BENCH_wire.json`
-//! regression gate tracks.
+//! ptsbench reports and the `BENCH_wire.json` regression gate tracks.
 //!
 //! The counters are global atomics: all engines run their whole process
 //! tree inside one OS process (simulated processes, threads, or
@@ -48,11 +47,9 @@ pub struct SnapshotMeter {
     /// recipient — the allocation floor the `Arc` fan-out removed;
     /// compare with [`SnapshotMeter::allocs`].
     pub payload_sends: u64,
-    /// Wire bytes of tabu-list payloads across all tabu-bearing traffic
-    /// (`Broadcast`/`GroupBroadcast` payloads — delta-encoded when
-    /// [`crate::config::PtsConfig::tabu_delta`] is on — plus the full
-    /// lists riding `Report`/`GroupReport`). The broadcast share is what
-    /// the tabu-delta knob shrinks.
+    /// Wire bytes of tabu-list payloads across all tabu-bearing traffic:
+    /// the lists riding `Broadcast`/`GroupBroadcast` and
+    /// `Report`/`GroupReport`, always in full.
     pub tabu_payload_bytes: u64,
 }
 

@@ -16,7 +16,7 @@
 
 use crate::config::{PtsConfig, SyncPolicy};
 use crate::domain::PtsDomain;
-use crate::messages::{PtsMsg, SnapshotBase, SnapshotPayload, TabuBase};
+use crate::messages::{PtsMsg, SnapshotBase, SnapshotPayload, TabuPayload};
 use crate::meter;
 use crate::transport::{protocol_warn, Transport};
 use pts_tabu::compound::CompoundMove;
@@ -104,10 +104,6 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     // payloads diff against it (delta mode only; in full mode the base
     // is never consulted, so the per-round capture below is skipped).
     let mut clw_sync = SnapshotBase::<D::Problem>::initial(Arc::clone(&base.snapshot));
-    // The tabu list of the last adopted broadcast — the base a broadcast
-    // tabu delta resolves against. Starts empty at sequence 0, matching
-    // the master's side.
-    let mut tabu_base = TabuBase::<D::Problem>::initial();
 
     // The strategy this TSW currently searches with. Uniform runs keep
     // strategy 0 (== `cfg.search`) for the whole run; under a portfolio the
@@ -291,27 +287,25 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
                 PtsMsg::Broadcast {
                     global,
                     snapshot,
-                    tabu,
+                    tabu: TabuPayload::Full(tabu),
                     strategy,
-                } if global == g => match (snapshot.resolve(&base), tabu.resolve(&tabu_base)) {
-                    (Some(full), Some(full_tabu)) => {
-                        engine.adopt(&mut problem, &full, &full_tabu, t.now());
+                } if global == g => match snapshot.resolve(&base) {
+                    Some(full) => {
+                        engine.adopt(&mut problem, &full, &tabu, t.now());
                         if strategy != cur_strategy {
                             let s = cfg.strategy(strategy);
                             engine.reconfigure(s.tenure, s.candidates, s.depth, s.aspiration);
                             cur_strategy = strategy;
                         }
                         // The adopted broadcast becomes the base the next
-                        // report is diffed against — both ends re-anchor
-                        // (solution and tabu list alike).
+                        // report is diffed against — both ends re-anchor.
                         base.advance(global, full);
-                        tabu_base.advance(global, full_tabu);
                         break;
                     }
                     // A broadcast delta against a base this TSW does not
                     // hold: protocol violation — warn and drop, like the
                     // collectors' hardening paths.
-                    _ => protocol_warn(
+                    None => protocol_warn(
                         t.rank(),
                         "dropping Broadcast delta against a base this TSW does not hold",
                     ),
@@ -324,20 +318,17 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
                 PtsMsg::Broadcast {
                     global,
                     snapshot,
-                    tabu,
+                    tabu: TabuPayload::Full(tabu),
                     strategy,
                 } if global > g => {
-                    if let (Some(full), Some(full_tabu)) =
-                        (snapshot.resolve(&base), tabu.resolve(&tabu_base))
-                    {
-                        engine.adopt(&mut problem, &full, &full_tabu, t.now());
+                    if let Some(full) = snapshot.resolve(&base) {
+                        engine.adopt(&mut problem, &full, &tabu, t.now());
                         if strategy != cur_strategy {
                             let s = cfg.strategy(strategy);
                             engine.reconfigure(s.tenure, s.candidates, s.depth, s.aspiration);
                             cur_strategy = strategy;
                         }
                         base.advance(global, full);
-                        tabu_base.advance(global, full_tabu);
                         break;
                     }
                 }

@@ -22,7 +22,7 @@
 //! | 0      | 1    | codec version ([`WIRE_VERSION`]) |
 //! | 1      | 1    | variant tag ([`tag` constants](self)) |
 //! | 2      | 1    | snapshot-payload kind: 0 none, 1 full, 2 delta |
-//! | 3      | 1    | tabu-payload kind: 0 full list, 1 delta (broadcasts); strategy id (`GroupReport`); 0 elsewhere |
+//! | 3      | 1    | strategy id (`GroupReport`); 0 elsewhere |
 //! | 4      | 4    | destination rank (router addressing) |
 //! | 8      | 4    | origin index (`tsw` / `shard` / `clw` field; strategy id on broadcasts) |
 //! | 12     | 4    | aux count (tabu entries or moves; strategy id on `Investigate`) |
@@ -107,12 +107,6 @@ const TRACE_POINT: usize = 20;
 const MOVE: usize = 8;
 /// Delta-payload header: `u32` base sequence + 4 reserved bytes.
 const DELTA_HDR: usize = 8;
-/// Tabu-delta tail: `u32` base sequence + `u32` removed count + `u64`
-/// uniform aging decrement. Written *after* the removed attributes so the
-/// decoder can size the variable sections from the end of the body.
-const TABU_DELTA_TAIL: usize = 16;
-/// Model bytes per bare tabu attribute (a removed-entry marker).
-const TABU_ATTR: usize = 8;
 
 /// Variant tags (header offset 1).
 mod tag {
@@ -325,10 +319,21 @@ impl WireProblem for pts_tabu::qap::Qap {
         if !nbytes.is_multiple_of(8) {
             return Err(WireError::Malformed("QAP snapshot bytes not entry-aligned"));
         }
+        if nbytes > r.remaining() {
+            return Err(WireError::Truncated);
+        }
+        // An assignment must be a permutation of `0..n`: anything else
+        // indexes past the distance matrix or double-books a location.
         let n = nbytes / 8;
         let mut loc_of = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
         for _ in 0..n {
-            loc_of.push(r.u64()? as usize);
+            let loc = usize::try_from(r.u64()?)
+                .ok()
+                .filter(|&l| l < n && !seen[l])
+                .ok_or(WireError::Malformed("QAP snapshot is not a permutation"))?;
+            seen[loc] = true;
+            loc_of.push(loc);
         }
         Ok(pts_tabu::qap::QapAssignment::new(loc_of))
     }
@@ -590,74 +595,6 @@ fn get_tabu<P: WireProblem>(r: &mut WireReader<'_>, n: usize) -> Result<TabuEntr
     Ok(tabu)
 }
 
-/// Header aux count of a broadcast tabu payload: full entries, or delta
-/// `added` entries (the removed count rides the delta tail instead).
-fn tabu_aux<P: PtsProblem>(tabu: &TabuPayload<P>) -> u32 {
-    match tabu {
-        TabuPayload::Full(t) => narrow(t.len()),
-        TabuPayload::Delta { added, .. } => narrow(added.len()),
-    }
-}
-
-/// Encode a broadcast tabu payload body. Full lists emit exactly the
-/// bytes the pre-delta codec did; deltas emit `added` entries, `removed`
-/// attributes, then the [`TABU_DELTA_TAIL`] — tail-last so the decoder
-/// can size the sections from the body end. Emits exactly
-/// `tabu.wire_bytes()` bytes either way.
-fn put_tabu_payload<P: WireProblem>(tabu: &TabuPayload<P>, out: &mut Vec<u8>) {
-    match tabu {
-        TabuPayload::Full(t) => put_tabu::<P>(t, out),
-        TabuPayload::Delta {
-            base_seq,
-            aged,
-            added,
-            removed,
-        } => {
-            put_tabu::<P>(added, out);
-            for attr in removed.iter() {
-                P::put_attr(attr, out);
-            }
-            put_u32(out, *base_seq);
-            put_u32(out, narrow(removed.len()));
-            put_u64(out, *aged);
-        }
-    }
-}
-
-/// Decode a broadcast tabu payload occupying exactly `nbytes` bytes with
-/// `aux` entries (full list) or `aux` added entries (delta).
-fn get_tabu_payload<P: WireProblem>(
-    r: &mut WireReader<'_>,
-    delta: bool,
-    aux: usize,
-    nbytes: usize,
-) -> Result<TabuPayload<P>, WireError> {
-    if !delta {
-        return Ok(TabuPayload::Full(Arc::new(get_tabu::<P>(r, aux)?)));
-    }
-    let n_removed = nbytes
-        .checked_sub(TABU_DELTA_TAIL + TABU_ENTRY * aux)
-        .filter(|rest| rest.is_multiple_of(TABU_ATTR))
-        .map(|rest| rest / TABU_ATTR)
-        .ok_or(WireError::Malformed("tabu delta sections disagree"))?;
-    let added = get_tabu::<P>(r, aux)?;
-    let mut removed = Vec::with_capacity(n_removed);
-    for _ in 0..n_removed {
-        removed.push(P::get_attr(r)?);
-    }
-    let base_seq = r.u32()?;
-    if r.u32()? as usize != n_removed {
-        return Err(WireError::Malformed("tabu removed counts disagree"));
-    }
-    let aged = r.u64()?;
-    Ok(TabuPayload::Delta {
-        base_seq,
-        aged,
-        added: Arc::new(added),
-        removed: Arc::new(removed),
-    })
-}
-
 fn put_trace(trace: &[TracePoint], out: &mut Vec<u8>) {
     for p in trace {
         put_f64(out, p.time);
@@ -718,7 +655,7 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
         PtsMsg::Broadcast {
             global,
             snapshot,
-            tabu,
+            tabu: TabuPayload::Full(tabu),
             strategy,
         } => {
             put_header(
@@ -727,14 +664,12 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
                 PayloadKind::of(snapshot),
                 dst,
                 *strategy as u32,
-                tabu_aux(tabu),
+                narrow(tabu.len()),
                 *global as u64,
                 0.0,
             );
-            // Header byte 3 is the tabu-payload kind (0 full, 1 delta).
-            out[3] = tabu.is_delta() as u8;
             put_payload(snapshot, &mut out);
-            put_tabu_payload::<P>(tabu, &mut out);
+            put_tabu::<P>(tabu, &mut out);
         }
         PtsMsg::ForceReport { global } => {
             put_header(
@@ -797,8 +732,7 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
                 *global as u64,
                 *cost,
             );
-            // Reports never carry tabu deltas, so header byte 3 is free:
-            // it carries the group's current strategy id.
+            // Header byte 3 carries the group's current strategy id.
             out[3] = *strategy;
             put_payload(snapshot, &mut out);
             put_tabu::<P>(tabu, &mut out);
@@ -814,7 +748,7 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
         PtsMsg::GroupBroadcast {
             global,
             snapshot,
-            tabu,
+            tabu: TabuPayload::Full(tabu),
             strategy,
         } => {
             put_header(
@@ -823,13 +757,12 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
                 PayloadKind::of(snapshot),
                 dst,
                 *strategy as u32,
-                tabu_aux(tabu),
+                narrow(tabu.len()),
                 *global as u64,
                 0.0,
             );
-            out[3] = tabu.is_delta() as u8;
             put_payload(snapshot, &mut out);
-            put_tabu_payload::<P>(tabu, &mut out);
+            put_tabu::<P>(tabu, &mut out);
         }
         PtsMsg::AdoptState { seq, snapshot } => {
             put_header(
@@ -1038,19 +971,14 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
     }
     let variant = h.u8()?;
     let kind = PayloadKind::from_byte(h.u8()?)?;
-    // Header byte 3 is per-variant: the tabu-payload kind on broadcasts,
-    // the strategy id on GroupReport (any value; v1 frames hold 0), and
-    // reserved-zero everywhere else.
+    // Header byte 3 is the strategy id on GroupReport (any value; v1
+    // frames hold 0) and zero everywhere else. On broadcasts it was once
+    // a tabu-payload kind; kind 1, a delta list, is no longer written and
+    // decodes as an unknown kind.
     let byte3 = h.u8()?;
-    let tabu_delta = if variant == tag::GROUP_REPORT {
-        false
-    } else {
-        match byte3 {
-            0 => false,
-            1 => true,
-            other => return Err(WireError::Tag(other)),
-        }
-    };
+    if variant != tag::GROUP_REPORT && byte3 != 0 {
+        return Err(WireError::Tag(byte3));
+    }
     let dst = h.u32()?;
     let origin = h.u32()?;
     let aux = h.u32()? as usize;
@@ -1068,29 +996,15 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
             }
         }
         tag::BROADCAST | tag::GROUP_BROADCAST => {
-            // Full tabu body: `aux` entries. Delta body: `aux` added
-            // entries + the removed attributes + the fixed tail; either
-            // way, everything after the snapshot payload.
-            let tabu_bytes = if tabu_delta {
-                let min = TABU_DELTA_TAIL + TABU_ENTRY * aux;
-                if body.len() < min {
-                    return Err(WireError::Truncated);
-                }
-                // The removed count in the tail sizes the middle section;
-                // get_tabu_payload cross-checks it against the arithmetic.
-                let tail = &body[body.len() - TABU_DELTA_TAIL..];
-                let n_removed = u32::from_le_bytes(tail[4..8].try_into().unwrap()) as usize;
-                min + TABU_ATTR * n_removed
-            } else {
-                TABU_ENTRY * aux
-            };
+            // The tabu list, `aux` entries, is everything after the
+            // snapshot payload.
             let snap_bytes = body
                 .len()
-                .checked_sub(tabu_bytes)
+                .checked_sub(TABU_ENTRY * aux)
                 .ok_or(WireError::Truncated)?;
             let mut r = WireReader::new(body);
             let snapshot = get_payload::<P>(&mut r, kind, snap_bytes, ctx)?;
-            let tabu = get_tabu_payload::<P>(&mut r, tabu_delta, aux, tabu_bytes)?;
+            let tabu = TabuPayload::Full(Arc::new(get_tabu::<P>(&mut r, aux)?));
             let global = seq as u32;
             // The strategy id rides the otherwise-unused origin field
             // (v1 frames always carry 0 there).
@@ -1315,7 +1229,8 @@ pub fn put_config(cfg: &crate::config::PtsConfig, out: &mut Vec<u8>) {
     put_f64(out, cfg.work.per_diversify_step);
     put_f64(out, cfg.work.per_report);
     put_f64(out, cfg.liveness_timeout);
-    out.push(cfg.tabu_delta as u8);
+    // Reserved: once a tabu-list encoding flag, always 0 now.
+    out.push(0);
     put_u64(out, cfg.heartbeat_ms);
     put_u64(out, cfg.reap_grace_ms);
     // v2 tail: the uniform strategy's aspiration, then the portfolio.
@@ -1415,8 +1330,13 @@ pub fn get_config_versioned(
             per_report: r.f64()?,
         },
         liveness_timeout: r.f64()?,
-        tabu_delta: r.u8()? != 0,
-        heartbeat_ms: r.u64()?,
+        heartbeat_ms: {
+            // The reserved byte before it once flagged delta-encoded
+            // tabu lists, which never changed a trajectory: an older
+            // peer's 1 there decodes exactly like 0.
+            let _reserved = r.u8()?;
+            r.u64()?
+        },
         reap_grace_ms: r.u64()?,
     };
     if version >= 2 {
@@ -1552,67 +1472,24 @@ mod tests {
 
     #[test]
     fn broadcast_tabu_payloads_roundtrip_at_model_size() {
-        let snapshot = SnapshotPayload::Full(Arc::new(QapAssignment::new(vec![1, 0, 3, 2])));
-        // Full list: the pre-delta encoding, byte-identical sizes.
-        let full: PtsMsg<Qap> = PtsMsg::Broadcast {
+        let msg: PtsMsg<Qap> = PtsMsg::Broadcast {
             global: 4,
-            snapshot: snapshot.clone(),
+            snapshot: SnapshotPayload::Full(Arc::new(QapAssignment::new(vec![1, 0, 3, 2]))),
             tabu: TabuPayload::Full(Arc::new(vec![((0, 1), 5), ((2, 3), 9)])),
             strategy: 3,
         };
-        match roundtrip(&full, 3) {
+        match roundtrip(&msg, 3) {
             PtsMsg::Broadcast {
                 global,
-                tabu,
+                tabu: TabuPayload::Full(tabu),
                 strategy,
                 ..
             } => {
                 assert_eq!(global, 4);
                 assert_eq!(strategy, 3);
-                assert!(!tabu.is_delta());
-                match tabu {
-                    TabuPayload::Full(t) => assert_eq!(*t, vec![((0, 1), 5), ((2, 3), 9)]),
-                    TabuPayload::Delta { .. } => unreachable!(),
-                }
+                assert_eq!(*tabu, vec![((0, 1), 5), ((2, 3), 9)]);
             }
             other => panic!("decoded {}", other.tag()),
-        }
-
-        // Delta: added + removed + aged must survive the tail-last layout,
-        // including the empty-sections corners.
-        for (added, removed, aged) in [
-            (vec![((7, 8), 6u64)], vec![(1u32, 2u32), (3, 4)], 3u64),
-            (vec![], vec![], 0),
-            (vec![((1, 2), 1), ((3, 4), 2)], vec![], u64::MAX),
-        ] {
-            let msg: PtsMsg<Qap> = PtsMsg::GroupBroadcast {
-                global: 2,
-                snapshot: snapshot.clone(),
-                tabu: TabuPayload::Delta {
-                    base_seq: 9,
-                    aged,
-                    added: Arc::new(added.clone()),
-                    removed: Arc::new(removed.clone()),
-                },
-                strategy: 1,
-            };
-            match roundtrip(&msg, 1) {
-                PtsMsg::GroupBroadcast { tabu, .. } => match tabu {
-                    TabuPayload::Delta {
-                        base_seq,
-                        aged: got_aged,
-                        added: got_added,
-                        removed: got_removed,
-                    } => {
-                        assert_eq!(base_seq, 9);
-                        assert_eq!(got_aged, aged);
-                        assert_eq!(*got_added, added);
-                        assert_eq!(*got_removed, removed);
-                    }
-                    TabuPayload::Full(_) => panic!("delta decoded as full"),
-                },
-                other => panic!("decoded {}", other.tag()),
-            }
         }
     }
 
@@ -1624,7 +1501,6 @@ mod tests {
             shard_fanout: 3,
             tsw_sync: crate::config::SyncPolicy::WaitAll,
             snapshot_mode: crate::config::SnapshotMode::Full,
-            tabu_delta: true,
             seed: 0xDEADBEEF,
             heartbeat_ms: 250,
             reap_grace_ms: 7000,

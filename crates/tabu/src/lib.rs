@@ -26,7 +26,6 @@ pub mod aspiration;
 pub mod candidate;
 pub mod compound;
 pub mod diversify;
-pub mod intensify;
 pub mod memory;
 pub mod problem;
 pub mod qap;
@@ -37,7 +36,6 @@ pub mod trace;
 pub use candidate::CandidateList;
 pub use compound::{build_compound, CompoundMove};
 pub use diversify::DiversifiableProblem;
-pub use intensify::{intensify, ElitePool};
 pub use memory::FrequencyMemory;
 pub use problem::{AttrPair, SearchProblem};
 pub use qap::{Qap, QapAssignment};

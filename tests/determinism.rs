@@ -330,45 +330,6 @@ fn qap_swarm_shaped_async_run_matches_pinned_golden_values() {
 }
 
 #[test]
-fn tabu_delta_changes_bytes_but_never_the_trajectory() {
-    // The broadcast tabu-delta knob is a pure wire optimization: the
-    // resolved tabu list is exactly the sender's, so the search must be
-    // move-for-move identical with it on or off — same best cost, same
-    // placement, same per-round history, same message count. Only wire
-    // bytes (and hence the virtual timeline) may shrink, never grow.
-    let netlist = Arc::new(by_name("highway").unwrap());
-    let run = |tabu_delta: bool, nl| {
-        Pts::builder()
-            .tsw_workers(3)
-            .clw_workers(2)
-            .global_iters(3)
-            .local_iters(5)
-            .seed(7)
-            .sync(SyncPolicy::HalfReport)
-            .tabu_delta(tabu_delta)
-            .build()
-            .unwrap()
-            .run_placement(nl, &VirtualEngine::paper())
-    };
-    let off = run(false, netlist.clone());
-    let on = run(true, netlist);
-    assert_eq!(on.outcome.best_cost, off.outcome.best_cost);
-    assert_eq!(on.outcome.best_placement, off.outcome.best_placement);
-    assert_eq!(
-        on.outcome.best_per_global_iter,
-        off.outcome.best_per_global_iter
-    );
-    assert_eq!(on.outcome.forced_reports, off.outcome.forced_reports);
-    assert_eq!(on.report.total_messages(), off.report.total_messages());
-    assert!(
-        on.report.total_bytes() <= off.report.total_bytes(),
-        "tabu delta must never cost bytes: {} > {}",
-        on.report.total_bytes(),
-        off.report.total_bytes()
-    );
-}
-
-#[test]
 fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
     // A heterogeneous portfolio adds strategy stamps to the wire, a
     // quality-rate reduction at leaf sub-masters, and the root's

@@ -15,7 +15,7 @@ use parallel_tabu_search::core::wire::{
     self, decode_msg, encode_msg, peek_dst, WireError, WireProblem,
 };
 use parallel_tabu_search::core::{
-    PlacementDelta, PlacementProblem, PtsMsg, QapDelta, SnapshotPayload, TabuPayload,
+    PlacementDelta, PlacementProblem, PtsConfig, PtsMsg, QapDelta, SnapshotPayload, TabuPayload,
 };
 use parallel_tabu_search::netlist::by_name;
 use parallel_tabu_search::place::init::random_placement;
@@ -74,7 +74,6 @@ fn qap_msg(
     moves: Vec<(usize, usize)>,
     stats: [u64; 5],
     use_delta: bool,
-    tabu_delta: bool,
 ) -> PtsMsg<Qap> {
     let snapshot = Arc::new(QapAssignment::new(perm(n, seed)));
     let payload = if use_delta {
@@ -88,18 +87,8 @@ fn qap_msg(
         SnapshotPayload::Full(Arc::clone(&snapshot))
     };
     let tabu = Arc::new(tabu);
-    // Broadcast-shaped messages carry a `TabuPayload`; exercise both the
-    // full-list wrapper and the aged-diff delta encoding.
-    let tabu_payload = if tabu_delta {
-        TabuPayload::Delta {
-            base_seq: global,
-            aged: seq % 17,
-            added: Arc::clone(&tabu),
-            removed: Arc::new(moves.iter().map(|&(a, b)| (a as u32, b as u32)).collect()),
-        }
-    } else {
-        TabuPayload::Full(Arc::clone(&tabu))
-    };
+    // Broadcast-shaped messages carry the list in a `TabuPayload`.
+    let tabu_payload = TabuPayload::Full(Arc::clone(&tabu));
     let trace: Vec<TracePoint> = trace
         .into_iter()
         .map(|(time, iter, best_cost)| TracePoint {
@@ -207,11 +196,10 @@ proptest! {
         moves in proptest::collection::vec((0usize..64, 0usize..64), 0..5),
         stats_seed in 0u64..1_000_000,
         use_delta in any::<bool>(),
-        tabu_delta in any::<bool>(),
     ) {
         let stats = [stats_seed, stats_seed / 2, stats_seed / 3, stats_seed / 5, stats_seed / 7];
         let msg = qap_msg(
-            variant, n, seed, global, seq, cost, tabu, trace, moves, stats, use_delta, tabu_delta,
+            variant, n, seed, global, seq, cost, tabu, trace, moves, stats, use_delta,
         );
         check_roundtrip::<Qap>(&msg, dst, &());
     }
@@ -229,7 +217,6 @@ proptest! {
             (0.0f64..1.0e4, 0u64..1_000_000, 0.0f64..10.0), 0..5),
         moves in proptest::collection::vec((0u32..56, 0u32..56), 0..5),
         use_delta in any::<bool>(),
-        tabu_delta in any::<bool>(),
     ) {
         // A placement snapshot must be a bijection of cells onto slots —
         // generate real placements of the paper's smallest benchmark.
@@ -254,16 +241,7 @@ proptest! {
             SnapshotPayload::Full(Arc::clone(&snapshot))
         };
         let tabu = Arc::new(tabu);
-        let tabu_payload = if tabu_delta {
-            TabuPayload::Delta {
-                base_seq: global,
-                aged: seq % 17,
-                added: Arc::clone(&tabu),
-                removed: Arc::new(moves.clone()),
-            }
-        } else {
-            TabuPayload::Full(Arc::clone(&tabu))
-        };
+        let tabu_payload = TabuPayload::Full(Arc::clone(&tabu));
         let trace_points: Vec<TracePoint> = trace
             .iter()
             .map(|&(time, iter, best_cost)| TracePoint { time, iter, best_cost })
@@ -322,7 +300,7 @@ proptest! {
             got
         };
         let msg = qap_msg(
-            variant, n, seed, 1, 2, 0.5, vec![], vec![], vec![], [0; 5], false, false,
+            variant, n, seed, 1, 2, 0.5, vec![], vec![], vec![], [0; 5], false,
         );
         let mut buf = encode_msg(&msg, dst);
         buf[0] = got;
@@ -350,7 +328,7 @@ proptest! {
         // than from a hand-rolled byte table: the property then holds for
         // every variant, not one golden.
         let mut msg = qap_msg(
-            variant, n, seed, global, seq, cost, vec![], vec![], vec![], [0; 5], false, false,
+            variant, n, seed, global, seq, cost, vec![], vec![], vec![], [0; 5], false,
         );
         zero_strategy_fields(&mut msg);
         let mut buf = encode_msg(&msg, dst);
@@ -384,6 +362,162 @@ proptest! {
     }
 }
 
+/// FNV-1a over a byte string: a stable fingerprint for pinning frames.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
+    // Broadcasts carry the full tabu list, and the config block keeps its
+    // layout: these frames must stay byte for byte what the codec has
+    // always written. One Broadcast and one GroupBroadcast per snapshot
+    // payload kind, then `put_config` of the default config.
+    let snapshot = Arc::new(QapAssignment::new(perm(8, 5)));
+    let delta = Arc::new(QapDelta::new(vec![(1, 4), (4, 1)]));
+    let tabu = Arc::new(vec![((0, 1), 5), ((2, 7), 3), ((4, 6), 11)]);
+    let mut hashes = Vec::new();
+    for payload in [
+        SnapshotPayload::Full(Arc::clone(&snapshot)),
+        SnapshotPayload::Delta {
+            base_seq: 3,
+            delta: Arc::clone(&delta),
+        },
+    ] {
+        let broadcast: PtsMsg<Qap> = PtsMsg::Broadcast {
+            global: 3,
+            snapshot: payload.clone(),
+            tabu: TabuPayload::Full(Arc::clone(&tabu)),
+            strategy: 0,
+        };
+        let group: PtsMsg<Qap> = PtsMsg::GroupBroadcast {
+            global: 3,
+            snapshot: payload,
+            tabu: TabuPayload::Full(Arc::clone(&tabu)),
+            strategy: 0,
+        };
+        hashes.push(fnv1a(&encode_msg(&broadcast, 5)));
+        hashes.push(fnv1a(&encode_msg(&group, 9)));
+    }
+    let mut config = Vec::new();
+    wire::put_config(&PtsConfig::default(), &mut config);
+    hashes.push(fnv1a(&config));
+    assert_eq!(
+        hashes,
+        [
+            0x55a8_a671_3a2e_31e6,
+            0x7b92_b026_b4fb_8c96,
+            0xe3c8_fc67_acc8_d16e,
+            0xb80b_a64b_a3cb_a80e,
+            0xb301_6228_44d9_fab4,
+        ]
+    );
+}
+
+#[test]
+fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
+    // Header byte 3 of a broadcast once marked a delta-encoded tabu
+    // list. Nothing writes one any more; such a frame must fail with a
+    // typed error rather than decode or panic.
+    for variant in [1, 5] {
+        let msg = qap_msg(
+            variant,
+            6,
+            3,
+            2,
+            0,
+            0.0,
+            vec![((0, 1), 4), ((2, 3), 1)],
+            vec![],
+            vec![],
+            [0; 5],
+            false,
+        );
+        let mut buf = encode_msg(&msg, 1);
+        assert_eq!(buf[3], 0, "{} writes byte 3 as 0", msg.tag());
+        buf[3] = 1;
+        assert_eq!(
+            decode_msg::<Qap>(&buf, &()).err(),
+            Some(WireError::Tag(1)),
+            "{} with byte 3 set",
+            msg.tag()
+        );
+    }
+}
+
+#[test]
+fn the_reserved_config_byte_is_ignored_at_every_version() {
+    // The byte after `liveness_timeout` once flagged delta-encoded tabu
+    // lists. An older peer may still send 1 there; the flag never
+    // changed a trajectory, so it decodes exactly like 0.
+    let cfg = PtsConfig {
+        n_tsw: 6,
+        seed: 11,
+        ..PtsConfig::default()
+    };
+    let mut buf = Vec::new();
+    wire::put_config(&cfg, &mut buf);
+    // An empty portfolio's v2 tail is the aspiration byte and the entry
+    // count (9 bytes); the v1 block ends with `heartbeat_ms` and
+    // `reap_grace_ms` (16 bytes), right after the reserved byte.
+    let v1_len = buf.len() - 9;
+    let reserved = v1_len - 17;
+    assert_eq!(buf[reserved], 0, "put_config writes the reserved byte as 0");
+    for byte in [0, 1] {
+        buf[reserved] = byte;
+        for version in wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION {
+            let block = if version == 1 {
+                &buf[..v1_len]
+            } else {
+                &buf[..]
+            };
+            let mut r = wire::WireReader::new(block);
+            let got = wire::get_config_versioned(&mut r, version).unwrap();
+            assert_eq!(got, cfg, "reserved byte {byte} at version {version}");
+            assert_eq!(r.remaining(), 0);
+        }
+    }
+}
+
+/// An encoded QAP-8 `Init` frame. `Qap::restore` indexes the distance
+/// matrix by every entry of its assignment, so a decoded snapshot must be
+/// a permutation of `0..n`; the first entry sits right after the 32-byte
+/// header.
+fn qap_init_frame() -> Vec<u8> {
+    let qap = Qap::random(8, 3);
+    let init: PtsMsg<Qap> = PtsMsg::Init {
+        snapshot: Arc::new(parallel_tabu_search::tabu::SearchProblem::snapshot(&qap)),
+    };
+    let buf = encode_msg(&init, 0);
+    assert!(decode_msg::<Qap>(&buf, &()).is_ok());
+    buf
+}
+
+#[test]
+fn a_qap_snapshot_entry_out_of_range_is_malformed() {
+    let mut buf = qap_init_frame();
+    buf[32] ^= 1 << 4;
+    assert!(matches!(
+        decode_msg::<Qap>(&buf, &()),
+        Err(WireError::Malformed(_))
+    ));
+}
+
+#[test]
+fn a_qap_snapshot_with_a_repeated_entry_is_malformed() {
+    let mut buf = qap_init_frame();
+    buf.copy_within(40..48, 32);
+    assert!(matches!(
+        decode_msg::<Qap>(&buf, &()),
+        Err(WireError::Malformed(_))
+    ));
+}
+
 #[test]
 fn non_finite_trace_times_are_malformed() {
     // The collector orders merged trace points by time, so a report whose
@@ -403,7 +537,6 @@ fn non_finite_trace_times_are_malformed() {
                     trace.clone(),
                     vec![],
                     [0; 5],
-                    false,
                     false,
                 );
                 let buf = encode_msg(&msg, 0);
