@@ -1,35 +1,33 @@
-//! The cooperative async engine: thousands of logical workers on one
-//! OS thread, on the wall clock.
+//! The async engine: thousands of logical workers on one OS thread, on
+//! the wall clock.
 //!
 //! [`ThreadEngine`](crate::engine::ThreadEngine) spends one OS thread per
 //! logical process, which caps `n_tsw` at what the host will give us in
-//! threads and stacks (a few thousand at best, with megabytes of stack
-//! each). [`AsyncEngine`] runs the *same* master/TSW/CLW protocol — the
-//! loops are `async` and generic over [`crate::transport::Transport`] —
-//! as cooperatively scheduled futures on
-//! [`pts_vcluster::async_runtime::TaskCluster`]: a blocked receive is a
-//! parked future, not a parked thread, so `n_tsw` in the thousands fits
-//! in one thread's worth of OS resources.
+//! threads and stacks. [`AsyncEngine`] runs the *same* master/TSW/CLW
+//! protocol as futures on the workspace's one cooperative executor,
+//! [`pts_vcluster::VirtualTaskCluster`], on the zero-cost cluster
+//! ([`pts_vcluster::topology::zero_cost`]): one speed-1.0 machine, a
+//! link with no latency and unlimited bandwidth, and exclusive compute.
+//! A blocked receive is a parked future, not a parked thread, so `n_tsw`
+//! in the thousands fits in one thread's worth of OS resources.
 //!
-//! Like the thread engine it executes in real time (no virtual clock):
-//! `compute` records work units only, reports carry wall-clock seconds,
-//! and [`ClockDomain::Wall`] marks the report. Unlike the thread engine
-//! it is *deterministic*: tasks are polled in FIFO send order on one
-//! thread, so identical inputs replay identical executions — the
-//! `engines_agree` integration tests pin the async engine to the
-//! virtual-time engine's search results seed-for-seed under WaitAll.
+//! The executor orders ranks by the work they charge, so identical inputs
+//! replay identical executions; the `engines_agree` integration tests pin
+//! this engine to [`crate::virtual_engine::VirtualEngine`]'s search
+//! results seed for seed under WaitAll. Under HalfReport the schedule is
+//! the zero-cost cluster's: a rank is forced when its charged work puts
+//! it behind its siblings. Its transport stamps host seconds
+//! ([`crate::transport::VirtualTransport::wall`]), so trace points, the
+//! outcome's end time and the report are in [`ClockDomain::Wall`], and
+//! `recv_deadline` never times out.
 
 use crate::config::PtsConfig;
-use crate::control::RunControl;
-use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
-use crate::engine::{run_role, EngineOutput, ExecutionEngine};
-use crate::master::run_master;
-use crate::messages::PtsMsg;
+use crate::domain::{PtsDomain, SnapshotOf};
+use crate::engine::{EngineOutput, ExecutionEngine};
 use crate::report::{ClockDomain, RunReport};
-use crate::transport::TaskTransport;
-use pts_vcluster::TaskCluster;
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::virtual_engine::run_tree;
+use pts_vcluster::topology::zero_cost;
+use pts_vcluster::{ProcStats, VirtualTaskCluster};
 use std::time::Instant;
 
 /// Cooperative-futures engine: the whole PTS process tree multiplexed on
@@ -39,7 +37,7 @@ use std::time::Instant;
 /// in the validated [`PtsConfig`] (see [`crate::builder::Pts::builder`]).
 ///
 /// ```
-/// use pts_core::{AsyncEngine, Pts};
+/// use pts_core::{AsyncEngine, ClockDomain, Pts};
 /// use pts_core::qap_domain::QapDomain;
 ///
 /// let run = Pts::builder()
@@ -53,6 +51,7 @@ use std::time::Instant;
 /// let out = run.execute(&QapDomain::random(24, 3), &AsyncEngine::new());
 /// assert!(out.outcome.best_cost <= out.outcome.initial_cost);
 /// assert_eq!(out.report.engine, "async");
+/// assert_eq!(out.report.clock, ClockDomain::Wall);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AsyncEngine;
@@ -70,46 +69,37 @@ impl<D: PtsDomain> ExecutionEngine<D> for AsyncEngine {
     }
 
     fn execute(&self, cfg: &PtsConfig, domain: &D, initial: SnapshotOf<D>) -> EngineOutput<D> {
-        let wall = Instant::now();
-        let mut cluster: TaskCluster<PtsMsg<D::Problem>> = TaskCluster::new();
-        let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
-            Rc::new(RefCell::new(None));
-
-        // Spawn order must equal rank order: TaskTransport identifies rank
-        // with task id.
-        {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let slot = Rc::clone(&outcome_slot);
-            cluster.spawn(move |ctx| async move {
-                let mut t = TaskTransport { ctx };
-                let outcome =
-                    run_master(&mut t, &cfg, &domain, initial, &RunControl::unlimited()).await;
-                *slot.borrow_mut() = Some(outcome);
-            });
-        }
-        for rank in 1..cfg.total_procs() {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            cluster.spawn(move |ctx| async move {
-                run_role(&mut TaskTransport { ctx }, &cfg, &domain, rank).await;
-            });
-        }
-
-        let cluster_report = cluster.run();
-        let outcome = outcome_slot
-            .borrow_mut()
-            .take()
-            .expect("master deposits its outcome");
-        let wall_seconds = wall.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let (outcome, cluster_report, finished) = run_tree(
+            VirtualTaskCluster::new(zero_cost()),
+            &vec![0; cfg.total_procs()],
+            Some(start),
+            cfg,
+            domain,
+            initial,
+        );
+        // Counters carry over; times are wall seconds. Busy and wait have
+        // no per-rank meaning when every rank shares one thread, so they
+        // read 0 (and utilization with them).
+        let per_proc: Vec<ProcStats> = cluster_report
+            .per_proc
+            .into_iter()
+            .zip(&finished)
+            .map(|(p, &finished_at)| ProcStats {
+                busy_time: 0.0,
+                wait_time: 0.0,
+                finished_at,
+                ..p
+            })
+            .collect();
         EngineOutput {
             outcome,
             report: RunReport {
                 engine: "async",
                 clock: ClockDomain::Wall,
-                end_time: cluster_report.end_time,
-                wall_seconds,
-                per_proc: cluster_report.per_proc,
+                end_time: finished.iter().copied().fold(0.0, f64::max),
+                wall_seconds: start.elapsed().as_secs_f64(),
+                per_proc,
                 dead_ranks: vec![],
             },
         }
@@ -152,6 +142,35 @@ mod tests {
     }
 
     #[test]
+    fn async_engine_stamps_wall_seconds() {
+        // ptsbench reads this report's end time as wall seconds (its
+        // `makespan_s`). The executor's own clock counts work units at
+        // speed 1.0, far more than the run's wall time, so a virtual
+        // stamp anywhere below would break the bound.
+        let domain = QapDomain::random(20, 5);
+        let out = small_run().execute(&domain, &AsyncEngine::new());
+        let wall = out.report.wall_seconds;
+        assert!(
+            out.report.total_work() > wall,
+            "work units must dwarf wall seconds"
+        );
+        assert!(!out.outcome.trace.is_empty());
+        for p in out.outcome.trace.points() {
+            assert!(
+                p.time <= wall,
+                "trace point at {} s after a {wall} s run",
+                p.time
+            );
+        }
+        assert!(out.outcome.end_time > 0.0 && out.outcome.end_time <= wall);
+        assert!(out.report.end_time >= out.outcome.end_time);
+        assert!(out.report.end_time <= wall);
+        for p in &out.report.per_proc {
+            assert!(p.finished_at > 0.0 && p.finished_at <= out.report.end_time);
+        }
+    }
+
+    #[test]
     fn async_engine_is_deterministic() {
         let domain = QapDomain::random(18, 9);
         let a = small_run().execute(&domain, &AsyncEngine::new());
@@ -166,12 +185,12 @@ mod tests {
 
     #[test]
     fn clw_half_report_has_an_effect_on_the_cooperative_schedule() {
-        // CLWs yield between compound-move steps, so a TSW that reaches
-        // quorum can cut stragglers mid-investigation even on the
-        // single-threaded executor. If the yield were missing, every CLW
-        // would finish its whole investigation before the TSW ran again,
-        // CutShort would always arrive stale, and HalfReport would be
-        // indistinguishable from WaitAll at this tier.
+        // A CLW's `compute` suspends between compound-move steps, so a
+        // TSW that reaches quorum can cut stragglers mid-investigation
+        // even on the single-threaded executor. If computes ran through,
+        // every CLW would finish its whole investigation before the TSW
+        // ran again, CutShort would always arrive stale, and HalfReport
+        // would be indistinguishable from WaitAll at this tier.
         use crate::config::SyncPolicy;
         let domain = QapDomain::random(32, 21);
         let outcome_with = |clw_sync: SyncPolicy| {

@@ -9,9 +9,9 @@
 //!   paper's testbed substitute: exact replay, virtual metrics, thousands
 //!   of logical workers on one OS thread);
 //! * [`ThreadEngine`] — native OS threads (real wall-clock parallelism);
-//! * [`crate::async_engine::AsyncEngine`] — cooperative futures on one OS
-//!   thread (thousands of logical workers, deterministic replay, wall
-//!   clock);
+//! * [`crate::async_engine::AsyncEngine`] — the same executor on the
+//!   zero-cost cluster (thousands of logical workers, deterministic
+//!   replay, wall clock);
 //! * [`crate::proc::ProcEngine`] — one OS process per worker rank over
 //!   sockets and the wire codec.
 //!

@@ -31,7 +31,8 @@
 //!   ([`virtual_engine::VirtualEngine`], the paper's PVM-testbed
 //!   substitute, thousands of logical workers on one OS thread), native
 //!   threads ([`engine::ThreadEngine`]) for real wall-clock parallelism,
-//!   cooperative futures on a wall clock ([`async_engine::AsyncEngine`]),
+//!   the same cooperative executor on a zero-cost cluster and a wall
+//!   clock ([`async_engine::AsyncEngine`]),
 //!   or one OS process per rank over sockets ([`proc::ProcEngine`]).
 //!   Every engine spawns its worker ranks through one
 //!   [`engine::run_role`], and all return one unified

@@ -4,8 +4,8 @@
 //! engine fills it with virtual-time accounting (the paper's
 //! measurements — busy/wait seconds per process), the thread engine with
 //! wall-clock and channel accounting, the cooperative async engine with
-//! wall-clock accounting for its single-threaded task schedule, and the
-//! proc engine with the traffic its socket router observed. No field is
+//! its counters and wall-clock finish times, and the proc engine with
+//! the traffic its socket router observed. No field is
 //! engine-optional — code consuming a report never needs to know which
 //! substrate carried the run.
 
@@ -16,8 +16,8 @@ use pts_vcluster::ProcStats;
 pub enum ClockDomain {
     /// Deterministic virtual seconds (simulated heterogeneous cluster).
     Virtual,
-    /// Host wall-clock seconds (native threads and the cooperative async
-    /// engine, which both execute in real time).
+    /// Host wall-clock seconds (native threads, worker processes, and
+    /// the async engine, which all execute in real time).
     Wall,
 }
 
@@ -35,11 +35,12 @@ pub struct RunReport {
     /// search time for the thread engine, host time for the vt engine).
     pub wall_seconds: f64,
     /// Per-process counters, indexed by rank (master = 0). The vt engine
-    /// reports full virtual-time accounting; the thread and async engines
-    /// report message/byte/work counters and recv wait time. On Linux the
-    /// thread engine also fills `busy_time` with each worker thread's CPU
-    /// time (`getrusage(RUSAGE_THREAD)`); the async engine reports 0 busy
-    /// time (all workers share the calling thread).
+    /// reports full virtual-time accounting; the thread engine reports
+    /// message/byte/work counters and recv wait time, and on Linux fills
+    /// `busy_time` with each worker thread's CPU time
+    /// (`getrusage(RUSAGE_THREAD)`). The async engine reports the
+    /// counters and each rank's wall-clock finish time, with 0 busy and
+    /// wait time: all its workers share the calling thread.
     pub per_proc: Vec<ProcStats>,
     /// Ranks observed to die mid-run (sorted, deduplicated). Populated
     /// only by the proc engine's supervisor — abnormal child exits and
@@ -76,7 +77,7 @@ impl RunReport {
     /// measure, in virtual time) and, on Linux, for the thread engine
     /// (per-thread CPU time via `getrusage(RUSAGE_THREAD)` against
     /// channel-blocked wall time). The async engine multiplexes every
-    /// worker on one thread and reports 0 busy time, hence 0.
+    /// worker on one thread and reports no busy or wait time, hence 0.
     pub fn utilization(&self) -> f64 {
         let busy: f64 = self.per_proc.iter().map(|p| p.busy_time).sum();
         let wait: f64 = self.per_proc.iter().map(|p| p.wait_time).sum();

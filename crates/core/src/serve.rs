@@ -9,7 +9,8 @@
 //! own [`crate::proc::ProcEngine`] process tree — streams per-round
 //! progress frames back, and delivers a final result frame. A job can be
 //! cancelled explicitly, by its budget expiring, or implicitly by its
-//! client disconnecting; all three routes flip the job's
+//! client disconnecting (or taking no frame for
+//! [`CLIENT_WRITE_TIMEOUT`]); all three routes flip the job's
 //! [`RunControl`], which the master turns into a protocol-clean `Stop`
 //! wave through the shard tree, after which the engine reaps its child
 //! processes — no orphans on any path.
@@ -67,6 +68,12 @@ pub const MIN_SERVE_VERSION: u8 = 1;
 /// [`ProcEngine`] library default, where `heartbeat_ms = 0` stays off.
 /// Override with [`Server::with_default_heartbeat`] (0 disables).
 pub const DEFAULT_HEARTBEAT_MS: u64 = 500;
+
+/// How long one server → client frame may wait on a full socket. A
+/// client that takes no frame for this long counts as disconnected, so a
+/// client that stops reading cannot wedge its job's runner (nor, through
+/// it, a SIGTERM drain).
+pub const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Client-protocol frame kinds.
 pub mod kind {
@@ -578,8 +585,10 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     let mut stream = stream;
     // Poll the stream so a server shutdown unblocks this thread; a
     // buffered parser keeps partial frames intact across poll ticks.
+    // Both timeouts belong to the socket, so they cover the writer clone.
     if stream
         .set_read_timeout(Some(Duration::from_millis(200)))
+        .and_then(|()| stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT)))
         .is_err()
     {
         return;
@@ -635,15 +644,13 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
                         shared.available.notify_one();
                         let mut ack = Vec::new();
                         wire::put_u32(&mut ack, id);
-                        let _ =
-                            write_client_frame(&mut *writer.lock().unwrap(), kind::ACCEPTED, &ack);
+                        send_frame(&writer, kind::ACCEPTED, &ack);
                     }
                     Err(e) => {
                         let mut payload = Vec::new();
                         wire::put_u32(&mut payload, 0);
                         put_str(&mut payload, &format!("bad submit: {e}"));
-                        let _ =
-                            write_client_frame(&mut *writer.lock().unwrap(), kind::ERROR, &payload);
+                        send_frame(&writer, kind::ERROR, &payload);
                     }
                 },
                 kind::CANCEL => {
@@ -658,6 +665,18 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     }
     // Disconnect: whatever this client had queued or running stops.
     shared.cancel_conn(conn);
+}
+
+/// Write one server → client frame. Every write on a client connection
+/// is bounded by [`CLIENT_WRITE_TIMEOUT`]; one that fails or times out
+/// may leave a partial frame behind, so the connection is shut down. Its
+/// reader then sees the hang-up and cancels the client's jobs, as for any
+/// disconnect.
+fn send_frame(writer: &Mutex<Stream>, kind: u8, payload: &[u8]) {
+    let mut stream = writer.lock().unwrap();
+    if write_client_frame(&mut *stream, kind, payload).is_err() {
+        stream.shutdown();
+    }
 }
 
 /// Job-runner thread: takes ready jobs FIFO (skipping jobs still inside
@@ -734,7 +753,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
         let mut payload = Vec::new();
         wire::put_u32(&mut payload, job_id);
         put_str(&mut payload, &message);
-        let _ = write_client_frame(&mut *writer.lock().unwrap(), kind::ERROR, &payload);
+        send_frame(&writer, kind::ERROR, &payload);
     };
     if job.ctl.is_cancelled() {
         // Cancelled while queued: report without running anything.
@@ -745,11 +764,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
             rounds: 0,
             cancelled: true,
         };
-        let _ = write_client_frame(
-            &mut *job.writer.lock().unwrap(),
-            kind::RESULT,
-            &result.encode(),
-        );
+        send_frame(&job.writer, kind::RESULT, &result.encode());
         return JobOutcome::Done;
     }
     let cfg = effective_config(&job.req.cfg, shared.default_heartbeat_ms);
@@ -764,11 +779,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
         wire::put_u32(&mut payload, job_id);
         wire::put_u32(&mut payload, global);
         wire::put_f64(&mut payload, best);
-        let _ = write_client_frame(
-            &mut *progress_writer.lock().unwrap(),
-            kind::PROGRESS,
-            &payload,
-        );
+        send_frame(&progress_writer, kind::PROGRESS, &payload);
     }));
     let engine = ProcEngine::new(&shared.worker_exe).with_control(ctl.clone());
 
@@ -806,7 +817,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
         let mut payload = Vec::new();
         wire::put_u32(&mut payload, job_id);
         wire::put_u32(&mut payload, restart);
-        let _ = write_client_frame(&mut *job.writer.lock().unwrap(), kind::RETRYING, &payload);
+        send_frame(&job.writer, kind::RETRYING, &payload);
         job.not_before = Instant::now() + retry_backoff(job.attempt);
         job.attempt = restart;
         return JobOutcome::Requeue(Box::new(job));
@@ -835,11 +846,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
                 rounds,
                 cancelled: ctl.is_cancelled() || rounds < job.req.cfg.global_iters,
             };
-            let _ = write_client_frame(
-                &mut *job.writer.lock().unwrap(),
-                kind::RESULT,
-                &result.encode(),
-            );
+            send_frame(&job.writer, kind::RESULT, &result.encode());
         }
         Err(message) if job.attempt > 0 => {
             send_error(format!("{message} (after {} attempts)", job.attempt + 1));

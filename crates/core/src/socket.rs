@@ -146,7 +146,8 @@ impl Stream {
         }
     }
 
-    fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
+    /// Set (or clear) the write timeout on the socket.
+    pub(crate) fn set_write_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_write_timeout(d),
             Stream::Tcp(s) => s.set_write_timeout(d),

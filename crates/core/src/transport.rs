@@ -1,7 +1,7 @@
 //! Transport abstraction: the same master/TSW/CLW code runs on native
-//! threads (real parallel wall-clock execution), on the two cooperative
-//! task runtimes (thousands of logical workers on one thread — wall clock
-//! or virtual time), and over sockets between OS processes
+//! threads (real parallel wall-clock execution), on the cooperative
+//! virtual-time executor (thousands of logical workers on one thread),
+//! and over sockets between OS processes
 //! ([`crate::socket::SocketTransport`]).
 //!
 //! The protocol loops are `async`: [`Transport::recv`] and
@@ -9,11 +9,11 @@
 //! substrates (native threads, sockets) resolve both futures on their
 //! first poll — they block *inside* the poll, so driving their protocol
 //! futures with [`drive_sync`] never actually suspends. The cooperative
-//! substrates suspend for real: [`TaskTransport`] returns `Pending` on an
-//! empty mailbox, and [`VirtualTransport`] additionally parks inside
-//! `compute` until the charged work completes on the task's machine —
-//! which is what lets one OS thread interleave thousands of workers in
-//! FIFO order or under a virtual clock, respectively.
+//! substrate suspends for real: [`VirtualTransport`] returns `Pending` on
+//! an empty mailbox and parks inside `compute` until the charged work
+//! completes on the task's machine, which is what lets one OS thread
+//! interleave thousands of workers under a virtual clock. The async
+//! engine runs the same transport with its stamps on the wall clock.
 //!
 //! All transports account per-process metrics into the same
 //! [`ProcStats`] shape, which is what lets the engines return one unified
@@ -21,7 +21,7 @@
 
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
-use pts_vcluster::{ProcStats, TaskCtx, VirtualTaskCtx};
+use pts_vcluster::{ProcStats, VirtualTaskCtx};
 use std::future::Future;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -34,15 +34,16 @@ pub trait Transport<P: PtsProblem> {
     fn rank(&self) -> usize;
     /// Seconds since the run started (virtual or wall).
     fn now(&self) -> f64;
-    /// Charge CPU work (advances virtual time; wall-clock engines only
-    /// record it — real computation takes real time).
+    /// Charge CPU work (advances virtual time; the blocking wall-clock
+    /// transports only record it — real computation takes real time).
     ///
     /// Like [`Transport::recv`] this is a suspension point: on the
-    /// virtual-time cooperative substrate ([`VirtualTransport`]) the task
-    /// parks until the charged work completes on its machine, which is
-    /// how one OS thread interleaves thousands of workers *in virtual
-    /// time*. All other transports resolve on first poll: they run on a
-    /// wall clock and only record the units.
+    /// cooperative substrate ([`VirtualTransport`]) the task parks until
+    /// the charged work completes on its machine, which is how one OS
+    /// thread interleaves thousands of workers, and how a sibling's
+    /// `CutShort` can land in the middle of a CLW investigation. The
+    /// blocking transports resolve on first poll and only record the
+    /// units.
     fn compute(&mut self, work: f64) -> impl Future<Output = ()>;
     /// Deliver `msg` to the process at rank `dst`.
     fn send(&mut self, dst: usize, msg: PtsMsg<P>);
@@ -61,15 +62,6 @@ pub trait Transport<P: PtsProblem> {
     fn recv_deadline(&mut self, deadline: f64) -> impl Future<Output = Option<PtsMsg<P>>> {
         let _ = deadline;
         async move { Some(self.recv().await) }
-    }
-    /// Scheduling point inside a long compute stretch. On substrates
-    /// where peers progress independently (threads, processes, and the
-    /// virtual clock, whose `compute` already suspends) this is a no-op;
-    /// the wall-clock cooperative transport re-enqueues the task so
-    /// siblings run — and messages sent mid-stretch (a `CutShort`) can
-    /// arrive before the stretch completes.
-    fn yield_now(&mut self) -> impl Future<Output = ()> {
-        std::future::ready(())
     }
 }
 
@@ -92,7 +84,7 @@ pub(crate) fn protocol_warn(rank: usize, what: &str) {
 /// # Panics
 ///
 /// If the future suspends — that would mean it was built over a
-/// cooperative transport, which only the task-cluster executor can drive.
+/// cooperative transport, which only the virtual-time executor can drive.
 pub fn drive_sync<F: Future>(fut: F) -> F::Output {
     let mut fut = std::pin::pin!(fut);
     let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
@@ -217,61 +209,19 @@ impl<P: PtsProblem> Drop for ThreadTransport<P> {
     }
 }
 
-/// Cooperative-task transport: ranks coincide with task ids (tasks are
-/// spawned in rank order by [`crate::async_engine::AsyncEngine`]). The
-/// only transport whose `recv` actually suspends.
-pub struct TaskTransport<P: PtsProblem> {
-    /// The cooperative task handle this transport wraps.
-    pub ctx: TaskCtx<PtsMsg<P>>,
-}
-
-impl<P: PtsProblem> Transport<P> for TaskTransport<P> {
-    fn rank(&self) -> usize {
-        self.ctx.id()
-    }
-
-    fn now(&self) -> f64 {
-        self.ctx.now()
-    }
-
-    fn compute(&mut self, work: f64) -> impl Future<Output = ()> {
-        // Wall-clock cooperative substrate: record the units only.
-        self.ctx.compute(work);
-        std::future::ready(())
-    }
-
-    fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
-        let bytes = msg.wire_size();
-        crate::meter::note_send(&msg);
-        self.ctx.send_sized(dst, msg, bytes);
-    }
-
-    fn recv(&mut self) -> impl Future<Output = PtsMsg<P>> {
-        self.ctx.recv()
-    }
-
-    fn try_recv(&mut self) -> Option<PtsMsg<P>> {
-        self.ctx.try_recv()
-    }
-
-    fn yield_now(&mut self) -> impl Future<Output = ()> {
-        self.ctx.yield_now()
-    }
-}
-
-/// Virtual-time cooperative transport: ranks coincide with task ids
-/// (tasks are spawned in rank order by
-/// [`crate::virtual_engine::VirtualEngine`]). Both `recv` *and*
-/// `compute` suspend — a parked future stands in for a process blocked
-/// on its machine, so the discrete-event executor can interleave
-/// thousands of workers under one virtual clock.
-///
-/// `yield_now` keeps the default no-op: on a virtual-time substrate
-/// `compute` itself is the scheduling point, so peers already interleave
-/// mid-stretch.
+/// Cooperative transport over a [`VirtualTaskCtx`]: ranks coincide with
+/// task ids (the vt and async engines spawn tasks in rank order). Both
+/// `recv` *and* `compute` suspend — a parked future stands in for a
+/// process blocked on its machine, so the discrete-event executor can
+/// interleave thousands of workers under one virtual clock.
 pub struct VirtualTransport<P: PtsProblem> {
     /// The virtual-time task handle this transport wraps.
     pub ctx: VirtualTaskCtx<PtsMsg<P>>,
+    /// The clock of [`Transport::now`]: `None` reads the executor's
+    /// virtual clock; `Some(start)` reads host seconds since `start`,
+    /// the async engine's clock, and then `recv_deadline` never times
+    /// out, because a wall deadline means nothing to the executor.
+    pub wall: Option<Instant>,
 }
 
 impl<P: PtsProblem> Transport<P> for VirtualTransport<P> {
@@ -280,7 +230,10 @@ impl<P: PtsProblem> Transport<P> for VirtualTransport<P> {
     }
 
     fn now(&self) -> f64 {
-        self.ctx.now()
+        match self.wall {
+            Some(start) => start.elapsed().as_secs_f64(),
+            None => self.ctx.now(),
+        }
     }
 
     fn compute(&mut self, work: f64) -> impl Future<Output = ()> {
@@ -303,11 +256,14 @@ impl<P: PtsProblem> Transport<P> for VirtualTransport<P> {
         self.ctx.try_recv()
     }
 
-    fn recv_deadline(&mut self, deadline: f64) -> impl Future<Output = Option<PtsMsg<P>>> {
-        // The one substrate where a timeout is well-defined: the
+    async fn recv_deadline(&mut self, deadline: f64) -> Option<PtsMsg<P>> {
+        // On the virtual clock a timeout is well-defined: the
         // discrete-event queue wakes the task at the deadline if nothing
         // arrives first.
-        self.ctx.recv_deadline(deadline)
+        match self.wall {
+            Some(_) => Some(self.ctx.recv().await),
+            None => self.ctx.recv_deadline(deadline).await,
+        }
     }
 }
 
@@ -389,18 +345,21 @@ mod tests {
     }
 
     #[test]
-    fn task_transport_routes_messages() {
-        use pts_vcluster::TaskCluster;
-        let mut cluster: TaskCluster<PtsMsg<Qap>> = TaskCluster::new();
-        cluster.spawn(|ctx| async move {
-            let mut t = TaskTransport { ctx };
+    fn wall_clock_transport_routes_messages() {
+        use pts_vcluster::{topology::zero_cost, VirtualTaskCluster};
+        let start = Instant::now();
+        let wall = Some(start);
+        let mut cluster: VirtualTaskCluster<PtsMsg<Qap>> = VirtualTaskCluster::new(zero_cost());
+        cluster.spawn(0, move |ctx| async move {
+            let mut t = VirtualTransport { ctx, wall };
             assert_eq!(Transport::rank(&t), 0);
             assert!(t.try_recv().is_none());
             assert!(matches!(t.recv().await, PtsMsg::Investigate { seq: 9, .. }));
             t.send(1, PtsMsg::Stop);
         });
-        cluster.spawn(|ctx| async move {
-            let mut t = TaskTransport { ctx };
+        cluster.spawn(0, move |ctx| async move {
+            let mut t = VirtualTransport { ctx, wall };
+            assert_eq!(Transport::rank(&t), 1);
             t.compute(1.5).await;
             t.send(
                 0,
@@ -410,11 +369,18 @@ mod tests {
                 },
             );
             assert!(matches!(t.recv().await, PtsMsg::Stop));
+            // Stamps are host seconds, not the 1.5 work units charged.
+            assert!(t.now() <= start.elapsed().as_secs_f64());
         });
         let report = cluster.run();
         assert_eq!(report.per_proc[0].messages_sent, 1);
+        assert_eq!(report.per_proc[0].messages_received, 1);
         assert_eq!(report.per_proc[1].messages_received, 1);
         assert!((report.per_proc[1].work_done - 1.5).abs() < 1e-12);
-        assert!(report.per_proc[0].bytes_sent > 0, "wire sizes accounted");
+        assert_eq!(
+            report.per_proc[0].bytes_sent,
+            PtsMsg::<Qap>::Stop.wire_size(),
+            "wire sizes accounted"
+        );
     }
 }

@@ -28,9 +28,9 @@ use crate::fault::{Contention, FaultSpec};
 use crate::master::run_master;
 use crate::messages::PtsMsg;
 use crate::report::{ClockDomain, RunReport};
-use crate::transport::VirtualTransport;
+use crate::transport::{Transport, VirtualTransport};
 use pts_vcluster::topology::{paper_cluster, round_robin_assignment};
-use pts_vcluster::{ClusterSpec, VirtualTaskCluster};
+use pts_vcluster::{ClusterSpec, RunReport as ClusterReport, VirtualTaskCluster};
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
@@ -116,39 +116,13 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
             VirtualTaskCluster::new(self.cluster.clone());
         cluster.set_contention(self.contention);
         if !self.faults.is_empty() {
-            // Task ids equal protocol ranks (spawn order below), so the
-            // worker-level spec lowers directly onto runtime task ids.
+            // Task ids equal protocol ranks (`run_tree` spawns in rank
+            // order), so the worker-level spec lowers directly onto
+            // runtime task ids.
             cluster.set_fault_plan(self.faults.resolve::<D::Problem>(cfg, &assignment));
         }
-        let outcome_slot: Rc<RefCell<Option<SearchOutcome<SnapshotOf<D>>>>> =
-            Rc::new(RefCell::new(None));
-
-        // Spawn order must equal rank order: VirtualTransport identifies
-        // rank with task id.
-        {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            let slot = Rc::clone(&outcome_slot);
-            cluster.spawn(assignment[0], move |ctx| async move {
-                let mut t = VirtualTransport { ctx };
-                let outcome =
-                    run_master(&mut t, &cfg, &domain, initial, &RunControl::unlimited()).await;
-                *slot.borrow_mut() = Some(outcome);
-            });
-        }
-        for (rank, &machine) in assignment.iter().enumerate().skip(1) {
-            let cfg = cfg.clone();
-            let domain = domain.clone();
-            cluster.spawn(machine, move |ctx| async move {
-                run_role(&mut VirtualTransport { ctx }, &cfg, &domain, rank).await;
-            });
-        }
-
-        let cluster_report = cluster.run();
-        let outcome = outcome_slot
-            .borrow_mut()
-            .take()
-            .expect("master deposits its outcome");
+        let (outcome, cluster_report, _) =
+            run_tree(cluster, &assignment, None, cfg, domain, initial);
         EngineOutput {
             outcome,
             report: RunReport {
@@ -161,6 +135,47 @@ impl<D: PtsDomain> ExecutionEngine<D> for VirtualEngine {
             },
         }
     }
+}
+
+/// Runs the master/TSW/CLW tree on `cluster`, rank `r` on machine
+/// `assignment[r]`, every rank over a [`VirtualTransport`] with clock
+/// `wall`. Returns the master's outcome, the cluster's report, and each
+/// rank's `now()` as its protocol returned.
+pub(crate) fn run_tree<D: PtsDomain>(
+    mut cluster: VirtualTaskCluster<PtsMsg<D::Problem>>,
+    assignment: &[usize],
+    wall: Option<Instant>,
+    cfg: &PtsConfig,
+    domain: &D,
+    initial: SnapshotOf<D>,
+) -> (SearchOutcome<SnapshotOf<D>>, ClusterReport, Vec<f64>) {
+    let outcome_slot = Rc::new(RefCell::new(None));
+    let finished = Rc::new(RefCell::new(vec![0.0; assignment.len()]));
+    // Spawn order must equal rank order: VirtualTransport identifies
+    // rank with task id.
+    {
+        let (cfg, domain) = (cfg.clone(), domain.clone());
+        let (slot, finished) = (Rc::clone(&outcome_slot), Rc::clone(&finished));
+        cluster.spawn(assignment[0], move |ctx| async move {
+            let mut t = VirtualTransport { ctx, wall };
+            let outcome =
+                run_master(&mut t, &cfg, &domain, initial, &RunControl::unlimited()).await;
+            finished.borrow_mut()[0] = t.now();
+            *slot.borrow_mut() = Some(outcome);
+        });
+    }
+    for (rank, &machine) in assignment.iter().enumerate().skip(1) {
+        let (cfg, domain) = (cfg.clone(), domain.clone());
+        let finished = Rc::clone(&finished);
+        cluster.spawn(machine, move |ctx| async move {
+            let mut t = VirtualTransport { ctx, wall };
+            run_role(&mut t, &cfg, &domain, rank).await;
+            finished.borrow_mut()[rank] = t.now();
+        });
+    }
+    let report = cluster.run();
+    let outcome = outcome_slot.take().expect("master deposits its outcome");
+    (outcome, report, finished.take())
 }
 
 #[cfg(test)]

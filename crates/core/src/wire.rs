@@ -349,6 +349,9 @@ impl WireProblem for pts_tabu::qap::Qap {
         if !nbytes.is_multiple_of(8) {
             return Err(WireError::Malformed("QAP delta bytes not entry-aligned"));
         }
+        if nbytes > r.remaining() {
+            return Err(WireError::Truncated);
+        }
         let n = nbytes / 8;
         let mut changes = Vec::with_capacity(n);
         for _ in 0..n {
@@ -433,6 +436,11 @@ impl WireProblem for crate::placement_problem::PlacementProblem {
         if !nbytes.is_multiple_of(4) {
             return Err(WireError::Malformed("placement bytes not slot-aligned"));
         }
+        // The length is the sender's claim: check it against the bytes
+        // present before reserving a slot for it.
+        if nbytes > r.remaining() {
+            return Err(WireError::Truncated);
+        }
         let n = nbytes / 4;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
@@ -454,6 +462,9 @@ impl WireProblem for crate::placement_problem::PlacementProblem {
             return Err(WireError::Malformed(
                 "placement delta bytes not entry-aligned",
             ));
+        }
+        if nbytes > r.remaining() {
+            return Err(WireError::Truncated);
         }
         let n = nbytes / 8;
         let mut moves = Vec::with_capacity(n);
@@ -1593,6 +1604,68 @@ mod tests {
         let decoded =
             PlacementProblem::get_snapshot(&mut WireReader::new(&snap), snap.len(), &got).unwrap();
         assert_eq!(decoded, placement);
+    }
+
+    /// Records the largest allocation the calling thread asks for, so a
+    /// decoder test can show that a hostile length claim reserves nothing.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local!(static LARGEST: Cell<usize> = const { Cell::new(0) });
+
+        struct Probe;
+
+        // SAFETY: every call forwards to `System` unchanged; the probe
+        // only records sizes in a const-initialized thread-local, which
+        // never allocates.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        /// `f`'s value and the largest allocation it made on this thread.
+        pub fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(0));
+            let out = f();
+            (out, LARGEST.with(Cell::get))
+        }
+    }
+
+    #[test]
+    fn claimed_lengths_past_the_frame_are_truncated_before_allocating() {
+        use crate::placement_problem::PlacementProblem;
+        use alloc_probe::largest_alloc;
+        let layout = pts_place::layout::Layout::for_cells(4);
+        let (four, eight) = ([0u8; 4], [0u8; 8]);
+        // The proc worker hands the setup frame's raw `u32` snapshot
+        // length to the decoder: 0xFFFF_FFFC bytes claimed, 4 present.
+        let (got, largest) = largest_alloc(|| {
+            PlacementProblem::get_snapshot(&mut WireReader::new(&four), 0xFFFF_FFFC, &layout)
+        });
+        assert_eq!(got.err(), Some(WireError::Truncated));
+        assert_eq!(largest, 0, "the snapshot claim reserved {largest} bytes");
+        let (got, largest) = largest_alloc(|| {
+            PlacementProblem::get_delta(&mut WireReader::new(&eight), 0xFFFF_FFF8)
+        });
+        assert_eq!(got.err(), Some(WireError::Truncated));
+        assert_eq!(
+            largest, 0,
+            "the placement delta claim reserved {largest} bytes"
+        );
+        let (got, largest) =
+            largest_alloc(|| Qap::get_delta(&mut WireReader::new(&eight), 0xFFFF_FFF8));
+        assert_eq!(got.err(), Some(WireError::Truncated));
+        assert_eq!(largest, 0, "the QAP delta claim reserved {largest} bytes");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   discrete-event scheduler ([`virtual_runtime`]) advances a global
 //!   **virtual clock** to the next wake-up in `(time, task id)` order, so
 //!   runs are exactly reproducible and thousands of processes fit on one
-//!   host,
+//!   host; it is the workspace's one cooperative executor,
 //! * CPU work is charged explicitly via
 //!   [`virtual_runtime::VirtualTaskCtx::compute`] in abstract *work
 //!   units*; a machine of speed `s` executes `s` units per virtual second,
@@ -24,12 +24,11 @@
 //!   without disturbing it when off.
 //!
 //! The paper's twelve-machine cluster (7 fast / 3 medium / 2 slow) is
-//! provided by [`topology::paper_cluster`].
-//!
-//! [`async_runtime`] is the wall-clock sibling: the same cooperative,
-//! deterministic task model with FIFO scheduling and no virtual time.
+//! provided by [`topology::paper_cluster`]; [`topology::zero_cost`] is its
+//! opposite, one speed-1.0 machine behind a free link, on which the same
+//! executor orders a swarm by charged work alone (`pts-core`'s wall-clock
+//! `AsyncEngine` runs there).
 
-pub mod async_runtime;
 pub mod fault;
 pub mod machine;
 pub mod mailbox;
@@ -38,7 +37,6 @@ pub mod metrics;
 pub mod topology;
 pub mod virtual_runtime;
 
-pub use async_runtime::{TaskCluster, TaskCtx};
 pub use fault::{Contention, FaultPlan, MachineEvent, RouteAction, RouteFault};
 pub use machine::{LoadModel, Machine};
 pub use message::LinkModel;

@@ -1,7 +1,6 @@
 //! Per-process mailboxes ordered by delivery time.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// A message annotated with its virtual arrival time and a global send
 /// sequence number (total order tie-breaker ⇒ deterministic delivery).
@@ -12,38 +11,30 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-// Orderings compare only (deliver_at, seq); the payload is opaque.
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Envelope<M> {}
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .deliver_at
-            .total_cmp(&self.deliver_at)
-            .then(other.seq.cmp(&self.seq))
+impl<M> Envelope<M> {
+    /// Whether `self` is delivered before `other`: `(deliver_at, seq)`
+    /// order, the payload opaque.
+    fn precedes(&self, other: &Envelope<M>) -> bool {
+        self.deliver_at
+            .total_cmp(&other.deliver_at)
+            .then(self.seq.cmp(&other.seq))
+            .is_lt()
     }
 }
 
-/// Delivery-time-ordered mailbox.
+/// Delivery-time-ordered mailbox: envelopes sorted by
+/// `(deliver_at, seq)`, earliest at the front. Sends almost always arrive
+/// in that order (the clock only moves forward and routes are FIFO), so
+/// a push is usually an append and a pop never reorders.
 #[derive(Clone, Debug)]
 pub struct Mailbox<M> {
-    heap: BinaryHeap<Envelope<M>>,
+    queue: VecDeque<Envelope<M>>,
 }
 
 impl<M> Default for Mailbox<M> {
     fn default() -> Self {
         Mailbox {
-            heap: BinaryHeap::new(),
+            queue: VecDeque::new(),
         }
     }
 }
@@ -54,29 +45,30 @@ impl<M> Mailbox<M> {
     }
 
     pub fn push(&mut self, envelope: Envelope<M>) {
-        self.heap.push(envelope);
+        let at = self.queue.partition_point(|e| e.precedes(&envelope));
+        self.queue.insert(at, envelope);
     }
 
     /// Earliest delivery time of any pending message.
     pub fn earliest(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.deliver_at)
+        self.queue.front().map(|e| e.deliver_at)
     }
 
     /// Pop the earliest message if it has arrived by time `now`.
     pub fn pop_ready(&mut self, now: f64) -> Option<Envelope<M>> {
         if self.earliest().is_some_and(|t| t <= now + 1e-12) {
-            self.heap.pop()
+            self.queue.pop_front()
         } else {
             None
         }
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 
@@ -120,6 +112,17 @@ mod tests {
         assert!(mb.pop_ready(4.9).is_none());
         assert_eq!(mb.earliest(), Some(5.0));
         assert!(mb.pop_ready(5.0).is_some());
+    }
+
+    #[test]
+    fn a_late_send_with_an_early_delivery_goes_first() {
+        let mut mb = Mailbox::new();
+        mb.push(env(4.0, 1, 40));
+        mb.push(env(4.0, 3, 41));
+        mb.push(env(2.0, 4, 20));
+        mb.push(env(4.0, 2, 39));
+        let order: Vec<u32> = std::iter::from_fn(|| mb.pop_ready(9.0).map(|e| e.msg)).collect();
+        assert_eq!(order, vec![20, 40, 39, 41]);
     }
 
     #[test]

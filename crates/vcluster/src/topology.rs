@@ -56,6 +56,20 @@ pub fn homogeneous(n: usize) -> ClusterSpec {
     ClusterSpec::new(machines, LinkModel::default())
 }
 
+/// The zero-cost cluster: one unit-speed machine whose link has no
+/// latency and unlimited bandwidth. Every message arrives the instant it
+/// is sent, so the executor orders tasks by the work they charge alone.
+pub fn zero_cost() -> ClusterSpec {
+    ClusterSpec::new(
+        vec![Machine::new("host", 1.0)],
+        LinkModel {
+            latency: 0.0,
+            local_latency: 0.0,
+            bytes_per_sec: f64::INFINITY,
+        },
+    )
+}
+
 /// Round-robin assignment of `n_procs` processes onto the machines,
 /// fastest machines first — the placement strategy the experiments use.
 pub fn round_robin_assignment(cluster: &ClusterSpec, n_procs: usize) -> Vec<usize> {
@@ -112,6 +126,13 @@ mod tests {
     fn homogeneous_uniform_speed() {
         let c = homogeneous(4);
         assert!(c.machines.iter().all(|m| m.speed == 1.0));
+    }
+
+    #[test]
+    fn zero_cost_link_delivers_any_size_instantly() {
+        let c = zero_cost();
+        assert_eq!(c.num_machines(), 1);
+        assert_eq!(c.link.transfer_time(0, 0, u64::MAX), 0.0);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //! model, with every logical process a future on one OS thread.
 //!
 //! The paper's measurements need a cluster timing model — per-machine
-//! speed, background load, message latency — and a deterministic clock.
-//! [`crate::async_runtime::TaskCluster`] scales to thousands of logical
-//! processes on one thread, but only knows wall clock.
-//! [`VirtualTaskCluster`] adds the clock: every logical process is a
-//! *future*, and the executor is a discrete-event scheduler over an
+//! speed, background load, message latency — and a deterministic clock,
+//! at thousands of logical processes per host. In [`VirtualTaskCluster`]
+//! every logical process is a *future*, and the executor is a
+//! discrete-event scheduler over an
 //! [`EventQueue`] of `(virtual_time, task)` wake-ups. `compute` charges
 //! work against the task's machine — integrating speed and
 //! [`crate::machine::LoadModel`] through
@@ -58,9 +57,39 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
 use std::future::Future;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+
+/// Multiplicative hasher for the executor's own integer keys (queue
+/// tickets, route endpoints). SipHash resists flooding by chosen keys;
+/// these keys are generated by the runtime itself, and the hash sits on
+/// the per-event path, one insert and one remove per wake-up.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntBuild = BuildHasherDefault<IntHasher>;
 
 /// One pending wake-up in the [`EventQueue`].
 #[derive(Clone, Copy, Debug)]
@@ -114,7 +143,7 @@ impl Ord for Event {
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
     /// Tickets scheduled and neither popped nor cancelled yet.
-    live: HashSet<u64>,
+    live: HashSet<u64, IntBuild>,
     next_seq: u64,
 }
 
@@ -179,10 +208,9 @@ impl EventQueue {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum TaskStatus {
     /// Has exactly one wake-up in the event queue (initial start, a
-    /// `compute` end, or an already-scheduled mailbox delivery).
+    /// `compute` end, or an already-scheduled mailbox delivery), or is
+    /// being polled.
     Scheduled,
-    /// Currently being polled by the executor.
-    Running,
     /// Parked in `recv` with an empty mailbox; a send will schedule it.
     BlockedRecv,
     /// Finished; sends to it are dropped (undeliverable).
@@ -259,7 +287,7 @@ struct VHub<M> {
     /// Last delivery time per (src, dst) pair: enforces FIFO channels (a
     /// small message never overtakes a large one on the same route), as
     /// PVM/TCP guarantee.
-    pair_last: RefCell<HashMap<(usize, usize), f64>>,
+    pair_last: RefCell<HashMap<(usize, usize), f64, IntBuild>>,
     /// Tracked-compute + fault state; `None` on the historical fast path
     /// (no contention model, no fault plan).
     faults: RefCell<Option<FaultRt<M>>>,
@@ -890,7 +918,7 @@ impl<M> VirtualTaskCluster<M> {
             send_seq: Cell::new(0),
             queue: RefCell::new(queue),
             slots: RefCell::new(slots),
-            pair_last: RefCell::new(HashMap::new()),
+            pair_last: RefCell::new(HashMap::default()),
             faults: RefCell::new(fault_rt),
         });
         let mut tasks: Vec<Option<TaskFuture>> = self
@@ -933,17 +961,12 @@ impl<M> VirtualTaskCluster<M> {
             let id = ev.task;
             // The clock only moves forward, to the chosen wake-up.
             hub.now.set(hub.now.get().max(ev.time));
-            {
-                let mut slots = hub.slots.borrow_mut();
-                if slots[id].status == TaskStatus::Done {
-                    // A wake-up outliving its (killed) task — only kills
-                    // leave these behind.
-                    debug_assert!(has_faults, "stale wake-up for finished task {id}");
-                    continue;
-                }
-                slots[id].status = TaskStatus::Running;
-            }
-            let task = tasks[id].as_mut().expect("live tasks have futures");
+            let Some(task) = tasks[id].as_mut() else {
+                // A wake-up outliving its (killed) task — only kills
+                // leave these behind.
+                debug_assert!(has_faults, "stale wake-up for finished task {id}");
+                continue;
+            };
             if task.as_mut().poll(&mut cx).is_ready() {
                 tasks[id] = None; // release the task's state eagerly
                 let mut slots = hub.slots.borrow_mut();

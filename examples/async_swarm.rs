@@ -5,7 +5,8 @@
 //! `n_tsw = 1000` (plus a CLW each, plus the master: 2001 processes)
 //! would ask the OS for 2001 threads and their stacks.
 //! `AsyncEngine` runs the same master/TSW/CLW protocol as cooperatively
-//! scheduled futures: 2001 logical workers, one OS thread.
+//! scheduled futures on vt's executor, on one speed-1.0 machine with free
+//! links and wall-clock stamps: 2001 logical workers, one OS thread.
 //!
 //! Run with:
 //!

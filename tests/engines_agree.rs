@@ -1,9 +1,10 @@
 //! The virtual-time engine (vt), the native thread engine, the
-//! wall-clock cooperative engine (async), and the worker-process engine
-//! (proc) run the same protocol code behind one `ExecutionEngine` trait;
-//! all must produce valid, improving searches with the same unified
-//! report shape — and the deterministic engines (vt, async) must agree
-//! on the search itself.
+//! wall-clock cooperative engine (async: vt's executor on the zero-cost
+//! cluster, stamping wall time), and the worker-process engine (proc) run
+//! the same protocol code behind one `ExecutionEngine` trait; all must
+//! produce valid, improving searches with the same unified report shape
+//! — and the deterministic engines (vt, async) must agree on the search
+//! itself.
 
 use parallel_tabu_search::prelude::*;
 use std::sync::Arc;
@@ -57,9 +58,10 @@ fn all_engines_improve_and_stay_consistent() {
 #[test]
 fn vt_engine_matches_async_and_threads_best_cost_under_wait_all() {
     // Under WaitAll nothing in the search trajectory depends on timing
-    // (no ForceReport/CutShort is ever sent), so the virtual-clock vt
-    // engine, the FIFO async engine, and the genuinely parallel thread
-    // engine must all walk the exact same search, round for round.
+    // (no ForceReport/CutShort is ever sent), so the vt engine on the
+    // paper cluster, the async engine on the zero-cost cluster, and the
+    // genuinely parallel thread engine must all walk the exact same
+    // search, round for round.
     let domain = QapDomain::random(24, 3);
     let run = Pts::builder()
         .tsw_workers(3)
@@ -93,9 +95,9 @@ fn vt_engine_matches_async_and_threads_best_cost_under_wait_all() {
 fn async_engine_matches_sim_best_cost_under_wait_all() {
     // Under WaitAll nothing in the search trajectory depends on timing
     // (no ForceReport/CutShort is ever sent), so the two deterministic
-    // engines — virtual time and cooperative FIFO — must walk the exact
-    // same search and land on the same best placement, round for round,
-    // on the paper's own domain too.
+    // engines — vt on the paper cluster and async on the zero-cost one —
+    // must walk the exact same search and land on the same best
+    // placement, round for round, on the paper's own domain too.
     let netlist = Arc::new(by_name("c532").unwrap());
     let run = Pts::builder()
         .tsw_workers(3)
@@ -365,10 +367,11 @@ fn delta_mode_is_bit_identical_to_full_mode_on_all_engines() {
 
 #[test]
 fn delta_mode_matches_full_mode_under_half_report_on_the_async_engine() {
-    // The cooperative engine schedules by message *order*, never message
-    // *size*, so even with forces in play (HalfReport) the delta format
-    // cannot perturb the search — the strongest end-to-end statement
-    // that delta encoding round-trips exactly mid-protocol.
+    // The async engine's zero-cost link delivers every message the
+    // instant it is sent, whatever its *size*, so even with forces in
+    // play (HalfReport) the delta format cannot perturb the search — the
+    // strongest end-to-end statement that delta encoding round-trips
+    // exactly mid-protocol.
     let domain = QapDomain::random(32, 21);
     let run = |mode: SnapshotMode, fanout: usize| {
         Pts::builder()

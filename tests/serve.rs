@@ -1,7 +1,8 @@
 //! `pts-serve` job-service behaviour: concurrent jobs under independent
 //! budgets, mid-run cancellation that leaves other jobs untouched, the
-//! two teardown paths that must never leak worker processes — a client
-//! that dies mid-job, and SIGTERM to the daemon itself — and job-level
+//! teardown paths that must never leak worker processes — a client that
+//! dies mid-job, SIGTERM to the daemon itself, and SIGTERM while a client
+//! has stopped reading — and job-level
 //! retry: a crashed attempt announced with a `retrying` frame, restarted
 //! up to `max_restarts`, and failed with a final error past that.
 //!
@@ -18,7 +19,7 @@ use std::io::BufRead;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn qap_job(n: u32, seed: u64, global: u32, budget_ms: u64) -> JobRequest {
     let cfg = Pts::builder()
@@ -188,6 +189,7 @@ extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
 }
 const SIGTERM: i32 = 15;
+const SIGKILL: i32 = 9;
 
 /// Spawn the real daemon, return (child, its advertised address).
 fn spawn_daemon(name: &str) -> (std::process::Child, String) {
@@ -299,6 +301,54 @@ fn sigterm_drains_jobs_and_leaves_no_orphans() {
 
     unsafe { kill(pid as i32, SIGTERM) };
     let status = daemon.wait().unwrap();
+    assert!(status.success(), "daemon exited uncleanly: {status:?}");
+    assert!(
+        workers_of(pid).is_empty(),
+        "daemon exited but left worker processes: {:?}",
+        workers_of(pid)
+    );
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_wedge_the_sigterm_drain() {
+    // The client submits a long job and never reads again. The wedge
+    // shows only once the unread progress frames fill the socket's send
+    // buffer, so the buffer must fill before SIGTERM: 50,000 rounds are
+    // more frames than any send buffer holds, and the 3 s wait below is
+    // thousands of rounds (about 2,000 a second on two cores), far more
+    // than a default buffer holds. The runner's blocked write must then
+    // time out, count the client as disconnected and cancel its job, so
+    // SIGTERM still ends the daemon.
+    let (mut daemon, addr) = spawn_daemon("stalled");
+    let pid = daemon.id();
+    let mut client = Client::connect(&addr, Duration::from_secs(10)).unwrap();
+    client.submit(&qap_job(16, 8, 50_000, 0)).unwrap();
+    let spawn_deadline = Instant::now() + Duration::from_secs(10);
+    while workers_of(pid).is_empty() && Instant::now() < spawn_deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    std::thread::sleep(Duration::from_secs(3));
+
+    unsafe { kill(pid as i32, SIGTERM) };
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() >= deadline {
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let Some(status) = status else {
+        let _ = daemon.kill();
+        let _ = daemon.wait();
+        for worker in workers_of(pid) {
+            unsafe { kill(worker as i32, SIGKILL) };
+        }
+        panic!("daemon still alive 15 s after SIGTERM: a client that stopped reading wedged it");
+    };
+    drop(client);
     assert!(status.success(), "daemon exited uncleanly: {status:?}");
     assert!(
         workers_of(pid).is_empty(),
