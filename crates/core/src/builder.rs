@@ -45,8 +45,6 @@ pub enum ConfigError {
     ZeroMoveBudget,
     /// `report_fraction` must lie in `(0, 1]`.
     ReportFractionOutOfRange(f64),
-    /// OWA `beta` must lie in `[0, 1]`.
-    BetaOutOfRange(f64),
     /// `diversify_width` must be ≥ 1 when diversification is enabled.
     ZeroDiversifyWidth,
     /// `shard_fanout` of 1 can never contract the collection tree; use 0
@@ -72,9 +70,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ReportFractionOutOfRange(v) => {
                 write!(f, "report_fraction must lie in (0, 1], got {v}")
-            }
-            ConfigError::BetaOutOfRange(v) => {
-                write!(f, "beta must lie in [0, 1], got {v}")
             }
             ConfigError::ZeroDiversifyWidth => {
                 write!(f, "diversify_width must be >= 1 when diversification is on")
@@ -259,27 +254,9 @@ impl RunBuilder {
         self
     }
 
-    /// Net-delay coefficient (`alpha` of the timing model).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.cfg.alpha = alpha;
-        self
-    }
-
     /// Cost scheme (fuzzy goal-based or normalized weighted sum).
     pub fn cost(mut self, cost: CostKind) -> Self {
         self.cfg.cost = cost;
-        self
-    }
-
-    /// OWA `beta` for the fuzzy scheme. Must lie in `[0, 1]`.
-    pub fn beta(mut self, beta: f64) -> Self {
-        self.cfg.beta = beta;
-        self
-    }
-
-    /// Weighted-sum weights (wire, delay, area).
-    pub fn weights(mut self, weights: [f64; 3]) -> Self {
-        self.cfg.weights = weights;
         self
     }
 
@@ -501,10 +478,6 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_beta_and_width() {
-        assert_eq!(
-            Pts::builder().beta(1.5).build().unwrap_err(),
-            ConfigError::BetaOutOfRange(1.5)
-        );
         assert_eq!(
             Pts::builder().diversify_width(0).build().unwrap_err(),
             ConfigError::ZeroDiversifyWidth

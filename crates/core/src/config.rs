@@ -2,7 +2,6 @@
 
 use crate::builder::ConfigError;
 use pts_place::eval::{EvalConfig, SchemeChoice};
-use pts_place::fuzzy::GoalConfig;
 use pts_tabu::aspiration::Aspiration;
 
 /// Parent/child synchronization policy — the paper's heterogeneity knob.
@@ -40,6 +39,9 @@ pub enum CostKind {
     /// Normalized weighted-sum baseline.
     WeightedSum,
 }
+
+/// Weights (wire, delay, area) of the [`CostKind::WeightedSum`] scheme.
+pub const WEIGHTED_SUM_WEIGHTS: [f64; 3] = [0.5, 0.3, 0.2];
 
 /// Virtual-CPU work charged per algorithmic operation (vt engine only).
 ///
@@ -169,18 +171,9 @@ pub struct PtsConfig {
     /// Fraction of children that must report before the rest are forced
     /// (the paper uses 0.5).
     pub report_fraction: f64,
-    /// Net-delay coefficient (`alpha` of the timing model).
-    pub alpha: f64,
-    /// Cost scheme.
+    /// Cost scheme. Its constants are the evaluator's defaults (see
+    /// [`PtsConfig::eval_config`]).
     pub cost: CostKind,
-    /// OWA `beta` for the fuzzy scheme.
-    pub beta: f64,
-    /// Goal target fraction (fuzzy scheme).
-    pub goal_target_frac: f64,
-    /// Goal zero-membership fraction (fuzzy scheme).
-    pub goal_zero_frac: f64,
-    /// Weighted-sum weights (wire, delay, area) when `cost = WeightedSum`.
-    pub weights: [f64; 3],
     /// Master seed; all worker streams fork from it.
     pub seed: u64,
     /// Master sharding fan-out: the maximum number of children any
@@ -251,12 +244,7 @@ impl Default for PtsConfig {
             tsw_sync: SyncPolicy::HalfReport,
             clw_sync: SyncPolicy::HalfReport,
             report_fraction: 0.5,
-            alpha: 0.15,
             cost: CostKind::Fuzzy,
-            beta: 0.6,
-            goal_target_frac: 0.75,
-            goal_zero_frac: 1.30,
-            weights: [0.5, 0.3, 0.2],
             seed: 0xC0FFEE,
             shard_fanout: 0,
             snapshot_mode: SnapshotMode::Delta,
@@ -302,6 +290,36 @@ impl ShardChildren {
     /// topology; present for completeness).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Rank of child `k`, counted from 0 within this group.
+    pub(crate) fn rank(&self, cfg: &PtsConfig, k: usize) -> usize {
+        assert!(k < self.len(), "child {k} out of range for {self:?}");
+        match *self {
+            ShardChildren::Tsws { lo, .. } => cfg.tsw_rank(lo + k),
+            ShardChildren::Shards { lo, .. } => cfg.shard_rank(lo + k),
+        }
+    }
+
+    /// The inverse of [`ShardChildren::rank`]: which child `rank` is, or
+    /// `None` for any rank that is not a child of this group, including
+    /// ranks past [`PtsConfig::total_procs`].
+    pub(crate) fn index_of(&self, cfg: &PtsConfig, rank: usize) -> Option<usize> {
+        if rank >= cfg.total_procs() {
+            return None;
+        }
+        self.index_of_role(cfg.role_of(rank))
+    }
+
+    /// Which child plays `role`: a TSW of a TSW group, a sub-master of a
+    /// sub-master group; `None` for any other role.
+    pub(crate) fn index_of_role(&self, role: Role) -> Option<usize> {
+        let (id, lo, hi) = match (*self, role) {
+            (ShardChildren::Tsws { lo, hi }, Role::Tsw(id))
+            | (ShardChildren::Shards { lo, hi }, Role::Shard(id)) => (id, lo, hi),
+            _ => return None,
+        };
+        (lo..hi).contains(&id).then(|| id - lo)
     }
 }
 
@@ -593,25 +611,6 @@ impl PtsConfig {
         idx
     }
 
-    /// Strategy group sub-master `shard` serves: the index of the root's
-    /// direct child whose subtree contains it (its own index within the
-    /// top level for a top-level shard).
-    pub fn group_of_shard(&self, shard: usize) -> usize {
-        let levels = self.shard_levels();
-        assert!(shard < self.n_shards(), "shard {shard} out of range");
-        let mut level = 0;
-        let mut level_lo = 0;
-        while shard >= level_lo + levels[level] {
-            level_lo += levels[level];
-            level += 1;
-        }
-        let mut j = shard - level_lo;
-        for _ in level + 1..levels.len() {
-            j /= self.shard_fanout;
-        }
-        j
-    }
-
     /// Initial strategy id of group `g`: round-robin over the portfolio
     /// (`0` — the uniform strategy — when no portfolio is configured).
     /// Every process derives the same round-0 assignment locally from
@@ -630,20 +629,19 @@ impl PtsConfig {
         self.initial_strategy_of_group(self.group_of_tsw(i))
     }
 
-    /// Translate to the placement evaluator configuration.
+    /// Translate to the placement evaluator configuration: the
+    /// evaluator's defaults (net delay α, fuzzy β, goal fractions), with
+    /// [`WEIGHTED_SUM_WEIGHTS`] when `cost` is the weighted sum.
     pub fn eval_config(&self) -> EvalConfig {
+        let default = EvalConfig::default();
         EvalConfig {
-            alpha: self.alpha,
             scheme: match self.cost {
-                CostKind::Fuzzy => SchemeChoice::Fuzzy { beta: self.beta },
+                CostKind::Fuzzy => default.scheme,
                 CostKind::WeightedSum => SchemeChoice::WeightedSum {
-                    weights: self.weights,
+                    weights: WEIGHTED_SUM_WEIGHTS,
                 },
             },
-            goal: GoalConfig {
-                target_frac: self.goal_target_frac,
-                zero_frac: self.goal_zero_frac,
-            },
+            ..default
         }
     }
 
@@ -668,9 +666,6 @@ impl PtsConfig {
         }
         if !(self.report_fraction > 0.0 && self.report_fraction <= 1.0) {
             return Err(ConfigError::ReportFractionOutOfRange(self.report_fraction));
-        }
-        if !(0.0..=1.0).contains(&self.beta) {
-            return Err(ConfigError::BetaOutOfRange(self.beta));
         }
         if self.shard_fanout == 1 && self.n_tsw > 1 {
             return Err(ConfigError::ShardFanoutTooSmall);
@@ -964,6 +959,36 @@ mod tests {
     }
 
     #[test]
+    fn child_ranks_and_indices_invert_each_other() {
+        // At every collection node of a flat, a two-level (5 TSWs at
+        // fan-out 2: [3, 2]) and a three-level (9 TSWs at fan-out 2:
+        // [5, 3, 2]) tree: `index_of` undoes `rank` for each child, and
+        // every other rank, `total_procs()` included, is no child.
+        for (n_tsw, n_clw, shard_fanout, levels) in [(4, 2, 0, 0), (5, 2, 2, 2), (9, 1, 2, 3)] {
+            let cfg = PtsConfig {
+                n_tsw,
+                n_clw,
+                shard_fanout,
+                ..PtsConfig::default()
+            };
+            assert_eq!(cfg.shard_levels().len(), levels);
+            let nodes = std::iter::once(cfg.root_children())
+                .chain((0..cfg.n_shards()).map(|s| cfg.shard_spec(s).children));
+            for children in nodes {
+                let ranks: Vec<usize> = (0..children.len())
+                    .map(|k| children.rank(&cfg, k))
+                    .collect();
+                for (k, &rank) in ranks.iter().enumerate() {
+                    assert_eq!(children.index_of(&cfg, rank), Some(k), "{children:?}");
+                }
+                for rank in (0..=cfg.total_procs()).filter(|r| !ranks.contains(r)) {
+                    assert_eq!(children.index_of(&cfg, rank), None, "{children:?} {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn auto_fanout_picks_sqrt_and_pins_tree_shapes() {
         // f ≈ sqrt(n_tsw): the adaptive choice and the exact tree it
         // builds, pinned at the sizes the scaling benchmarks use.
@@ -1151,8 +1176,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(cfg.group_of_tsw(i), i / 4);
         }
-        assert_eq!(cfg.group_of_shard(0), 0);
-        assert_eq!(cfg.group_of_shard(1), 1);
         // Two-level tree (6 TSWs, fan-out 2): groups are the *top* level
         // children; leaves map through their ancestors.
         let cfg = PtsConfig {
@@ -1166,20 +1189,6 @@ mod tests {
             (0..6).map(|i| cfg.group_of_tsw(i)).collect::<Vec<_>>(),
             vec![0, 0, 0, 0, 1, 1]
         );
-        // Leaf shards 0,1 sit under top shard 3 (group 0); leaf 2 under
-        // top shard 4 (group 1); the top shards are their own groups.
-        assert_eq!(cfg.group_of_shard(0), 0);
-        assert_eq!(cfg.group_of_shard(1), 0);
-        assert_eq!(cfg.group_of_shard(2), 1);
-        assert_eq!(cfg.group_of_shard(3), 0);
-        assert_eq!(cfg.group_of_shard(4), 1);
-        // Group of a TSW always matches the group of its leaf shard.
-        for i in 0..6 {
-            assert_eq!(
-                cfg.group_of_tsw(i),
-                cfg.group_of_shard(i / cfg.shard_fanout)
-            );
-        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Progress observer: called once per completed global iteration with
 /// `(global_iteration, best_cost_so_far)`. Runs on the master's thread —
@@ -26,14 +27,14 @@ pub type ProgressFn = Arc<dyn Fn(u32, f64) + Send + Sync>;
 /// Cheaply clonable handle controlling a running search.
 ///
 /// One clone goes into the engine; the caller keeps another and may flip
-/// [`RunControl::cancel`] from any thread. The deadline is expressed in
-/// the *transport's* clock (seconds from the transport epoch, i.e. the
-/// same domain as `Transport::now`), so it works identically under wall
-/// and virtual time.
+/// [`RunControl::cancel`] from any thread. The deadline is a wall-clock
+/// [`Instant`] the caller fixes up front, so everything between that
+/// point and the search — queueing, process launch, earlier attempts —
+/// counts against it.
 #[derive(Clone)]
 pub struct RunControl {
     cancelled: Arc<AtomicBool>,
-    deadline: Option<f64>,
+    deadline: Option<Instant>,
     progress: Option<ProgressFn>,
 }
 
@@ -48,8 +49,8 @@ impl RunControl {
         }
     }
 
-    /// Stop at `deadline` seconds of transport time.
-    pub fn with_deadline(mut self, deadline: f64) -> RunControl {
+    /// Stop at the first global-iteration boundary past `deadline`.
+    pub fn with_deadline(mut self, deadline: Instant) -> RunControl {
         self.deadline = Some(deadline);
         self
     }
@@ -71,10 +72,10 @@ impl RunControl {
         self.cancelled.load(Ordering::Acquire)
     }
 
-    /// Should the master wind the search down now (cancelled, or past the
-    /// deadline at transport time `now`)?
-    pub fn should_stop(&self, now: f64) -> bool {
-        self.is_cancelled() || self.deadline.is_some_and(|d| now >= d)
+    /// Should the search wind down now (cancelled, or past the
+    /// deadline)?
+    pub fn should_stop(&self) -> bool {
+        self.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Report one completed global iteration to the progress tap, if any.
@@ -84,17 +85,18 @@ impl RunControl {
         }
     }
 
-    /// Absolute receive deadline for a collection wait starting at `now`
-    /// under a per-round liveness `timeout`. `None` when `timeout <= 0` —
-    /// liveness disabled, wait indefinitely (the historical behaviour;
-    /// the run deadline alone never interrupts an in-flight wait, it only
-    /// stops the search at round boundaries). With liveness on, the wait
-    /// ends at the sooner of `now + timeout` and the run's own deadline
-    /// (clamped to `now` so an expired deadline times out immediately
-    /// rather than in the past).
+    /// Absolute receive deadline, in the transport's clock, for a
+    /// collection wait starting at transport time `now` under a per-round
+    /// liveness `timeout`. `None` when `timeout <= 0` — liveness
+    /// disabled, wait indefinitely (the historical behaviour; the run
+    /// deadline alone never interrupts an in-flight wait, it only stops
+    /// the search at round boundaries). With liveness on, the wait ends
+    /// after the sooner of `timeout` and the wall-clock time left before
+    /// the run's deadline (none, when it has passed: the wait times out
+    /// at once).
     pub fn recv_deadline(&self, now: f64, timeout: f64) -> Option<f64> {
         (timeout > 0.0).then(|| match self.deadline {
-            Some(d) => (now + timeout).min(d.max(now)),
+            Some(d) => now + timeout.min(d.saturating_duration_since(Instant::now()).as_secs_f64()),
             None => now + timeout,
         })
     }
@@ -113,12 +115,12 @@ impl std::fmt::Debug for RunControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn unlimited_never_stops() {
         let ctl = RunControl::unlimited();
-        assert!(!ctl.should_stop(0.0));
-        assert!(!ctl.should_stop(1e12));
+        assert!(!ctl.should_stop());
     }
 
     #[test]
@@ -127,14 +129,17 @@ mod tests {
         let held = ctl.clone();
         ctl.cancel();
         assert!(held.is_cancelled());
-        assert!(held.should_stop(0.0));
+        assert!(held.should_stop());
     }
 
     #[test]
-    fn deadline_stops_at_transport_time() {
-        let ctl = RunControl::unlimited().with_deadline(5.0);
-        assert!(!ctl.should_stop(4.9));
-        assert!(ctl.should_stop(5.0));
+    fn deadline_stops_at_wall_clock_time() {
+        let ctl = RunControl::unlimited().with_deadline(Instant::now() + Duration::from_secs(3600));
+        assert!(!ctl.should_stop());
+        assert!(!ctl.is_cancelled());
+        let ctl = RunControl::unlimited().with_deadline(Instant::now());
+        assert!(ctl.should_stop());
+        assert!(!ctl.is_cancelled(), "a passed deadline is not a cancel");
     }
 
     #[test]
@@ -142,19 +147,17 @@ mod tests {
         let ctl = RunControl::unlimited();
         assert_eq!(ctl.recv_deadline(10.0, 0.0), None, "liveness off");
         assert_eq!(ctl.recv_deadline(10.0, 5.0), Some(15.0));
-        let ctl = RunControl::unlimited().with_deadline(12.0);
+        let ctl = RunControl::unlimited().with_deadline(Instant::now() + Duration::from_secs(2));
         assert_eq!(
             ctl.recv_deadline(10.0, 0.0),
             None,
             "deadline alone never interrupts"
         );
-        assert_eq!(
-            ctl.recv_deadline(10.0, 5.0),
-            Some(12.0),
-            "run deadline wins"
-        );
+        let d = ctl.recv_deadline(10.0, 3600.0).unwrap();
+        assert!(d > 10.0 && d <= 12.0, "run deadline wins: {d}");
         assert_eq!(ctl.recv_deadline(10.0, 1.0), Some(11.0), "liveness wins");
         // Past the run deadline: time out immediately, not in the past.
+        let ctl = RunControl::unlimited().with_deadline(Instant::now());
         assert_eq!(ctl.recv_deadline(20.0, 5.0), Some(20.0));
     }
 

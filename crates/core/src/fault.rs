@@ -21,7 +21,7 @@
 //! filters such events rather than panicking, so a seeded generator can
 //! pick targets uniformly.
 
-use crate::config::{PtsConfig, Role, ShardChildren};
+use crate::config::{PtsConfig, Role};
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
 use pts_util::Rng;
@@ -434,10 +434,7 @@ pub fn down_recipients(cfg: &PtsConfig, rank: usize) -> Vec<usize> {
         // A sub-master: its parent and every child of its shard.
         Role::Shard(s) => {
             let spec = cfg.shard_spec(s);
-            let children: Vec<usize> = match spec.children {
-                ShardChildren::Tsws { lo, hi } => (lo..hi).map(|i| cfg.tsw_rank(i)).collect(),
-                ShardChildren::Shards { lo, hi } => (lo..hi).map(|s| cfg.shard_rank(s)).collect(),
-            };
+            let children = (0..spec.children.len()).map(|k| spec.children.rank(cfg, k));
             std::iter::once(spec.parent_rank).chain(children).collect()
         }
     }

@@ -26,17 +26,23 @@
 //! per node per round regardless of fan-out. Sub-masters relay broadcast
 //! payloads verbatim: everyone below still holds the same base.
 //!
-//! Both collection loops are *hardened for release builds*: a stale
-//! report (earlier round) is dropped silently (it is the one
-//! semi-expected anomaly — a late report can legitimately cross control
-//! traffic), while a duplicate report (same child twice in one round), a
-//! message of an unexpected type, or a delta against a base this node
-//! does not hold is dropped with a stderr note. None of them is ever
-//! merged into the wrong round. Debug-only assertions used to be the sole
-//! guard here, which meant a release build would silently double-count
-//! `n_rep` and corrupt or deadlock the round.
+//! One collection loop, `Reduction::collect_round`, serves the root and
+//! every sub-master: it takes `Report`s from a TSW group and
+//! `GroupReport`s from a sub-master group, and [`ShardChildren`] maps
+//! each child to its rank and back. The loop is *hardened for release
+//! builds*: a stale report (earlier round) is dropped silently (it is the
+//! one semi-expected anomaly — a late report can legitimately cross
+//! control traffic), while a report for a later round, a report from a
+//! worker that is not one of this node's children (including a
+//! `GroupReport` at a leaf or a `Report` above one), a duplicate report
+//! (same child twice in one round), a message of an unexpected type, or
+//! a delta against a base this node does not hold is dropped with a
+//! stderr note. None of them is ever merged into the wrong round.
+//! Debug-only assertions used to be the sole guard here, which meant a
+//! release build would silently double-count `n_rep` and corrupt or
+//! deadlock the round.
 
-use crate::config::{PtsConfig, ShardChildren, SyncPolicy};
+use crate::config::{PtsConfig, Role, ShardChildren, SyncPolicy};
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
 use crate::messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuPayload};
@@ -131,11 +137,16 @@ impl<D: PtsDomain> Reduction<D> {
         self.stats.improved_best += stats.improved_best;
     }
 
-    /// Collect one round-`g` report per *live* TSW in `lo..hi`, applying
-    /// the quorum/force policy as this group's parent. Used by the flat
-    /// root and by leaf sub-masters.
+    /// Collect one round-`g` report per *live* child: a `Report` from
+    /// each TSW of a leaf group (the flat root, leaf sub-masters) or a
+    /// `GroupReport` from each sub-master of an inner one (the sharded
+    /// root, inner sub-masters). The straggler policy lives at the leaf
+    /// level: under [`SyncPolicy::HalfReport`] a TSW group forces its
+    /// stragglers once a quorum of its live children has reported, while
+    /// a sub-master group waits for every surviving child and records
+    /// each subtree's cumulative force count in `child_forced[k]`.
     ///
-    /// Fault tolerance: `dead[i - lo]` marks children whose death notice
+    /// Fault tolerance: `dead[k]` marks children whose death notice
     /// ([`PtsMsg::Down`]) has arrived — they are excused from the round
     /// (a report already folded still counts), excluded from the
     /// force/quorum arithmetic, and stay dead for the rest of the run.
@@ -146,273 +157,6 @@ impl<D: PtsDomain> Reduction<D> {
     /// the broadcast already sitting in its mailbox. Fault-free runs
     /// (`dead` all false, `deadline` `None`) take exactly the historical
     /// path.
-    #[allow(clippy::too_many_arguments)]
-    async fn collect_tsw_round<T: Transport<D::Problem>>(
-        &mut self,
-        t: &mut T,
-        cfg: &PtsConfig,
-        base: &BaseOf<D>,
-        g: u32,
-        lo: usize,
-        hi: usize,
-        dead: &mut [bool],
-        deadline: Option<f64>,
-    ) {
-        let n = hi - lo;
-        let final_round = g + 1 == cfg.global_iters;
-        let mut reported = vec![false; n];
-        let mut n_rep = 0;
-        let mut force_sent = false;
-
-        loop {
-            // Children that died without reporting are excused; the round
-            // completes when every survivor has reported.
-            let excused = dead
-                .iter()
-                .zip(reported.iter())
-                .filter(|&(&d, &r)| d && !r)
-                .count();
-            let n_alive = n - excused;
-            if n_rep >= n_alive {
-                break;
-            }
-            let msg = match deadline {
-                None => t.recv().await,
-                Some(d) => match t.recv_deadline(d).await {
-                    Some(m) => m,
-                    None => {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "liveness timeout collecting round {g}: proceeding with {n_rep}/{n_alive} reports"
-                            ),
-                        );
-                        break;
-                    }
-                },
-            };
-            match msg {
-                PtsMsg::Down { rank } => {
-                    let i = rank.wrapping_sub(1); // tsw_rank(i) = 1 + i
-                    if (lo..hi).contains(&i) {
-                        if !dead[i - lo] {
-                            dead[i - lo] = true;
-                            protocol_warn(t.rank(), &format!("TSW {i} (rank {rank}) is down"));
-                        }
-                    } else {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "ignoring Down for rank {rank} (not a child of this collector)"
-                            ),
-                        );
-                    }
-                }
-                PtsMsg::Report {
-                    tsw,
-                    global,
-                    cost,
-                    snapshot,
-                    tabu,
-                    trace,
-                    stats,
-                } => {
-                    // Release-mode protocol hardening: reports are
-                    // strictly per-round and per-child; anything else is
-                    // dropped, never merged into the wrong round.
-                    if global < g {
-                        // Stale: a late report from an earlier round.
-                        continue;
-                    }
-                    if global > g || tsw < lo || tsw >= hi {
-                        protocol_warn(
-                            t.rank(),
-                            &format!("dropping Report from TSW {tsw} for round {global} (collecting {lo}..{hi} round {g})"),
-                        );
-                        continue;
-                    }
-                    if reported[tsw - lo] {
-                        protocol_warn(
-                            t.rank(),
-                            &format!("rejecting duplicate Report from TSW {tsw} in round {g}"),
-                        );
-                        continue;
-                    }
-                    reported[tsw - lo] = true;
-                    n_rep += 1;
-                    self.child_cost[tsw - lo] = cost;
-                    t.compute(cfg.work.per_report).await;
-                    self.merged = Trace::merge([&self.merged, &Trace::from_points(trace)]);
-                    self.offer(t.rank(), base, cost, snapshot, tabu);
-                    // Stats are cumulative per TSW; summing every round
-                    // would over-count, so fold them in on the final round
-                    // only.
-                    if final_round {
-                        self.fold_stats(&stats);
-                    }
-                    // Quorum over the children still alive: the dead can
-                    // neither report nor be forced. With no deaths this
-                    // is the historical fixed quorum over all n.
-                    let n_alive = n - dead
-                        .iter()
-                        .zip(reported.iter())
-                        .filter(|&(&d, &r)| d && !r)
-                        .count();
-                    if cfg.tsw_sync == SyncPolicy::HalfReport
-                        && !force_sent
-                        && n_rep >= cfg.report_quorum(n_alive)
-                        && n_rep < n_alive
-                    {
-                        for (idx, done) in reported.iter().enumerate() {
-                            if !done && !dead[idx] {
-                                t.send(cfg.tsw_rank(lo + idx), PtsMsg::ForceReport { global: g });
-                                self.forced += 1;
-                            }
-                        }
-                        force_sent = true;
-                    }
-                }
-                other => {
-                    protocol_warn(
-                        t.rank(),
-                        &format!(
-                            "dropping unexpected {} while collecting TSW reports",
-                            other.tag()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Collect one round-`g` `GroupReport` per *live* sub-master in
-    /// `lo..hi`. Used by the sharded root and by inner sub-masters; the
-    /// straggler policy lives at the leaf level, so group collection
-    /// waits for every surviving child. `child_forced[s - lo]` tracks
-    /// each subtree's cumulative force count. `dead` and `deadline` work
-    /// as in [`Reduction::collect_tsw_round`].
-    #[allow(clippy::too_many_arguments)]
-    async fn collect_group_round<T: Transport<D::Problem>>(
-        &mut self,
-        t: &mut T,
-        cfg: &PtsConfig,
-        base: &BaseOf<D>,
-        g: u32,
-        lo: usize,
-        hi: usize,
-        child_forced: &mut [u64],
-        dead: &mut [bool],
-        deadline: Option<f64>,
-    ) {
-        let n = hi - lo;
-        let final_round = g + 1 == cfg.global_iters;
-        let mut reported = vec![false; n];
-        let mut n_rep = 0;
-        // Rank of shard 0; shard s occupies shard_rank_base + s.
-        let shard_rank_base = 1 + cfg.n_tsw + cfg.n_tsw * cfg.n_clw;
-
-        loop {
-            let excused = dead
-                .iter()
-                .zip(reported.iter())
-                .filter(|&(&d, &r)| d && !r)
-                .count();
-            if n_rep >= n - excused {
-                break;
-            }
-            let msg = match deadline {
-                None => t.recv().await,
-                Some(d) => match t.recv_deadline(d).await {
-                    Some(m) => m,
-                    None => {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "liveness timeout collecting group round {g}: proceeding with {n_rep}/{} reports",
-                                n - excused
-                            ),
-                        );
-                        break;
-                    }
-                },
-            };
-            match msg {
-                PtsMsg::Down { rank } => {
-                    let s = rank.wrapping_sub(shard_rank_base);
-                    if (lo..hi).contains(&s) {
-                        if !dead[s - lo] {
-                            dead[s - lo] = true;
-                            protocol_warn(t.rank(), &format!("shard {s} (rank {rank}) is down"));
-                        }
-                    } else {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "ignoring Down for rank {rank} (not a child of this collector)"
-                            ),
-                        );
-                    }
-                }
-                PtsMsg::GroupReport {
-                    shard,
-                    global,
-                    cost,
-                    snapshot,
-                    tabu,
-                    trace,
-                    stats,
-                    forced,
-                    // The root scores strategies against its own
-                    // assignment map (deterministic even where a relayed
-                    // tag could lag a round); the tag and the qps are
-                    // diagnostics for observers on the wire.
-                    strategy: _,
-                    qps: _,
-                } => {
-                    if global < g {
-                        continue; // stale
-                    }
-                    if global > g || shard < lo || shard >= hi {
-                        protocol_warn(
-                            t.rank(),
-                            &format!("dropping GroupReport from shard {shard} for round {global} (collecting {lo}..{hi} round {g})"),
-                        );
-                        continue;
-                    }
-                    if reported[shard - lo] {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "rejecting duplicate GroupReport from shard {shard} in round {g}"
-                            ),
-                        );
-                        continue;
-                    }
-                    reported[shard - lo] = true;
-                    n_rep += 1;
-                    self.child_cost[shard - lo] = cost;
-                    t.compute(cfg.work.per_report).await;
-                    self.merged = Trace::merge([&self.merged, &Trace::from_points(trace)]);
-                    self.offer(t.rank(), base, cost, snapshot, tabu);
-                    if final_round {
-                        self.fold_stats(&stats);
-                    }
-                    child_forced[shard - lo] = forced;
-                }
-                other => {
-                    protocol_warn(
-                        t.rank(),
-                        &format!(
-                            "dropping unexpected {} while collecting group reports",
-                            other.tag()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    /// One collection round over this node's children.
     #[allow(clippy::too_many_arguments)]
     async fn collect_round<T: Transport<D::Problem>>(
         &mut self,
@@ -425,14 +169,145 @@ impl<D: PtsDomain> Reduction<D> {
         dead: &mut [bool],
         deadline: Option<f64>,
     ) {
-        match children {
-            ShardChildren::Tsws { lo, hi } => {
-                self.collect_tsw_round(t, cfg, base, g, lo, hi, dead, deadline)
-                    .await
+        let n = children.len();
+        let final_round = g + 1 == cfg.global_iters;
+        let mut reported = vec![false; n];
+        let mut n_rep = 0;
+        let mut may_force = cfg.tsw_sync == SyncPolicy::HalfReport
+            && matches!(children, ShardChildren::Tsws { .. });
+        // Children that died without reporting are excused; the round
+        // completes when every survivor has reported. With no deaths
+        // this is all `n`.
+        let n_alive = |dead: &[bool], reported: &[bool]| {
+            n - dead
+                .iter()
+                .zip(reported)
+                .filter(|&(&d, &r)| d && !r)
+                .count()
+        };
+
+        loop {
+            let alive = n_alive(dead, &reported);
+            if n_rep >= alive {
+                break;
             }
-            ShardChildren::Shards { lo, hi } => {
-                self.collect_group_round(t, cfg, base, g, lo, hi, child_forced, dead, deadline)
-                    .await
+            let msg = match deadline {
+                None => t.recv().await,
+                Some(d) => match t.recv_deadline(d).await {
+                    Some(m) => m,
+                    None => {
+                        protocol_warn(
+                            t.rank(),
+                            &format!(
+                                "liveness timeout collecting round {g}: proceeding with {n_rep}/{alive} reports"
+                            ),
+                        );
+                        break;
+                    }
+                },
+            };
+            let (child, global, cost, snapshot, tabu, trace, stats, forced) = match msg {
+                PtsMsg::Report {
+                    tsw,
+                    global,
+                    cost,
+                    snapshot,
+                    tabu,
+                    trace,
+                    stats,
+                } => (
+                    Role::Tsw(tsw),
+                    global,
+                    cost,
+                    snapshot,
+                    tabu,
+                    trace,
+                    stats,
+                    None,
+                ),
+                PtsMsg::GroupReport {
+                    shard,
+                    global,
+                    cost,
+                    snapshot,
+                    tabu,
+                    trace,
+                    stats,
+                    forced,
+                } => (
+                    Role::Shard(shard),
+                    global,
+                    cost,
+                    snapshot,
+                    tabu,
+                    trace,
+                    stats,
+                    Some(forced),
+                ),
+                PtsMsg::Down { rank } => {
+                    note_down(t.rank(), cfg, children, dead, rank);
+                    continue;
+                }
+                other => {
+                    protocol_warn(
+                        t.rank(),
+                        &format!(
+                            "dropping unexpected {} while collecting reports",
+                            other.tag()
+                        ),
+                    );
+                    continue;
+                }
+            };
+            // Release-mode protocol hardening: reports are strictly
+            // per-round and per-child; anything else is dropped, never
+            // merged into the wrong round.
+            if global < g {
+                // Stale: a late report from an earlier round.
+                continue;
+            }
+            let k = match children.index_of_role(child) {
+                Some(k) if global == g => k,
+                _ => {
+                    protocol_warn(
+                        t.rank(),
+                        &format!("dropping report from {child:?} for round {global} (collecting {children:?} round {g})"),
+                    );
+                    continue;
+                }
+            };
+            if reported[k] {
+                protocol_warn(
+                    t.rank(),
+                    &format!("rejecting duplicate report from {child:?} in round {g}"),
+                );
+                continue;
+            }
+            reported[k] = true;
+            n_rep += 1;
+            self.child_cost[k] = cost;
+            t.compute(cfg.work.per_report).await;
+            self.merged = Trace::merge([&self.merged, &Trace::from_points(trace)]);
+            self.offer(t.rank(), base, cost, snapshot, tabu);
+            // Stats are cumulative per child; summing every round would
+            // over-count, so fold them in on the final round only.
+            if final_round {
+                self.fold_stats(&stats);
+            }
+            if let Some(forced) = forced {
+                child_forced[k] = forced;
+            }
+            // Quorum over the children still alive: the dead can neither
+            // report nor be forced.
+            let alive = n_alive(dead, &reported);
+            if may_force && n_rep >= cfg.report_quorum(alive) && n_rep < alive {
+                for (k, &done) in reported.iter().enumerate() {
+                    if !done && !dead[k] {
+                        t.send(children.rank(cfg, k), PtsMsg::ForceReport { global: g });
+                        self.forced += 1;
+                    }
+                }
+                may_force = false;
             }
         }
     }
@@ -469,7 +344,9 @@ impl StrategyDown<'_> {
 }
 
 /// Send the round-`g` winner (or `Stop` after the final round) down to
-/// this node's children, stamping each child's strategy assignment.
+/// this node's children, stamping each child's strategy assignment: a
+/// `Broadcast` to each TSW of a leaf group, a `GroupBroadcast` to each
+/// sub-master of an inner one.
 fn send_down<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
     cfg: &PtsConfig,
@@ -477,35 +354,66 @@ fn send_down<D: PtsDomain, T: Transport<D::Problem>>(
     msg: Winner<'_, D>,
     strat: StrategyDown<'_>,
 ) {
-    match children {
-        ShardChildren::Tsws { lo, hi } => {
-            for i in lo..hi {
-                let m = match msg {
-                    Some((global, snapshot, tabu)) => PtsMsg::Broadcast {
+    for k in 0..children.len() {
+        let m = match msg {
+            Some((global, snapshot, tabu)) => {
+                let (snapshot, tabu, strategy) = (snapshot.clone(), tabu.clone(), strat.of(k));
+                match children {
+                    ShardChildren::Tsws { .. } => PtsMsg::Broadcast {
                         global,
-                        snapshot: snapshot.clone(),
-                        tabu: tabu.clone(),
-                        strategy: strat.of(i - lo),
+                        snapshot,
+                        tabu,
+                        strategy,
                     },
-                    None => PtsMsg::Stop,
-                };
-                t.send(cfg.tsw_rank(i), m);
+                    ShardChildren::Shards { .. } => PtsMsg::GroupBroadcast {
+                        global,
+                        snapshot,
+                        tabu,
+                        strategy,
+                    },
+                }
+            }
+            None => PtsMsg::Stop,
+        };
+        t.send(children.rank(cfg, k), m);
+    }
+}
+
+/// Send the initial solution down (`Arc` clones, not copies): to each
+/// child in turn, followed at the leaf level by that TSW's CLWs.
+/// Sub-masters pass it on to their own subtrees.
+fn send_init<D: PtsDomain, T: Transport<D::Problem>>(
+    t: &mut T,
+    cfg: &PtsConfig,
+    children: ShardChildren,
+    initial: &Arc<SnapshotOf<D>>,
+) {
+    let init = || PtsMsg::Init {
+        snapshot: Arc::clone(initial),
+    };
+    for k in 0..children.len() {
+        t.send(children.rank(cfg, k), init());
+        if let ShardChildren::Tsws { lo, .. } = children {
+            for j in 0..cfg.n_clw {
+                t.send(cfg.clw_rank(lo + k, j), init());
             }
         }
-        ShardChildren::Shards { lo, hi } => {
-            for s in lo..hi {
-                let m = match msg {
-                    Some((global, snapshot, tabu)) => PtsMsg::GroupBroadcast {
-                        global,
-                        snapshot: snapshot.clone(),
-                        tabu: tabu.clone(),
-                        strategy: strat.of(s - lo),
-                    },
-                    None => PtsMsg::Stop,
-                };
-                t.send(cfg.shard_rank(s), m);
-            }
+    }
+}
+
+/// Mark child `rank` dead on its [`PtsMsg::Down`] notice; a notice for a
+/// rank that is not one of `children` is warned about and ignored.
+fn note_down(me: usize, cfg: &PtsConfig, children: ShardChildren, dead: &mut [bool], rank: usize) {
+    match children.index_of(cfg, rank) {
+        Some(k) if !dead[k] => {
+            dead[k] = true;
+            protocol_warn(me, &format!("child {k} (rank {rank}) is down"));
         }
+        Some(_) => {}
+        None => protocol_warn(
+            me,
+            &format!("ignoring Down for rank {rank} (not a child of this node)"),
+        ),
     }
 }
 
@@ -553,33 +461,11 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
     let initial = Arc::new(initial);
     let children = cfg.root_children();
 
-    // Initialize the tree. Flat: every worker (TSWs and CLWs) is a direct
-    // child and starts from the initial solution. Sharded: only the top
-    // sub-masters are addressed; they fan the Init out to their subtrees,
-    // keeping the root's traffic O(fan-out). Either way each Init clones
-    // an `Arc`, not the solution.
-    match children {
-        ShardChildren::Tsws { .. } => {
-            for rank in 1..cfg.total_procs() {
-                t.send(
-                    rank,
-                    PtsMsg::Init {
-                        snapshot: Arc::clone(&initial),
-                    },
-                );
-            }
-        }
-        ShardChildren::Shards { lo, hi } => {
-            for s in lo..hi {
-                t.send(
-                    cfg.shard_rank(s),
-                    PtsMsg::Init {
-                        snapshot: Arc::clone(&initial),
-                    },
-                );
-            }
-        }
-    }
+    // Initialize the tree. Flat: the root addresses every worker, each
+    // TSW followed by its CLWs. Sharded: only the top sub-masters are
+    // addressed; they fan the Init out to their subtrees, keeping the
+    // root's traffic O(fan-out).
+    send_init::<D, T>(t, cfg, children, &initial);
 
     // The base every child currently shares with this node: the initial
     // solution, re-anchored on each broadcast sent below.
@@ -627,7 +513,7 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
         best_per_global_iter.push(red.best_cost);
         ctl.note_progress(g, red.best_cost);
 
-        let last_round = g + 1 == cfg.global_iters || ctl.should_stop(t.now());
+        let last_round = g + 1 == cfg.global_iters || ctl.should_stop();
 
         if n_strategies > 0 {
             // Credit this round's cost improvement of each group to the
@@ -719,38 +605,7 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
         }
     };
 
-    // Fan the Init out (Arc clones): TSWs and their CLWs at the leaf
-    // level, lower sub-masters above.
-    match spec.children {
-        ShardChildren::Tsws { lo, hi } => {
-            for i in lo..hi {
-                t.send(
-                    cfg.tsw_rank(i),
-                    PtsMsg::Init {
-                        snapshot: Arc::clone(&initial),
-                    },
-                );
-                for j in 0..cfg.n_clw {
-                    t.send(
-                        cfg.clw_rank(i, j),
-                        PtsMsg::Init {
-                            snapshot: Arc::clone(&initial),
-                        },
-                    );
-                }
-            }
-        }
-        ShardChildren::Shards { lo, hi } => {
-            for s in lo..hi {
-                t.send(
-                    cfg.shard_rank(s),
-                    PtsMsg::Init {
-                        snapshot: Arc::clone(&initial),
-                    },
-                );
-            }
-        }
-    }
+    send_init::<D, T>(t, cfg, spec.children, &initial);
 
     // Seed the reduction exactly like the root: subtree best starts at
     // the initial solution with an empty tabu list, so a round in which
@@ -760,17 +615,6 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     let mut red: Reduction<D> = Reduction::new(initial_cost, initial, spec.children.len());
     let mut child_forced = vec![0u64; spec.children.len()];
     let mut dead = vec![false; spec.children.len()];
-
-    // Everything below a sub-master belongs to a single strategy group:
-    // track the group's current strategy (initially the config-derived
-    // round-robin entry, thereafter whatever the parent's broadcast
-    // stamps) to tag upward GroupReports and relay downward. The
-    // quality-per-virtual-second tag is measured per collection round;
-    // both stay 0 on uniform runs so the wire bytes are unchanged.
-    let portfolio_active = !cfg.portfolio.is_empty();
-    let mut cur_strategy = cfg.initial_strategy_of_group(cfg.group_of_shard(shard));
-    let mut prev_best = initial_cost;
-    let mut round_start = t.now();
 
     for g in 0..cfg.global_iters {
         let deadline = (cfg.liveness_timeout > 0.0).then(|| t.now() + cfg.liveness_timeout);
@@ -789,18 +633,6 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
         // The parent shares `base` (the broadcast chain passed through
         // it), so the upward group best rides the same delta encoding.
         let payload = SnapshotPayload::encode(cfg.snapshot_mode, &base, &red.best_snapshot);
-        let qps = if portfolio_active {
-            let elapsed = t.now() - round_start;
-            let improvement = (prev_best - red.best_cost).max(0.0);
-            if elapsed > 0.0 {
-                improvement / elapsed
-            } else {
-                0.0
-            }
-        } else {
-            0.0
-        };
-        prev_best = red.best_cost;
         t.send(
             spec.parent_rank,
             PtsMsg::GroupReport {
@@ -812,8 +644,6 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
                 trace: red.merged.points().to_vec(),
                 stats: red.stats,
                 forced: red.subtree_forced(&child_forced),
-                strategy: cur_strategy,
-                qps,
             },
         );
 
@@ -851,28 +681,7 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
                 PtsMsg::Down { rank } => {
                     // A child died between its report and the broadcast:
                     // record it so the next collection excuses it.
-                    let idx = match spec.children {
-                        ShardChildren::Tsws { lo, hi } => {
-                            let i = rank.wrapping_sub(1);
-                            (lo..hi).contains(&i).then(|| i - lo)
-                        }
-                        ShardChildren::Shards { lo, hi } => {
-                            let s = rank.wrapping_sub(1 + cfg.n_tsw + cfg.n_tsw * cfg.n_clw);
-                            (lo..hi).contains(&s).then(|| s - lo)
-                        }
-                    };
-                    match idx {
-                        Some(i) => {
-                            if !dead[i] {
-                                dead[i] = true;
-                                protocol_warn(t.rank(), &format!("child rank {rank} is down"));
-                            }
-                        }
-                        None => protocol_warn(
-                            t.rank(),
-                            &format!("ignoring Down for rank {rank} (not parent or child)"),
-                        ),
-                    }
+                    note_down(t.rank(), cfg, spec.children, &mut dead, rank);
                 }
                 PtsMsg::GroupBroadcast {
                     global,
@@ -885,10 +694,9 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
                     // holds the same base this payload was diffed
                     // against, so no re-encode is needed. The strategy
                     // stamp applies to this whole subtree (one group):
-                    // adopt it and relay it unchanged.
+                    // relay it unchanged.
                     match snapshot.resolve(&base) {
                         Some(full) => {
-                            cur_strategy = strategy;
                             send_down::<D, T>(
                                 t,
                                 cfg,
@@ -897,7 +705,6 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
                                 StrategyDown::Uniform(strategy),
                             );
                             base.advance(global, full);
-                            round_start = t.now();
                             break;
                         }
                         None => protocol_warn(

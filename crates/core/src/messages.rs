@@ -266,16 +266,6 @@ pub enum PtsMsg<P: PtsProblem> {
         stats: SearchStats,
         /// Cumulative `ForceReport`s issued inside this subtree.
         forced: u64,
-        /// Strategy id this subtree currently runs (`0` in uniform runs;
-        /// rides header byte 3, which v1 frames leave zero).
-        strategy: u8,
-        /// Observed quality-per-virtual-second of the subtree this round:
-        /// cost improvement divided by elapsed collection time.
-        /// Informational (the root's reallocator scores on the
-        /// deterministic cost improvements, not on this); `0.0` in
-        /// uniform runs, and encoded into tail bytes that were always
-        /// zero, so wire sizes never change.
-        qps: f64,
     },
     /// Parent → sub-master: the global best flowing back down the tree
     /// after a global iteration; leaf sub-masters translate it into a
@@ -548,8 +538,6 @@ mod tests {
             trace: vec![],
             stats: SearchStats::default(),
             forced: 2,
-            strategy: 1,
-            qps: 0.25,
         };
         assert!(group.wire_size() >= report.wire_size());
         // And a GroupBroadcast weighs exactly what a Broadcast weighs —

@@ -182,7 +182,6 @@ impl DeltaSnapshot for Placement {
 pub struct PlacementDomain {
     netlist: Arc<Netlist>,
     timing: Arc<TimingGraph>,
-    alpha: f64,
     eval_config: EvalConfig,
     /// Cost scheme frozen from the initial solution (set by
     /// [`PtsDomain::freeze`] before workers spawn, as the paper's master
@@ -202,7 +201,6 @@ impl PlacementDomain {
         PlacementDomain {
             netlist,
             timing,
-            alpha: cfg.alpha,
             eval_config: cfg.eval_config(),
             scheme: None,
             frozen_initial: None,
@@ -255,7 +253,7 @@ impl PtsDomain for PlacementDomain {
                 self.netlist.clone(),
                 self.timing.clone(),
                 snapshot.clone(),
-                self.alpha,
+                self.eval_config.alpha,
                 scheme.clone(),
             ),
             None => Evaluator::new(

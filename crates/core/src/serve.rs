@@ -24,7 +24,10 @@
 //! [`kind::RETRYING`] frame, the job re-enters the queue after a capped
 //! exponential backoff (250 ms doubling to 5 s), and its registry entry
 //! — hence cancellation — survives the wait. The wall-clock budget is
-//! job-level: restarts never extend it. Exhausting the restart budget is
+//! job-level and runs from submission: queueing, process launch and
+//! every attempt count against it, so restarts never extend it, and a
+//! job whose budget runs out while it waits completes as cancelled
+//! without running. Exhausting the restart budget is
 //! a final [`kind::ERROR`]: a client that asked for restarts asked for a
 //! clean run. Only jobs submitted with `max_restarts = 0` have degraded
 //! completions delivered truthfully as results.
@@ -125,8 +128,8 @@ pub struct JobRequest {
     pub cfg: PtsConfig,
     /// Problem to search.
     pub spec: JobDomainSpec,
-    /// Wall-clock budget in milliseconds; 0 = unlimited (the configured
-    /// `global_iters` is then the only bound).
+    /// Wall-clock budget in milliseconds, counted from submission; 0 =
+    /// unlimited (the configured `global_iters` is then the only bound).
     pub budget_ms: u64,
     /// How many times a crashed or degraded attempt may be restarted
     /// before the failure is final. 0 = never retry.
@@ -626,7 +629,9 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
                         let id = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
                         let mut ctl = RunControl::unlimited();
                         if req.budget_ms > 0 {
-                            ctl = ctl.with_deadline(req.budget_ms as f64 / 1000.0);
+                            ctl = ctl.with_deadline(
+                                Instant::now() + Duration::from_millis(req.budget_ms),
+                            );
                         }
                         shared
                             .registry
@@ -755,8 +760,9 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
         put_str(&mut payload, &message);
         send_frame(&writer, kind::ERROR, &payload);
     };
-    if job.ctl.is_cancelled() {
-        // Cancelled while queued: report without running anything.
+    if job.ctl.should_stop() {
+        // Cancelled, or out of budget, while queued: report without
+        // running anything.
         let result = JobResult {
             job: job.id,
             best_cost: f64::NAN,
@@ -807,12 +813,12 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
     };
     // A crashed attempt (engine error) or a degraded one (worker ranks
     // died mid-run) is retried while the restart budget and the job's
-    // own control allow it.
+    // own control (cancel flag and wall-clock budget) allow it.
     let failed = match &ran {
         Err(_) => true,
         Ok((_, _, _, dead_ranks)) => !dead_ranks.is_empty(),
     };
-    if failed && !ctl.is_cancelled() && job.attempt < job.req.max_restarts {
+    if failed && !ctl.should_stop() && job.attempt < job.req.max_restarts {
         let restart = job.attempt + 1;
         let mut payload = Vec::new();
         wire::put_u32(&mut payload, job_id);
@@ -824,7 +830,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
     }
     match ran {
         Ok((_, _, _, dead_ranks))
-            if !dead_ranks.is_empty() && job.req.max_restarts > 0 && !ctl.is_cancelled() =>
+            if !dead_ranks.is_empty() && job.req.max_restarts > 0 && !ctl.should_stop() =>
         {
             // The client asked for clean runs (a restart budget) and
             // never got one: exhausting the budget is a failure, not a
@@ -836,7 +842,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
             ));
         }
         Ok((best_cost, initial_cost, rounds, _dead_ranks)) => {
-            // With no restart budget (or a cancelled control), a
+            // With no restart budget (or a stopped control), a
             // degraded completion is delivered truthfully — the quorum
             // machinery kept the search sound over the surviving ranks.
             let result = JobResult {

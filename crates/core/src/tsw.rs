@@ -415,16 +415,19 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
             *cut_sent = true;
         };
 
-    loop {
-        // A dead CLW that never answered is excused; one that answered
-        // before dying still counts. Recomputed each pass because deaths
-        // land mid-collection.
-        let excused = got
+    // A dead CLW that never answered is excused; one that answered
+    // before dying still counts — the rule every collector uses.
+    // Recomputed each time because deaths land mid-collection.
+    let n_alive = |got: &[Option<ProposalOf<D>>], dead: &[bool]| {
+        n - got
             .iter()
-            .zip(clw_dead.iter())
-            .filter(|(slot, &dead)| slot.is_none() && dead)
-            .count();
-        if n_got >= n - excused || *parent_down {
+            .zip(dead)
+            .filter(|&(slot, &d)| slot.is_none() && d)
+            .count()
+    };
+
+    loop {
+        if n_got >= n_alive(&got, clw_dead) || *parent_down {
             break;
         }
         match t.recv().await {
@@ -447,11 +450,10 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
                 }
                 got[clw] = Some((moves, cost));
                 n_got += 1;
-                let n_live = n - clw_dead.iter().filter(|&&d| d).count();
+                let alive = n_alive(&got, clw_dead);
                 if cfg.clw_sync == SyncPolicy::HalfReport
-                    && n_live > 0
-                    && n_got >= cfg.report_quorum(n_live)
-                    && n_got < n_live
+                    && n_got >= cfg.report_quorum(alive)
+                    && n_got < alive
                 {
                     cut_stragglers(t, &got, clw_dead, &mut cut_sent);
                 }

@@ -22,7 +22,7 @@
 //! | 0      | 1    | codec version ([`WIRE_VERSION`]) |
 //! | 1      | 1    | variant tag ([`tag` constants](self)) |
 //! | 2      | 1    | snapshot-payload kind: 0 none, 1 full, 2 delta |
-//! | 3      | 1    | strategy id (`GroupReport`); 0 elsewhere |
+//! | 3      | 1    | reserved, written 0 (ignored on `GroupReport`, where v2 and v3 wrote a strategy id) |
 //! | 4      | 4    | destination rank (router addressing) |
 //! | 8      | 4    | origin index (`tsw` / `shard` / `clw` field; strategy id on broadcasts) |
 //! | 12     | 4    | aux count (tabu entries or moves; strategy id on `Investigate`) |
@@ -67,12 +67,12 @@ use std::sync::Arc;
 /// Version history:
 /// * 1 — initial socket codec.
 /// * 2 — portfolio search: strategy ids ride previously-zero header
-///   bytes (`Broadcast`/`GroupBroadcast` origin, `Investigate` aux,
-///   `GroupReport` header byte 3), `GroupReport` carries
-///   quality-per-virtual-second in its formerly reserved tail `u64`, and
+///   bytes (`Broadcast`/`GroupBroadcast` origin, `Investigate` aux), and
 ///   the config block grows an aspiration + portfolio tail. No frame
 ///   changes size, so v1 frames decode as v2 with all-default strategy
-///   fields.
+///   fields. v2 also put a strategy tag in `GroupReport`'s header byte 3
+///   and a quality rate in its reserved tail `u64`; nothing read either,
+///   so both are written 0 again and ignored on decode.
 /// * 3 — direct links between protocol-tree neighbours: a rank's hello
 ///   carries its link-listener address, the router opens each rank's
 ///   setup frame with a link block naming the rank's uplink, and a
@@ -730,8 +730,6 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
             trace,
             stats,
             forced,
-            strategy,
-            qps,
         } => {
             put_header(
                 &mut out,
@@ -743,18 +741,16 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
                 *global as u64,
                 *cost,
             );
-            // Header byte 3 carries the group's current strategy id.
-            out[3] = *strategy;
             put_payload(snapshot, &mut out);
             put_tabu::<P>(tabu, &mut out);
             put_trace(trace, &mut out);
             // 64-byte tail: stats (40) + counts (8) + forced (8) +
-            // qps (8, formerly reserved).
+            // reserved (8, written 0).
             put_stats(stats, &mut out);
             put_u32(&mut out, narrow(tabu.len()));
             put_u32(&mut out, narrow(trace.len()));
             put_u64(&mut out, *forced);
-            put_f64(&mut out, *qps);
+            put_u64(&mut out, 0);
         }
         PtsMsg::GroupBroadcast {
             global,
@@ -982,10 +978,10 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
     }
     let variant = h.u8()?;
     let kind = PayloadKind::from_byte(h.u8()?)?;
-    // Header byte 3 is the strategy id on GroupReport (any value; v1
-    // frames hold 0) and zero everywhere else. On broadcasts it was once
-    // a tabu-payload kind; kind 1, a delta list, is no longer written and
-    // decodes as an unknown kind.
+    // Header byte 3 is written 0. A v2 or v3 portfolio peer put a
+    // strategy id there on GroupReport, which decodes ignoring it. On
+    // broadcasts it was once a tabu-payload kind; kind 1, a delta list,
+    // is no longer written and decodes as an unknown kind.
     let byte3 = h.u8()?;
     if variant != tag::GROUP_REPORT && byte3 != 0 {
         return Err(WireError::Tag(byte3));
@@ -1068,8 +1064,8 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
                     stats,
                 }
             } else {
-                let forced = tail.u64()?;
-                let qps = tail.f64()?;
+                // The reserved slot after `forced` held a portfolio
+                // peer's quality rate; it is ignored like byte 3.
                 PtsMsg::GroupReport {
                     shard: origin as usize,
                     global: seq as u32,
@@ -1078,9 +1074,7 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
                     tabu,
                     trace,
                     stats,
-                    forced,
-                    strategy: byte3,
-                    qps,
+                    forced: tail.u64()?,
                 }
             }
         }
@@ -1193,6 +1187,28 @@ fn asp_of(b: u8) -> Result<pts_tabu::aspiration::Aspiration, WireError> {
     }
 }
 
+/// The values of the config block's placement-cost slots: net delay α
+/// (before the cost byte), then fuzzy β, the two goal fractions and the
+/// three weighted-sum weights (after it). Every run uses these constants
+/// (see [`crate::config::PtsConfig::eval_config`]); the slots keep the
+/// block's layout, and a block carrying other values is malformed.
+fn cost_slots() -> [f64; 7] {
+    let eval = pts_place::eval::EvalConfig::default();
+    let pts_place::eval::SchemeChoice::Fuzzy { beta } = eval.scheme else {
+        unreachable!("the evaluator's default scheme is fuzzy")
+    };
+    let [w_wire, w_delay, w_area] = crate::config::WEIGHTED_SUM_WEIGHTS;
+    [
+        eval.alpha,
+        beta,
+        eval.goal.target_frac,
+        eval.goal.zero_frac,
+        w_wire,
+        w_delay,
+        w_area,
+    ]
+}
+
 /// Encode a [`crate::config::PtsConfig`] (setup and job-submission
 /// frames; fixed field order, not part of any message's `wire_size`).
 /// Always emits the current ([`WIRE_VERSION`]) layout: the v1 field
@@ -1216,16 +1232,14 @@ pub fn put_config(cfg: &crate::config::PtsConfig, out: &mut Vec<u8>) {
     out.push(sync_byte(cfg.tsw_sync));
     out.push(sync_byte(cfg.clw_sync));
     put_f64(out, cfg.report_fraction);
-    put_f64(out, cfg.alpha);
+    let slots = cost_slots();
+    put_f64(out, slots[0]);
     out.push(match cfg.cost {
         CostKind::Fuzzy => 0,
         CostKind::WeightedSum => 1,
     });
-    put_f64(out, cfg.beta);
-    put_f64(out, cfg.goal_target_frac);
-    put_f64(out, cfg.goal_zero_frac);
-    for w in cfg.weights {
-        put_f64(out, w);
+    for &v in &slots[1..] {
+        put_f64(out, v);
     }
     put_u64(out, cfg.seed);
     put_u64(out, cfg.shard_fanout as u64);
@@ -1270,7 +1284,10 @@ pub fn get_config(r: &mut WireReader<'_>) -> Result<crate::config::PtsConfig, Wi
 /// Version-1 blocks stop at `reap_grace_ms`; the aspiration and portfolio
 /// take their defaults (best-cost aspiration, empty portfolio — exactly
 /// the semantics a v1 peer ran with). Unknown versions are rejected with
-/// [`WireError::VersionMismatch`], never a panic.
+/// [`WireError::VersionMismatch`], never a panic, and a block whose
+/// placement-cost slots hold anything but this build's constants with
+/// [`WireError::Malformed`]: its sender meant a cost function this build
+/// does not run.
 pub fn get_config_versioned(
     r: &mut WireReader<'_>,
     version: u8,
@@ -1315,16 +1332,24 @@ pub fn get_config_versioned(
         tsw_sync: sync(r.u8()?)?,
         clw_sync: sync(r.u8()?)?,
         report_fraction: r.f64()?,
-        alpha: r.f64()?,
-        cost: match r.u8()? {
-            0 => CostKind::Fuzzy,
-            1 => CostKind::WeightedSum,
-            other => return Err(WireError::Tag(other)),
+        cost: {
+            let alpha = r.f64()?;
+            let cost = match r.u8()? {
+                0 => CostKind::Fuzzy,
+                1 => CostKind::WeightedSum,
+                other => return Err(WireError::Tag(other)),
+            };
+            let mut slots = [alpha; 7];
+            for v in &mut slots[1..] {
+                *v = r.f64()?;
+            }
+            if slots != cost_slots() {
+                return Err(WireError::Malformed(
+                    "placement-cost constants differ from the evaluator's",
+                ));
+            }
+            cost
         },
-        beta: r.f64()?,
-        goal_target_frac: r.f64()?,
-        goal_zero_frac: r.f64()?,
-        weights: [r.f64()?, r.f64()?, r.f64()?],
         seed: r.u64()?,
         shard_fanout: r.u64()? as usize,
         snapshot_mode: match r.u8()? {
@@ -1532,6 +1557,39 @@ mod tests {
         put_config(&cfg, &mut buf);
         let decoded = get_config(&mut WireReader::new(&buf)).unwrap();
         assert_eq!(decoded, cfg);
+    }
+
+    #[test]
+    fn config_blocks_with_other_cost_constants_are_malformed() {
+        // α sits after the 75 bytes of counts, strategy knobs, sync bytes
+        // and report fraction; the cost byte follows, then β, the goal
+        // fractions and the weights. A block with anything but this
+        // build's constants there asked for a cost function this build
+        // does not run, at every version.
+        let cfg = crate::config::PtsConfig {
+            cost: crate::config::CostKind::WeightedSum,
+            ..crate::config::PtsConfig::default()
+        };
+        let mut buf = Vec::new();
+        put_config(&cfg, &mut buf);
+        assert_eq!(get_config(&mut WireReader::new(&buf)).unwrap(), cfg);
+        assert_eq!(buf[75..83], cost_slots()[0].to_le_bytes());
+        assert_eq!(buf[83], 1, "the weighted-sum cost byte");
+        for at in std::iter::once(75).chain((0..6).map(|i| 84 + 8 * i)) {
+            for value in [0.0, 1.5, f64::NAN] {
+                let mut bad = buf.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                for version in MIN_WIRE_VERSION..=WIRE_VERSION {
+                    assert!(
+                        matches!(
+                            get_config_versioned(&mut WireReader::new(&bad), version),
+                            Err(WireError::Malformed(_))
+                        ),
+                        "{value} at byte {at}, version {version}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,6 +103,22 @@ fn report(tsw: usize, global: u32, cost: f64, snapshot: QapAssignment) -> PtsMsg
     }
 }
 
+fn group_report(shard: usize, global: u32, cost: f64, snapshot: QapAssignment) -> PtsMsg<Qap> {
+    PtsMsg::GroupReport {
+        shard,
+        global,
+        cost,
+        snapshot: SnapshotPayload::Full(Arc::new(snapshot)),
+        tabu: Arc::new(vec![]),
+        trace: vec![],
+        stats: SearchStats {
+            iterations: 2,
+            ..SearchStats::default()
+        },
+        forced: 1,
+    }
+}
+
 #[test]
 fn master_drops_stale_rejects_duplicate_and_ignores_unexpected_reports() {
     let cfg = PtsConfig {
@@ -269,6 +285,78 @@ fn sub_master_applies_local_quorum_and_rejects_malformed_reports() {
         .map(|(dst, _)| *dst)
         .collect();
     assert_eq!(stops, vec![cfg.tsw_rank(0), cfg.tsw_rank(1)]);
+}
+
+#[test]
+fn a_collector_drops_reports_of_the_wrong_level() {
+    // 4 TSWs at fan-out 2: the root collects sub-masters {0, 1} and each
+    // sub-master collects two TSWs. A GroupReport at a leaf sub-master,
+    // or a Report at the root of sub-masters, names no child of that
+    // collector: it must be dropped without counting toward the round,
+    // even when it carries the best cost and an index of a real child.
+    let cfg = PtsConfig {
+        n_tsw: 4,
+        n_clw: 1,
+        shard_fanout: 2,
+        global_iters: 1,
+        tsw_sync: SyncPolicy::WaitAll,
+        clw_sync: SyncPolicy::WaitAll,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 5);
+    let initial = domain.initial(cfg.seed);
+    assert!(domain.cost_of(&initial) > 10.0);
+    let snap = initial.clone();
+
+    // Leaf: had the GroupReport counted as child 0, TSW 0's report would
+    // be rejected as a duplicate and the group best would read 0.5.
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(snap.clone()),
+        },
+        group_report(0, 0, 0.5, snap.clone()),
+        report(0, 0, 3.0, snap.clone()),
+        report(1, 0, 2.0, snap.clone()),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.shard_rank(0), script);
+    drive_sync(master::run_sub_master(&mut t, &cfg, 0, &domain));
+    let group = t
+        .sent
+        .iter()
+        .find_map(|(dst, m)| match m {
+            PtsMsg::GroupReport {
+                cost,
+                forced,
+                stats,
+                ..
+            } if *dst == cfg.master_rank() => Some((*cost, *forced, stats.iterations)),
+            _ => None,
+        })
+        .expect("one GroupReport");
+    assert_eq!(group, (2.0, 0, 2), "both TSW reports folded, nothing else");
+    assert!(t.incoming.is_empty(), "script fully consumed");
+
+    // Inner: the root of sub-masters drops a Report from TSW 0.
+    let script = vec![
+        report(0, 0, 0.5, snap.clone()),
+        group_report(0, 0, 3.0, snap.clone()),
+        group_report(1, 0, 2.0, snap.clone()),
+    ];
+    let mut t = ScriptTransport::new(cfg.master_rank(), script);
+    let outcome = drive_sync(master::run_master(
+        &mut t,
+        &cfg,
+        &domain,
+        initial,
+        &RunControl::unlimited(),
+    ));
+    assert_eq!(outcome.best_per_global_iter, vec![2.0]);
+    assert_eq!(outcome.tsw_stats.iterations, 4, "both groups folded");
+    assert_eq!(outcome.forced_reports, 2, "both subtrees' forces counted");
+    assert_eq!(t.count_sent("Stop"), 2);
+    assert!(t.incoming.is_empty(), "script fully consumed");
 }
 
 #[test]
@@ -506,6 +594,70 @@ fn tsw_force_during_collection_still_yields_one_report() {
     // investigation was ever issued, and the straggling CLW was cut.
     assert_eq!(t.count_sent("Investigate"), 1);
     assert_eq!(t.count_sent("CutShort"), 1);
+    assert!(t.incoming.is_empty());
+}
+
+#[test]
+fn tsw_cuts_stragglers_by_the_collectors_quorum_after_a_death() {
+    // Three CLWs under HalfReport: CLW 0 proposes and dies, then CLW 1
+    // proposes. A CLW that reported before dying still counts, so two of
+    // three have answered — a quorum — and CLW 2 must be cut short. (A
+    // quorum over only the CLWs still alive, 2 of 2, never cut anyone.)
+    let cfg = PtsConfig {
+        n_tsw: 1,
+        n_clw: 3,
+        global_iters: 1,
+        local_iters: 1,
+        search: SearchStrategy {
+            candidates: 1,
+            depth: 1,
+            ..Default::default()
+        },
+        diversify: false,
+        clw_sync: SyncPolicy::HalfReport,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 13);
+    let initial = domain.initial(cfg.seed);
+
+    let tsw_index = 0;
+    let seq = ((tsw_index as u64) << 40) + 1;
+    let proposal = |clw: usize| PtsMsg::Proposal {
+        clw,
+        seq,
+        moves: vec![(2 * clw, 2 * clw + 1)],
+        cost: 0.0,
+    };
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(initial.clone()),
+        },
+        proposal(0),
+        PtsMsg::Down {
+            rank: cfg.clw_rank(tsw_index, 0),
+        },
+        proposal(1),
+        proposal(2),
+        PtsMsg::Stop,
+    ];
+
+    let mut t = ScriptTransport::new(cfg.tsw_rank(tsw_index), script);
+    drive_sync(tsw::run_tsw(&mut t, &cfg, tsw_index, &domain));
+
+    let cuts: Vec<usize> = t
+        .sent
+        .iter()
+        .filter(|(_, m)| m.tag() == "CutShort")
+        .map(|(dst, _)| *dst)
+        .collect();
+    assert_eq!(
+        cuts,
+        vec![cfg.clw_rank(tsw_index, 2)],
+        "{:?}",
+        t.sent_tags()
+    );
+    assert_eq!(t.count_sent("Report"), 1);
     assert!(t.incoming.is_empty());
 }
 

@@ -109,6 +109,53 @@ fn four_concurrent_jobs_run_under_independent_budgets() {
 }
 
 #[test]
+fn a_budget_counts_the_time_a_job_waits_in_the_queue() {
+    // One runner, held by a long job: a budgeted job queued behind it
+    // spends its whole budget waiting. The budget runs from submission,
+    // so the job must come back cancelled having run at most one round —
+    // not start a fresh budget when it finally launches.
+    let (addr, stop, server) = start_server("queued-budget", 1);
+
+    let mut long_client = Client::connect(&addr, Duration::from_secs(10)).unwrap();
+    long_client.submit(&qap_job(16, 1, 50_000, 0)).unwrap();
+    let long_id = match long_client.next_event().unwrap() {
+        Some(ServeEvent::Accepted { job }) => job,
+        other => panic!("expected Accepted, got {other:?}"),
+    };
+    loop {
+        match long_client.next_event().unwrap() {
+            Some(ServeEvent::Progress { job, .. }) if job == long_id => break,
+            Some(_) => {}
+            None => panic!("stream closed while waiting for progress"),
+        }
+    }
+
+    let mut client = Client::connect(&addr, Duration::from_secs(10)).unwrap();
+    client.submit(&qap_job(12, 2, 1_000, 200)).unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    long_client.cancel(long_id).unwrap();
+    let (long_result, _) = wait_result(&mut long_client);
+    assert!(
+        long_result.cancelled,
+        "cancel must mark the long job cancelled"
+    );
+
+    let (queued, _) = wait_result(&mut client);
+    assert!(
+        queued.cancelled,
+        "a job whose budget ran out in the queue must come back cancelled"
+    );
+    assert!(
+        queued.rounds <= 1,
+        "the queued job ran {} rounds on a spent budget",
+        queued.rounds
+    );
+
+    stop.store(true, Ordering::Release);
+    server.join().unwrap();
+}
+
+#[test]
 fn cancelling_one_job_leaves_the_others_untouched() {
     let (addr, stop, server) = start_server("cancel", 2);
 

@@ -104,11 +104,9 @@ fn qap_msg(
         aspirated: stats[3],
         improved_best: stats[4],
     };
-    // Strategy ids and the group quality rate are ordinary wire fields
-    // since v2 — derive them from the generated inputs so the roundtrip
-    // exercises non-zero values.
+    // Strategy ids are ordinary wire fields since v2 — derive them from
+    // the generated inputs so the roundtrip exercises non-zero values.
     let strategy = (seed % 251) as u8;
-    let qps = cost / 3.0;
     match variant {
         0 => PtsMsg::Init { snapshot },
         1 => PtsMsg::Broadcast {
@@ -136,8 +134,6 @@ fn qap_msg(
             trace,
             stats,
             forced: seq,
-            strategy,
-            qps,
         },
         5 => PtsMsg::GroupBroadcast {
             global,
@@ -164,16 +160,12 @@ fn qap_msg(
 }
 
 /// Reset the v2 strategy carriage to the values a v1 encoder (which had
-/// no portfolio) necessarily produced: zero strategy ids, zero qps.
+/// no portfolio) necessarily produced: zero strategy ids.
 fn zero_strategy_fields(msg: &mut PtsMsg<Qap>) {
     match msg {
         PtsMsg::Broadcast { strategy, .. }
         | PtsMsg::GroupBroadcast { strategy, .. }
         | PtsMsg::Investigate { strategy, .. } => *strategy = 0,
-        PtsMsg::GroupReport { strategy, qps, .. } => {
-            *strategy = 0;
-            *qps = 0.0;
-        }
         _ => {}
     }
 }
@@ -256,7 +248,6 @@ proptest! {
                 ))
                 .collect();
         let strategy = (seed % 251) as u8;
-        let qps = cost / 3.0;
         let msg: PtsMsg<PlacementProblem> = match variant {
             0 => PtsMsg::Init { snapshot },
             1 => PtsMsg::Broadcast { global, snapshot: payload, tabu: tabu_payload, strategy },
@@ -267,7 +258,7 @@ proptest! {
             },
             4 => PtsMsg::GroupReport {
                 shard: 2, global, cost, snapshot: payload, tabu,
-                trace: trace_points, stats, forced: seq, strategy, qps,
+                trace: trace_points, stats, forced: seq,
             },
             5 => PtsMsg::GroupBroadcast { global, snapshot: payload, tabu: tabu_payload, strategy },
             6 => PtsMsg::AdoptState { seq: global, snapshot: payload },
@@ -320,8 +311,7 @@ proptest! {
         cost in -1.0e9f64..1.0e9,
     ) {
         // Backward compatibility: a v1 peer's frame is byte-for-byte a v2
-        // frame whose strategy bytes are zero and whose GroupReport qps
-        // slot holds the old reserved zero — so restamping the version
+        // frame whose strategy bytes are zero — so restamping the version
         // byte of such a frame to 1 must decode to the same message, and
         // its re-encoding (as v2) must differ from the original frame in
         // the version byte alone. Build the "v1 fixture" that way rather
@@ -447,6 +437,58 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
             "{} with byte 3 set",
             msg.tag()
         );
+    }
+}
+
+#[test]
+fn a_portfolio_peers_group_report_strategy_and_rate_are_ignored() {
+    // A v2 or v3 portfolio peer wrote a strategy id into a GroupReport's
+    // header byte 3 and a quality rate into the last tail slot. Nothing
+    // reads either any more: such a frame decodes to the same report,
+    // which re-encodes to the frame this codec writes, zeros included.
+    let msg = qap_msg(
+        4,
+        6,
+        3,
+        2,
+        5,
+        7.5,
+        vec![((0, 1), 4)],
+        vec![(0.5, 1, 9.0), (1.5, 2, 7.5)],
+        vec![],
+        [3, 2, 1, 0, 1],
+        false,
+    );
+    let buf = encode_msg(&msg, 1);
+    let n = buf.len();
+    assert_eq!(buf[3], 0);
+    assert_eq!(buf[n - 8..], [0; 8]);
+    let mut peer = buf.clone();
+    peer[3] = 7;
+    peer[n - 8..].copy_from_slice(&0.25f64.to_le_bytes());
+    for version in [2, 3] {
+        peer[0] = version;
+        let (dst, decoded) = decode_msg::<Qap>(&peer, &()).expect("a peer's frame decodes");
+        assert_eq!(dst, 1);
+        match &decoded {
+            PtsMsg::GroupReport {
+                shard,
+                global,
+                cost,
+                trace,
+                forced,
+                ..
+            } => {
+                assert_eq!((*shard, *global, *cost, *forced), (6, 2, 7.5, 5));
+                let points: Vec<(f64, u64, f64)> = trace
+                    .iter()
+                    .map(|p| (p.time, p.iter, p.best_cost))
+                    .collect();
+                assert_eq!(points, [(0.5, 1, 9.0), (1.5, 2, 7.5)]);
+            }
+            other => panic!("decoded {}", other.tag()),
+        }
+        assert_eq!(encode_msg(&decoded, 1), buf, "version {version}");
     }
 }
 
