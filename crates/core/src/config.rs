@@ -200,8 +200,8 @@ pub struct PtsConfig {
     /// *same* search (shared RNG streams per role) and differ only through
     /// the diversification step over their private cell ranges. `true` is
     /// an extension: every worker gets an independent RNG stream, i.e. the
-    /// strategies themselves differ (closer to SPDS). See the
-    /// `ablation_streams` harness for the comparison.
+    /// strategies themselves differ (closer to SPDS). The streams
+    /// ablation, `pts_bench::figures::ablation_streams`, compares the two.
     pub differentiate_streams: bool,
     /// Round-liveness timeout in virtual seconds, `0.0` = disabled
     /// (default). When positive and the substrate supports receive

@@ -76,9 +76,6 @@ impl<P: PtsProblem> Clone for SnapshotBase<P> {
     }
 }
 
-/// Wire overhead of a delta payload: the base sequence + entry count.
-const DELTA_HDR: u64 = 8;
-
 /// A tabu list as it rides a broadcast: always the complete entry list,
 /// shared across recipients behind an [`Arc`].
 pub enum TabuPayload<P: PtsProblem> {
@@ -145,7 +142,7 @@ impl<P: PtsProblem> SnapshotPayload<P> {
     ) -> SnapshotPayload<P> {
         if mode == SnapshotMode::Delta {
             let delta = <P::Snapshot as DeltaSnapshot>::diff(&base.snapshot, full);
-            if DELTA_HDR + delta.wire_bytes() < full.wire_bytes() {
+            if DELTA_HDR_BYTES + delta.wire_bytes() < full.wire_bytes() {
                 return SnapshotPayload::Delta {
                     base_seq: base.seq,
                     delta: Arc::new(delta),
@@ -178,7 +175,7 @@ impl<P: PtsProblem> SnapshotPayload<P> {
     pub fn wire_bytes(&self) -> u64 {
         match self {
             SnapshotPayload::Full(s) => s.wire_bytes(),
-            SnapshotPayload::Delta { delta, .. } => DELTA_HDR + delta.wire_bytes(),
+            SnapshotPayload::Delta { delta, .. } => DELTA_HDR_BYTES + delta.wire_bytes(),
         }
     }
 
@@ -341,12 +338,19 @@ pub enum PtsMsg<P: PtsProblem> {
     Stop,
 }
 
-/// Approximate wire size of one elementary move (two item indices).
-const MOVE_BYTES: u64 = 8;
-/// Approximate wire size of one tabu entry (attribute + tenure).
-const TABU_ENTRY_BYTES: u64 = 12;
-/// Approximate wire size of one trace point.
-const TRACE_POINT_BYTES: u64 = 20;
+// The widths of the byte model. `PtsMsg::wire_size` charges them and the
+// codec in `crate::wire` writes exactly them, so each is defined once,
+// here.
+/// Fixed message header.
+pub(crate) const HDR_BYTES: u64 = 32;
+/// One elementary move: two `u32` item indices.
+pub(crate) const MOVE_BYTES: u64 = 8;
+/// One tabu entry: an 8-byte attribute and a `u32` tenure.
+pub(crate) const TABU_ENTRY_BYTES: u64 = 12;
+/// One trace point: `f64` time, `u32` iteration and `f64` cost.
+pub(crate) const TRACE_POINT_BYTES: u64 = 20;
+/// A delta payload's header: `u32` base sequence and 4 reserved bytes.
+pub(crate) const DELTA_HDR_BYTES: u64 = 8;
 
 impl<P: PtsProblem> PtsMsg<P> {
     /// Approximate wire size in bytes, used by the virtual cluster's
@@ -356,7 +360,6 @@ impl<P: PtsProblem> PtsMsg<P> {
     /// [`SnapshotMode::Full`] every size equals the pre-delta protocol's,
     /// keeping its pinned virtual timelines bit-compatible.
     pub fn wire_size(&self) -> u64 {
-        const HDR: u64 = 32;
         match self {
             // The +64 covers the run-constant data (the placement cost
             // scheme) that historically travelled with Init. The scheme is
@@ -364,9 +367,9 @@ impl<P: PtsProblem> PtsMsg<P> {
             // charge is retained deliberately so virtual timelines stay
             // bit-compatible with the pre-redesign engine (the pinned
             // golden values in tests/determinism.rs depend on it).
-            PtsMsg::Init { snapshot } => HDR + snapshot.wire_bytes() + 64,
+            PtsMsg::Init { snapshot } => HDR_BYTES + snapshot.wire_bytes() + 64,
             PtsMsg::Broadcast { snapshot, tabu, .. } => {
-                HDR + snapshot.wire_bytes() + tabu.wire_bytes()
+                HDR_BYTES + snapshot.wire_bytes() + tabu.wire_bytes()
             }
             PtsMsg::Report {
                 snapshot,
@@ -374,7 +377,8 @@ impl<P: PtsProblem> PtsMsg<P> {
                 trace,
                 ..
             } => {
-                HDR + snapshot.wire_bytes()
+                HDR_BYTES
+                    + snapshot.wire_bytes()
                     + TABU_ENTRY_BYTES * tabu.len() as u64
                     + TRACE_POINT_BYTES * trace.len() as u64
                     + 48
@@ -388,22 +392,23 @@ impl<P: PtsProblem> PtsMsg<P> {
                 trace,
                 ..
             } => {
-                HDR + snapshot.wire_bytes()
+                HDR_BYTES
+                    + snapshot.wire_bytes()
                     + TABU_ENTRY_BYTES * tabu.len() as u64
                     + TRACE_POINT_BYTES * trace.len() as u64
                     + 64
             }
             PtsMsg::GroupBroadcast { snapshot, tabu, .. } => {
-                HDR + snapshot.wire_bytes() + tabu.wire_bytes()
+                HDR_BYTES + snapshot.wire_bytes() + tabu.wire_bytes()
             }
-            PtsMsg::AdoptState { snapshot, .. } => HDR + snapshot.wire_bytes(),
-            PtsMsg::Proposal { moves, .. } => HDR + MOVE_BYTES * moves.len() as u64 + 16,
-            PtsMsg::ApplyMoves { moves } => HDR + MOVE_BYTES * moves.len() as u64,
+            PtsMsg::AdoptState { snapshot, .. } => HDR_BYTES + snapshot.wire_bytes(),
+            PtsMsg::Proposal { moves, .. } => HDR_BYTES + MOVE_BYTES * moves.len() as u64 + 16,
+            PtsMsg::ApplyMoves { moves } => HDR_BYTES + MOVE_BYTES * moves.len() as u64,
             PtsMsg::ForceReport { .. }
             | PtsMsg::Investigate { .. }
             | PtsMsg::CutShort { .. }
             | PtsMsg::Down { .. }
-            | PtsMsg::Stop => HDR,
+            | PtsMsg::Stop => HDR_BYTES,
         }
     }
 

@@ -277,7 +277,7 @@ pub fn worker_main(addr: &str, rank: u32, links: bool) -> Result<(), String> {
     chaos_maybe_crash(rank);
     let mut r = WireReader::new(&setup);
     let version = r.u8().map_err(|e| format!("setup: {e}"))?;
-    if !(wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION).contains(&version) {
+    if !wire::version_ok(version) {
         return Err(format!("setup version {version}"));
     }
     // The config block's layout depends on the frame's declared version

@@ -3,9 +3,12 @@
 //! For non-deterministic search, speedup is `t(1,x) / t(n,x)`: the time the
 //! 1-worker configuration needs to first reach an x-quality solution over
 //! the time the n-worker configuration needs for the same quality. The
-//! quality target x must be reachable by *every* configuration in a sweep,
-//! so the harness picks the worst final best-cost across the sweep (with a
-//! small slack) as x.
+//! quality target x must be reachable by *every* configuration in a sweep.
+//! The paper-figure experiments (`pts_bench::figures`) take x from
+//! [`fractional_quality_target`] at 0.8: a mid-course cost, 80% of the way
+//! from the initial cost to the sweep's worst final cost. `pts sweep` and
+//! the parallelization tests take the end-of-run target,
+//! [`common_quality_target`]: the worst final cost, with a small slack.
 
 use pts_tabu::trace::Trace;
 

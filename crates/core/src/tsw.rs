@@ -284,12 +284,16 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         // --- Adopt the broadcast (or stop) --------------------------------
         loop {
             match t.recv().await {
+                // This round's broadcast, or a *newer* one: the parent
+                // moved on without us (our report or its broadcast got
+                // lost to a fault). Either way adopt it and continue from
+                // there.
                 PtsMsg::Broadcast {
                     global,
                     snapshot,
                     tabu: TabuPayload::Full(tabu),
                     strategy,
-                } if global == g => match snapshot.resolve(&base) {
+                } if global >= g => match snapshot.resolve(&base) {
                     Some(full) => {
                         engine.adopt(&mut problem, &full, &tabu, t.now());
                         if strategy != cur_strategy {
@@ -310,28 +314,6 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
                         "dropping Broadcast delta against a base this TSW does not hold",
                     ),
                 },
-                // A *newer* broadcast: the parent moved on without us (our
-                // report or its broadcast got lost to a fault). A full
-                // snapshot resolves against any base — adopt it and rejoin
-                // from there; a delta against a base we never adopted
-                // cannot resolve and is dropped below with the others.
-                PtsMsg::Broadcast {
-                    global,
-                    snapshot,
-                    tabu: TabuPayload::Full(tabu),
-                    strategy,
-                } if global > g => {
-                    if let Some(full) = snapshot.resolve(&base) {
-                        engine.adopt(&mut problem, &full, &tabu, t.now());
-                        if strategy != cur_strategy {
-                            let s = cfg.strategy(strategy);
-                            engine.reconfigure(s.tenure, s.candidates, s.depth, s.aspiration);
-                            cur_strategy = strategy;
-                        }
-                        base.advance(global, full);
-                        break;
-                    }
-                }
                 PtsMsg::Stop => {
                     for &c in &clws {
                         t.send(c, PtsMsg::Stop);

@@ -53,7 +53,10 @@
 //! [`Layout`]: pts_place::layout::Layout
 
 use crate::domain::{DeltaOf, PtsProblem};
-use crate::messages::{PtsMsg, SnapshotPayload, TabuEntries, TabuPayload};
+use crate::messages::{
+    PtsMsg, SnapshotPayload, TabuEntries, TabuPayload, DELTA_HDR_BYTES, HDR_BYTES, MOVE_BYTES,
+    TABU_ENTRY_BYTES, TRACE_POINT_BYTES,
+};
 use pts_tabu::search::SearchStats;
 use pts_tabu::trace::TracePoint;
 use std::cmp::Ordering;
@@ -85,7 +88,7 @@ pub const WIRE_VERSION: u8 = 3;
 pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Is `v` a version this codec decodes?
-fn version_ok(v: u8) -> bool {
+pub(crate) fn version_ok(v: u8) -> bool {
     (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&v)
 }
 
@@ -96,17 +99,6 @@ pub const FRAME_LEN_BYTES: usize = 4;
 /// Largest frame body [`read_frame`] accepts, and so the largest
 /// allocation a decoded frame may ask for.
 const MAX_FRAME: usize = 256 << 20;
-
-/// Fixed message-header bytes (mirrors the model's `HDR` charge).
-const HDR: usize = 32;
-/// Model bytes per tabu entry: 8-byte attribute + `u32` tenure.
-const TABU_ENTRY: usize = 12;
-/// Model bytes per trace point: `f64` time + `u32` iter + `f64` cost.
-const TRACE_POINT: usize = 20;
-/// Model bytes per elementary move: two `u32` indices.
-const MOVE: usize = 8;
-/// Delta-payload header: `u32` base sequence + 4 reserved bytes.
-const DELTA_HDR: usize = 8;
 
 /// Variant tags (header offset 1).
 mod tag {
@@ -576,14 +568,14 @@ fn get_payload<P: WireProblem>(
             r, nbytes, ctx,
         )?))),
         PayloadKind::Delta => {
-            if nbytes < DELTA_HDR {
+            if nbytes < DELTA_HDR_BYTES as usize {
                 return Err(WireError::Truncated);
             }
             let base_seq = r.u32()?;
             let _reserved = r.u32()?;
             Ok(SnapshotPayload::Delta {
                 base_seq,
-                delta: Arc::new(P::get_delta(r, nbytes - DELTA_HDR)?),
+                delta: Arc::new(P::get_delta(r, nbytes - DELTA_HDR_BYTES as usize)?),
             })
         }
     }
@@ -873,7 +865,7 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
 /// Destination rank of an encoded message, readable without a full decode
 /// — the router forwards raw frames on this field alone.
 pub fn peek_dst(buf: &[u8]) -> Result<u32, WireError> {
-    if buf.len() < HDR {
+    if buf.len() < HDR_BYTES as usize {
         return Err(WireError::Truncated);
     }
     if !version_ok(buf[0]) {
@@ -896,7 +888,7 @@ pub fn is_heartbeat(buf: &[u8]) -> bool {
 /// field is a sentinel: the router consumes heartbeats instead of
 /// forwarding them.
 pub fn encode_heartbeat_frame(origin: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HDR);
+    let mut out = Vec::with_capacity(HDR_BYTES as usize);
     put_header(
         &mut out,
         tag::HEARTBEAT,
@@ -931,7 +923,7 @@ const TALLY_BODY: usize = 24;
 /// Encode `origin`'s final tally frame: a header whose destination is a
 /// sentinel (the router consumes it), then the three counts.
 pub fn encode_tally_frame(origin: u32, tally: &LinkTally) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HDR + TALLY_BODY);
+    let mut out = Vec::with_capacity(HDR_BYTES as usize + TALLY_BODY);
     put_header(
         &mut out,
         tag::TALLY,
@@ -951,10 +943,10 @@ pub fn encode_tally_frame(origin: u32, tally: &LinkTally) -> Vec<u8> {
 /// The counts of a tally frame; `None` for any other frame, and for a
 /// tally frame of the wrong length.
 pub fn decode_tally(buf: &[u8]) -> Option<LinkTally> {
-    if buf.len() != HDR + TALLY_BODY || !version_ok(buf[0]) || buf[1] != tag::TALLY {
+    if buf.len() != HDR_BYTES as usize + TALLY_BODY || !version_ok(buf[0]) || buf[1] != tag::TALLY {
         return None;
     }
-    let mut r = WireReader::new(&buf[HDR..]);
+    let mut r = WireReader::new(&buf[HDR_BYTES as usize..]);
     Some(LinkTally {
         sent: r.u64().ok()?,
         bytes: r.u64().ok()?,
@@ -965,10 +957,10 @@ pub fn decode_tally(buf: &[u8]) -> Option<LinkTally> {
 /// Decode a message encoded by [`encode_msg`]. Returns the destination
 /// rank from the header along with the message.
 pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsMsg<P>), WireError> {
-    if buf.len() < HDR {
+    if buf.len() < HDR_BYTES as usize {
         return Err(WireError::Truncated);
     }
-    let mut h = WireReader::new(&buf[..HDR]);
+    let mut h = WireReader::new(&buf[..HDR_BYTES as usize]);
     let version = h.u8()?;
     if !version_ok(version) {
         return Err(WireError::VersionMismatch {
@@ -991,7 +983,7 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
     let aux = h.u32()? as usize;
     let seq = h.u64()?;
     let cost = h.f64()?;
-    let body = &buf[HDR..];
+    let body = &buf[HDR_BYTES as usize..];
 
     let msg = match variant {
         tag::INIT => {
@@ -1007,7 +999,7 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
             // snapshot payload.
             let snap_bytes = body
                 .len()
-                .checked_sub(TABU_ENTRY * aux)
+                .checked_sub(TABU_ENTRY_BYTES as usize * aux)
                 .ok_or(WireError::Truncated)?;
             let mut r = WireReader::new(body);
             let snapshot = get_payload::<P>(&mut r, kind, snap_bytes, ctx)?;
@@ -1047,7 +1039,9 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
                 return Err(WireError::Malformed("tabu counts disagree"));
             }
             let snap_bytes = split
-                .checked_sub(TABU_ENTRY * n_tabu + TRACE_POINT * n_trace)
+                .checked_sub(
+                    TABU_ENTRY_BYTES as usize * n_tabu + TRACE_POINT_BYTES as usize * n_trace,
+                )
                 .ok_or(WireError::Truncated)?;
             let mut r = WireReader::new(&body[..split]);
             let snapshot = get_payload::<P>(&mut r, kind, snap_bytes, ctx)?;
@@ -1092,7 +1086,7 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
         },
         tag::CUT_SHORT => PtsMsg::CutShort { seq },
         tag::PROPOSAL | tag::APPLY_MOVES => {
-            let expect = MOVE * aux + if variant == tag::PROPOSAL { 16 } else { 0 };
+            let expect = MOVE_BYTES as usize * aux + if variant == tag::PROPOSAL { 16 } else { 0 };
             if body.len() < expect {
                 return Err(WireError::Truncated);
             }

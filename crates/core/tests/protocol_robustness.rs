@@ -10,10 +10,10 @@
 //! unexpected — in BOTH debug and release profiles (CI runs the suite
 //! twice for this reason).
 
-use pts_core::config::{PtsConfig, SearchStrategy};
-use pts_core::messages::{PtsMsg, SnapshotPayload};
+use pts_core::config::{PtsConfig, SearchStrategy, SnapshotMode};
+use pts_core::messages::{PtsMsg, SnapshotPayload, TabuPayload};
 use pts_core::transport::{drive_sync, Transport};
-use pts_core::{master, tsw, PtsDomain, QapDomain, RunControl, SyncPolicy};
+use pts_core::{master, tsw, PtsDomain, QapDelta, QapDomain, RunControl, SyncPolicy};
 use pts_tabu::qap::{Qap, QapAssignment};
 use pts_tabu::search::SearchStats;
 use std::collections::VecDeque;
@@ -594,6 +594,125 @@ fn tsw_force_during_collection_still_yields_one_report() {
     // investigation was ever issued, and the straggling CLW was cut.
     assert_eq!(t.count_sent("Investigate"), 1);
     assert_eq!(t.count_sent("CutShort"), 1);
+    assert!(t.incoming.is_empty());
+}
+
+/// One TSW with one CLW over two rounds of one local iteration each, and
+/// the script's round-0 half: Init, then the CLW's one proposal.
+fn two_round_tsw() -> (PtsConfig, QapDomain, Vec<PtsMsg<Qap>>) {
+    let cfg = PtsConfig {
+        n_tsw: 1,
+        n_clw: 1,
+        global_iters: 2,
+        local_iters: 1,
+        search: SearchStrategy {
+            candidates: 1,
+            depth: 1,
+            ..Default::default()
+        },
+        diversify: false,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 17);
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(domain.initial(cfg.seed)),
+        },
+        PtsMsg::Proposal {
+            clw: 0,
+            seq: 1,
+            moves: vec![(0, 1)],
+            cost: 0.0,
+        },
+    ];
+    (cfg, domain, script)
+}
+
+fn broadcast(global: u32, snapshot: SnapshotPayload<Qap>) -> PtsMsg<Qap> {
+    PtsMsg::Broadcast {
+        global,
+        snapshot,
+        tabu: TabuPayload::Full(Arc::new(vec![])),
+        strategy: 0,
+    }
+}
+
+#[test]
+fn tsw_adopts_a_full_broadcast_from_a_later_round() {
+    // The round-0 broadcast never arrives (a fault lost it) and the
+    // round-1 one does, in full: the TSW adopts it as it would its own
+    // round's, then syncs its CLW for round 1 and reports that round.
+    // Full snapshots, so the CLW sync shows the state it adopted.
+    let (mut cfg, domain, mut script) = two_round_tsw();
+    cfg.snapshot_mode = SnapshotMode::Full;
+    let adopted = Arc::new(domain.initial(cfg.seed ^ 1));
+    script.extend([
+        broadcast(1, SnapshotPayload::Full(Arc::clone(&adopted))),
+        PtsMsg::Proposal {
+            clw: 0,
+            seq: 2,
+            moves: vec![(2, 3)],
+            cost: 0.0,
+        },
+        PtsMsg::Stop,
+    ]);
+
+    let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
+    drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
+
+    let clw = cfg.clw_rank(0, 0);
+    let round_1_sync = t.sent.iter().find_map(|(dst, m)| match m {
+        PtsMsg::AdoptState {
+            seq: 1,
+            snapshot: SnapshotPayload::Full(state),
+        } if *dst == clw => Some(state),
+        _ => None,
+    });
+    assert_eq!(round_1_sync, Some(&adopted), "{:?}", t.sent_tags());
+    let reports: Vec<u32> = t
+        .sent
+        .iter()
+        .filter_map(|(dst, m)| match m {
+            PtsMsg::Report { global, .. } if *dst == cfg.master_rank() => Some(*global),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reports, vec![0, 1], "{:?}", t.sent_tags());
+    assert!(t.incoming.is_empty());
+}
+
+#[test]
+fn tsw_drops_a_newer_broadcast_delta_against_a_base_it_does_not_hold() {
+    // A round-1 delta is diffed against the round-0 broadcast (base 1),
+    // which this TSW never received: it still holds base 0, the initial
+    // solution. It cannot resolve the delta, so it drops it and keeps
+    // waiting; Stop ends the run after its one report.
+    let (cfg, domain, mut script) = two_round_tsw();
+    script.extend([
+        broadcast(
+            1,
+            SnapshotPayload::Delta {
+                base_seq: 1,
+                delta: Arc::new(QapDelta::new(vec![(0, 1), (1, 0)])),
+            },
+        ),
+        PtsMsg::Stop,
+    ]);
+
+    let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
+    drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
+
+    assert_eq!(
+        t.sent_tags(),
+        vec![
+            (cfg.clw_rank(0, 0), "AdoptState"),
+            (cfg.clw_rank(0, 0), "Investigate"),
+            (cfg.clw_rank(0, 0), "ApplyMoves"),
+            (cfg.master_rank(), "Report"),
+            (cfg.clw_rank(0, 0), "Stop"),
+        ]
+    );
     assert!(t.incoming.is_empty());
 }
 

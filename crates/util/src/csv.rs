@@ -3,11 +3,7 @@
 //! Only what the figure harnesses need: header + rows, RFC-4180-style quoting
 //! of cells containing commas/quotes/newlines.
 
-use std::fs::File;
-use std::io::{self, Write};
-use std::path::Path;
-
-/// Accumulates rows and writes them as a CSV file or string.
+/// Accumulates rows and renders them as CSV text.
 #[derive(Clone, Debug, Default)]
 pub struct CsvWriter {
     header: Vec<String>,
@@ -57,15 +53,6 @@ impl CsvWriter {
         }
         out
     }
-
-    /// Write to a file, creating parent directories as needed.
-    pub fn write_to<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        if let Some(parent) = path.as_ref().parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut f = File::create(path)?;
-        f.write_all(self.to_string_lossy().as_bytes())
-    }
 }
 
 #[cfg(test)]
@@ -91,18 +78,5 @@ mod tests {
         assert!(s.contains("\"has,comma\""));
         assert!(s.contains("\"has\"\"quote\""));
         assert!(s.contains("plain\n"));
-    }
-
-    #[test]
-    fn writes_file_with_parent_dirs() {
-        let dir = std::env::temp_dir().join("pts_util_csv_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested/out.csv");
-        let mut w = CsvWriter::new(["k", "v"]);
-        w.row(["seed", "42"]);
-        w.write_to(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "k,v\nseed,42\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

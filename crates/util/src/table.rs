@@ -1,6 +1,6 @@
 //! Minimal ASCII table rendering for experiment harness output.
 //!
-//! The figure-regeneration binaries print the same rows/series the paper
+//! The paper-figure experiments print the same rows/series the paper
 //! reports; a small fixed-width table keeps that output readable without
 //! pulling in a formatting crate.
 

@@ -506,13 +506,18 @@ fn thread_engine_utilization_is_meaningful() {
 #[test]
 fn thread_engine_handles_many_workers() {
     // Oversubscribe the host on purpose: 4 TSWs x 3 CLWs + master = 17
-    // threads; the protocol must still terminate cleanly.
+    // threads; the protocol must still terminate cleanly. WaitAll, because
+    // on a loaded host HalfReport may force every TSW before any of them
+    // improves, and then nothing guarantees the strict improvement below:
+    // under WaitAll the round-0 best is the minimum over all four reports,
+    // whatever order they arrive in.
     let netlist = Arc::new(by_name("highway").unwrap());
     let run = Pts::builder()
         .tsw_workers(4)
         .clw_workers(3)
         .global_iters(2)
         .local_iters(4)
+        .sync(SyncPolicy::WaitAll)
         .build()
         .unwrap();
     let out = run.run_placement(netlist, &ThreadEngine);
