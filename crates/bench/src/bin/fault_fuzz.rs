@@ -1,9 +1,11 @@
 //! Seeded adversarial fault fuzzer for the vt engine (release-mode CI
 //! sweep; the small always-on corpus lives in `tests/fault_scenarios.rs`).
 //!
-//! Sweeps `seeds × fault mixes × sync policies` small scenarios plus a
-//! thousand-TSW sharded scenario per sync policy, all on one OS thread,
-//! and asserts the fault invariants on every run:
+//! Sweeps `seeds × fault mixes × sync policies` small scenarios in two
+//! shapes — 3 TSW × 2 CLW flat for 2 rounds, and 4 TSW × 2 CLW under the
+//! automatic fan-out (2) for 3 rounds — plus a thousand-TSW sharded
+//! scenario per sync policy, all on one OS thread, and asserts the fault
+//! invariants on every run:
 //!
 //! * the run terminates and the master deposits an outcome;
 //! * the best cost is finite, no worse than the initial solution, and its
@@ -12,14 +14,17 @@
 //! * panics anywhere in the protocol are caught and reported as failures.
 //!
 //! Every violation prints one `FAULT-REPRO:` line carrying the complete
-//! scenario coordinates — seed, mix, shape, sync, machines, horizon —
-//! which rebuilds the identical run, bit for bit.
+//! scenario coordinates — seed, mix, shape (workers, rounds, fan-out),
+//! sync, machines, horizon — which rebuilds the identical run, bit for
+//! bit.
 //!
 //! Environment knobs: `FUZZ_SEEDS` (seeds per mix, default 100),
 //! `FUZZ_LARGE` (`0` skips the n_tsw=1024 scenarios).
 
 use pts_core::qap_domain::QapDomain;
-use pts_core::{EngineOutput, FaultMix, FaultSpec, Pts, PtsRun, SyncPolicy, VirtualEngine};
+use pts_core::{
+    EngineOutput, FaultMix, FaultSpec, Pts, PtsConfig, PtsRun, SyncPolicy, VirtualEngine,
+};
 use pts_vcluster::{ClusterSpec, LinkModel, LoadModel, Machine};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -54,44 +59,46 @@ struct Scenario {
     sync: SyncPolicy,
     n_tsw: usize,
     n_clw: usize,
+    rounds: u32,
+    /// Sub-master fan-out; 0 is the flat tree.
+    fanout: usize,
     machines: usize,
     horizon: f64,
     liveness: f64,
-    sharded: bool,
 }
 
 impl Scenario {
     fn repro(&self) -> String {
         format!(
-            "FAULT-REPRO: seed={:#x} mix={} n_tsw={} n_clw={} sync={:?} machines={} \
-             horizon={} liveness={} sharded={}",
+            "FAULT-REPRO: seed={:#x} mix={} n_tsw={} n_clw={} rounds={} fanout={} sync={:?} \
+             machines={} horizon={} liveness={}",
             self.seed,
             self.mix,
             self.n_tsw,
             self.n_clw,
+            self.rounds,
+            self.fanout,
             self.sync,
             self.machines,
             self.horizon,
             self.liveness,
-            self.sharded,
         )
     }
 
     fn build_run(&self) -> PtsRun {
-        let mut b = Pts::builder()
+        Pts::builder()
             .tsw_workers(self.n_tsw)
             .clw_workers(self.n_clw)
-            .global_iters(2)
+            .global_iters(self.rounds)
             .local_iters(2)
             .candidates(3)
             .depth(2)
             .sync(self.sync)
             .seed(self.seed ^ 0xF00D)
-            .liveness_timeout(self.liveness);
-        if self.sharded {
-            b = b.shard_fanout_auto();
-        }
-        b.build().expect("valid fuzz configuration")
+            .liveness_timeout(self.liveness)
+            .shard_fanout(self.fanout)
+            .build()
+            .expect("valid fuzz configuration")
     }
 
     /// Execute and check invariants; returns an error string on any
@@ -177,22 +184,28 @@ fn main() {
         }
     };
 
-    // Small-shape sweep: every mix × sync, n_seeds seeds each.
-    for mix in FaultMix::ALL {
-        for seed in 0..n_seeds {
-            for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
-                let s = Scenario {
-                    seed,
-                    mix,
-                    sync,
-                    n_tsw: 3,
-                    n_clw: 2,
-                    machines: 6,
-                    horizon: 300.0,
-                    liveness: 80.0,
-                    sharded: false,
-                };
-                check(&s, &domain);
+    // Small-shape sweep: every shape × mix × sync, n_seeds seeds each.
+    // The sharded 3-round shape is the smallest where a broadcast can
+    // close a later round than a node's own and a sub-master waits on one.
+    let small_shapes = [(3, 2, 0), (4, 3, PtsConfig::auto_shard_fanout(4))];
+    for (n_tsw, rounds, fanout) in small_shapes {
+        for mix in FaultMix::ALL {
+            for seed in 0..n_seeds {
+                for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
+                    let s = Scenario {
+                        seed,
+                        mix,
+                        sync,
+                        n_tsw,
+                        n_clw: 2,
+                        rounds,
+                        fanout,
+                        machines: 6,
+                        horizon: 300.0,
+                        liveness: 80.0,
+                    };
+                    check(&s, &domain);
+                }
             }
         }
     }
@@ -209,10 +222,11 @@ fn main() {
                 sync,
                 n_tsw: 1024,
                 n_clw: 1,
+                rounds: 2,
+                fanout: PtsConfig::auto_shard_fanout(1024),
                 machines: 48,
                 horizon: 200.0,
                 liveness: 60.0,
-                sharded: true,
             };
             check(&s, &large_domain);
         }

@@ -11,6 +11,8 @@
 //!
 //! Between compound steps the CLW polls its mailbox for `CutShort` — the
 //! TSW's heterogeneity mechanism — and if cut, proposes what it has so far.
+//! A `Stop` or its TSW's death met there ends the CLW at once, without a
+//! proposal.
 
 use crate::config::PtsConfig;
 use crate::domain::{DeltaSnapshot, PtsDomain};
@@ -128,23 +130,14 @@ async fn handle<D: PtsDomain, T: Transport<D::Problem>>(
 ) -> bool {
     match msg {
         PtsMsg::Investigate { seq, strategy } => {
-            let mut tsw_down = false;
+            let mut stop = false;
             let (moves, cost) = investigate::<D, T>(
-                t,
-                cfg,
-                strategy,
-                problem,
-                rng,
-                range,
-                seq,
-                tsw_rank,
-                &mut tsw_down,
-                scratch,
+                t, cfg, strategy, problem, rng, range, seq, tsw_rank, &mut stop, scratch,
             )
             .await;
-            // The TSW died mid-investigation (its Down notice reached the
-            // cut-short poll): there is nobody to propose to — wind down.
-            if tsw_down {
+            // Stop, or the TSW's death, reached the cut-short poll: there
+            // is nobody to propose to — wind down.
+            if stop {
                 return true;
             }
             t.send(
@@ -223,8 +216,8 @@ async fn handle<D: PtsDomain, T: Transport<D::Problem>>(
 
 /// Build one compound-move proposal. Leaves the problem back at its
 /// starting state; returns the proposed move prefix and the cost it
-/// reaches. Sets `tsw_down` (and stops early) if the owning TSW's death
-/// notice arrives at the cut-short poll.
+/// reaches. Sets `stop` (and stops early) if a `Stop` or the owning
+/// TSW's death notice arrives at the cut-short poll.
 #[allow(clippy::too_many_arguments)]
 async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
@@ -235,7 +228,7 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
     range: (usize, usize),
     seq: u64,
     tsw_rank: usize,
-    tsw_down: &mut bool,
+    stop: &mut bool,
     scratch: &mut CandidateScratch<MoveOf<D>>,
 ) -> (Vec<MoveOf<D>>, f64) {
     // The search knobs come from the *investigation's* strategy stamp, not
@@ -281,11 +274,8 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
             match msg {
                 PtsMsg::CutShort { seq: s } if s == seq => cut = true,
                 PtsMsg::CutShort { .. } => {} // stale
-                PtsMsg::Down { rank } if rank == tsw_rank => {
-                    *tsw_down = true;
-                    cut = true;
-                }
-                PtsMsg::Down { .. } => {}
+                PtsMsg::Stop => *stop = true,
+                PtsMsg::Down { rank } => *stop |= rank == tsw_rank,
                 other => {
                     crate::transport::protocol_warn(
                         t.rank(),
@@ -294,7 +284,7 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
                 }
             }
         }
-        if cut {
+        if cut || *stop {
             break;
         }
     }

@@ -206,11 +206,12 @@ pub struct PtsConfig {
     /// Round-liveness timeout in virtual seconds, `0.0` = disabled
     /// (default). When positive and the substrate supports receive
     /// deadlines (the vt engine), a collection node waiting on child
-    /// reports — and a TSW waiting on its round broadcast — gives up
-    /// after this long of silence, warns, and completes the round with
-    /// what it has. This is what keeps [`SyncPolicy::WaitAll`] from
-    /// hanging forever on a crashed worker under a
-    /// [`pts_vcluster::FaultPlan`]; fault-free runs never hit it.
+    /// reports gives up after this long of silence, warns, and completes
+    /// the round with what it has; a sub-master waiting on its parent's
+    /// broadcast gives up the same way and winds its subtree down. A TSW
+    /// waits for its broadcast without a deadline. This is what keeps
+    /// [`SyncPolicy::WaitAll`] from hanging forever on a crashed worker
+    /// under a [`pts_vcluster::FaultPlan`]; fault-free runs never hit it.
     pub liveness_timeout: f64,
     /// Worker heartbeat interval in milliseconds for the proc engine,
     /// `0` = disabled (default). When positive, every worker process
@@ -615,7 +616,7 @@ impl PtsConfig {
     /// (`0` — the uniform strategy — when no portfolio is configured).
     /// Every process derives the same round-0 assignment locally from
     /// the config; later rounds may be reassigned by the root's
-    /// reallocator via the strategy byte on `Broadcast`/`GroupBroadcast`.
+    /// reallocator via the strategy byte on `Broadcast`.
     pub fn initial_strategy_of_group(&self, g: usize) -> u8 {
         if self.portfolio.is_empty() {
             0

@@ -41,15 +41,24 @@
 //! Debug-only assertions used to be the sole guard here, which meant a
 //! release build would silently double-count `n_rep` and corrupt or
 //! deadlock the round.
+//!
+//! The downward half of a round is one function as well:
+//! `Parent::down_step` is where a TSW or a sub-master takes everything
+//! its parent sends — the `Init`, each round's `Broadcast` (whatever
+//! round it closes), `Stop` — and the parent's death. A collection loop
+//! that meets such a message keeps it for that step instead of dropping
+//! it (`Parent::keep`), so a message from above is never lost for
+//! arriving early.
 
 use crate::config::{PtsConfig, Role, ShardChildren, SyncPolicy};
 use crate::control::RunControl;
-use crate::domain::{PtsDomain, SearchOutcome, SnapshotOf};
+use crate::domain::{PtsDomain, PtsProblem, SearchOutcome, SnapshotOf};
 use crate::messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuPayload};
 use crate::transport::{protocol_warn, Transport};
 use pts_tabu::search::SearchStats;
 use pts_tabu::trace::Trace;
 use pts_util::Rng;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Exploration rate of the root's epsilon-greedy strategy reallocator:
@@ -66,7 +75,6 @@ const PORTFOLIO_RNG_SALT: u64 = 0x5052_5446_4F4C_494F; // "PRTFOLIO"
 type BaseOf<D> = SnapshotBase<<D as PtsDomain>::Problem>;
 type PayloadOf<D> = SnapshotPayload<<D as PtsDomain>::Problem>;
 type TabuOf<D> = SharedTabu<<D as PtsDomain>::Problem>;
-type TabuPayloadOf<D> = TabuPayload<<D as PtsDomain>::Problem>;
 
 /// Running reduction state shared by the root master and every
 /// sub-master: the best solution seen in this node's subtree (kept
@@ -157,6 +165,11 @@ impl<D: PtsDomain> Reduction<D> {
     /// the broadcast already sitting in its mailbox. Fault-free runs
     /// (`dead` all false, `deadline` `None`) take exactly the historical
     /// path.
+    ///
+    /// A sub-master passes its `parent`: traffic from above that the
+    /// collection meets is kept for [`Parent::down_step`] (see
+    /// [`Parent::keep`]), and the collection ends there with the reports
+    /// in hand. The root has no parent.
     #[allow(clippy::too_many_arguments)]
     async fn collect_round<T: Transport<D::Problem>>(
         &mut self,
@@ -168,6 +181,7 @@ impl<D: PtsDomain> Reduction<D> {
         child_forced: &mut [u64],
         dead: &mut [bool],
         deadline: Option<f64>,
+        mut parent: Option<&mut Parent<D::Problem>>,
     ) {
         let n = children.len();
         let final_round = g + 1 == cfg.global_iters;
@@ -188,7 +202,7 @@ impl<D: PtsDomain> Reduction<D> {
 
         loop {
             let alive = n_alive(dead, &reported);
-            if n_rep >= alive {
+            if n_rep >= alive || parent.as_ref().is_some_and(|p| p.has_kept()) {
                 break;
             }
             let msg = match deadline {
@@ -205,6 +219,13 @@ impl<D: PtsDomain> Reduction<D> {
                         break;
                     }
                 },
+            };
+            let msg = match parent.as_deref_mut() {
+                Some(p) => match p.keep(g, msg) {
+                    Some(msg) => msg,
+                    None => continue,
+                },
+                None => msg,
             };
             let (child, global, cost, snapshot, tabu, trace, stats, forced) = match msg {
                 PtsMsg::Report {
@@ -318,64 +339,167 @@ impl<D: PtsDomain> Reduction<D> {
     }
 }
 
-/// Downward payload of [`send_down`]: the round winner to broadcast, or
-/// `None` for `Stop` after the final round. Cloning the payload per
-/// child is O(1) — the snapshot (or delta) and tabu list sit behind
-/// `Arc`s.
-type Winner<'a, D> = Option<(u32, &'a PayloadOf<D>, &'a TabuPayloadOf<D>)>;
-
-/// Strategy ids riding a downward broadcast: one per child (the root's
-/// reallocator output — child `lo + k` gets entry `k`) or one for the
-/// whole subtree (sub-master relays: everything below a sub-master is a
-/// single group). Always `Uniform(0)` in uniform runs.
-#[derive(Clone, Copy)]
-enum StrategyDown<'a> {
-    Uniform(u8),
-    PerChild(&'a [u8]),
+/// A TSW's or sub-master's link to its parent: the parent's rank, and
+/// what a collection loop met from above and kept for
+/// [`Parent::down_step`], in arrival order.
+pub(crate) struct Parent<P: PtsProblem> {
+    pub rank: usize,
+    kept: VecDeque<PtsMsg<P>>,
 }
 
-impl StrategyDown<'_> {
-    fn of(&self, idx: usize) -> u8 {
-        match *self {
-            StrategyDown::Uniform(s) => s,
-            StrategyDown::PerChild(v) => v[idx],
+/// What [`Parent::down_step`] hands back.
+pub(crate) enum FromParent<P: PtsProblem> {
+    /// The run's initial solution.
+    Init(Arc<P::Snapshot>),
+    /// The broadcast closing round `global`: the winner resolved, the
+    /// payload as it arrived (a sub-master relays it verbatim), its tabu
+    /// list, and the strategy the node's group runs from now on.
+    Round {
+        global: u32,
+        snapshot: Arc<P::Snapshot>,
+        payload: SnapshotPayload<P>,
+        tabu: TabuPayload<P>,
+        strategy: u8,
+    },
+    /// `Stop`, the parent's death, or silence past the deadline.
+    WindDown,
+}
+
+impl<P: PtsProblem> Parent<P> {
+    pub(crate) fn new(rank: usize) -> Parent<P> {
+        Parent {
+            rank,
+            kept: VecDeque::new(),
+        }
+    }
+
+    /// Take `msg`, met by a collection loop of round `g`: keep a
+    /// `Broadcast` of round `g` or later, a `Stop` or this parent's
+    /// `Down`, drop an older `Broadcast`, and hand anything else back. A
+    /// wind-down supersedes everything kept before or after it. A parent
+    /// broadcasts only once every live child has reported, and stops only
+    /// after the final round, so fault-free runs never keep anything.
+    pub(crate) fn keep(&mut self, g: u32, msg: PtsMsg<P>) -> Option<PtsMsg<P>> {
+        match msg {
+            PtsMsg::Broadcast { global, .. } if global < g => {}
+            PtsMsg::Broadcast { .. } => {
+                if !self.winds_down() {
+                    self.kept.push_back(msg);
+                }
+            }
+            PtsMsg::Stop => self.kept = VecDeque::from([msg]),
+            PtsMsg::Down { rank } if rank == self.rank => self.kept = VecDeque::from([msg]),
+            other => return Some(other),
+        }
+        None
+    }
+
+    /// Is something kept? The node ends its collection: a kept broadcast
+    /// acts like a `ForceReport`.
+    pub(crate) fn has_kept(&self) -> bool {
+        !self.kept.is_empty()
+    }
+
+    /// Is a wind-down kept? The node stops without reporting.
+    pub(crate) fn winds_down(&self) -> bool {
+        matches!(self.kept.front(), Some(PtsMsg::Stop | PtsMsg::Down { .. }))
+    }
+
+    /// The downward half of a round: the one place a TSW or a sub-master
+    /// takes what its parent sends. It waits for the run's `Init` (`base`
+    /// `None`) or for a `Broadcast` of round `g` or later that resolves
+    /// against `base`, taking kept messages first.
+    ///
+    /// * `Stop`, this parent's `Down`, or silence until `deadline` wind
+    ///   the node down.
+    /// * Any other `Down` is a child's death, handed to `child_down`.
+    /// * A broadcast that does not resolve is warned about, and the wait
+    ///   goes on.
+    /// * Traffic from a closed round is dropped silently: an older
+    ///   `Broadcast`, a `ForceReport`, `Proposal` or `CutShort`, a late
+    ///   `Report` or `GroupReport`. Anything else is warned about.
+    ///
+    /// A broadcast closes a later round than `g` when faults cost the
+    /// node rounds; the node resumes after the round it closes.
+    pub(crate) async fn down_step<T: Transport<P>>(
+        &mut self,
+        t: &mut T,
+        base: Option<&SnapshotBase<P>>,
+        g: u32,
+        deadline: Option<f64>,
+        mut child_down: impl FnMut(usize),
+    ) -> FromParent<P> {
+        loop {
+            let msg = match (self.kept.pop_front(), deadline) {
+                (Some(msg), _) => msg,
+                (None, None) => t.recv().await,
+                (None, Some(d)) => {
+                    let Some(msg) = t.recv_deadline(d).await else {
+                        let why = format!("liveness timeout awaiting Broadcast {g}: winding down");
+                        protocol_warn(t.rank(), &why);
+                        return FromParent::WindDown;
+                    };
+                    msg
+                }
+            };
+            match msg {
+                PtsMsg::Init { snapshot } if base.is_none() => return FromParent::Init(snapshot),
+                PtsMsg::Stop => return FromParent::WindDown,
+                PtsMsg::Down { rank } if rank == self.rank => {
+                    protocol_warn(
+                        t.rank(),
+                        &format!("parent rank {rank} is down: winding down"),
+                    );
+                    return FromParent::WindDown;
+                }
+                PtsMsg::Down { rank } => child_down(rank),
+                PtsMsg::Broadcast {
+                    global,
+                    snapshot: payload,
+                    tabu,
+                    strategy,
+                } if global >= g => match base.and_then(|base| payload.resolve(base)) {
+                    Some(snapshot) => {
+                        return FromParent::Round {
+                            global,
+                            snapshot,
+                            payload,
+                            tabu,
+                            strategy,
+                        }
+                    }
+                    None => protocol_warn(
+                        t.rank(),
+                        "dropping Broadcast delta against a base this node does not hold",
+                    ),
+                },
+                PtsMsg::Broadcast { .. }
+                | PtsMsg::ForceReport { .. }
+                | PtsMsg::Proposal { .. }
+                | PtsMsg::CutShort { .. }
+                | PtsMsg::Report { .. }
+                | PtsMsg::GroupReport { .. } => {}
+                other => protocol_warn(
+                    t.rank(),
+                    &format!("dropping unexpected {} from above", other.tag()),
+                ),
+            }
         }
     }
 }
 
-/// Send the round-`g` winner (or `Stop` after the final round) down to
-/// this node's children, stamping each child's strategy assignment: a
-/// `Broadcast` to each TSW of a leaf group, a `GroupBroadcast` to each
-/// sub-master of an inner one.
-fn send_down<D: PtsDomain, T: Transport<D::Problem>>(
+/// Send each of this node's children `k` the message `msg(k)`: the
+/// round's `Broadcast`, stamped with that child's strategy, or `Stop`.
+/// Cloning a broadcast per child is O(1): its snapshot (or delta) and
+/// tabu list sit behind `Arc`s.
+fn send_down<P: PtsProblem, T: Transport<P>>(
     t: &mut T,
     cfg: &PtsConfig,
     children: ShardChildren,
-    msg: Winner<'_, D>,
-    strat: StrategyDown<'_>,
+    msg: impl Fn(usize) -> PtsMsg<P>,
 ) {
     for k in 0..children.len() {
-        let m = match msg {
-            Some((global, snapshot, tabu)) => {
-                let (snapshot, tabu, strategy) = (snapshot.clone(), tabu.clone(), strat.of(k));
-                match children {
-                    ShardChildren::Tsws { .. } => PtsMsg::Broadcast {
-                        global,
-                        snapshot,
-                        tabu,
-                        strategy,
-                    },
-                    ShardChildren::Shards { .. } => PtsMsg::GroupBroadcast {
-                        global,
-                        snapshot,
-                        tabu,
-                        strategy,
-                    },
-                }
-            }
-            None => PtsMsg::Stop,
-        };
-        t.send(children.rank(cfg, k), m);
+        t.send(children.rank(cfg, k), msg(k));
     }
 }
 
@@ -506,6 +630,7 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
             &mut child_forced,
             &mut dead,
             deadline,
+            None,
         )
         .await;
 
@@ -545,17 +670,16 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
             // hold, ship it once per child (Arc clones), then re-anchor
             // the shared base on what was just broadcast.
             let payload = SnapshotPayload::encode(cfg.snapshot_mode, &base, &red.best_snapshot);
-            let tabu_payload = TabuPayload::Full(Arc::clone(&red.best_tabu));
-            send_down::<D, T>(
-                t,
-                cfg,
-                children,
-                Some((g, &payload, &tabu_payload)),
-                StrategyDown::PerChild(&assign),
-            );
+            let tabu = TabuPayload::Full(Arc::clone(&red.best_tabu));
+            send_down(t, cfg, children, |k| PtsMsg::Broadcast {
+                global: g,
+                snapshot: payload.clone(),
+                tabu: tabu.clone(),
+                strategy: assign[k],
+            });
             base.advance(g, Arc::clone(&red.best_snapshot));
         } else {
-            send_down::<D, T>(t, cfg, children, None, StrategyDown::Uniform(0));
+            send_down(t, cfg, children, |_| PtsMsg::Stop);
             break;
         }
     }
@@ -578,8 +702,9 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
 /// Per global iteration: collect from the children (TSW group with local
 /// quorum/force policy at the leaves, `GroupReport`s above), reduce to
 /// the subtree best, forward one `GroupReport` to the parent (diffed
-/// against the shared base), then relay the parent's `GroupBroadcast`
-/// payload verbatim (or `Stop`) back down.
+/// against the shared base), then relay the parent's `Broadcast` payload
+/// verbatim (or `Stop`) back down. Everything from the parent arrives
+/// through `Parent::down_step`.
 pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
     cfg: &PtsConfig,
@@ -587,22 +712,20 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     domain: &D,
 ) {
     let spec = cfg.shard_spec(shard);
+    let me = t.rank();
+    let mut parent = Parent::new(spec.parent_rank);
+    // Death notices persist, including one that beats the Init.
+    let mut dead = vec![false; spec.children.len()];
 
     // Wait for the Init relayed from above.
-    let initial = loop {
-        match t.recv().await {
-            PtsMsg::Init { snapshot } => break snapshot,
-            PtsMsg::Stop => {
-                send_down::<D, T>(t, cfg, spec.children, None, StrategyDown::Uniform(0));
-                return;
-            }
-            other => {
-                protocol_warn(
-                    t.rank(),
-                    &format!("dropping unexpected {} before Init", other.tag()),
-                );
-            }
-        }
+    let FromParent::Init(initial) = parent
+        .down_step(t, None, 0, None, |rank| {
+            note_down(me, cfg, spec.children, &mut dead, rank)
+        })
+        .await
+    else {
+        send_down(t, cfg, spec.children, |_| PtsMsg::Stop);
+        return;
     };
 
     send_init::<D, T>(t, cfg, spec.children, &initial);
@@ -614,10 +737,12 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     let mut base: BaseOf<D> = SnapshotBase::initial(Arc::clone(&initial));
     let mut red: Reduction<D> = Reduction::new(initial_cost, initial, spec.children.len());
     let mut child_forced = vec![0u64; spec.children.len()];
-    let mut dead = vec![false; spec.children.len()];
+    // Under a liveness timeout neither silent children nor a dead or
+    // stalled parent can hang the subtree.
+    let deadline = |now: f64| (cfg.liveness_timeout > 0.0).then_some(now + cfg.liveness_timeout);
 
-    for g in 0..cfg.global_iters {
-        let deadline = (cfg.liveness_timeout > 0.0).then(|| t.now() + cfg.liveness_timeout);
+    let mut g = 0;
+    while g < cfg.global_iters {
         red.collect_round(
             t,
             cfg,
@@ -626,9 +751,15 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
             spec.children,
             &mut child_forced,
             &mut dead,
-            deadline,
+            deadline(t.now()),
+            Some(&mut parent),
         )
         .await;
+        // Stop, or the parent's death, met mid-collection: nobody above
+        // waits for this round's report.
+        if parent.winds_down() {
+            break;
+        }
 
         // The parent shares `base` (the broadcast chain passed through
         // it), so the upward group best rides the same delta encoding.
@@ -647,93 +778,35 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
             },
         );
 
-        // Relay the parent's decision down the tree. Under a liveness
-        // timeout a dead or stalled parent cannot hang the subtree: the
-        // wait gives up and winds the subtree down as if Stop arrived.
-        loop {
-            let msg = match (cfg.liveness_timeout > 0.0).then(|| t.now() + cfg.liveness_timeout) {
-                None => t.recv().await,
-                Some(d) => match t.recv_deadline(d).await {
-                    Some(m) => m,
-                    None => {
-                        protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "liveness timeout awaiting GroupBroadcast {g}: stopping subtree"
-                            ),
-                        );
-                        send_down::<D, T>(t, cfg, spec.children, None, StrategyDown::Uniform(0));
-                        return;
-                    }
-                },
-            };
-            match msg {
-                PtsMsg::Down { rank } if rank == spec.parent_rank => {
-                    // The parent died: nothing above will ever broadcast
-                    // or Stop again. Wind the subtree down.
-                    protocol_warn(
-                        t.rank(),
-                        &format!("parent rank {rank} is down; stopping subtree"),
-                    );
-                    send_down::<D, T>(t, cfg, spec.children, None, StrategyDown::Uniform(0));
-                    return;
-                }
-                PtsMsg::Down { rank } => {
-                    // A child died between its report and the broadcast:
-                    // record it so the next collection excuses it.
-                    note_down(t.rank(), cfg, spec.children, &mut dead, rank);
-                }
-                PtsMsg::GroupBroadcast {
+        // Relay the parent's decision down the tree: every process below
+        // holds the base the payload was diffed against, so it goes on
+        // verbatim, and its strategy stamp covers this whole subtree.
+        match parent
+            .down_step(t, Some(&base), g, deadline(t.now()), |rank| {
+                note_down(me, cfg, spec.children, &mut dead, rank)
+            })
+            .await
+        {
+            FromParent::Round {
+                global,
+                snapshot,
+                payload,
+                tabu,
+                strategy,
+            } => {
+                send_down(t, cfg, spec.children, |_| PtsMsg::Broadcast {
                     global,
-                    snapshot,
-                    tabu,
+                    snapshot: payload.clone(),
+                    tabu: tabu.clone(),
                     strategy,
-                } if global == g => {
-                    // Resolve for this node's own base bookkeeping, then
-                    // relay the payload verbatim — every process below
-                    // holds the same base this payload was diffed
-                    // against, so no re-encode is needed. The strategy
-                    // stamp applies to this whole subtree (one group):
-                    // relay it unchanged.
-                    match snapshot.resolve(&base) {
-                        Some(full) => {
-                            send_down::<D, T>(
-                                t,
-                                cfg,
-                                spec.children,
-                                Some((global, &snapshot, &tabu)),
-                                StrategyDown::Uniform(strategy),
-                            );
-                            base.advance(global, full);
-                            break;
-                        }
-                        None => protocol_warn(
-                            t.rank(),
-                            "dropping GroupBroadcast delta against a base this sub-master does not hold",
-                        ),
-                    }
-                }
-                PtsMsg::Stop => {
-                    send_down::<D, T>(t, cfg, spec.children, None, StrategyDown::Uniform(0));
-                    return;
-                }
-                // Stale broadcast from an earlier round: drop.
-                PtsMsg::GroupBroadcast { .. } => {}
-                other => {
-                    protocol_warn(
-                        t.rank(),
-                        &format!(
-                            "dropping unexpected {} while awaiting GroupBroadcast",
-                            other.tag()
-                        ),
-                    );
-                }
+                });
+                base.advance(global, snapshot);
+                g = global + 1;
             }
+            _ => break,
         }
     }
-    // All global iterations done without receiving Stop (the parent
-    // always terminates with Stop, so this is unreachable in practice).
-    send_down::<D, T>(t, cfg, spec.children, None, StrategyDown::Uniform(0));
+    send_down(t, cfg, spec.children, |_| PtsMsg::Stop);
 }
 
 #[cfg(test)]

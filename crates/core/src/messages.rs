@@ -10,6 +10,11 @@
 //! to so that late control messages (a `ForceReport` crossing a `Report` in
 //! flight) are recognized as stale and ignored.
 //!
+//! One message carries a round's result down the tree at every level:
+//! [`PtsMsg::Broadcast`], from the root or a sub-master to each of its
+//! children. Reports going up keep two shapes, a TSW's `Report` and a
+//! sub-master's `GroupReport`.
+//!
 //! The payload types come from the problem: solution snapshots
 //! ([`pts_tabu::SearchProblem::Snapshot`]), elementary moves, and tabu
 //! attributes. Any [`PtsProblem`] rides the same protocol — placement and
@@ -195,8 +200,9 @@ pub enum PtsMsg<P: PtsProblem> {
         /// The shared starting solution.
         snapshot: Arc<P::Snapshot>,
     },
-    /// Master → TSW: the global best after a global iteration, with its
-    /// tabu list.
+    /// Parent → TSW or sub-master: the global best after a global
+    /// iteration, with its tabu list. Sub-masters relay it down the tree
+    /// verbatim — every process below still holds the same base.
     Broadcast {
         /// Global iteration this broadcast concludes.
         global: u32,
@@ -263,22 +269,6 @@ pub enum PtsMsg<P: PtsProblem> {
         stats: SearchStats,
         /// Cumulative `ForceReport`s issued inside this subtree.
         forced: u64,
-    },
-    /// Parent → sub-master: the global best flowing back down the tree
-    /// after a global iteration; leaf sub-masters translate it into a
-    /// [`PtsMsg::Broadcast`] for their TSW group. Sub-masters relay the
-    /// payload verbatim — every process below still holds the same base.
-    GroupBroadcast {
-        /// Global iteration this broadcast concludes.
-        global: u32,
-        /// Best solution across the whole tree this round.
-        snapshot: SnapshotPayload<P>,
-        /// Tabu list accompanying the winning solution (relayed verbatim,
-        /// like the snapshot payload).
-        tabu: TabuPayload<P>,
-        /// Strategy id the receiving subtree's group runs from this round
-        /// on (`0` in uniform runs; rides the unused origin bytes).
-        strategy: u8,
     },
     /// TSW → CLW: adopt this solution as the current state. Shared, not
     /// copied, across the TSW's CLW group — and usually a delta: the TSW
@@ -398,9 +388,6 @@ impl<P: PtsProblem> PtsMsg<P> {
                     + TRACE_POINT_BYTES * trace.len() as u64
                     + 64
             }
-            PtsMsg::GroupBroadcast { snapshot, tabu, .. } => {
-                HDR_BYTES + snapshot.wire_bytes() + tabu.wire_bytes()
-            }
             PtsMsg::AdoptState { snapshot, .. } => HDR_BYTES + snapshot.wire_bytes(),
             PtsMsg::Proposal { moves, .. } => HDR_BYTES + MOVE_BYTES * moves.len() as u64 + 16,
             PtsMsg::ApplyMoves { moves } => HDR_BYTES + MOVE_BYTES * moves.len() as u64,
@@ -421,8 +408,7 @@ impl<P: PtsProblem> PtsMsg<P> {
             PtsMsg::AdoptState { snapshot, .. }
             | PtsMsg::Broadcast { snapshot, .. }
             | PtsMsg::Report { snapshot, .. }
-            | PtsMsg::GroupReport { snapshot, .. }
-            | PtsMsg::GroupBroadcast { snapshot, .. } => snapshot.wire_bytes(),
+            | PtsMsg::GroupReport { snapshot, .. } => snapshot.wire_bytes(),
             _ => 0,
         }
     }
@@ -432,9 +418,7 @@ impl<P: PtsProblem> PtsMsg<P> {
     /// wire benchmark reports alongside the snapshot bytes.
     pub fn tabu_wire_bytes(&self) -> u64 {
         match self {
-            PtsMsg::Broadcast { tabu, .. } | PtsMsg::GroupBroadcast { tabu, .. } => {
-                tabu.wire_bytes()
-            }
+            PtsMsg::Broadcast { tabu, .. } => tabu.wire_bytes(),
             PtsMsg::Report { tabu, .. } | PtsMsg::GroupReport { tabu, .. } => {
                 TABU_ENTRY_BYTES * tabu.len() as u64
             }
@@ -450,7 +434,6 @@ impl<P: PtsProblem> PtsMsg<P> {
             PtsMsg::ForceReport { .. } => "ForceReport",
             PtsMsg::Report { .. } => "Report",
             PtsMsg::GroupReport { .. } => "GroupReport",
-            PtsMsg::GroupBroadcast { .. } => "GroupBroadcast",
             PtsMsg::AdoptState { .. } => "AdoptState",
             PtsMsg::Investigate { .. } => "Investigate",
             PtsMsg::CutShort { .. } => "CutShort",
@@ -538,30 +521,13 @@ mod tests {
             shard: 0,
             global: 0,
             cost: 1.0,
-            snapshot: full::<Qap>(snapshot.clone()),
+            snapshot: full::<Qap>(snapshot),
             tabu,
             trace: vec![],
             stats: SearchStats::default(),
             forced: 2,
         };
         assert!(group.wire_size() >= report.wire_size());
-        // And a GroupBroadcast weighs exactly what a Broadcast weighs —
-        // it is the same payload routed one level differently.
-        let empty: TabuPayload<Qap> = TabuPayload::Full(Arc::new(vec![]));
-        let bcast: PtsMsg<Qap> = PtsMsg::Broadcast {
-            global: 0,
-            snapshot: full::<Qap>(snapshot.clone()),
-            tabu: empty.clone(),
-            strategy: 0,
-        };
-        let gbcast: PtsMsg<Qap> = PtsMsg::GroupBroadcast {
-            global: 0,
-            snapshot: full::<Qap>(snapshot),
-            tabu: empty,
-            strategy: 0,
-        };
-        assert_eq!(gbcast.wire_size(), bcast.wire_size());
-        assert_eq!(gbcast.tag(), "GroupBroadcast");
     }
 
     #[test]

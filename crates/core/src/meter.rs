@@ -31,7 +31,7 @@ static TRIALS: AtomicU64 = AtomicU64::new(0);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotMeter {
     /// Wire bytes of snapshot payloads in *per-round* traffic
-    /// (`Broadcast`/`Report`/`GroupReport`/`GroupBroadcast`/`AdoptState`),
+    /// (`Broadcast`/`Report`/`GroupReport`/`AdoptState`),
     /// as charged by the bandwidth model. This is the recurring cost
     /// delta encoding attacks; divide by the round count for the
     /// per-round figure `BENCH_wire.json` gates on.
@@ -48,7 +48,7 @@ pub struct SnapshotMeter {
     /// compare with [`SnapshotMeter::allocs`].
     pub payload_sends: u64,
     /// Wire bytes of tabu-list payloads across all tabu-bearing traffic:
-    /// the lists riding `Broadcast`/`GroupBroadcast` and
+    /// the lists riding `Broadcast` and
     /// `Report`/`GroupReport`, always in full.
     pub tabu_payload_bytes: u64,
 }

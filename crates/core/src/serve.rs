@@ -45,12 +45,10 @@
 use crate::config::PtsConfig;
 use crate::control::RunControl;
 use crate::proc::{ProcDomain, ProcEngine};
-use crate::socket::Stream;
-use crate::wire::{self, WireError, WireReader};
+use crate::socket::{FrameReader, Listener, Next, Stream};
+use crate::wire::{self, WireError, WireReader, FRAME_LEN_BYTES};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -428,16 +426,10 @@ impl Shared {
     }
 }
 
-enum ServeListener {
-    Unix(UnixListener, PathBuf),
-    Tcp(TcpListener),
-}
-
 /// The job daemon: one listening socket, a FIFO queue, and a bounded
 /// pool of job-runner threads.
 pub struct Server {
-    listener: ServeListener,
-    addr: String,
+    listener: Listener,
     max_concurrent: usize,
     shared: Arc<Shared>,
 }
@@ -451,22 +443,11 @@ impl Server {
         max_concurrent: usize,
         worker_exe: impl Into<PathBuf>,
     ) -> std::io::Result<Server> {
-        let path = path.into();
-        let _ = std::fs::remove_file(&path);
-        let listener = UnixListener::bind(&path)?;
-        Ok(Server {
-            addr: format!("unix:{}", path.display()),
-            listener: ServeListener::Unix(listener, path),
-            max_concurrent: max_concurrent.max(1),
-            shared: Arc::new(Shared {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                registry: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-                worker_exe: worker_exe.into(),
-                default_heartbeat_ms: DEFAULT_HEARTBEAT_MS,
-            }),
-        })
+        Ok(Server::listening(
+            Listener::bind_unix(path)?,
+            max_concurrent,
+            worker_exe,
+        ))
     }
 
     /// Listen on TCP (e.g. `127.0.0.1:0` for an ephemeral port).
@@ -475,10 +456,20 @@ impl Server {
         max_concurrent: usize,
         worker_exe: impl Into<PathBuf>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            addr: format!("tcp:{}", listener.local_addr()?),
-            listener: ServeListener::Tcp(listener),
+        Ok(Server::listening(
+            Listener::bind_tcp(addr)?,
+            max_concurrent,
+            worker_exe,
+        ))
+    }
+
+    fn listening(
+        listener: Listener,
+        max_concurrent: usize,
+        worker_exe: impl Into<PathBuf>,
+    ) -> Server {
+        Server {
+            listener,
             max_concurrent: max_concurrent.max(1),
             shared: Arc::new(Shared {
                 queue: Mutex::new(VecDeque::new()),
@@ -488,7 +479,7 @@ impl Server {
                 worker_exe: worker_exe.into(),
                 default_heartbeat_ms: DEFAULT_HEARTBEAT_MS,
             }),
-        })
+        }
     }
 
     /// Override the heartbeat interval armed on jobs that did not set
@@ -503,7 +494,7 @@ impl Server {
 
     /// The address clients connect to (`unix:<path>` or `tcp:<addr>`).
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.addr()
     }
 
     /// Serve until `stop` becomes true (typically the SIGTERM flag from
@@ -521,27 +512,13 @@ impl Server {
             })
             .collect();
 
-        let nonblocking = match &self.listener {
-            ServeListener::Unix(l, _) => l.set_nonblocking(true),
-            ServeListener::Tcp(l) => l.set_nonblocking(true),
-        };
-        if nonblocking.is_err() {
+        if self.listener.set_nonblocking(true).is_err() {
             stop.store(true, Ordering::Release);
         }
 
         let mut next_conn: u64 = 1;
         while !stop.load(Ordering::Acquire) {
-            let accepted: std::io::Result<Stream> = match &self.listener {
-                ServeListener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                // Progress frames are small: send each at once rather than
-                // hold it for the client's delayed ACK (Nagle). Failing to
-                // is slower, not wrong, so it does not end the loop.
-                ServeListener::Tcp(l) => l.accept().map(|(s, _)| {
-                    let _ = s.set_nodelay(true);
-                    Stream::Tcp(s)
-                }),
-            };
-            match accepted {
+            match self.listener.accept() {
                 Ok(stream) => {
                     let conn = next_conn;
                     next_conn += 1;
@@ -569,26 +546,19 @@ impl Server {
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        if let ServeListener::Unix(_, path) = &self.listener {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
 /// Per-connection reader: accepts submissions and cancellations until the
-/// client disconnects; a disconnect cancels everything it submitted.
+/// client disconnects; a disconnect cancels everything it submitted. A
+/// length prefix past the frame cap ends the connection like a hang-up,
+/// before anything is allocated for it.
 fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     static NEXT_JOB: AtomicU32 = AtomicU32::new(1);
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let mut stream = stream;
-    // Poll the stream so a server shutdown unblocks this thread; a
-    // buffered parser keeps partial frames intact across poll ticks.
-    // Both timeouts belong to the socket, so they cover the writer clone.
+    // Poll the stream so a server shutdown unblocks this thread; the
+    // frame reader keeps partial frames intact across poll ticks. Both
+    // timeouts belong to the socket, so they cover the writer clone.
     if stream
         .set_read_timeout(Some(Duration::from_millis(200)))
         .and_then(|()| stream.set_write_timeout(Some(CLIENT_WRITE_TIMEOUT)))
@@ -596,31 +566,23 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        match std::io::Read::read(&mut stream, &mut chunk) {
-            Ok(0) => break, // client hung up
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-        // Drain complete frames.
-        while buf.len() >= 4 {
-            let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-            if buf.len() < 4 + len {
-                break;
-            }
-            let body: Vec<u8> = buf.drain(..4 + len).skip(4).collect();
-            let Ok((version, k, payload)) = parse_client_frame(&body) else {
+    let mut reader = FrameReader::new(stream);
+    'conn: while !shared.shutdown.load(Ordering::Acquire) {
+        reader.fill(true);
+        loop {
+            let body = match reader.next_frame(false) {
+                Next::Frame(frame) => &frame[FRAME_LEN_BYTES..],
+                Next::Pending => break,
+                // The client hung up, or announced a frame past the cap.
+                Next::Closed => {
+                    writer
+                        .lock()
+                        .expect("a client writer is never locked across a panic")
+                        .shutdown();
+                    break 'conn;
+                }
+            };
+            let Ok((version, k, payload)) = parse_client_frame(body) else {
                 continue;
             };
             match k {

@@ -346,7 +346,7 @@ mod sys {
 }
 
 /// What [`FrameReader::next_frame`] found.
-enum Next<'a> {
+pub(crate) enum Next<'a> {
     /// A whole frame, length prefix included.
     Frame(&'a [u8]),
     /// No whole frame yet. A partial frame stays buffered for the next
@@ -358,9 +358,9 @@ enum Next<'a> {
 
 /// A socket's read half with its own buffer, framing in place: one read
 /// can bring in many frames, and a frame split across reads waits in the
-/// buffer for its rest. The router's forwarders and every stream of a
-/// rank's transport read through one.
-struct FrameReader {
+/// buffer for its rest. The router's forwarders, every stream of a rank's
+/// transport and each `pts-serve` client connection read through one.
+pub(crate) struct FrameReader {
     stream: Stream,
     /// Bytes `start..end` are read and not yet framed; the rest is room
     /// for the next read. Always initialised, so reads land in place.
@@ -374,7 +374,7 @@ struct FrameReader {
 }
 
 impl FrameReader {
-    fn new(stream: Stream) -> FrameReader {
+    pub(crate) fn new(stream: Stream) -> FrameReader {
         FrameReader {
             stream,
             buf: vec![0; READ_CHUNK],
@@ -401,7 +401,7 @@ impl FrameReader {
 
     /// The next whole frame. With `block`, read — waiting — until one is
     /// whole or the stream ends; without, take only what the buffer holds.
-    fn next_frame(&mut self, block: bool) -> Next<'_> {
+    pub(crate) fn next_frame(&mut self, block: bool) -> Next<'_> {
         loop {
             let Some(need) = self.need() else {
                 self.closed = true;
@@ -425,8 +425,9 @@ impl FrameReader {
     /// Read once — waiting with `block`, otherwise taking only bytes that
     /// have already arrived — after making room for the pending frame
     /// (the buffer grows only for a frame larger than itself). The
-    /// stream's end, a read error or an over-cap prefix closes the reader.
-    fn fill(&mut self, block: bool) {
+    /// stream's end, a read error or an over-cap prefix closes the reader;
+    /// a read timeout on the stream (`WouldBlock` on Unix) does not.
+    pub(crate) fn fill(&mut self, block: bool) {
         let Some(need) = self.need() else {
             self.closed = true;
             return;
@@ -484,6 +485,13 @@ impl Listener {
             std::process::id(),
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
+        Listener::bind_unix(path)
+    }
+
+    /// Bind a Unix-domain socket at `path`, replacing a stale socket file
+    /// there.
+    pub(crate) fn bind_unix(path: impl Into<PathBuf>) -> std::io::Result<Listener> {
+        let path = path.into();
         let _ = std::fs::remove_file(&path);
         let sock = UnixListener::bind(&path)?;
         Ok(Listener {
@@ -495,7 +503,12 @@ impl Listener {
 
     /// Bind an ephemeral TCP loopback port.
     pub fn bind_tcp_loopback() -> std::io::Result<Listener> {
-        let sock = TcpListener::bind("127.0.0.1:0")?;
+        Listener::bind_tcp("127.0.0.1:0")
+    }
+
+    /// Bind TCP at `addr` (`host:port`; port 0 picks a free one).
+    pub(crate) fn bind_tcp(addr: &str) -> std::io::Result<Listener> {
+        let sock = TcpListener::bind(addr)?;
         Ok(Listener {
             addr: format!("tcp:{}", sock.local_addr()?),
             sock: ListenSock::Tcp(sock),
@@ -525,18 +538,19 @@ impl Listener {
 
     /// Accept one connection. A TCP stream sends small frames at once:
     /// Nagle's algorithm would hold each until the peer's delayed ACK.
-    fn accept(&self) -> std::io::Result<Stream> {
+    /// Failing to turn it off is slower, not wrong, so it is no error.
+    pub(crate) fn accept(&self) -> std::io::Result<Stream> {
         match &self.sock {
             ListenSock::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
             ListenSock::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
+                let _ = s.set_nodelay(true);
                 Ok(Stream::Tcp(s))
             }
         }
     }
 
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
         match &self.sock {
             ListenSock::Unix(l) => l.set_nonblocking(on),
             ListenSock::Tcp(l) => l.set_nonblocking(on),

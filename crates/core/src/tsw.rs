@@ -13,9 +13,17 @@
 //!   the stragglers;
 //! * as a *child*: a master `ForceReport` makes the TSW finish its current
 //!   local iteration, report immediately, and wait for the broadcast.
+//!
+//! Everything from the parent — `Init`, the broadcasts, `Stop` — arrives
+//! through the downward step, `Parent::down_step` in [`crate::master`].
+//! A broadcast met while the TSW still collects from its CLWs acts like a
+//! `ForceReport`, and a `Stop` met there ends the TSW without a report.
+//! After adopting a broadcast the TSW resumes at the round after the one
+//! it closes.
 
 use crate::config::{PtsConfig, SyncPolicy};
-use crate::domain::PtsDomain;
+use crate::domain::{PtsDomain, PtsProblem};
+use crate::master::{FromParent, Parent};
 use crate::messages::{PtsMsg, SnapshotBase, SnapshotPayload, TabuPayload};
 use crate::meter;
 use crate::transport::{protocol_warn, Transport};
@@ -44,9 +52,9 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     let my_range = cfg.tsw_range(tsw_index, n_items);
     let clws = cfg.clw_ranks(tsw_index);
     // Under a sharded topology reports go to this TSW's group sub-master
-    // rather than rank 0; all control traffic (ForceReport, Broadcast,
-    // Stop) likewise arrives from the parent.
-    let parent = cfg.parent_of_tsw(tsw_index);
+    // rather than rank 0; all control traffic (Init, ForceReport,
+    // Broadcast, Stop) likewise arrives from the parent.
+    let mut parent = Parent::new(cfg.parent_of_tsw(tsw_index));
     // MPSS (paper default): one shared diversification stream — TSWs still
     // diverge because each diversifies over a *different* item range.
     let div_salt = if cfg.differentiate_streams {
@@ -57,53 +65,32 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     let mut div_rng = crate::clw::worker_rng(cfg.seed, div_salt);
 
     // Fault tolerance: CLWs whose death notice (PtsMsg::Down) arrived are
-    // excluded from investigations; a parent death winds this worker (and
-    // its surviving CLWs) down. Always all-false / false without faults.
+    // excluded from investigations. Always all-false without faults.
     let mut clw_dead = vec![false; clws.len()];
-    let mut parent_down = false;
-    // Maps a Down rank onto this TSW's world: its parent, one of its
-    // CLWs, or somebody else's problem.
-    let classify_down = |rank: usize| -> DownWho {
-        if rank == parent {
-            DownWho::Parent
-        } else if let Some(j) = clws.iter().position(|&c| c == rank) {
-            DownWho::Clw(j)
-        } else {
-            DownWho::Other
-        }
-    };
 
     // Wait for Init. The initial solution doubles as the sequence-0
     // snapshot base shared with the parent: reports diff against it
     // until the first broadcast re-anchors it.
-    let (mut base, mut problem) = loop {
-        match t.recv().await {
-            PtsMsg::Init { snapshot } => {
-                let problem = domain.instantiate(&snapshot);
-                break (SnapshotBase::<D::Problem>::initial(snapshot), problem);
-            }
-            PtsMsg::Stop => return,
-            PtsMsg::Down { rank } => match classify_down(rank) {
-                // Parent died before the run even started: release the
-                // CLWs (they are waiting on Init too) and wind down.
-                DownWho::Parent => {
-                    for &c in &clws {
-                        t.send(c, PtsMsg::Stop);
-                    }
-                    return;
-                }
-                DownWho::Clw(j) => clw_dead[j] = true,
-                DownWho::Other => {}
-            },
-            _ => {}
-        }
+    let FromParent::Init(initial) = parent
+        .down_step(t, None, 0, None, |rank| {
+            note_clw_down(&clws, &mut clw_dead, rank)
+        })
+        .await
+    else {
+        stop_clws(t, &clws, &clw_dead);
+        return;
     };
+    let mut problem = domain.instantiate(&initial);
+    let mut base = SnapshotBase::<D::Problem>::initial(initial);
     // The state this TSW's CLWs currently hold — they start at Init and
     // mirror every accepted compound, so at each sync point their state
     // is exactly this TSW's state at the *previous* report. AdoptState
     // payloads diff against it (delta mode only; in full mode the base
     // is never consulted, so the per-round capture below is skipped).
     let mut clw_sync = SnapshotBase::<D::Problem>::initial(Arc::clone(&base.snapshot));
+    // AdoptState syncs sent so far: the sequence the CLWs count. It is
+    // the round number unless an adopted broadcast skipped rounds.
+    let mut syncs: u32 = 0;
 
     // The strategy this TSW currently searches with. Uniform runs keep
     // strategy 0 (== `cfg.search`) for the whole run; under a portfolio the
@@ -124,7 +111,8 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     let mut engine: TabuEngine<D::Problem> = TabuEngine::new(engine_cfg, &problem, t.now());
     let mut inv_seq: u64 = (tsw_index as u64) << 40; // globally unique streams
 
-    for g in 0..cfg.global_iters {
+    let mut g = 0;
+    while g < cfg.global_iters {
         // --- Diversification over this TSW's private item subset --------
         if cfg.diversify {
             let strat = cfg.strategy(cur_strategy);
@@ -149,7 +137,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             t.send(
                 c,
                 PtsMsg::AdoptState {
-                    seq: g,
+                    seq: syncs,
                     snapshot: sync.clone(),
                 },
             );
@@ -157,6 +145,9 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         drop((state, sync));
 
         // --- Local iterations -------------------------------------------
+        // A ForceReport ends them early, and so does anything from the
+        // parent kept for the downward step: a broadcast acts like a
+        // ForceReport, a wind-down stops the round.
         let mut force_pending = false;
         for _li in 0..cfg.local_iters {
             // With every CLW dead there is nobody left to investigate:
@@ -164,19 +155,16 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             if clw_dead.iter().all(|&d| d) {
                 break;
             }
-            // A master ForceReport may already be queued.
+            // A master ForceReport, or traffic from above for the
+            // downward step, may already be queued.
             while let Some(msg) = t.try_recv() {
-                match msg {
-                    PtsMsg::ForceReport { global } if global == g => force_pending = true,
-                    PtsMsg::Down { rank } => match classify_down(rank) {
-                        DownWho::Parent => parent_down = true,
-                        DownWho::Clw(j) => clw_dead[j] = true,
-                        DownWho::Other => {}
-                    },
+                match parent.keep(g, msg) {
+                    Some(PtsMsg::ForceReport { global }) if global == g => force_pending = true,
+                    Some(PtsMsg::Down { rank }) => note_clw_down(&clws, &mut clw_dead, rank),
                     _ => {}
                 }
             }
-            if force_pending || parent_down {
+            if force_pending || parent.has_kept() {
                 break;
             }
 
@@ -201,14 +189,15 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
                 &clws,
                 &mut force_pending,
                 &mut clw_dead,
-                &mut parent_down,
+                &mut parent,
             )
             .await;
 
             // Paper: "The TSW selects the best solution from the CLW that
             // achieves the maximum cost improvement or the least cost
             // degradation." Every *live* CLW answers each investigation;
-            // an empty set means the last of them died mid-collection.
+            // an empty set means the last of them died mid-collection, or
+            // the round is winding down.
             // Total order on costs: a NaN-costed proposal (a poisoned
             // evaluator on one CLW) ranks above every real cost and loses
             // to any finite sibling instead of panicking the worker.
@@ -235,20 +224,15 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
                     }
                 }
             }
-            if force_pending || parent_down {
+            if force_pending || parent.has_kept() {
                 break;
             }
         }
 
-        // The parent died mid-round: nobody will ever answer our report
-        // with a broadcast. Release the surviving CLWs and wind down.
-        if parent_down {
-            for (j, &c) in clws.iter().enumerate() {
-                if !clw_dead[j] {
-                    t.send(c, PtsMsg::Stop);
-                }
-            }
-            return;
+        // Stop, or the parent's death, met mid-round: nobody waits for
+        // this round's report.
+        if parent.winds_down() {
+            break;
         }
 
         // --- Report to the parent collector ------------------------------
@@ -257,7 +241,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         // iterations), it never adds a second one — and any ForceReport
         // arriving after this point (the force-after-report race: the
         // parent forced us while our report was already in flight) is
-        // recognized as stale in the adoption loop below and dropped.
+        // dropped as stale by the downward step below.
         // The CLWs mirrored every accepted compound this round, so the
         // problem state *now* is exactly what they hold: capture it as
         // the base the next round's AdoptState delta is diffed against
@@ -265,11 +249,12 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         // round, no capture — the final iteration ends in Stop.
         if cfg.snapshot_mode == crate::config::SnapshotMode::Delta && g + 1 < cfg.global_iters {
             meter::record_snapshot_alloc();
-            clw_sync.advance(g, Arc::new(problem.snapshot()));
+            clw_sync.advance(syncs, Arc::new(problem.snapshot()));
         }
+        syncs += 1;
 
         t.send(
-            parent,
+            parent.rank,
             PtsMsg::Report {
                 tsw: tsw_index,
                 global: g,
@@ -282,90 +267,48 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         );
 
         // --- Adopt the broadcast (or stop) --------------------------------
-        loop {
-            match t.recv().await {
-                // This round's broadcast, or a *newer* one: the parent
-                // moved on without us (our report or its broadcast got
-                // lost to a fault). Either way adopt it and continue from
-                // there.
-                PtsMsg::Broadcast {
-                    global,
-                    snapshot,
-                    tabu: TabuPayload::Full(tabu),
-                    strategy,
-                } if global >= g => match snapshot.resolve(&base) {
-                    Some(full) => {
-                        engine.adopt(&mut problem, &full, &tabu, t.now());
-                        if strategy != cur_strategy {
-                            let s = cfg.strategy(strategy);
-                            engine.reconfigure(s.tenure, s.candidates, s.depth, s.aspiration);
-                            cur_strategy = strategy;
-                        }
-                        // The adopted broadcast becomes the base the next
-                        // report is diffed against — both ends re-anchor.
-                        base.advance(global, full);
-                        break;
-                    }
-                    // A broadcast delta against a base this TSW does not
-                    // hold: protocol violation — warn and drop, like the
-                    // collectors' hardening paths.
-                    None => protocol_warn(
-                        t.rank(),
-                        "dropping Broadcast delta against a base this TSW does not hold",
-                    ),
-                },
-                PtsMsg::Stop => {
-                    for &c in &clws {
-                        t.send(c, PtsMsg::Stop);
-                    }
-                    return;
+        // This round's broadcast, or a *newer* one when the parent moved
+        // on without us (our report or its broadcast got lost to a fault):
+        // either way adopt it and go on after the round it closes.
+        match parent
+            .down_step(t, Some(&base), g, None, |rank| {
+                note_clw_down(&clws, &mut clw_dead, rank)
+            })
+            .await
+        {
+            FromParent::Round {
+                global,
+                snapshot,
+                tabu: TabuPayload::Full(tabu),
+                strategy,
+                ..
+            } => {
+                engine.adopt(&mut problem, &snapshot, &tabu, t.now());
+                if strategy != cur_strategy {
+                    let s = cfg.strategy(strategy);
+                    engine.reconfigure(s.tenure, s.candidates, s.depth, s.aspiration);
+                    cur_strategy = strategy;
                 }
-                PtsMsg::Down { rank } => match classify_down(rank) {
-                    // The parent died while we awaited its broadcast:
-                    // nothing more is coming — wind the subtree down.
-                    DownWho::Parent => {
-                        for (j, &c) in clws.iter().enumerate() {
-                            if !clw_dead[j] {
-                                t.send(c, PtsMsg::Stop);
-                            }
-                        }
-                        return;
-                    }
-                    DownWho::Clw(j) => clw_dead[j] = true,
-                    DownWho::Other => {}
-                },
-                // Stale: a ForceReport that crossed our round-`g` report
-                // (it must NOT trigger a second report — the parent
-                // already has ours in flight), or leftover control
-                // traffic from the finished round.
-                PtsMsg::ForceReport { .. } | PtsMsg::Broadcast { .. } => {}
-                PtsMsg::Proposal { .. } | PtsMsg::CutShort { .. } => {}
-                other => {
-                    protocol_warn(
-                        t.rank(),
-                        &format!(
-                            "TSW dropping unexpected {} while awaiting Broadcast",
-                            other.tag()
-                        ),
-                    );
-                }
+                // The adopted broadcast becomes the base the next report
+                // is diffed against — both ends re-anchor.
+                base.advance(global, snapshot);
+                g = global + 1;
             }
+            _ => break,
         }
     }
-    // All global iterations done without receiving Stop (master always
-    // terminates with Stop, so this is unreachable in practice).
-    for &c in &clws {
-        t.send(c, PtsMsg::Stop);
-    }
+    stop_clws(t, &clws, &clw_dead);
 }
 
 /// Collect one proposal from every *live* CLW, applying the half-report
 /// policy as a parent and watching for the master's ForceReport as a child.
 ///
 /// A CLW whose `Down` notice arrives mid-collection is excused from this
-/// and all future investigations; a parent death aborts the collection
-/// (the caller winds the worker down). Without faults every CLW is live
-/// and exactly `clws.len()` proposals come back — the historical contract.
+/// and all future investigations. Traffic from above is kept for the
+/// downward step: a broadcast cuts the stragglers, as a ForceReport does,
+/// and a wind-down abandons the collection with no proposals. Without
+/// faults every CLW is live and exactly `clws.len()` proposals come back
+/// — the historical contract.
 #[allow(clippy::too_many_arguments)]
 async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
@@ -376,10 +319,9 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
     clws: &[usize],
     force_pending: &mut bool,
     clw_dead: &mut [bool],
-    parent_down: &mut bool,
+    parent: &mut Parent<D::Problem>,
 ) -> Vec<ProposalOf<D>> {
     let n = clws.len();
-    let parent = cfg.parent_of_tsw(tsw_index);
     let mut got: Vec<Option<ProposalOf<D>>> = (0..n).map(|_| None).collect();
     let mut n_got = 0;
     let mut cut_sent = false;
@@ -408,11 +350,18 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
             .count()
     };
 
-    loop {
-        if n_got >= n_alive(&got, clw_dead) || *parent_down {
-            break;
-        }
-        match t.recv().await {
+    while n_got < n_alive(&got, clw_dead) {
+        let Some(msg) = parent.keep(global, t.recv().await) else {
+            if parent.winds_down() {
+                return Vec::new();
+            }
+            // A kept broadcast acts like this round's ForceReport.
+            if parent.has_kept() {
+                cut_stragglers(t, &got, clw_dead, &mut cut_sent);
+            }
+            continue;
+        };
+        match msg {
             PtsMsg::Proposal {
                 clw,
                 seq: s,
@@ -447,13 +396,7 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
                 cut_stragglers(t, &got, clw_dead, &mut cut_sent);
             }
             PtsMsg::ForceReport { .. } | PtsMsg::CutShort { .. } => {}
-            PtsMsg::Down { rank } => {
-                if rank == parent {
-                    *parent_down = true;
-                } else if let Some(j) = clws.iter().position(|&c| c == rank) {
-                    clw_dead[j] = true;
-                }
-            }
+            PtsMsg::Down { rank } => note_clw_down(clws, clw_dead, rank),
             other => {
                 protocol_warn(
                     t.rank(),
@@ -468,9 +411,17 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
     got.into_iter().flatten().collect()
 }
 
-/// Who a [`PtsMsg::Down`] notice refers to, from one TSW's point of view.
-enum DownWho {
-    Parent,
-    Clw(usize),
-    Other,
+/// Mark CLW `rank` dead on its [`PtsMsg::Down`] notice; a death outside
+/// this TSW's group is not its concern.
+fn note_clw_down(clws: &[usize], dead: &mut [bool], rank: usize) {
+    if let Some(j) = clws.iter().position(|&c| c == rank) {
+        dead[j] = true;
+    }
+}
+
+/// Wind this TSW's live CLWs down.
+fn stop_clws<P: PtsProblem, T: Transport<P>>(t: &mut T, clws: &[usize], dead: &[bool]) {
+    for (&c, _) in clws.iter().zip(dead).filter(|&(_, &d)| !d) {
+        t.send(c, PtsMsg::Stop);
+    }
 }

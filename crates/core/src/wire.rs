@@ -29,6 +29,10 @@
 //! | 16     | 8    | sequence (`global`, `seq`) |
 //! | 24     | 8    | cost (`f64` bits) |
 //!
+//! Variant tag 5 is decode-only. Peers before this codec sent a
+//! sub-master's broadcast under it, with a `Broadcast`'s layout, and it
+//! decodes as a [`PtsMsg::Broadcast`]; every broadcast is written as tag 1.
+//!
 //! The variant-specific body follows, sized so header + body equals
 //! `wire_size()` exactly; where the model charges legacy headroom (the
 //! `Init` +64 run-constant charge, `Proposal`'s +16, the `Report` /
@@ -70,7 +74,7 @@ use std::sync::Arc;
 /// Version history:
 /// * 1 — initial socket codec.
 /// * 2 — portfolio search: strategy ids ride previously-zero header
-///   bytes (`Broadcast`/`GroupBroadcast` origin, `Investigate` aux), and
+///   bytes (the broadcasts' origin, `Investigate` aux), and
 ///   the config block grows an aspiration + portfolio tail. No frame
 ///   changes size, so v1 frames decode as v2 with all-default strategy
 ///   fields. v2 also put a strategy tag in `GroupReport`'s header byte 3
@@ -107,6 +111,9 @@ mod tag {
     pub const FORCE_REPORT: u8 = 2;
     pub const REPORT: u8 = 3;
     pub const GROUP_REPORT: u8 = 4;
+    /// Decode-only: v1–v3 peers sent a sub-master's broadcast under this
+    /// tag, with a `Broadcast`'s layout. It decodes as a `Broadcast`;
+    /// nothing writes it any more.
     pub const GROUP_BROADCAST: u8 = 5;
     pub const ADOPT_STATE: u8 = 6;
     pub const INVESTIGATE: u8 = 7;
@@ -744,25 +751,6 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
             put_u64(&mut out, *forced);
             put_u64(&mut out, 0);
         }
-        PtsMsg::GroupBroadcast {
-            global,
-            snapshot,
-            tabu: TabuPayload::Full(tabu),
-            strategy,
-        } => {
-            put_header(
-                &mut out,
-                tag::GROUP_BROADCAST,
-                PayloadKind::of(snapshot),
-                dst,
-                *strategy as u32,
-                narrow(tabu.len()),
-                *global as u64,
-                0.0,
-            );
-            put_payload(snapshot, &mut out);
-            put_tabu::<P>(tabu, &mut out);
-        }
         PtsMsg::AdoptState { seq, snapshot } => {
             put_header(
                 &mut out,
@@ -1008,20 +996,11 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
             // The strategy id rides the otherwise-unused origin field
             // (v1 frames always carry 0 there).
             let strategy = origin as u8;
-            if variant == tag::BROADCAST {
-                PtsMsg::Broadcast {
-                    global,
-                    snapshot,
-                    tabu,
-                    strategy,
-                }
-            } else {
-                PtsMsg::GroupBroadcast {
-                    global,
-                    snapshot,
-                    tabu,
-                    strategy,
-                }
+            PtsMsg::Broadcast {
+                global,
+                snapshot,
+                tabu,
+                strategy,
             }
         }
         tag::FORCE_REPORT => PtsMsg::ForceReport { global: seq as u32 },

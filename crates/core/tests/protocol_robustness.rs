@@ -640,46 +640,96 @@ fn broadcast(global: u32, snapshot: SnapshotPayload<Qap>) -> PtsMsg<Qap> {
 
 #[test]
 fn tsw_adopts_a_full_broadcast_from_a_later_round() {
-    // The round-0 broadcast never arrives (a fault lost it) and the
-    // round-1 one does, in full: the TSW adopts it as it would its own
-    // round's, then syncs its CLW for round 1 and reports that round.
-    // Full snapshots, so the CLW sync shows the state it adopted.
-    let (mut cfg, domain, mut script) = two_round_tsw();
-    cfg.snapshot_mode = SnapshotMode::Full;
-    let adopted = Arc::new(domain.initial(cfg.seed ^ 1));
-    script.extend([
-        broadcast(1, SnapshotPayload::Full(Arc::clone(&adopted))),
-        PtsMsg::Proposal {
+    // Four rounds. Round 0's broadcast never arrives (a fault lost it)
+    // and round 1's does, in full: the TSW adopts it as it would its own
+    // round's and resumes at round 2, the round after the one the
+    // broadcast closes. The CLW sync after the skip shows the adopted
+    // state, and every sync's sequence counts the syncs sent, not the
+    // rounds, so a delta sync stays in lockstep with the CLW.
+    for mode in [SnapshotMode::Full, SnapshotMode::Delta] {
+        let mut cfg = PtsConfig {
+            n_tsw: 1,
+            n_clw: 1,
+            global_iters: 4,
+            local_iters: 1,
+            search: SearchStrategy {
+                candidates: 1,
+                depth: 1,
+                ..Default::default()
+            },
+            diversify: false,
+            ..PtsConfig::default()
+        };
+        cfg.snapshot_mode = mode;
+        cfg.validate().unwrap();
+        let domain = QapDomain::random(8, 17);
+        let initial = domain.initial(cfg.seed);
+        // Close to the initial solution, so the syncs after it are
+        // deltas in delta mode.
+        let mut adopted = initial.as_slice().to_vec();
+        adopted.swap(2, 3);
+        let adopted = Arc::new(QapAssignment::new(adopted));
+        let proposal = |seq: u64, mv: (usize, usize)| PtsMsg::Proposal {
             clw: 0,
-            seq: 2,
-            moves: vec![(2, 3)],
+            seq,
+            moves: vec![mv],
             cost: 0.0,
-        },
-        PtsMsg::Stop,
-    ]);
+        };
+        let script = vec![
+            PtsMsg::Init {
+                snapshot: Arc::new(initial),
+            },
+            proposal(1, (0, 1)),
+            broadcast(1, SnapshotPayload::Full(Arc::clone(&adopted))),
+            proposal(2, (4, 5)),
+            broadcast(2, SnapshotPayload::Full(Arc::clone(&adopted))),
+            proposal(3, (6, 7)),
+            PtsMsg::Stop,
+        ];
 
-    let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
-    drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
+        let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
+        drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
 
-    let clw = cfg.clw_rank(0, 0);
-    let round_1_sync = t.sent.iter().find_map(|(dst, m)| match m {
-        PtsMsg::AdoptState {
-            seq: 1,
-            snapshot: SnapshotPayload::Full(state),
-        } if *dst == clw => Some(state),
-        _ => None,
-    });
-    assert_eq!(round_1_sync, Some(&adopted), "{:?}", t.sent_tags());
-    let reports: Vec<u32> = t
-        .sent
-        .iter()
-        .filter_map(|(dst, m)| match m {
-            PtsMsg::Report { global, .. } if *dst == cfg.master_rank() => Some(*global),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(reports, vec![0, 1], "{:?}", t.sent_tags());
-    assert!(t.incoming.is_empty());
+        let reports: Vec<u32> = t
+            .sent
+            .iter()
+            .filter_map(|(dst, m)| match m {
+                PtsMsg::Report { global, .. } if *dst == cfg.master_rank() => Some(*global),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reports, vec![0, 2, 3], "{mode:?}: {:?}", t.sent_tags());
+        let syncs: Vec<&PtsMsg<Qap>> = t
+            .sent
+            .iter()
+            .filter(|(dst, m)| *dst == cfg.clw_rank(0, 0) && m.tag() == "AdoptState")
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(syncs.len(), 3, "{mode:?}");
+        let mut deltas = 0;
+        for (sent_before, sync) in syncs.iter().enumerate() {
+            let PtsMsg::AdoptState { seq, snapshot } = sync else {
+                unreachable!()
+            };
+            assert_eq!(*seq as usize, sent_before, "{mode:?}");
+            match snapshot {
+                SnapshotPayload::Delta { base_seq, .. } => {
+                    assert_eq!(*base_seq as usize, sent_before, "{mode:?}");
+                    deltas += 1;
+                }
+                SnapshotPayload::Full(state) if sent_before == 1 => {
+                    assert_eq!(*state, adopted, "{mode:?}: the sync after the skip")
+                }
+                SnapshotPayload::Full(_) => {}
+            }
+        }
+        match mode {
+            SnapshotMode::Full => assert_eq!(deltas, 0),
+            SnapshotMode::Delta => assert_eq!(deltas, 3),
+        }
+        assert_eq!(t.count_sent("Stop"), 1);
+        assert!(t.incoming.is_empty(), "{mode:?}: script fully consumed");
+    }
 }
 
 #[test]
@@ -827,4 +877,227 @@ fn sharded_tsw_reports_to_its_group_sub_master() {
         .expect("one report");
     assert_eq!(*dst, cfg.parent_of_tsw(tsw_index));
     assert_eq!(*dst, cfg.shard_rank(1));
+}
+
+/// Four TSWs at fan-out 2 under WaitAll: sub-master 0 collects TSWs
+/// {0, 1} for the root.
+fn sharded_four_tsws(global_iters: u32) -> (PtsConfig, QapDomain, QapAssignment) {
+    let cfg = PtsConfig {
+        n_tsw: 4,
+        n_clw: 1,
+        shard_fanout: 2,
+        global_iters,
+        tsw_sync: SyncPolicy::WaitAll,
+        clw_sync: SyncPolicy::WaitAll,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 5);
+    let initial = domain.initial(cfg.seed);
+    assert!(domain.cost_of(&initial) > 10.0);
+    (cfg, domain, initial)
+}
+
+/// The rounds of the `GroupReport`s a sub-master sent its parent.
+fn group_report_rounds(t: &ScriptTransport, parent: usize) -> Vec<u32> {
+    t.sent
+        .iter()
+        .filter_map(|(dst, m)| match m {
+            PtsMsg::GroupReport { global, .. } if *dst == parent => Some(*global),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn sub_master_relays_a_later_rounds_broadcast_and_collects_the_round_after_it() {
+    // Round 0's broadcast is lost above this sub-master, and round 1's
+    // arrives while it waits for round 0's: it relays round 1's to its
+    // TSWs and collects round 2 next.
+    let (cfg, domain, snap) = sharded_four_tsws(3);
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(snap.clone()),
+        },
+        report(0, 0, 5.0, snap.clone()),
+        report(1, 0, 6.0, snap.clone()),
+        broadcast(1, SnapshotPayload::Full(Arc::new(snap.clone()))),
+        report(0, 2, 4.0, snap.clone()),
+        report(1, 2, 3.0, snap.clone()),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.shard_rank(0), script);
+    drive_sync(master::run_sub_master(&mut t, &cfg, 0, &domain));
+
+    let relayed: Vec<(usize, u32)> = t
+        .sent
+        .iter()
+        .filter_map(|(dst, m)| match m {
+            PtsMsg::Broadcast { global, .. } => Some((*dst, *global)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(relayed, vec![(cfg.tsw_rank(0), 1), (cfg.tsw_rank(1), 1)]);
+    assert_eq!(group_report_rounds(&t, cfg.master_rank()), vec![0, 2]);
+    assert_eq!(t.count_sent("Stop"), 2);
+    assert!(t.incoming.is_empty(), "script fully consumed");
+}
+
+#[test]
+fn sub_master_excuses_a_child_whose_down_beats_the_init() {
+    // TSW 1's death notice arrives before the Init: the sub-master
+    // records it and completes round 0 on TSW 0's report alone.
+    let (cfg, domain, snap) = sharded_four_tsws(1);
+    let script = vec![
+        PtsMsg::Down {
+            rank: cfg.tsw_rank(1),
+        },
+        PtsMsg::Init {
+            snapshot: Arc::new(snap.clone()),
+        },
+        report(0, 0, 3.0, snap.clone()),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.shard_rank(0), script);
+    drive_sync(master::run_sub_master(&mut t, &cfg, 0, &domain));
+
+    let group = t
+        .sent
+        .iter()
+        .find_map(|(dst, m)| match m {
+            PtsMsg::GroupReport { cost, stats, .. } if *dst == cfg.master_rank() => {
+                Some((*cost, stats.iterations))
+            }
+            _ => None,
+        })
+        .expect("one GroupReport");
+    assert_eq!(group, (3.0, 1));
+    assert!(t.incoming.is_empty(), "script fully consumed");
+}
+
+#[test]
+fn tsw_meeting_its_rounds_broadcast_mid_collection_reports_once_then_adopts() {
+    // Round 0's broadcast overtakes this TSW's own report (its parent
+    // closed the round without it): it acts like a ForceReport. The TSW
+    // cuts its CLW, finishes the iteration, reports round 0 once, adopts
+    // the broadcast and runs round 1 in full.
+    let cfg = PtsConfig {
+        n_tsw: 1,
+        n_clw: 1,
+        global_iters: 2,
+        local_iters: 2,
+        search: SearchStrategy {
+            candidates: 1,
+            depth: 1,
+            ..Default::default()
+        },
+        diversify: false,
+        snapshot_mode: SnapshotMode::Full,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 19);
+    let adopted = Arc::new(domain.initial(cfg.seed ^ 1));
+    let proposal = |seq: u64| PtsMsg::Proposal {
+        clw: 0,
+        seq,
+        moves: vec![(0, 1)],
+        cost: 0.0,
+    };
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(domain.initial(cfg.seed)),
+        },
+        broadcast(0, SnapshotPayload::Full(Arc::clone(&adopted))),
+        proposal(1),
+        proposal(2),
+        proposal(3),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
+    drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
+
+    let clw = cfg.clw_rank(0, 0);
+    let reports: Vec<u32> = t
+        .sent
+        .iter()
+        .filter_map(|(_, m)| match m {
+            PtsMsg::Report { global, .. } => Some(*global),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reports, vec![0, 1], "{:?}", t.sent_tags());
+    assert_eq!(
+        t.sent_tags()[..4],
+        [
+            (clw, "AdoptState"),
+            (clw, "Investigate"),
+            (clw, "CutShort"),
+            (clw, "ApplyMoves"),
+        ]
+    );
+    assert_eq!(t.count_sent("CutShort"), 1);
+    // One investigation in round 0, both of round 1's.
+    assert_eq!(t.count_sent("Investigate"), 3);
+    let round_1_sync = t.sent.iter().find_map(|(_, m)| match m {
+        PtsMsg::AdoptState {
+            seq: 1,
+            snapshot: SnapshotPayload::Full(state),
+        } => Some(state),
+        _ => None,
+    });
+    assert_eq!(round_1_sync, Some(&adopted));
+    assert!(t.incoming.is_empty(), "script fully consumed");
+}
+
+#[test]
+fn tsw_and_sub_master_meeting_stop_mid_collection_stop_without_reporting() {
+    // A TSW waiting on its CLW's proposal meets Stop: it stops its CLW
+    // and sends no report.
+    let cfg = PtsConfig {
+        n_tsw: 1,
+        n_clw: 1,
+        global_iters: 1,
+        local_iters: 1,
+        diversify: false,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 23);
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(domain.initial(cfg.seed)),
+        },
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.tsw_rank(0), script);
+    drive_sync(tsw::run_tsw(&mut t, &cfg, 0, &domain));
+    let clw = cfg.clw_rank(0, 0);
+    assert_eq!(
+        t.sent_tags(),
+        vec![(clw, "AdoptState"), (clw, "Investigate"), (clw, "Stop")]
+    );
+    assert!(t.incoming.is_empty());
+
+    // A sub-master with one of its two reports in hand meets Stop: it
+    // stops both TSWs and sends no GroupReport.
+    let (cfg, domain, snap) = sharded_four_tsws(2);
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(snap.clone()),
+        },
+        report(0, 0, 3.0, snap),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.shard_rank(0), script);
+    drive_sync(master::run_sub_master(&mut t, &cfg, 0, &domain));
+    assert_eq!(t.count_sent("GroupReport"), 0, "{:?}", t.sent_tags());
+    let stops: Vec<usize> = t
+        .sent
+        .iter()
+        .filter(|(_, m)| m.tag() == "Stop")
+        .map(|(dst, _)| *dst)
+        .collect();
+    assert_eq!(stops, vec![cfg.tsw_rank(0), cfg.tsw_rank(1)]);
+    assert!(t.incoming.is_empty());
 }

@@ -268,8 +268,8 @@ fn sharded_async_thousand_workers_root_traffic_is_o_fanout() {
     assert_eq!(sharded.report.num_procs(), 2081);
     assert!(sharded.outcome.best_cost < sharded.outcome.initial_cost);
     let root = &sharded.report.per_proc[0];
-    // 2 rounds x 32 GroupReports in; 32 Inits + 32 GroupBroadcasts + 32
-    // Stops out.
+    // 2 rounds x 32 GroupReports in; 32 Inits + 32 Broadcasts + 32 Stops
+    // out.
     assert_eq!(root.messages_received, 64);
     assert_eq!(root.messages_sent, 96);
 

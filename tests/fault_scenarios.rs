@@ -283,17 +283,30 @@ fn faulty_runs_are_deterministic() {
 #[test]
 fn seeded_fuzz_sweep_small() {
     let domain = QapDomain::random(12, 3);
-    for mix in FaultMix::ALL {
-        for seed in 0..8u64 {
-            for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
-                let run = small_faulty_run(3, 2, sync, seed ^ 0xF00D);
-                let spec = FaultSpec::seeded(seed, mix, run.config(), 6, HORIZON);
-                let engine = VirtualEngine::new(scaled_paper_cluster(6)).with_faults(spec);
-                let repro = format!(
-                    "FAULT-REPRO: seed={seed:#x} mix={mix} n_tsw=3 n_clw=2 sync={sync:?} \
-                     machines=6 horizon={HORIZON} liveness={LIVENESS}"
-                );
-                check_invariants(&run, &domain, &engine, &repro);
+    // Flat for 2 rounds, and under the automatic fan-out (2) for 3: the
+    // smallest shape where a broadcast can close a later round than a
+    // node's own and a sub-master waits on one.
+    for (n_tsw, rounds, fanout) in [(3, 2, 0), (4, 3, PtsConfig::auto_shard_fanout(4))] {
+        for mix in FaultMix::ALL {
+            for seed in 0..8u64 {
+                for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
+                    let run = scenario(n_tsw, 2, rounds, 3, sync)
+                        .candidates(4)
+                        .depth(2)
+                        .seed(seed ^ 0xF00D)
+                        .liveness_timeout(LIVENESS)
+                        .shard_fanout(fanout)
+                        .build()
+                        .unwrap();
+                    let spec = FaultSpec::seeded(seed, mix, run.config(), 6, HORIZON);
+                    let engine = VirtualEngine::new(scaled_paper_cluster(6)).with_faults(spec);
+                    let repro = format!(
+                        "FAULT-REPRO: seed={seed:#x} mix={mix} n_tsw={n_tsw} n_clw=2 \
+                         rounds={rounds} fanout={fanout} sync={sync:?} machines=6 \
+                         horizon={HORIZON} liveness={LIVENESS}"
+                    );
+                    check_invariants(&run, &domain, &engine, &repro);
+                }
             }
         }
     }

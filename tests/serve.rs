@@ -6,7 +6,9 @@
 //! retry: a crashed attempt announced with a `retrying` frame, restarted
 //! up to `max_restarts`, and failed with a final error past that.
 //!
-//! The first two tests drive an in-process [`Server`]; the teardown tests
+//! A raw client that announces a frame past the cap is disconnected.
+//!
+//! The first tests drive an in-process [`Server`]; the teardown tests
 //! exercise the real `pts-serve` binary, where orphaned worker ranks are
 //! identifiable by the daemon's pid embedded in the router socket path
 //! (`--sock .../pts-<pid>-<n>.sock`).
@@ -104,6 +106,23 @@ fn four_concurrent_jobs_run_under_independent_budgets() {
         "budgeted job completed all rounds anyway"
     );
 
+    stop.store(true, Ordering::Release);
+    server.join().unwrap();
+}
+
+#[test]
+fn a_client_announcing_a_frame_past_the_cap_is_disconnected() {
+    // A length prefix past the frame cap is refused before anything is
+    // allocated for it, and the server hangs up rather than wait for a
+    // body of 4 GiB.
+    use std::io::{Read, Write};
+    let (addr, stop, server) = start_server("overcap", 1);
+    let path = addr.strip_prefix("unix:").expect("a unix address");
+    let mut raw = std::os::unix::net::UnixStream::connect(path).unwrap();
+    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let got = raw.read(&mut [0u8; 1]);
+    assert_eq!(got.ok(), Some(0), "the server must end the connection");
     stop.store(true, Ordering::Release);
     server.join().unwrap();
 }

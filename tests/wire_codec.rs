@@ -135,12 +135,6 @@ fn qap_msg(
             stats,
             forced: seq,
         },
-        5 => PtsMsg::GroupBroadcast {
-            global,
-            snapshot: payload,
-            tabu: tabu_payload,
-            strategy,
-        },
         6 => PtsMsg::AdoptState {
             seq: global,
             snapshot: payload,
@@ -163,9 +157,7 @@ fn qap_msg(
 /// no portfolio) necessarily produced: zero strategy ids.
 fn zero_strategy_fields(msg: &mut PtsMsg<Qap>) {
     match msg {
-        PtsMsg::Broadcast { strategy, .. }
-        | PtsMsg::GroupBroadcast { strategy, .. }
-        | PtsMsg::Investigate { strategy, .. } => *strategy = 0,
+        PtsMsg::Broadcast { strategy, .. } | PtsMsg::Investigate { strategy, .. } => *strategy = 0,
         _ => {}
     }
 }
@@ -260,7 +252,6 @@ proptest! {
                 shard: 2, global, cost, snapshot: payload, tabu,
                 trace: trace_points, stats, forced: seq,
             },
-            5 => PtsMsg::GroupBroadcast { global, snapshot: payload, tabu: tabu_payload, strategy },
             6 => PtsMsg::AdoptState { seq: global, snapshot: payload },
             7 => PtsMsg::Investigate { seq, strategy },
             8 => PtsMsg::CutShort { seq },
@@ -366,8 +357,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
     // Broadcasts carry the full tabu list, and the config block keeps its
     // layout: these frames must stay byte for byte what the codec has
-    // always written. One Broadcast and one GroupBroadcast per snapshot
-    // payload kind, then `put_config` of the default config.
+    // always written. One Broadcast per snapshot payload kind, then
+    // `put_config` of the default config.
     let snapshot = Arc::new(QapAssignment::new(perm(8, 5)));
     let delta = Arc::new(QapDelta::new(vec![(1, 4), (4, 1)]));
     let tabu = Arc::new(vec![((0, 1), 5), ((2, 7), 3), ((4, 6), 11)]);
@@ -381,18 +372,11 @@ fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
     ] {
         let broadcast: PtsMsg<Qap> = PtsMsg::Broadcast {
             global: 3,
-            snapshot: payload.clone(),
-            tabu: TabuPayload::Full(Arc::clone(&tabu)),
-            strategy: 0,
-        };
-        let group: PtsMsg<Qap> = PtsMsg::GroupBroadcast {
-            global: 3,
             snapshot: payload,
             tabu: TabuPayload::Full(Arc::clone(&tabu)),
             strategy: 0,
         };
         hashes.push(fnv1a(&encode_msg(&broadcast, 5)));
-        hashes.push(fnv1a(&encode_msg(&group, 9)));
     }
     let mut config = Vec::new();
     wire::put_config(&PtsConfig::default(), &mut config);
@@ -401,12 +385,44 @@ fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
         hashes,
         [
             0x55a8_a671_3a2e_31e6,
-            0x7b92_b026_b4fb_8c96,
             0xe3c8_fc67_acc8_d16e,
-            0xb80b_a64b_a3cb_a80e,
             0xb301_6228_44d9_fab4,
         ]
     );
+}
+
+#[test]
+fn a_tag_5_frame_decodes_as_the_broadcast_it_carries() {
+    // Peers before this codec sent a sub-master's broadcast under tag 5,
+    // with a Broadcast's layout. Such a frame decodes to that Broadcast,
+    // which re-encodes to the pinned tag-1 frame.
+    let pinned = [0x55a8_a671_3a2e_31e6, 0xe3c8_fc67_acc8_d16e];
+    for (payload, pinned) in [
+        SnapshotPayload::Full(Arc::new(QapAssignment::new(perm(8, 5)))),
+        SnapshotPayload::Delta {
+            base_seq: 3,
+            delta: Arc::new(QapDelta::new(vec![(1, 4), (4, 1)])),
+        },
+    ]
+    .into_iter()
+    .zip(pinned)
+    {
+        let broadcast: PtsMsg<Qap> = PtsMsg::Broadcast {
+            global: 3,
+            snapshot: payload,
+            tabu: TabuPayload::Full(Arc::new(vec![((0, 1), 5), ((2, 7), 3), ((4, 6), 11)])),
+            strategy: 0,
+        };
+        let buf = encode_msg(&broadcast, 5);
+        assert_eq!(fnv1a(&buf), pinned);
+        assert_eq!(buf[1], 1, "a Broadcast is written as tag 1");
+        let mut old = buf.clone();
+        old[1] = 5;
+        let (dst, decoded) = decode_msg::<Qap>(&old, &()).expect("tag 5 decodes");
+        assert_eq!(dst, 5);
+        assert_eq!(decoded.tag(), "Broadcast");
+        assert_eq!(encode_msg(&decoded, dst), buf);
+    }
 }
 
 #[test]
