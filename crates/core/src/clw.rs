@@ -12,16 +12,39 @@
 //! Between compound steps the CLW polls its mailbox for `CutShort` — the
 //! TSW's heterogeneity mechanism — and if cut, proposes what it has so far.
 //! A `Stop` or its TSW's death met there ends the CLW at once, without a
-//! proposal.
+//! proposal. Anything else the TSW sent meanwhile (an `AdoptState` or
+//! `ApplyMoves` a reordering link delivered early) is kept, in arrival
+//! order, and handled right after the proposal.
+//!
+//! # Sync by swaps
+//!
+//! At the start of each global iteration the TSW hands its CLWs its
+//! current state (`AdoptState`), usually as a delta against the state the
+//! CLWs already hold. A restore of that state re-derives its cost from
+//! scratch, O(n²) on QAP, and misses the cost memo, since each TSW's
+//! diversified state is its own. So the CLW instead asks the snapshot type
+//! for the swaps between its own state and the TSW's
+//! ([`DeltaSnapshot::swap_path`]) and applies them as moves
+//! ([`FromSwap`]), as it applies a mirrored `ApplyMoves`: on QAP, an O(n)
+//! walk per swap. A `Full` payload is diffed against the CLW's state
+//! first, so delta and full syncs apply the same swaps and keep the same
+//! trajectory.
+//!
+//! The CLW's cost after a followed sync is then its own running cost, not
+//! the exact sum; the two differ only in the last bits. The bound is the
+//! domain's: QAP follows a path of at most n/4 swaps, the point where the
+//! swaps' cost reaches the restore's. Past it, and on a domain whose
+//! snapshot offers no path (placement), the CLW restores the TSW's state.
 
 use crate::config::PtsConfig;
-use crate::domain::{DeltaSnapshot, PtsDomain};
+use crate::domain::{DeltaSnapshot, FromSwap, PtsDomain, PtsProblem};
 use crate::messages::{PtsMsg, SnapshotPayload};
 use crate::meter;
 use crate::transport::Transport;
 use pts_tabu::candidate::{CandidateList, CandidateScratch};
 use pts_tabu::problem::SearchProblem;
 use pts_util::Rng;
+use std::collections::VecDeque;
 
 type MoveOf<D> = <<D as PtsDomain>::Problem as SearchProblem>::Move;
 
@@ -55,15 +78,16 @@ pub async fn run_clw<D: PtsDomain, T: Transport<D::Problem>>(
     };
     let mut rng = worker_rng(cfg.seed, stream_salt);
 
-    // Wait for the master's Init. TSW messages (AdoptState, Investigate)
-    // come from a *different sender* and may overtake Init; they are
-    // buffered and replayed once the problem instance exists.
-    let mut backlog: Vec<PtsMsg<D::Problem>> = Vec::new();
+    // Messages received but not yet handled, in arrival order: TSW
+    // traffic (AdoptState, Investigate) that overtook the master's Init —
+    // it comes from a *different sender* — and whatever the TSW sent while
+    // an investigation ran. Each is handled before the next `recv`.
+    let mut pending: VecDeque<PtsMsg<D::Problem>> = VecDeque::new();
     let mut problem = loop {
         match t.recv().await {
             PtsMsg::Init { snapshot } => break domain.instantiate(&snapshot),
             PtsMsg::Stop => return,
-            other => backlog.push(other),
+            other => pending.push_back(other),
         }
     };
 
@@ -75,26 +99,11 @@ pub async fn run_clw<D: PtsDomain, T: Transport<D::Problem>>(
     // One set of batch buffers serves every investigation this CLW runs.
     let mut scratch: CandidateScratch<MoveOf<D>> = CandidateScratch::new();
 
-    for msg in std::mem::take(&mut backlog) {
-        if handle::<D, T>(
-            t,
-            cfg,
-            tsw_rank,
-            clw_index,
-            range,
-            &mut rng,
-            &mut problem,
-            &mut adopt_seq,
-            &mut scratch,
-            msg,
-        )
-        .await
-        {
-            return;
-        }
-    }
     loop {
-        let msg = t.recv().await;
+        let msg = match pending.pop_front() {
+            Some(msg) => msg,
+            None => t.recv().await,
+        };
         if handle::<D, T>(
             t,
             cfg,
@@ -105,6 +114,7 @@ pub async fn run_clw<D: PtsDomain, T: Transport<D::Problem>>(
             &mut problem,
             &mut adopt_seq,
             &mut scratch,
+            &mut pending,
             msg,
         )
         .await
@@ -126,13 +136,14 @@ async fn handle<D: PtsDomain, T: Transport<D::Problem>>(
     problem: &mut D::Problem,
     adopt_seq: &mut u32,
     scratch: &mut CandidateScratch<MoveOf<D>>,
+    pending: &mut VecDeque<PtsMsg<D::Problem>>,
     msg: PtsMsg<D::Problem>,
 ) -> bool {
     match msg {
         PtsMsg::Investigate { seq, strategy } => {
             let mut stop = false;
             let (moves, cost) = investigate::<D, T>(
-                t, cfg, strategy, problem, rng, range, seq, tsw_rank, &mut stop, scratch,
+                t, cfg, strategy, problem, rng, range, seq, tsw_rank, &mut stop, scratch, pending,
             )
             .await;
             // Stop, or the TSW's death, reached the cut-short poll: there
@@ -158,32 +169,25 @@ async fn handle<D: PtsDomain, T: Transport<D::Problem>>(
         }
         PtsMsg::AdoptState { seq, snapshot } => {
             let adopted = match snapshot {
-                SnapshotPayload::Full(s) => {
-                    problem.restore(&s);
-                    true
+                // The delta's base is this CLW's *own current state* (the
+                // TSW's state at its last report, which the mirrored
+                // ApplyMoves kept identical here). A sequence mismatch
+                // means the lockstep broke — protocol violation; drop
+                // rather than desync worse.
+                SnapshotPayload::Delta { base_seq, .. }
+                    if base_seq != *adopt_seq || seq != *adopt_seq =>
+                {
+                    crate::transport::protocol_warn(
+                        t.rank(),
+                        &format!(
+                            "CLW dropping AdoptState delta for sync {base_seq} (expected {adopt_seq})"
+                        ),
+                    );
+                    false
                 }
-                SnapshotPayload::Delta { base_seq, delta } => {
-                    // The delta's base is this CLW's *own current state*
-                    // (the TSW's state at its last report, which the
-                    // mirrored ApplyMoves kept identical here). A
-                    // sequence mismatch means the lockstep broke —
-                    // protocol violation; drop rather than desync worse.
-                    if base_seq == *adopt_seq && seq == *adopt_seq {
-                        let current = problem.snapshot();
-                        let new = <<D::Problem as pts_tabu::SearchProblem>::Snapshot as
-                            DeltaSnapshot>::apply_delta(&current, &delta);
-                        meter::record_snapshot_alloc();
-                        problem.restore(&new);
-                        true
-                    } else {
-                        crate::transport::protocol_warn(
-                            t.rank(),
-                            &format!(
-                                "CLW dropping AdoptState delta for sync {base_seq} (expected {adopt_seq})"
-                            ),
-                        );
-                        false
-                    }
+                payload => {
+                    sync(problem, &payload);
+                    true
                 }
             };
             // Track the *sender's* counter, not a blind local increment:
@@ -230,6 +234,7 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
     tsw_rank: usize,
     stop: &mut bool,
     scratch: &mut CandidateScratch<MoveOf<D>>,
+    pending: &mut VecDeque<PtsMsg<D::Problem>>,
 ) -> (Vec<MoveOf<D>>, f64) {
     // The search knobs come from the *investigation's* strategy stamp, not
     // a config global: under a portfolio the owning TSW may be reassigned
@@ -276,12 +281,9 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
                 PtsMsg::CutShort { .. } => {} // stale
                 PtsMsg::Stop => *stop = true,
                 PtsMsg::Down { rank } => *stop |= rank == tsw_rank,
-                other => {
-                    crate::transport::protocol_warn(
-                        t.rank(),
-                        &format!("CLW dropping unexpected {} mid-investigation", other.tag()),
-                    );
-                }
+                // The state this investigation started from must stay put
+                // until it proposes: handle the rest afterwards.
+                other => pending.push_back(other),
             }
         }
         if cut || *stop {
@@ -307,9 +309,107 @@ async fn investigate<D: PtsDomain, T: Transport<D::Problem>>(
     (applied, best_cost)
 }
 
+/// Bring `problem` to the state `payload` carries: by the swaps of the
+/// snapshot's [`DeltaSnapshot::swap_path`] from `problem`'s current state
+/// when it offers one, by `restore` otherwise. A `Delta` payload must be
+/// diffed against that current state.
+fn sync<P: PtsProblem>(problem: &mut P, payload: &SnapshotPayload<P>) {
+    let current = problem.snapshot();
+    let path = match payload {
+        SnapshotPayload::Full(target) => {
+            P::Snapshot::swap_path(&current, &P::Snapshot::diff(&current, target))
+        }
+        SnapshotPayload::Delta { delta, .. } => P::Snapshot::swap_path(&current, delta),
+    };
+    match (path, payload) {
+        (Some(path), _) => {
+            for (a, b) in path {
+                problem.apply(&P::Move::from_swap(a, b));
+            }
+        }
+        (None, SnapshotPayload::Full(target)) => problem.restore(target),
+        (None, SnapshotPayload::Delta { delta, .. }) => {
+            let target = P::Snapshot::apply_delta(&current, delta);
+            meter::record_snapshot_alloc();
+            problem.restore(&target);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qap_domain::QapDomain;
+    use pts_tabu::qap::{Qap, QapAssignment};
+    use std::sync::Arc;
+
+    /// A QAP-64 problem at its initial state, and a state `swaps` random
+    /// swaps away from it.
+    fn qap_and_target(swaps: usize) -> (Qap, QapAssignment) {
+        let domain = QapDomain::random(64, 9);
+        let problem = domain.instantiate(&domain.initial(1));
+        let mut rng = Rng::new(4);
+        let mut target = problem.snapshot().into_vec();
+        for _ in 0..swaps {
+            let (a, b) = (rng.index(64), rng.index(64));
+            target.swap(a, b);
+        }
+        (problem, QapAssignment::new(target))
+    }
+
+    /// Sync a copy of `problem` by the delta payload and a copy by the
+    /// full one; both end at `target`. Returns the two copies.
+    fn sync_both(problem: &Qap, target: &QapAssignment) -> (Qap, Qap) {
+        let delta = QapAssignment::diff(&problem.snapshot(), target);
+        let mut by_delta = problem.clone();
+        sync(
+            &mut by_delta,
+            &SnapshotPayload::Delta {
+                base_seq: 0,
+                delta: Arc::new(delta),
+            },
+        );
+        let mut by_full = problem.clone();
+        sync(
+            &mut by_full,
+            &SnapshotPayload::Full(Arc::new(target.clone())),
+        );
+        for synced in [&by_delta, &by_full] {
+            assert_eq!(synced.snapshot(), *target);
+        }
+        (by_delta, by_full)
+    }
+
+    #[test]
+    fn a_followed_sync_reaches_the_tsws_state_at_the_running_cost() {
+        let (problem, target) = qap_and_target(6);
+        let (by_delta, by_full) = sync_both(&problem, &target);
+        // Delta and full payloads follow the same swaps: the same bits.
+        assert_eq!(by_delta.cost().to_bits(), by_full.cost().to_bits());
+        let exact = by_delta.cost_exact();
+        assert!(
+            (by_delta.cost() - exact).abs() <= 1e-12 * exact.abs(),
+            "running cost {} against exact {exact}",
+            by_delta.cost()
+        );
+    }
+
+    #[test]
+    fn a_sync_past_the_bound_restores_the_exact_cost() {
+        // 64 swaps move nearly every facility: far past 64/4 swaps.
+        let (problem, target) = qap_and_target(64);
+        assert_eq!(
+            QapAssignment::swap_path(
+                &problem.snapshot(),
+                &QapAssignment::diff(&problem.snapshot(), &target)
+            ),
+            None
+        );
+        let (by_delta, by_full) = sync_both(&problem, &target);
+        for synced in [by_delta, by_full] {
+            assert_eq!(synced.cost().to_bits(), synced.cost_exact().to_bits());
+        }
+    }
 
     #[test]
     fn worker_rng_streams_differ_by_rank() {

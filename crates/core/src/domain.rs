@@ -52,6 +52,31 @@ pub trait DeltaSnapshot: Sized {
     /// Reconstruct the snapshot `delta` was diffed *to* from the snapshot
     /// it was diffed *against*.
     fn apply_delta(base: &Self, delta: &Self::Delta) -> Self;
+
+    /// The swaps that carry `base` to `apply_delta(base, delta)`: index
+    /// pairs whose [`FromSwap`] moves, applied in order to a problem at
+    /// `base`, leave it at the delta's target. A CLW follows its TSW this
+    /// way (see [`crate::clw`]) instead of restoring the target.
+    ///
+    /// `None` when the domain offers no such path, or when applying it
+    /// would cost more than the restore it replaces; the caller then
+    /// restores. The default is `None`.
+    fn swap_path(_base: &Self, _delta: &Self::Delta) -> Option<Vec<(usize, usize)>> {
+        None
+    }
+}
+
+/// A move built from the two item indices it swaps: how a step of a
+/// [`DeltaSnapshot::swap_path`] becomes a move the problem can `apply`.
+pub trait FromSwap {
+    /// The move that swaps items `a` and `b`.
+    fn from_swap(a: usize, b: usize) -> Self;
+}
+
+impl FromSwap for (usize, usize) {
+    fn from_swap(a: usize, b: usize) -> (usize, usize) {
+        (a, b)
+    }
 }
 
 /// Delta type of a problem's snapshot.
@@ -59,15 +84,15 @@ pub type DeltaOf<P> = <<P as SearchProblem>::Snapshot as DeltaSnapshot>::Delta;
 
 /// Everything the parallel pipeline needs from a problem type: a
 /// diversifiable search problem whose moves, attributes, and snapshots can
-/// cross thread/process boundaries, with snapshots sized for the link
-/// model and delta-encodable for the zero-copy broadcast path (`Sync`
-/// because snapshots and tabu lists are shared via `Arc` instead of
-/// deep-copied per recipient). Blanket-implemented — you never implement
-/// this directly.
+/// cross thread/process boundaries, with moves buildable from a swap and
+/// snapshots sized for the link model and delta-encodable for the
+/// zero-copy broadcast path (`Sync` because snapshots and tabu lists are
+/// shared via `Arc` instead of deep-copied per recipient).
+/// Blanket-implemented — you never implement this directly.
 pub trait PtsProblem:
     DiversifiableProblem<
         Snapshot: Clone + Send + Sync + WireSized + DeltaSnapshot + 'static,
-        Move: Send + 'static,
+        Move: Send + FromSwap + 'static,
         Attribute: Send + Sync + 'static,
     > + Send
     + 'static
@@ -77,7 +102,7 @@ pub trait PtsProblem:
 impl<P> PtsProblem for P where
     P: DiversifiableProblem<
             Snapshot: Clone + Send + Sync + WireSized + DeltaSnapshot + 'static,
-            Move: Send + 'static,
+            Move: Send + FromSwap + 'static,
             Attribute: Send + Sync + 'static,
         > + Send
         + 'static

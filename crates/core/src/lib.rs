@@ -75,7 +75,7 @@ pub use config::{
 };
 pub use control::RunControl;
 pub use domain::{
-    DeltaOf, DeltaSnapshot, PtsDomain, PtsProblem, SearchOutcome, SnapshotOf, WireSized,
+    DeltaOf, DeltaSnapshot, FromSwap, PtsDomain, PtsProblem, SearchOutcome, SnapshotOf, WireSized,
 };
 pub use engine::{EngineOutput, ExecutionEngine, ThreadEngine};
 pub use fault::{Contention, FaultMix, FaultSpec, WorkerFault};

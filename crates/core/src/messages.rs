@@ -282,8 +282,11 @@ pub enum PtsMsg<P: PtsProblem> {
         /// with exactly one sync per round, so a delta whose `seq`
         /// disagrees with the CLW's own count is a protocol violation.
         seq: u32,
-        /// The state to restore before the next investigation, as a
-        /// delta against the CLW's current state when smaller.
+        /// The state to take before the next investigation, as a delta
+        /// against the CLW's current state when smaller. The CLW reaches
+        /// it by swaps when the snapshot type offers a short path
+        /// ([`crate::domain::DeltaSnapshot::swap_path`]), by a restore
+        /// otherwise.
         snapshot: SnapshotPayload<P>,
     },
     /// TSW → CLW: build one compound-move proposal (investigation `seq`).

@@ -3,7 +3,7 @@
 //! workload — and the placement-specific run outcome.
 
 use crate::config::PtsConfig;
-use crate::domain::{DeltaSnapshot, PtsDomain, SearchOutcome, WireSized};
+use crate::domain::{DeltaSnapshot, FromSwap, PtsDomain, SearchOutcome, WireSized};
 use pts_netlist::{CellId, Netlist, TimingGraph};
 use pts_place::cost::{CostScheme, RawObjectives};
 use pts_place::eval::{EvalConfig, Evaluator};
@@ -19,6 +19,13 @@ use std::sync::Arc;
 
 /// A cell-swap move.
 pub type SwapMove = (CellId, CellId);
+
+impl FromSwap for SwapMove {
+    fn from_swap(a: usize, b: usize) -> SwapMove {
+        let cell = |i: usize| CellId(u32::try_from(i).expect("cell indices fit in u32"));
+        (cell(a), cell(b))
+    }
+}
 
 /// Tabu attribute: `(cell, slot)` — a cell is forbidden to return to a slot
 /// it recently vacated.

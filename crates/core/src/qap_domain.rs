@@ -61,7 +61,71 @@ impl DeltaSnapshot for QapAssignment {
     fn apply_delta(base: &QapAssignment, delta: &QapDelta) -> QapAssignment {
         QapAssignment::with_changes(base, &delta.0)
     }
+
+    /// The k changed facilities permute their own locations; each cycle
+    /// of c members takes c − 1 swaps, so the path has k − (number of
+    /// cycles) swaps. It is found from `base` and the k entries alone,
+    /// with nothing of size n allocated.
+    ///
+    /// `None` past n/4 swaps (`MAX_PATH_DIVISOR`), and for a delta that is
+    /// no permutation of `base`'s locations (a facility listed twice, or a
+    /// location whose holder does not move).
+    fn swap_path(base: &QapAssignment, delta: &QapDelta) -> Option<Vec<(usize, usize)>> {
+        let n = base.len();
+        let max_swaps = n / MAX_PATH_DIVISOR;
+        let changes = delta.changes();
+        // Every cycle of a diff has at least two members, so at least k/2
+        // swaps; a longer path is known before any work.
+        if changes.len() > 2 * max_swaps {
+            return None;
+        }
+        // Each changed facility's current location, sorted: the holder of
+        // the location a facility moves to.
+        let mut holders = Vec::with_capacity(changes.len());
+        for (i, &(facility, _)) in changes.iter().enumerate() {
+            holders.push((*base.as_slice().get(facility as usize)?, i));
+        }
+        holders.sort_unstable();
+        if holders.windows(2).any(|w| w[0].0 == w[1].0) {
+            return None;
+        }
+        let holder = |location: u32| {
+            let at = holders.binary_search_by_key(&(location as usize), |&(l, _)| l);
+            at.ok().map(|at| holders[at].1)
+        };
+        // Cycle i₀ → i₁ → …, where iⱼ₊₁ holds the location iⱼ moves to:
+        // swapping iⱼ with iⱼ₊₁ settles iⱼ and hands iⱼ₊₁ the cycle's
+        // first location, which the last member moves to.
+        let mut seen = vec![false; changes.len()];
+        let mut path = Vec::new();
+        for start in 0..changes.len() {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            let mut i = start;
+            loop {
+                let next = holder(changes[i].1)?;
+                if next == start {
+                    break;
+                }
+                if seen[next] || path.len() == max_swaps {
+                    return None;
+                }
+                seen[next] = true;
+                path.push((changes[i].0 as usize, changes[next].0 as usize));
+                i = next;
+            }
+        }
+        Some(path)
+    }
 }
+
+/// A CLW follows a swap path of at most `n / MAX_PATH_DIVISOR` swaps and
+/// restores past it. A swap is an O(n) walk of about 2n multiply-adds, and
+/// a restore that misses the cost memo an O(n²) sum of about n²/2, so the
+/// longest path followed costs at most as much as the restore it replaces.
+const MAX_PATH_DIVISOR: usize = 4;
 
 /// The QAP domain: one instance (flow/distance matrices) shared by value.
 #[derive(Clone)]
@@ -144,6 +208,82 @@ mod tests {
     fn assignment_wire_size_scales() {
         let v = QapAssignment::new((0..30).collect());
         assert_eq!(v.wire_bytes(), 240);
+    }
+
+    /// A target `k` facilities away from a random `base`: the chosen
+    /// facilities trade locations along a random derangement. Returns the
+    /// pair and the derangement's cycle count.
+    fn permuted_pair(n: usize, k: usize, rng: &mut Rng) -> (QapAssignment, QapAssignment, usize) {
+        let mut loc: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut loc);
+        let mut facilities: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut facilities);
+        facilities.truncate(k);
+        let mut perm: Vec<usize> = (0..k).collect();
+        while k > 0 && perm.iter().enumerate().any(|(i, &p)| i == p) {
+            rng.shuffle(&mut perm);
+        }
+        let mut target = loc.clone();
+        for (i, &f) in facilities.iter().enumerate() {
+            target[f] = loc[facilities[perm[i]]];
+        }
+        let mut seen = vec![false; k];
+        let mut cycles = 0;
+        for start in 0..k {
+            if !seen[start] {
+                cycles += 1;
+                let mut i = start;
+                while !seen[i] {
+                    seen[i] = true;
+                    i = perm[i];
+                }
+            }
+        }
+        (QapAssignment::new(loc), QapAssignment::new(target), cycles)
+    }
+
+    #[test]
+    fn swap_path_reaches_the_target_in_k_minus_c_swaps_up_to_n_over_4() {
+        let mut rng = Rng::new(0x5A9);
+        for n in [2, 3, 17, 256] {
+            for k in (0..=n).filter(|&k| k != 1) {
+                for _ in 0..3 {
+                    let (base, target, cycles) = permuted_pair(n, k, &mut rng);
+                    let delta = QapAssignment::diff(&base, &target);
+                    assert_eq!(delta.changes().len(), k);
+                    let swaps = k - cycles;
+                    let path = QapAssignment::swap_path(&base, &delta);
+                    if swaps > n / 4 {
+                        assert_eq!(path, None, "n {n}, k {k}: {swaps} swaps");
+                        continue;
+                    }
+                    let path = path.unwrap_or_else(|| panic!("n {n}, k {k}: no path"));
+                    assert_eq!(path.len(), swaps, "n {n}, k {k}");
+                    let mut walked = base.clone().into_vec();
+                    for (a, b) in path {
+                        walked.swap(a, b);
+                    }
+                    assert_eq!(walked, target.as_slice(), "n {n}, k {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_path_refuses_a_delta_that_is_no_permutation_of_its_base() {
+        let base = QapAssignment::new((0..16).collect());
+        let path =
+            |changes: Vec<(u32, u32)>| QapAssignment::swap_path(&base, &QapDelta::new(changes));
+        assert_eq!(path(vec![(0, 1), (1, 0)]), Some(vec![(0, 1)]));
+        // Location 2's holder, facility 2, does not move.
+        assert_eq!(path(vec![(0, 2), (1, 0)]), None);
+        // Facility 0 listed twice.
+        assert_eq!(path(vec![(0, 1), (0, 1), (1, 0)]), None);
+        // Facility 16 does not exist; location 16 neither.
+        assert_eq!(path(vec![(16, 0), (0, 1), (1, 0)]), None);
+        assert_eq!(path(vec![(0, 16), (1, 0)]), None);
+        // Two facilities bound for one location.
+        assert_eq!(path(vec![(0, 1), (1, 1), (2, 0)]), None);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 use pts_core::config::{PtsConfig, SearchStrategy, SnapshotMode};
 use pts_core::messages::{PtsMsg, SnapshotPayload, TabuPayload};
 use pts_core::transport::{drive_sync, Transport};
-use pts_core::{master, tsw, PtsDomain, QapDelta, QapDomain, RunControl, SyncPolicy};
+use pts_core::{
+    clw, master, tsw, DeltaSnapshot, PtsDomain, QapDelta, QapDomain, RunControl, SyncPolicy,
+};
 use pts_tabu::qap::{Qap, QapAssignment};
 use pts_tabu::search::SearchStats;
+use pts_tabu::SearchProblem;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::sync::Arc;
@@ -24,13 +27,15 @@ use std::task::Poll;
 /// A transport whose inbox is a pre-scripted message sequence: `recv`
 /// pops the script in order (panicking if the protocol asks for more
 /// messages than the script models — i.e. on a deadlocked round), and
-/// every outgoing message is recorded for assertions. `try_recv` always
-/// reports an empty mailbox: scripted messages model in-flight traffic
-/// that arrives at the loop's blocking receive points.
+/// every outgoing message is recorded for assertions. Scripted messages
+/// model in-flight traffic that arrives at the loop's blocking receive
+/// points; `try_recv` pops a second script, `polled`, empty unless a test
+/// fills it, which models traffic a loop's mailbox poll meets.
 struct ScriptTransport {
     rank: usize,
     clock: f64,
     incoming: VecDeque<PtsMsg<Qap>>,
+    polled: VecDeque<PtsMsg<Qap>>,
     sent: Vec<(usize, PtsMsg<Qap>)>,
 }
 
@@ -40,6 +45,7 @@ impl ScriptTransport {
             rank,
             clock: 0.0,
             incoming: script.into(),
+            polled: VecDeque::new(),
             sent: Vec::new(),
         }
     }
@@ -81,7 +87,7 @@ impl Transport<Qap> for ScriptTransport {
     }
 
     fn try_recv(&mut self) -> Option<PtsMsg<Qap>> {
-        None
+        self.polled.pop_front()
     }
 }
 
@@ -1100,4 +1106,108 @@ fn tsw_and_sub_master_meeting_stop_mid_collection_stop_without_reporting() {
         .collect();
     assert_eq!(stops, vec![cfg.tsw_rank(0), cfg.tsw_rank(1)]);
     assert!(t.incoming.is_empty());
+}
+
+/// Each proposal's moves and cost.
+type Proposals = Vec<(Vec<(usize, usize)>, f64)>;
+
+/// The proposals a lone CLW (TSW 0's CLW 0) sends when `script` arrives at
+/// its receives and `polled` at its mailbox polls, and whether every
+/// polled message was met.
+fn clw_proposals(
+    cfg: &PtsConfig,
+    domain: &QapDomain,
+    script: Vec<PtsMsg<Qap>>,
+    polled: Vec<PtsMsg<Qap>>,
+) -> (Proposals, bool) {
+    let mut t = ScriptTransport::new(cfg.clw_rank(0, 0), script);
+    t.polled = polled.into();
+    drive_sync(clw::run_clw(&mut t, cfg, cfg.tsw_rank(0), 0, domain));
+    assert!(t.incoming.is_empty(), "script fully consumed");
+    let proposals = t
+        .sent
+        .iter()
+        .map(|(dst, m)| match m {
+            PtsMsg::Proposal { moves, cost, .. } if *dst == cfg.tsw_rank(0) => {
+                (moves.clone(), *cost)
+            }
+            other => panic!("CLW sent {} to {dst}", other.tag()),
+        })
+        .collect();
+    (proposals, t.polled.is_empty())
+}
+
+#[test]
+fn clw_keeps_an_adopt_state_met_mid_investigation_and_adopts_the_next_delta() {
+    // A reordering TSW→CLW link delivers round 0's AdoptState behind the
+    // Investigate sent after it, so the CLW meets it at its mid-
+    // investigation poll. Kept and handled after the proposal, it keeps
+    // the sync count in step, and round 1's delta sync is adopted: the
+    // CLW proposes exactly what it proposes when the sync arrives in
+    // order. Dropping it would leave the count behind and drop the delta
+    // too.
+    let cfg = PtsConfig {
+        n_tsw: 1,
+        n_clw: 1,
+        global_iters: 2,
+        local_iters: 1,
+        search: SearchStrategy {
+            candidates: 1,
+            depth: 3,
+            ..Default::default()
+        },
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(16, 5);
+    let initial = domain.initial(cfg.seed);
+    let mut moved = initial.as_slice().to_vec();
+    moved.swap(3, 11);
+    let moved = QapAssignment::new(moved);
+    let sync0 = || PtsMsg::AdoptState {
+        seq: 0,
+        snapshot: SnapshotPayload::Full(Arc::new(initial.clone())),
+    };
+    let sync1 = || PtsMsg::AdoptState {
+        seq: 1,
+        snapshot: SnapshotPayload::Delta {
+            base_seq: 1,
+            delta: Arc::new(QapAssignment::diff(&initial, &moved)),
+        },
+    };
+    let investigate = |seq: u64| PtsMsg::Investigate { seq, strategy: 0 };
+    let init = || PtsMsg::Init {
+        snapshot: Arc::new(initial.clone()),
+    };
+
+    let in_order = vec![
+        init(),
+        sync0(),
+        investigate(1),
+        sync1(),
+        investigate(2),
+        PtsMsg::Stop,
+    ];
+    let (expected, _) = clw_proposals(&cfg, &domain, in_order, vec![]);
+    let reordered = vec![
+        init(),
+        investigate(1),
+        sync1(),
+        investigate(2),
+        PtsMsg::Stop,
+    ];
+    let (proposals, polled) = clw_proposals(&cfg, &domain, reordered, vec![sync0()]);
+    assert!(polled, "the first investigation reached its poll");
+    assert_eq!(proposals.len(), 2);
+    for ((moves, cost), (want_moves, want_cost)) in proposals.iter().zip(&expected) {
+        assert_eq!(moves, want_moves);
+        assert_eq!(cost.to_bits(), want_cost.to_bits());
+    }
+    // The second proposal is costed from the delta's state.
+    let (moves, cost) = &proposals[1];
+    let mut at_moved = domain.instantiate(&moved);
+    for mv in moves {
+        at_moved.apply(mv);
+    }
+    assert!((at_moved.cost() - cost).abs() <= 1e-9 * cost.abs());
 }

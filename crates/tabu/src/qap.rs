@@ -97,6 +97,12 @@ impl std::ops::Index<usize> for QapAssignment {
 /// four assignments restored, and a restore that finds its assignment
 /// there costs an O(n) compare.
 ///
+/// The memo serves `Init`, TSW adoptions and the long CLW syncs. A CLW
+/// reaches its TSW's state, which no other worker holds, by applying the
+/// swaps between the two states instead of restoring it; it restores only
+/// when that path is longer than n/4 swaps (pts-core's CLW docs), and
+/// those restores mostly miss.
+///
 /// - **Shared by clones.** The memo sits behind the same kind of [`Arc`]
 ///   as the matrices, because the cost it stores is a function of those
 ///   matrices: every clone of one instance can use it, and an instance
