@@ -435,8 +435,7 @@ pub fn fig11_heterogeneity(profile: Profile) -> Figure {
             let mut cfg = base_config(profile);
             cfg.n_tsw = 4;
             cfg.n_clw = 4;
-            cfg.tsw_sync = sync;
-            cfg.clw_sync = sync;
+            cfg.sync = sync;
             let o = run(&cfg, &netlist);
             rows.push(vec![
                 text(name),

@@ -193,16 +193,17 @@ mod tests {
         // would be indistinguishable from WaitAll at this tier.
         use crate::config::SyncPolicy;
         let domain = QapDomain::random(32, 21);
-        let outcome_with = |clw_sync: SyncPolicy| {
+        // One TSW: a one-child group never forces, so only the TSW's cut
+        // of its CLWs tells the two policies apart.
+        let outcome_with = |sync: SyncPolicy| {
             Pts::builder()
-                .tsw_workers(2)
+                .tsw_workers(1)
                 .clw_workers(4)
                 .global_iters(2)
                 .local_iters(6)
                 .candidates(4)
                 .depth(4)
-                .tsw_sync(SyncPolicy::WaitAll)
-                .clw_sync(clw_sync)
+                .sync(sync)
                 .report_fraction(0.5)
                 .seed(77)
                 .build()

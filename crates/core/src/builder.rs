@@ -226,24 +226,11 @@ impl RunBuilder {
         self
     }
 
-    /// Set both synchronization policies at once (the paper compares
+    /// The synchronization policy at both levels (the paper compares
     /// homogeneous WaitAll against heterogeneous HalfReport at both
     /// levels).
     pub fn sync(mut self, policy: SyncPolicy) -> Self {
-        self.cfg.tsw_sync = policy;
-        self.cfg.clw_sync = policy;
-        self
-    }
-
-    /// Master ↔ TSW synchronization only.
-    pub fn tsw_sync(mut self, policy: SyncPolicy) -> Self {
-        self.cfg.tsw_sync = policy;
-        self
-    }
-
-    /// TSW ↔ CLW synchronization only.
-    pub fn clw_sync(mut self, policy: SyncPolicy) -> Self {
-        self.cfg.clw_sync = policy;
+        self.cfg.sync = policy;
         self
     }
 

@@ -164,10 +164,9 @@ pub struct PtsConfig {
     /// Perform the Kelly-style diversification step at the start of each
     /// global iteration.
     pub diversify: bool,
-    /// Master ↔ TSW synchronization.
-    pub tsw_sync: SyncPolicy,
-    /// TSW ↔ CLW synchronization.
-    pub clw_sync: SyncPolicy,
+    /// Parent ↔ child synchronization, at both levels (master ↔ TSW and
+    /// TSW ↔ CLW).
+    pub sync: SyncPolicy,
     /// Fraction of children that must report before the rest are forced
     /// (the paper uses 0.5).
     pub report_fraction: f64,
@@ -242,8 +241,7 @@ impl Default for PtsConfig {
             search: SearchStrategy::default(),
             portfolio: Vec::new(),
             diversify: true,
-            tsw_sync: SyncPolicy::HalfReport,
-            clw_sync: SyncPolicy::HalfReport,
+            sync: SyncPolicy::HalfReport,
             report_fraction: 0.5,
             cost: CostKind::Fuzzy,
             seed: 0xC0FFEE,
@@ -258,11 +256,11 @@ impl Default for PtsConfig {
     }
 }
 
-/// The children of one collection node in the (possibly sharded) master
-/// tree: either a contiguous group of TSWs (leaf collectors, including the
-/// flat root) or a contiguous run of sub-masters (inner collectors).
+/// The children of one collector: a contiguous group of TSWs (the flat
+/// root, a leaf sub-master), of sub-masters (the sharded root, an inner
+/// sub-master), or one TSW's CLWs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardChildren {
+pub enum Children {
     /// TSW indices `lo..hi` report to this node.
     Tsws {
         /// First TSW index of the group.
@@ -277,13 +275,21 @@ pub enum ShardChildren {
         /// One past the last shard id of the group.
         hi: usize,
     },
+    /// The `n` CLWs of TSW `tsw` report to it.
+    Clws {
+        /// Index of the TSW.
+        tsw: usize,
+        /// Its CLW count, [`PtsConfig::n_clw`].
+        n: usize,
+    },
 }
 
-impl ShardChildren {
+impl Children {
     /// Number of children of this node.
     pub fn len(&self) -> usize {
         match *self {
-            ShardChildren::Tsws { lo, hi } | ShardChildren::Shards { lo, hi } => hi - lo,
+            Children::Tsws { lo, hi } | Children::Shards { lo, hi } => hi - lo,
+            Children::Clws { n, .. } => n,
         }
     }
 
@@ -297,12 +303,13 @@ impl ShardChildren {
     pub(crate) fn rank(&self, cfg: &PtsConfig, k: usize) -> usize {
         assert!(k < self.len(), "child {k} out of range for {self:?}");
         match *self {
-            ShardChildren::Tsws { lo, .. } => cfg.tsw_rank(lo + k),
-            ShardChildren::Shards { lo, .. } => cfg.shard_rank(lo + k),
+            Children::Tsws { lo, .. } => cfg.tsw_rank(lo + k),
+            Children::Shards { lo, .. } => cfg.shard_rank(lo + k),
+            Children::Clws { tsw, .. } => cfg.clw_rank(tsw, k),
         }
     }
 
-    /// The inverse of [`ShardChildren::rank`]: which child `rank` is, or
+    /// The inverse of [`Children::rank`]: which child `rank` is, or
     /// `None` for any rank that is not a child of this group, including
     /// ranks past [`PtsConfig::total_procs`].
     pub(crate) fn index_of(&self, cfg: &PtsConfig, rank: usize) -> Option<usize> {
@@ -313,11 +320,12 @@ impl ShardChildren {
     }
 
     /// Which child plays `role`: a TSW of a TSW group, a sub-master of a
-    /// sub-master group; `None` for any other role.
+    /// sub-master group, a CLW of its TSW's; `None` for any other role.
     pub(crate) fn index_of_role(&self, role: Role) -> Option<usize> {
         let (id, lo, hi) = match (*self, role) {
-            (ShardChildren::Tsws { lo, hi }, Role::Tsw(id))
-            | (ShardChildren::Shards { lo, hi }, Role::Shard(id)) => (id, lo, hi),
+            (Children::Tsws { lo, hi }, Role::Tsw(id))
+            | (Children::Shards { lo, hi }, Role::Shard(id)) => (id, lo, hi),
+            (Children::Clws { tsw, n }, Role::Clw { tsw: of, clw }) if of == tsw => (clw, 0, n),
             _ => return None,
         };
         (lo..hi).contains(&id).then(|| id - lo)
@@ -333,7 +341,7 @@ pub struct ShardSpec {
     /// root master or another sub-master).
     pub parent_rank: usize,
     /// Who reports to this sub-master.
-    pub children: ShardChildren,
+    pub children: Children,
 }
 
 /// What one rank runs, decoded from the rank layout by
@@ -400,11 +408,6 @@ impl PtsConfig {
         1 + self.n_tsw + i * self.n_clw + j
     }
 
-    /// All CLW ranks of TSW `i`.
-    pub fn clw_ranks(&self, i: usize) -> Vec<usize> {
-        (0..self.n_clw).map(|j| self.clw_rank(i, j)).collect()
-    }
-
     /// `true` when the run uses a flat master (no sub-masters): the
     /// default `shard_fanout = 0`, or a fan-out already covering every
     /// TSW. The flat topology is rank-for-rank and message-for-message
@@ -447,41 +450,43 @@ impl PtsConfig {
         1 + self.n_tsw + self.n_tsw * self.n_clw + shard
     }
 
-    /// Rank of the node TSW `i` reports to: the root master when flat,
-    /// otherwise the leaf sub-master owning its group.
-    pub fn parent_of_tsw(&self, i: usize) -> usize {
-        assert!(i < self.n_tsw);
-        if self.is_flat() {
-            self.master_rank()
-        } else {
-            self.shard_rank(i / self.shard_fanout)
-        }
-    }
-
-    /// The rank `rank` answers to in the protocol tree: a TSW's collector,
-    /// a CLW's TSW, a sub-master's parent; `None` for the root master.
-    /// The proc engine links every rank to this one.
+    /// The rank `rank` answers to in the protocol tree: a TSW's collector
+    /// (the root master when flat, otherwise the leaf sub-master owning
+    /// its group), a CLW's TSW, a sub-master's parent; `None` for the
+    /// root master. The proc engine links every rank to this one.
     pub fn parent_rank(&self, rank: usize) -> Option<usize> {
         match self.role_of(rank) {
             Role::Master => None,
-            Role::Tsw(i) => Some(self.parent_of_tsw(i)),
+            Role::Tsw(_) if self.is_flat() => Some(self.master_rank()),
+            Role::Tsw(i) => Some(self.shard_rank(i / self.shard_fanout)),
             Role::Clw { tsw, .. } => Some(self.tsw_rank(tsw)),
             Role::Shard(s) => Some(self.shard_spec(s).parent_rank),
         }
     }
 
+    /// The group that answers to `rank`, the inverse of
+    /// [`PtsConfig::parent_rank`]; `None` for a CLW.
+    pub fn children_of(&self, rank: usize) -> Option<Children> {
+        match self.role_of(rank) {
+            Role::Master => Some(self.root_children()),
+            Role::Tsw(tsw) => Some(Children::Clws { tsw, n: self.n_clw }),
+            Role::Clw { .. } => None,
+            Role::Shard(s) => Some(self.shard_spec(s).children),
+        }
+    }
+
     /// The root master's direct children: all TSWs when flat, otherwise
     /// the top level of the sub-master tree.
-    pub fn root_children(&self) -> ShardChildren {
+    pub fn root_children(&self) -> Children {
         let levels = self.shard_levels();
         if levels.is_empty() {
-            ShardChildren::Tsws {
+            Children::Tsws {
                 lo: 0,
                 hi: self.n_tsw,
             }
         } else {
             let top = self.n_shards() - levels[levels.len() - 1];
-            ShardChildren::Shards {
+            Children::Shards {
                 lo: top,
                 hi: self.n_shards(),
             }
@@ -506,13 +511,13 @@ impl PtsConfig {
         }
         let j = shard - level_lo;
         let children = if level == 0 {
-            ShardChildren::Tsws {
+            Children::Tsws {
                 lo: j * f,
                 hi: ((j + 1) * f).min(self.n_tsw),
             }
         } else {
             let below_lo = level_lo - levels[level - 1];
-            ShardChildren::Shards {
+            Children::Shards {
                 lo: below_lo + j * f,
                 hi: below_lo + ((j + 1) * f).min(levels[level - 1]),
             }
@@ -781,8 +786,8 @@ mod tests {
             assert!(cfg.is_flat());
             assert_eq!(cfg.n_shards(), 0);
             assert_eq!(cfg.shard_levels(), Vec::<usize>::new());
-            assert_eq!(cfg.root_children(), ShardChildren::Tsws { lo: 0, hi: 8 });
-            assert_eq!(cfg.parent_of_tsw(3), 0);
+            assert_eq!(cfg.root_children(), Children::Tsws { lo: 0, hi: 8 });
+            assert_eq!(cfg.parent_rank(cfg.tsw_rank(3)), Some(0));
             assert_eq!(cfg.total_procs(), 1 + 8 + 8 * cfg.n_clw);
         }
     }
@@ -801,17 +806,17 @@ mod tests {
         assert_eq!(cfg.total_procs(), 1 + 8 + 8 + 2);
         assert_eq!(cfg.shard_rank(0), 17);
         assert_eq!(cfg.shard_rank(1), 18);
-        assert_eq!(cfg.root_children(), ShardChildren::Shards { lo: 0, hi: 2 });
+        assert_eq!(cfg.root_children(), Children::Shards { lo: 0, hi: 2 });
         for i in 0..4 {
-            assert_eq!(cfg.parent_of_tsw(i), 17);
-            assert_eq!(cfg.parent_of_tsw(i + 4), 18);
+            assert_eq!(cfg.parent_rank(cfg.tsw_rank(i)), Some(17));
+            assert_eq!(cfg.parent_rank(cfg.tsw_rank(i + 4)), Some(18));
         }
         for s in 0..2 {
             let spec = cfg.shard_spec(s);
             assert_eq!(spec.parent_rank, 0);
             assert_eq!(
                 spec.children,
-                ShardChildren::Tsws {
+                Children::Tsws {
                     lo: s * 4,
                     hi: s * 4 + 4
                 }
@@ -831,14 +836,14 @@ mod tests {
         };
         assert_eq!(cfg.shard_levels(), vec![3, 2]);
         assert_eq!(cfg.n_shards(), 5);
-        assert_eq!(cfg.root_children(), ShardChildren::Shards { lo: 3, hi: 5 });
+        assert_eq!(cfg.root_children(), Children::Shards { lo: 3, hi: 5 });
         // Leaf shards own TSW pairs and report to the inner level.
         assert_eq!(
             cfg.shard_spec(0),
             ShardSpec {
                 id: 0,
                 parent_rank: cfg.shard_rank(3),
-                children: ShardChildren::Tsws { lo: 0, hi: 2 }
+                children: Children::Tsws { lo: 0, hi: 2 }
             }
         );
         assert_eq!(
@@ -846,7 +851,7 @@ mod tests {
             ShardSpec {
                 id: 2,
                 parent_rank: cfg.shard_rank(4),
-                children: ShardChildren::Tsws { lo: 4, hi: 6 }
+                children: Children::Tsws { lo: 4, hi: 6 }
             }
         );
         // Inner shards collect leaf shards and report to the root; the
@@ -856,7 +861,7 @@ mod tests {
             ShardSpec {
                 id: 3,
                 parent_rank: 0,
-                children: ShardChildren::Shards { lo: 0, hi: 2 }
+                children: Children::Shards { lo: 0, hi: 2 }
             }
         );
         assert_eq!(
@@ -864,7 +869,7 @@ mod tests {
             ShardSpec {
                 id: 4,
                 parent_rank: 0,
-                children: ShardChildren::Shards { lo: 2, hi: 3 }
+                children: Children::Shards { lo: 2, hi: 3 }
             }
         );
     }
@@ -879,17 +884,18 @@ mod tests {
             };
             let mut tsw_parent = vec![None; n_tsw];
             let mut shard_parent = vec![None; cfg.n_shards()];
-            let mut note = |children: ShardChildren, parent: usize| match children {
-                ShardChildren::Tsws { lo, hi } => {
+            let mut note = |children: Children, parent: usize| match children {
+                Children::Tsws { lo, hi } => {
                     for slot in &mut tsw_parent[lo..hi] {
                         assert!(slot.replace(parent).is_none());
                     }
                 }
-                ShardChildren::Shards { lo, hi } => {
+                Children::Shards { lo, hi } => {
                     for slot in &mut shard_parent[lo..hi] {
                         assert!(slot.replace(parent).is_none());
                     }
                 }
+                Children::Clws { .. } => unreachable!("a collector of the master tree"),
             };
             note(cfg.root_children(), cfg.master_rank());
             for s in 0..cfg.n_shards() {
@@ -898,9 +904,9 @@ mod tests {
                 note(spec.children, cfg.shard_rank(s));
             }
             // Every TSW has exactly one parent, consistent with
-            // parent_of_tsw; every shard is collected exactly once.
+            // parent_rank; every shard is collected exactly once.
             for (i, p) in tsw_parent.iter().enumerate() {
-                assert_eq!(p.unwrap(), cfg.parent_of_tsw(i));
+                assert_eq!(*p, cfg.parent_rank(cfg.tsw_rank(i)));
             }
             for (s, p) in shard_parent.iter().enumerate() {
                 let expect = cfg.shard_spec(s).parent_rank;
@@ -961,10 +967,12 @@ mod tests {
 
     #[test]
     fn child_ranks_and_indices_invert_each_other() {
-        // At every collection node of a flat, a two-level (5 TSWs at
-        // fan-out 2: [3, 2]) and a three-level (9 TSWs at fan-out 2:
-        // [5, 3, 2]) tree: `index_of` undoes `rank` for each child, and
-        // every other rank, `total_procs()` included, is no child.
+        // At every rank with children — the root, each sub-master and
+        // each TSW — of a flat, a two-level (5 TSWs at fan-out 2: [3, 2])
+        // and a three-level (9 TSWs at fan-out 2: [5, 3, 2]) tree:
+        // `index_of` undoes `rank` for each child, each child answers to
+        // that rank, and every other rank, `total_procs()` included, is
+        // no child. CLWs have none.
         for (n_tsw, n_clw, shard_fanout, levels) in [(4, 2, 0, 0), (5, 2, 2, 2), (9, 1, 2, 3)] {
             let cfg = PtsConfig {
                 n_tsw,
@@ -973,14 +981,17 @@ mod tests {
                 ..PtsConfig::default()
             };
             assert_eq!(cfg.shard_levels().len(), levels);
-            let nodes = std::iter::once(cfg.root_children())
-                .chain((0..cfg.n_shards()).map(|s| cfg.shard_spec(s).children));
-            for children in nodes {
+            for parent in 0..cfg.total_procs() {
+                let Some(children) = cfg.children_of(parent) else {
+                    assert!(matches!(cfg.role_of(parent), Role::Clw { .. }));
+                    continue;
+                };
                 let ranks: Vec<usize> = (0..children.len())
                     .map(|k| children.rank(&cfg, k))
                     .collect();
                 for (k, &rank) in ranks.iter().enumerate() {
                     assert_eq!(children.index_of(&cfg, rank), Some(k), "{children:?}");
+                    assert_eq!(cfg.parent_rank(rank), Some(parent), "{children:?}");
                 }
                 for rank in (0..=cfg.total_procs()).filter(|r| !ranks.contains(r)) {
                     assert_eq!(children.index_of(&cfg, rank), None, "{children:?} {rank}");

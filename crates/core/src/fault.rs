@@ -21,7 +21,7 @@
 //! filters such events rather than panicking, so a seeded generator can
 //! pick targets uniformly.
 
-use crate::config::{PtsConfig, Role};
+use crate::config::PtsConfig;
 use crate::domain::PtsProblem;
 use crate::messages::PtsMsg;
 use pts_util::Rng;
@@ -422,22 +422,14 @@ fn death_notifies<P: PtsProblem>(cfg: &PtsConfig, rank: usize) -> Vec<(usize, Pt
 /// rank's link peers (its [`PtsConfig::parent_rank`] and the ranks that
 /// answer to it), and each one reads the notice off its link's end.
 pub fn down_recipients(cfg: &PtsConfig, rank: usize) -> Vec<usize> {
-    match cfg.role_of(rank) {
-        // The master's death is fatal, not excusable.
-        Role::Master => Vec::new(),
-        // A TSW: parent collector + its CLW group.
-        Role::Tsw(i) => std::iter::once(cfg.parent_of_tsw(i))
-            .chain(cfg.clw_ranks(i))
-            .collect(),
-        // A CLW: just its TSW.
-        Role::Clw { tsw, .. } => vec![cfg.tsw_rank(tsw)],
-        // A sub-master: its parent and every child of its shard.
-        Role::Shard(s) => {
-            let spec = cfg.shard_spec(s);
-            let children = (0..spec.children.len()).map(|k| spec.children.rank(cfg, k));
-            std::iter::once(spec.parent_rank).chain(children).collect()
-        }
-    }
+    // The master's death is fatal, not excusable.
+    let Some(parent) = cfg.parent_rank(rank) else {
+        return Vec::new();
+    };
+    let children = cfg.children_of(rank).into_iter();
+    std::iter::once(parent)
+        .chain(children.flat_map(|c| (0..c.len()).map(move |k| c.rank(cfg, k))))
+        .collect()
 }
 
 #[cfg(test)]

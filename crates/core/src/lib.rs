@@ -70,7 +70,7 @@ pub mod wire;
 pub use async_engine::AsyncEngine;
 pub use builder::{ConfigError, PlacementRunOutput, Pts, PtsRun, RunBuilder};
 pub use config::{
-    CostKind, PtsConfig, Role, SearchStrategy, ShardChildren, ShardSpec, SnapshotMode, SyncPolicy,
+    Children, CostKind, PtsConfig, Role, SearchStrategy, ShardSpec, SnapshotMode, SyncPolicy,
     WorkModel,
 };
 pub use control::RunControl;

@@ -28,8 +28,9 @@
 //!
 //! One collection loop, `Reduction::collect_round`, serves the root and
 //! every sub-master: it takes `Report`s from a TSW group and
-//! `GroupReport`s from a sub-master group, and [`ShardChildren`] maps
-//! each child to its rank and back. The loop is *hardened for release
+//! `GroupReport`s from a sub-master group. `Quorum`, the half-report rule
+//! over a [`Children`] map, serves it and the TSW's collection of its
+//! CLWs' proposals alike. The loop is *hardened for release
 //! builds*: a stale report (earlier round) is dropped silently (it is the
 //! one semi-expected anomaly — a late report can legitimately cross
 //! control traffic), while a report for a later round, a report from a
@@ -50,7 +51,7 @@
 //! it (`Parent::keep`), so a message from above is never lost for
 //! arriving early.
 
-use crate::config::{PtsConfig, Role, ShardChildren, SyncPolicy};
+use crate::config::{Children, PtsConfig, Role, SyncPolicy};
 use crate::control::RunControl;
 use crate::domain::{PtsDomain, PtsProblem, SearchOutcome, SnapshotOf};
 use crate::messages::{PtsMsg, SharedTabu, SnapshotBase, SnapshotPayload, TabuPayload};
@@ -148,23 +149,21 @@ impl<D: PtsDomain> Reduction<D> {
     /// Collect one round-`g` report per *live* child: a `Report` from
     /// each TSW of a leaf group (the flat root, leaf sub-masters) or a
     /// `GroupReport` from each sub-master of an inner one (the sharded
-    /// root, inner sub-masters). The straggler policy lives at the leaf
-    /// level: under [`SyncPolicy::HalfReport`] a TSW group forces its
-    /// stragglers once a quorum of its live children has reported, while
-    /// a sub-master group waits for every surviving child and records
-    /// each subtree's cumulative force count in `child_forced[k]`.
+    /// root, inner sub-masters). The [`Quorum`] says when the round is
+    /// complete and whom to force: a TSW group may force, while a
+    /// sub-master group waits for every surviving child and records each
+    /// subtree's cumulative force count in `child_forced[k]`.
     ///
-    /// Fault tolerance: `dead[k]` marks children whose death notice
-    /// ([`PtsMsg::Down`]) has arrived — they are excused from the round
-    /// (a report already folded still counts), excluded from the
-    /// force/quorum arithmetic, and stay dead for the rest of the run.
-    /// `deadline`, when set, bounds the whole collection: silence past it
+    /// Fault tolerance: children whose death notice ([`PtsMsg::Down`])
+    /// has arrived are excused from the round (a report already folded
+    /// still counts), excluded from the force/quorum arithmetic, and stay
+    /// dead for the rest of the run. `deadline`, when set, bounds the
+    /// whole collection: silence past it
     /// (a stalled but not-dead child, e.g. a paused machine) completes
     /// the round with the reports in hand — the straggler's stale report
     /// is dropped by the round guard next round and it resynchronizes on
-    /// the broadcast already sitting in its mailbox. Fault-free runs
-    /// (`dead` all false, `deadline` `None`) take exactly the historical
-    /// path.
+    /// the broadcast already sitting in its mailbox. Fault-free runs (no
+    /// deaths, `deadline` `None`) take exactly the historical path.
     ///
     /// A sub-master passes its `parent`: traffic from above that the
     /// collection meets is kept for [`Parent::down_step`] (see
@@ -177,43 +176,25 @@ impl<D: PtsDomain> Reduction<D> {
         cfg: &PtsConfig,
         base: &BaseOf<D>,
         g: u32,
-        children: ShardChildren,
+        group: &mut Quorum,
         child_forced: &mut [u64],
-        dead: &mut [bool],
         deadline: Option<f64>,
         mut parent: Option<&mut Parent<D::Problem>>,
     ) {
-        let n = children.len();
         let final_round = g + 1 == cfg.global_iters;
-        let mut reported = vec![false; n];
-        let mut n_rep = 0;
-        let mut may_force = cfg.tsw_sync == SyncPolicy::HalfReport
-            && matches!(children, ShardChildren::Tsws { .. });
-        // Children that died without reporting are excused; the round
-        // completes when every survivor has reported. With no deaths
-        // this is all `n`.
-        let n_alive = |dead: &[bool], reported: &[bool]| {
-            n - dead
-                .iter()
-                .zip(reported)
-                .filter(|&(&d, &r)| d && !r)
-                .count()
-        };
+        group.start();
 
-        loop {
-            let alive = n_alive(dead, &reported);
-            if n_rep >= alive || parent.as_ref().is_some_and(|p| p.has_kept()) {
-                break;
-            }
+        while group.owed() > 0 && !parent.as_ref().is_some_and(|p| p.has_kept()) {
             let msg = match deadline {
                 None => t.recv().await,
                 Some(d) => match t.recv_deadline(d).await {
                     Some(m) => m,
                     None => {
+                        let owed = group.owed();
                         protocol_warn(
                             t.rank(),
                             &format!(
-                                "liveness timeout collecting round {g}: proceeding with {n_rep}/{alive} reports"
+                                "liveness timeout collecting round {g}: proceeding without {owed} reports"
                             ),
                         );
                         break;
@@ -266,7 +247,7 @@ impl<D: PtsDomain> Reduction<D> {
                     Some(forced),
                 ),
                 PtsMsg::Down { rank } => {
-                    note_down(t.rank(), cfg, children, dead, rank);
+                    group.note_down(t.rank(), cfg, rank);
                     continue;
                 }
                 other => {
@@ -287,25 +268,23 @@ impl<D: PtsDomain> Reduction<D> {
                 // Stale: a late report from an earlier round.
                 continue;
             }
-            let k = match children.index_of_role(child) {
+            let k = match group.children().index_of_role(child) {
                 Some(k) if global == g => k,
                 _ => {
                     protocol_warn(
                         t.rank(),
-                        &format!("dropping report from {child:?} for round {global} (collecting {children:?} round {g})"),
+                        &format!("dropping report from {child:?} for round {global} (collecting {:?} round {g})", group.children()),
                     );
                     continue;
                 }
             };
-            if reported[k] {
+            if !group.accept(k) {
                 protocol_warn(
                     t.rank(),
                     &format!("rejecting duplicate report from {child:?} in round {g}"),
                 );
                 continue;
             }
-            reported[k] = true;
-            n_rep += 1;
             self.child_cost[k] = cost;
             t.compute(cfg.work.per_report).await;
             self.merged = Trace::merge([&self.merged, &Trace::from_points(trace)]);
@@ -318,17 +297,9 @@ impl<D: PtsDomain> Reduction<D> {
             if let Some(forced) = forced {
                 child_forced[k] = forced;
             }
-            // Quorum over the children still alive: the dead can neither
-            // report nor be forced.
-            let alive = n_alive(dead, &reported);
-            if may_force && n_rep >= cfg.report_quorum(alive) && n_rep < alive {
-                for (k, &done) in reported.iter().enumerate() {
-                    if !done && !dead[k] {
-                        t.send(children.rank(cfg, k), PtsMsg::ForceReport { global: g });
-                        self.forced += 1;
-                    }
-                }
-                may_force = false;
+            for rank in group.stragglers(cfg, false) {
+                t.send(rank, PtsMsg::ForceReport { global: g });
+                self.forced += 1;
             }
         }
     }
@@ -336,6 +307,100 @@ impl<D: PtsDomain> Reduction<D> {
     /// Forces issued in this node's whole subtree so far.
     fn subtree_forced(&self, child_forced: &[u64]) -> u64 {
         self.forced + child_forced.iter().sum::<u64>()
+    }
+}
+
+/// One collector's children under the paper's half-report rule, its
+/// heterogeneity mechanism, at every level: the root, each sub-master and
+/// each TSW over its CLWs. It holds the child map, which children have
+/// died (for the rest of the run), which have replied this round, and
+/// whether this round has forced its stragglers.
+pub(crate) struct Quorum {
+    children: Children,
+    dead: Vec<bool>,
+    replied: Vec<bool>,
+    /// Under [`SyncPolicy::HalfReport`] a group of TSWs or of CLWs forces
+    /// once a quorum has replied; a group of sub-masters waits for every
+    /// subtree, which forces within itself.
+    at_quorum: bool,
+    forced: bool,
+}
+
+impl Quorum {
+    pub(crate) fn new(cfg: &PtsConfig, children: Children) -> Quorum {
+        Quorum {
+            children,
+            dead: vec![false; children.len()],
+            replied: vec![false; children.len()],
+            at_quorum: cfg.sync == SyncPolicy::HalfReport
+                && !matches!(children, Children::Shards { .. }),
+            forced: false,
+        }
+    }
+
+    pub(crate) fn children(&self) -> Children {
+        self.children
+    }
+
+    /// Open a round: no replies in, nobody forced.
+    pub(crate) fn start(&mut self) {
+        self.replied.fill(false);
+        self.forced = false;
+    }
+
+    /// Mark child `rank` dead on its [`PtsMsg::Down`] notice; a notice
+    /// for a rank that is not a child is warned about and ignored.
+    pub(crate) fn note_down(&mut self, me: usize, cfg: &PtsConfig, rank: usize) {
+        match self.children.index_of(cfg, rank) {
+            Some(k) if !self.dead[k] => {
+                self.dead[k] = true;
+                protocol_warn(me, &format!("child {k} (rank {rank}) is down"));
+            }
+            Some(_) => {}
+            None => protocol_warn(
+                me,
+                &format!("ignoring Down for rank {rank} (not a child of this node)"),
+            ),
+        }
+    }
+
+    /// The children not known dead, in order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.dead.len()).filter(|&k| !self.dead[k])
+    }
+
+    /// Children still owed a reply this round: a dead child that has not
+    /// replied is excused, and one that replied before dying still counts.
+    pub(crate) fn owed(&self) -> usize {
+        self.live().filter(|&k| !self.replied[k]).count()
+    }
+
+    /// Take child `k`'s reply; `false` for a duplicate or out of range.
+    pub(crate) fn accept(&mut self, k: usize) -> bool {
+        let fresh = self.replied.get(k) == Some(&false);
+        if fresh {
+            self.replied[k] = true;
+        }
+        fresh
+    }
+
+    /// The ranks of the living children owed a reply, to force at most
+    /// once a round: at once on `cut` (a TSW its parent forced, or that
+    /// met a broadcast), else when [`PtsConfig::report_quorum`] of the
+    /// living have replied.
+    pub(crate) fn stragglers(&mut self, cfg: &PtsConfig, cut: bool) -> Vec<usize> {
+        let at_quorum = || {
+            let (owed, replied) = (self.owed(), self.replied.iter().filter(|&&r| r).count());
+            owed > 0 && replied >= cfg.report_quorum(replied + owed)
+        };
+        if self.forced || !(cut || (self.at_quorum && at_quorum())) {
+            return Vec::new();
+        }
+        self.forced = true;
+        self.live()
+            .filter(|&k| !self.replied[k])
+            .map(|k| self.children.rank(cfg, k))
+            .collect()
     }
 }
 
@@ -495,7 +560,7 @@ impl<P: PtsProblem> Parent<P> {
 fn send_down<P: PtsProblem, T: Transport<P>>(
     t: &mut T,
     cfg: &PtsConfig,
-    children: ShardChildren,
+    children: Children,
     msg: impl Fn(usize) -> PtsMsg<P>,
 ) {
     for k in 0..children.len() {
@@ -509,7 +574,7 @@ fn send_down<P: PtsProblem, T: Transport<P>>(
 fn send_init<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
     cfg: &PtsConfig,
-    children: ShardChildren,
+    children: Children,
     initial: &Arc<SnapshotOf<D>>,
 ) {
     let init = || PtsMsg::Init {
@@ -517,27 +582,11 @@ fn send_init<D: PtsDomain, T: Transport<D::Problem>>(
     };
     for k in 0..children.len() {
         t.send(children.rank(cfg, k), init());
-        if let ShardChildren::Tsws { lo, .. } = children {
+        if let Children::Tsws { lo, .. } = children {
             for j in 0..cfg.n_clw {
                 t.send(cfg.clw_rank(lo + k, j), init());
             }
         }
-    }
-}
-
-/// Mark child `rank` dead on its [`PtsMsg::Down`] notice; a notice for a
-/// rank that is not one of `children` is warned about and ignored.
-fn note_down(me: usize, cfg: &PtsConfig, children: ShardChildren, dead: &mut [bool], rank: usize) {
-    match children.index_of(cfg, rank) {
-        Some(k) if !dead[k] => {
-            dead[k] = true;
-            protocol_warn(me, &format!("child {k} (rank {rank}) is down"));
-        }
-        Some(_) => {}
-        None => protocol_warn(
-            me,
-            &format!("ignoring Down for rank {rank} (not a child of this node)"),
-        ),
     }
 }
 
@@ -598,9 +647,7 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
     red.merged.record(t.now(), 0, red.best_cost);
     let mut best_per_global_iter = Vec::with_capacity(cfg.global_iters as usize);
     let mut child_forced = vec![0u64; children.len()];
-    // Death notices persist: a child reported down stays excused for
-    // every later round. Always all-false in fault-free runs.
-    let mut dead = vec![false; children.len()];
+    let mut group = Quorum::new(cfg, children);
 
     // Strategy reallocation state. With an empty portfolio every entry
     // of `assign` is 0, the scoring/reassignment block below is skipped
@@ -626,9 +673,8 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
             cfg,
             &base,
             g,
-            children,
+            &mut group,
             &mut child_forced,
-            &mut dead,
             deadline,
             None,
         )
@@ -715,13 +761,11 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     let me = t.rank();
     let mut parent = Parent::new(spec.parent_rank);
     // Death notices persist, including one that beats the Init.
-    let mut dead = vec![false; spec.children.len()];
+    let mut group = Quorum::new(cfg, spec.children);
 
     // Wait for the Init relayed from above.
     let FromParent::Init(initial) = parent
-        .down_step(t, None, 0, None, |rank| {
-            note_down(me, cfg, spec.children, &mut dead, rank)
-        })
+        .down_step(t, None, 0, None, |rank| group.note_down(me, cfg, rank))
         .await
     else {
         send_down(t, cfg, spec.children, |_| PtsMsg::Stop);
@@ -748,9 +792,8 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
             cfg,
             &base,
             g,
-            spec.children,
+            &mut group,
             &mut child_forced,
-            &mut dead,
             deadline(t.now()),
             Some(&mut parent),
         )
@@ -783,7 +826,7 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
         // verbatim, and its strategy stamp covers this whole subtree.
         match parent
             .down_step(t, Some(&base), g, deadline(t.now()), |rank| {
-                note_down(me, cfg, spec.children, &mut dead, rank)
+                group.note_down(me, cfg, rank)
             })
             .await
         {
@@ -819,5 +862,138 @@ mod tests {
         // integration tests and crates/core/tests/protocol_robustness.rs.
         fn assert_send<T: Send>() {}
         assert_send::<SearchOutcome<pts_place::placement::Placement>>();
+    }
+
+    fn cfg(sync: SyncPolicy, report_fraction: f64) -> PtsConfig {
+        PtsConfig {
+            n_tsw: 4,
+            n_clw: 4,
+            sync,
+            report_fraction,
+            ..PtsConfig::default()
+        }
+    }
+
+    const TSWS: Children = Children::Tsws { lo: 0, hi: 4 };
+
+    /// A round of `children` under `cfg`, with children `dead` down.
+    fn round(cfg: &PtsConfig, children: Children, dead: &[usize]) -> Quorum {
+        let mut q = Quorum::new(cfg, children);
+        for &k in dead {
+            q.note_down(0, cfg, children.rank(cfg, k));
+        }
+        q.start();
+        q
+    }
+
+    #[test]
+    fn a_dead_child_that_has_not_replied_is_excused() {
+        let cfg = cfg(SyncPolicy::WaitAll, 0.5);
+        let mut q = round(&cfg, TSWS, &[]);
+        assert!(q.accept(0) && q.accept(2));
+        assert_eq!(q.owed(), 2);
+        q.note_down(0, &cfg, cfg.tsw_rank(1));
+        assert_eq!(q.owed(), 1);
+        q.note_down(0, &cfg, cfg.tsw_rank(3));
+        assert_eq!(q.owed(), 0, "the round is complete");
+        // Deaths outlast the round; replies do not.
+        q.start();
+        assert_eq!(q.live().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(q.owed(), 2);
+    }
+
+    #[test]
+    fn a_dead_child_that_replied_still_counts() {
+        let cfg = cfg(SyncPolicy::WaitAll, 0.5);
+        let mut q = round(&cfg, TSWS, &[]);
+        assert!(q.accept(1));
+        q.note_down(0, &cfg, cfg.tsw_rank(1));
+        // Its reply stands; the three others are still owed.
+        assert_eq!(q.owed(), 3);
+        for k in [0, 2, 3] {
+            assert!(q.owed() > 0);
+            assert!(q.accept(k));
+        }
+        assert_eq!(q.owed(), 0);
+    }
+
+    #[test]
+    fn the_round_forces_once_at_quorum() {
+        let cfg = cfg(SyncPolicy::HalfReport, 0.5);
+        for children in [TSWS, Children::Clws { tsw: 1, n: 4 }] {
+            // Quorum of the three living is two.
+            let mut q = round(&cfg, children, &[2]);
+            assert!(q.accept(3));
+            assert_eq!(q.stragglers(&cfg, false), Vec::<usize>::new());
+            assert!(q.accept(0));
+            assert_eq!(q.stragglers(&cfg, false), vec![children.rank(&cfg, 1)]);
+            // Once a round, whatever comes next.
+            assert_eq!(q.stragglers(&cfg, false), Vec::<usize>::new());
+            assert_eq!(q.stragglers(&cfg, true), Vec::<usize>::new());
+            assert!(q.accept(1));
+            assert_eq!(q.owed(), 0);
+            // The next round may force again.
+            q.start();
+            assert!(q.accept(0) && q.accept(1));
+            assert_eq!(q.stragglers(&cfg, false), vec![children.rank(&cfg, 3)]);
+        }
+    }
+
+    #[test]
+    fn nothing_is_forced_by_a_one_child_group_or_at_fraction_one() {
+        let half = cfg(SyncPolicy::HalfReport, 0.5);
+        let mut one = round(&half, Children::Clws { tsw: 0, n: 1 }, &[]);
+        assert!(one.accept(0));
+        assert_eq!(one.stragglers(&half, false), Vec::<usize>::new());
+        let all = cfg(SyncPolicy::HalfReport, 1.0);
+        let mut q = round(&all, TSWS, &[]);
+        for k in 0..3 {
+            assert!(q.accept(k));
+            assert_eq!(q.stragglers(&all, false), Vec::<usize>::new());
+        }
+        // Nor under WaitAll, nor by a group of sub-masters, at quorum.
+        let wait_all = cfg(SyncPolicy::WaitAll, 0.5);
+        let shards = PtsConfig {
+            n_tsw: 8,
+            shard_fanout: 2,
+            ..half.clone()
+        };
+        for (cfg, children) in [(&wait_all, TSWS), (&shards, shards.root_children())] {
+            let mut q = round(cfg, children, &[]);
+            assert!(q.accept(0) && q.accept(1));
+            assert_eq!(q.stragglers(cfg, false), Vec::<usize>::new());
+        }
+    }
+
+    #[test]
+    fn a_cut_forces_at_once_under_either_policy() {
+        for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
+            let cfg = cfg(sync, 0.5);
+            let mut q = round(&cfg, Children::Clws { tsw: 2, n: 3 }, &[1]);
+            let ranks = vec![cfg.clw_rank(2, 0), cfg.clw_rank(2, 2)];
+            assert_eq!(q.stragglers(&cfg, true), ranks);
+            assert_eq!(q.stragglers(&cfg, true), Vec::<usize>::new());
+        }
+    }
+
+    #[test]
+    fn a_duplicate_or_out_of_range_reply_is_rejected() {
+        let cfg = cfg(SyncPolicy::HalfReport, 0.5);
+        let mut q = round(&cfg, TSWS, &[]);
+        assert!(q.accept(2));
+        assert!(!q.accept(2));
+        assert!(!q.accept(4));
+        assert!(!q.accept(usize::MAX));
+        assert_eq!(q.owed(), 3);
+    }
+
+    #[test]
+    fn a_down_for_a_rank_outside_the_group_changes_nothing() {
+        let cfg = cfg(SyncPolicy::WaitAll, 0.5);
+        let mut q = round(&cfg, Children::Clws { tsw: 1, n: 4 }, &[]);
+        for rank in [cfg.master_rank(), cfg.tsw_rank(1), cfg.clw_rank(0, 0), 99] {
+            q.note_down(0, &cfg, rank);
+        }
+        assert_eq!(q.live().count(), 4);
     }
 }

@@ -432,10 +432,6 @@ impl ProcEngine {
         // exactly its link peers, the ranks `fault::down_recipients`
         // names for the virtual engines.
         let parents: Vec<Option<usize>> = (0..total).map(|r| cfg.parent_rank(r)).collect();
-        let mut has_children = vec![false; total];
-        for p in parents.iter().flatten() {
-            has_children[*p] = true;
-        }
         // Rank 0's link listener exists before any child does.
         let links0 = Listener::bind_like(&addr)?;
         let setup = encode_setup(cfg, domain, &initial);
@@ -444,13 +440,13 @@ impl ProcEngine {
         // Children first (they connect while the barrier runs).
         // Rank-tagged so the monitor can name the rank a corpse held.
         let mut children: Vec<(usize, Child)> = Vec::with_capacity(total - 1);
-        for (rank, &links) in has_children.iter().enumerate().skip(1) {
+        for rank in 1..total {
             let mut command = Command::new(&self.worker_exe);
             command
                 .arg("__pts-worker")
                 .args(["--sock", &addr])
                 .args(["--rank", &rank.to_string()]);
-            if links {
+            if cfg.children_of(rank).is_some() {
                 command.arg("--links");
             }
             match command.stdin(Stdio::null()).spawn() {

@@ -21,9 +21,9 @@
 //! After adopting a broadcast the TSW resumes at the round after the one
 //! it closes.
 
-use crate::config::{PtsConfig, SyncPolicy};
+use crate::config::PtsConfig;
 use crate::domain::{PtsDomain, PtsProblem};
-use crate::master::{FromParent, Parent};
+use crate::master::{FromParent, Parent, Quorum};
 use crate::messages::{PtsMsg, SnapshotBase, SnapshotPayload, TabuPayload};
 use crate::meter;
 use crate::transport::{protocol_warn, Transport};
@@ -50,11 +50,14 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
 ) {
     let n_items = domain.domain_size();
     let my_range = cfg.tsw_range(tsw_index, n_items);
-    let clws = cfg.clw_ranks(tsw_index);
+    let me = t.rank();
+    // Fault tolerance: CLWs whose death notice (PtsMsg::Down) arrived are
+    // excluded from investigations. Nobody dies without faults.
+    let mut clws = Quorum::new(cfg, cfg.children_of(me).expect("a TSW has CLWs"));
     // Under a sharded topology reports go to this TSW's group sub-master
     // rather than rank 0; all control traffic (Init, ForceReport,
     // Broadcast, Stop) likewise arrives from the parent.
-    let mut parent = Parent::new(cfg.parent_of_tsw(tsw_index));
+    let mut parent = Parent::new(cfg.parent_rank(me).expect("a TSW has a parent"));
     // MPSS (paper default): one shared diversification stream — TSWs still
     // diverge because each diversifies over a *different* item range.
     let div_salt = if cfg.differentiate_streams {
@@ -64,20 +67,14 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     };
     let mut div_rng = crate::clw::worker_rng(cfg.seed, div_salt);
 
-    // Fault tolerance: CLWs whose death notice (PtsMsg::Down) arrived are
-    // excluded from investigations. Always all-false without faults.
-    let mut clw_dead = vec![false; clws.len()];
-
     // Wait for Init. The initial solution doubles as the sequence-0
     // snapshot base shared with the parent: reports diff against it
     // until the first broadcast re-anchors it.
     let FromParent::Init(initial) = parent
-        .down_step(t, None, 0, None, |rank| {
-            note_clw_down(&clws, &mut clw_dead, rank)
-        })
+        .down_step(t, None, 0, None, |rank| clws.note_down(me, cfg, rank))
         .await
     else {
-        stop_clws(t, &clws, &clw_dead);
+        send_live(t, cfg, &clws, || PtsMsg::Stop);
         return;
     };
     let mut problem = domain.instantiate(&initial);
@@ -133,14 +130,12 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         let state = Arc::new(problem.snapshot());
         meter::record_snapshot_alloc();
         let sync = SnapshotPayload::encode(cfg.snapshot_mode, &clw_sync, &state);
-        for &c in &clws {
-            t.send(
-                c,
-                PtsMsg::AdoptState {
-                    seq: syncs,
-                    snapshot: sync.clone(),
-                },
-            );
+        let adopt = || PtsMsg::AdoptState {
+            seq: syncs,
+            snapshot: sync.clone(),
+        };
+        for j in 0..cfg.n_clw {
+            t.send(clws.children().rank(cfg, j), adopt());
         }
         drop((state, sync));
 
@@ -152,7 +147,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         for _li in 0..cfg.local_iters {
             // With every CLW dead there is nobody left to investigate:
             // skip straight to the report so the round still completes.
-            if clw_dead.iter().all(|&d| d) {
+            if clws.live().next().is_none() {
                 break;
             }
             // A master ForceReport, or traffic from above for the
@@ -160,7 +155,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             while let Some(msg) = t.try_recv() {
                 match parent.keep(g, msg) {
                     Some(PtsMsg::ForceReport { global }) if global == g => force_pending = true,
-                    Some(PtsMsg::Down { rank }) => note_clw_down(&clws, &mut clw_dead, rank),
+                    Some(PtsMsg::Down { rank }) => clws.note_down(me, cfg, rank),
                     _ => {}
                 }
             }
@@ -169,26 +164,17 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             }
 
             inv_seq += 1;
-            for (j, &c) in clws.iter().enumerate() {
-                if !clw_dead[j] {
-                    t.send(
-                        c,
-                        PtsMsg::Investigate {
-                            seq: inv_seq,
-                            strategy: cur_strategy,
-                        },
-                    );
-                }
-            }
+            send_live(t, cfg, &clws, || PtsMsg::Investigate {
+                seq: inv_seq,
+                strategy: cur_strategy,
+            });
             let proposals = collect_proposals::<D, T>(
                 t,
                 cfg,
-                tsw_index,
+                &mut clws,
                 g,
                 inv_seq,
-                &clws,
                 &mut force_pending,
-                &mut clw_dead,
                 &mut parent,
             )
             .await;
@@ -213,16 +199,9 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             t.compute(cfg.work.per_tabu_check).await;
             if let StepOutcome::Accepted { .. } = engine.step_with(&mut problem, &compound, t.now())
             {
-                for (j, &c) in clws.iter().enumerate() {
-                    if !clw_dead[j] {
-                        t.send(
-                            c,
-                            PtsMsg::ApplyMoves {
-                                moves: compound.moves.clone(),
-                            },
-                        );
-                    }
-                }
+                send_live(t, cfg, &clws, || PtsMsg::ApplyMoves {
+                    moves: compound.moves.clone(),
+                });
             }
             if force_pending || parent.has_kept() {
                 break;
@@ -272,7 +251,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         // either way adopt it and go on after the round it closes.
         match parent
             .down_step(t, Some(&base), g, None, |rank| {
-                note_clw_down(&clws, &mut clw_dead, rank)
+                clws.note_down(me, cfg, rank)
             })
             .await
         {
@@ -297,82 +276,48 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
             _ => break,
         }
     }
-    stop_clws(t, &clws, &clw_dead);
+    send_live(t, cfg, &clws, || PtsMsg::Stop);
 }
 
 /// Collect one proposal from every *live* CLW, applying the half-report
-/// policy as a parent and watching for the master's ForceReport as a child.
+/// rule ([`Quorum`]) as a parent and watching for the master's
+/// ForceReport as a child.
 ///
 /// A CLW whose `Down` notice arrives mid-collection is excused from this
 /// and all future investigations. Traffic from above is kept for the
 /// downward step: a broadcast cuts the stragglers, as a ForceReport does,
 /// and a wind-down abandons the collection with no proposals. Without
-/// faults every CLW is live and exactly `clws.len()` proposals come back
-/// — the historical contract.
-#[allow(clippy::too_many_arguments)]
+/// faults every CLW is live and exactly `n_clw` proposals come back, in
+/// CLW order.
 async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
     cfg: &PtsConfig,
-    tsw_index: usize,
+    clws: &mut Quorum,
     global: u32,
     seq: u64,
-    clws: &[usize],
     force_pending: &mut bool,
-    clw_dead: &mut [bool],
     parent: &mut Parent<D::Problem>,
 ) -> Vec<ProposalOf<D>> {
-    let n = clws.len();
-    let mut got: Vec<Option<ProposalOf<D>>> = (0..n).map(|_| None).collect();
-    let mut n_got = 0;
-    let mut cut_sent = false;
+    clws.start();
+    let mut got: Vec<Option<ProposalOf<D>>> = (0..cfg.n_clw).map(|_| None).collect();
 
-    let cut_stragglers =
-        |t: &mut T, got: &[Option<ProposalOf<D>>], dead: &[bool], cut_sent: &mut bool| {
-            if *cut_sent {
-                return;
-            }
-            for (j, slot) in got.iter().enumerate() {
-                if slot.is_none() && !dead[j] {
-                    t.send(cfg.clw_rank(tsw_index, j), PtsMsg::CutShort { seq });
-                }
-            }
-            *cut_sent = true;
-        };
-
-    // A dead CLW that never answered is excused; one that answered
-    // before dying still counts — the rule every collector uses.
-    // Recomputed each time because deaths land mid-collection.
-    let n_alive = |got: &[Option<ProposalOf<D>>], dead: &[bool]| {
-        n - got
-            .iter()
-            .zip(dead)
-            .filter(|&(slot, &d)| slot.is_none() && d)
-            .count()
-    };
-
-    while n_got < n_alive(&got, clw_dead) {
-        let Some(msg) = parent.keep(global, t.recv().await) else {
-            if parent.winds_down() {
-                return Vec::new();
-            }
+    while clws.owed() > 0 {
+        let cut = match parent.keep(global, t.recv().await) {
+            None if parent.winds_down() => return Vec::new(),
             // A kept broadcast acts like this round's ForceReport.
-            if parent.has_kept() {
-                cut_stragglers(t, &got, clw_dead, &mut cut_sent);
-            }
-            continue;
-        };
-        match msg {
-            PtsMsg::Proposal {
+            None if parent.has_kept() => true,
+            None => continue,
+            Some(PtsMsg::Proposal {
                 clw,
                 seq: s,
                 moves,
                 cost,
-            } if s == seq => {
+            }) if s == seq => {
                 // Same hardening as the master's collection: a duplicate
-                // (or out-of-range) proposal must not double-count
-                // `n_got`, which would end the collection with a missing
-                // slot and poison the round.
-                if clw >= n || got[clw].is_some() {
+                // (or out-of-range) proposal must not count twice, which
+                // would end the collection with a missing slot and poison
+                // the round.
+                if !clws.accept(clw) {
                     protocol_warn(
                         t.rank(),
                         &format!("TSW rejecting duplicate/out-of-range Proposal from CLW {clw}"),
@@ -380,24 +325,23 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
                     continue;
                 }
                 got[clw] = Some((moves, cost));
-                n_got += 1;
-                let alive = n_alive(&got, clw_dead);
-                if cfg.clw_sync == SyncPolicy::HalfReport
-                    && n_got >= cfg.report_quorum(alive)
-                    && n_got < alive
-                {
-                    cut_stragglers(t, &got, clw_dead, &mut cut_sent);
-                }
+                false
             }
-            PtsMsg::Proposal { .. } => {} // stale seq (cannot normally occur)
-            PtsMsg::ForceReport { global: fg } if fg == global => {
-                *force_pending = true;
+            Some(PtsMsg::ForceReport { global: fg }) if fg == global => {
                 // Hasten the stragglers so this iteration ends quickly.
-                cut_stragglers(t, &got, clw_dead, &mut cut_sent);
+                *force_pending = true;
+                true
             }
-            PtsMsg::ForceReport { .. } | PtsMsg::CutShort { .. } => {}
-            PtsMsg::Down { rank } => note_clw_down(clws, clw_dead, rank),
-            other => {
+            // A stale seq (cannot normally occur), or a closed round's
+            // force or cut.
+            Some(
+                PtsMsg::Proposal { .. } | PtsMsg::ForceReport { .. } | PtsMsg::CutShort { .. },
+            ) => continue,
+            Some(PtsMsg::Down { rank }) => {
+                clws.note_down(t.rank(), cfg, rank);
+                continue;
+            }
+            Some(other) => {
                 protocol_warn(
                     t.rank(),
                     &format!(
@@ -405,23 +349,24 @@ async fn collect_proposals<D: PtsDomain, T: Transport<D::Problem>>(
                         other.tag()
                     ),
                 );
+                continue;
             }
+        };
+        for rank in clws.stragglers(cfg, cut) {
+            t.send(rank, PtsMsg::CutShort { seq });
         }
     }
     got.into_iter().flatten().collect()
 }
 
-/// Mark CLW `rank` dead on its [`PtsMsg::Down`] notice; a death outside
-/// this TSW's group is not its concern.
-fn note_clw_down(clws: &[usize], dead: &mut [bool], rank: usize) {
-    if let Some(j) = clws.iter().position(|&c| c == rank) {
-        dead[j] = true;
-    }
-}
-
-/// Wind this TSW's live CLWs down.
-fn stop_clws<P: PtsProblem, T: Transport<P>>(t: &mut T, clws: &[usize], dead: &[bool]) {
-    for (&c, _) in clws.iter().zip(dead).filter(|&(_, &d)| !d) {
-        t.send(c, PtsMsg::Stop);
+/// Send `msg()` to each of this TSW's live CLWs, in CLW order.
+fn send_live<P: PtsProblem, T: Transport<P>>(
+    t: &mut T,
+    cfg: &PtsConfig,
+    clws: &Quorum,
+    msg: impl Fn() -> PtsMsg<P>,
+) {
+    for j in clws.live() {
+        t.send(clws.children().rank(cfg, j), msg());
     }
 }

@@ -1202,8 +1202,8 @@ pub fn put_config(cfg: &crate::config::PtsConfig, out: &mut Vec<u8>) {
     out.push(cfg.diversify as u8);
     put_u64(out, cfg.search.diversify_depth as u64);
     put_u64(out, cfg.search.diversify_width as u64);
-    out.push(sync_byte(cfg.tsw_sync));
-    out.push(sync_byte(cfg.clw_sync));
+    // The policy twice: the block once had one slot per level.
+    out.extend([sync_byte(cfg.sync); 2]);
     put_f64(out, cfg.report_fraction);
     let slots = cost_slots();
     put_f64(out, slots[0]);
@@ -1258,9 +1258,9 @@ pub fn get_config(r: &mut WireReader<'_>) -> Result<crate::config::PtsConfig, Wi
 /// take their defaults (best-cost aspiration, empty portfolio — exactly
 /// the semantics a v1 peer ran with). Unknown versions are rejected with
 /// [`WireError::VersionMismatch`], never a panic, and a block whose
-/// placement-cost slots hold anything but this build's constants with
-/// [`WireError::Malformed`]: its sender meant a cost function this build
-/// does not run.
+/// placement-cost slots hold anything but this build's constants, or
+/// whose two sync slots differ, with [`WireError::Malformed`]: its sender
+/// meant a cost function or a policy split this build does not run.
 pub fn get_config_versioned(
     r: &mut WireReader<'_>,
     version: u8,
@@ -1302,8 +1302,10 @@ pub fn get_config_versioned(
         },
         portfolio: Vec::new(),
         diversify,
-        tsw_sync: sync(r.u8()?)?,
-        clw_sync: sync(r.u8()?)?,
+        sync: match (sync(r.u8()?)?, sync(r.u8()?)?) {
+            (upper, lower) if upper == lower => upper,
+            _ => return Err(WireError::Malformed("sync policies differ by level")),
+        },
         report_fraction: r.f64()?,
         cost: {
             let alpha = r.f64()?;
@@ -1508,7 +1510,7 @@ mod tests {
             n_tsw: 9,
             n_clw: 3,
             shard_fanout: 3,
-            tsw_sync: crate::config::SyncPolicy::WaitAll,
+            sync: crate::config::SyncPolicy::WaitAll,
             snapshot_mode: crate::config::SnapshotMode::Full,
             seed: 0xDEADBEEF,
             heartbeat_ms: 250,
@@ -1559,6 +1561,44 @@ mod tests {
                             Err(WireError::Malformed(_))
                         ),
                         "{value} at byte {at}, version {version}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn config_blocks_with_two_sync_policies_are_malformed() {
+        // The two sync bytes sit at 65 and 66, after the counts and the
+        // strategy knobs. `put_config` writes the one policy into both;
+        // a block that asks for a different policy per level names a
+        // split this build does not run, at every version.
+        use crate::config::{PtsConfig, SyncPolicy};
+        for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
+            let cfg = PtsConfig {
+                sync,
+                ..PtsConfig::default()
+            };
+            let mut buf = Vec::new();
+            put_config(&cfg, &mut buf);
+            let byte = u8::from(sync == SyncPolicy::HalfReport);
+            assert_eq!(buf[65..67], [byte, byte]);
+            for at in [65, 66] {
+                let mut bad = buf.clone();
+                bad[at] = 1 - byte;
+                for version in MIN_WIRE_VERSION..=WIRE_VERSION {
+                    assert_eq!(
+                        get_config_versioned(&mut WireReader::new(&buf), version)
+                            .unwrap()
+                            .sync,
+                        sync
+                    );
+                    assert!(
+                        matches!(
+                            get_config_versioned(&mut WireReader::new(&bad), version),
+                            Err(WireError::Malformed(_))
+                        ),
+                        "{sync:?} with byte {at} flipped, version {version}"
                     );
                 }
             }

@@ -131,8 +131,7 @@ fn master_drops_stale_rejects_duplicate_and_ignores_unexpected_reports() {
         n_tsw: 2,
         n_clw: 1,
         global_iters: 2,
-        tsw_sync: SyncPolicy::WaitAll,
-        clw_sync: SyncPolicy::WaitAll,
+        sync: SyncPolicy::WaitAll,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -207,7 +206,7 @@ fn sub_master_applies_local_quorum_and_rejects_malformed_reports() {
         n_clw: 1,
         shard_fanout: 2,
         global_iters: 1,
-        tsw_sync: SyncPolicy::HalfReport,
+        sync: SyncPolicy::HalfReport,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -305,8 +304,7 @@ fn a_collector_drops_reports_of_the_wrong_level() {
         n_clw: 1,
         shard_fanout: 2,
         global_iters: 1,
-        tsw_sync: SyncPolicy::WaitAll,
-        clw_sync: SyncPolicy::WaitAll,
+        sync: SyncPolicy::WaitAll,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -378,7 +376,7 @@ fn sub_master_survives_tsw_dying_after_its_report() {
         n_clw: 1,
         shard_fanout: 2,
         global_iters: 1,
-        tsw_sync: SyncPolicy::HalfReport,
+        sync: SyncPolicy::HalfReport,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -445,7 +443,7 @@ fn sub_master_excuses_dead_straggler_and_completes_the_round() {
         n_clw: 1,
         shard_fanout: 2,
         global_iters: 1,
-        tsw_sync: SyncPolicy::HalfReport,
+        sync: SyncPolicy::HalfReport,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -789,7 +787,7 @@ fn tsw_cuts_stragglers_by_the_collectors_quorum_after_a_death() {
             ..Default::default()
         },
         diversify: false,
-        clw_sync: SyncPolicy::HalfReport,
+        sync: SyncPolicy::HalfReport,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
@@ -881,7 +879,7 @@ fn sharded_tsw_reports_to_its_group_sub_master() {
         .iter()
         .find(|(_, m)| m.tag() == "Report")
         .expect("one report");
-    assert_eq!(*dst, cfg.parent_of_tsw(tsw_index));
+    assert_eq!(Some(*dst), cfg.parent_rank(cfg.tsw_rank(tsw_index)));
     assert_eq!(*dst, cfg.shard_rank(1));
 }
 
@@ -893,8 +891,7 @@ fn sharded_four_tsws(global_iters: u32) -> (PtsConfig, QapDomain, QapAssignment)
         n_clw: 1,
         shard_fanout: 2,
         global_iters,
-        tsw_sync: SyncPolicy::WaitAll,
-        clw_sync: SyncPolicy::WaitAll,
+        sync: SyncPolicy::WaitAll,
         ..PtsConfig::default()
     };
     cfg.validate().unwrap();
