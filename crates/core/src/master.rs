@@ -23,8 +23,8 @@
 //! broadcast as it passes through), resolves incoming payloads against it
 //! lazily — only a report that *wins* the reduction is ever materialized
 //! — and fans broadcasts out as `Arc` clones, O(1) snapshot allocations
-//! per node per round regardless of fan-out. Sub-masters relay broadcast
-//! payloads verbatim: everyone below still holds the same base.
+//! per node per round regardless of fan-out. A child that did not report
+//! the round may have missed a broadcast, so it gets the full snapshot.
 //!
 //! One collection loop, `Reduction::collect_round`, serves the root and
 //! every sub-master: it takes `Report`s from a TSW group and
@@ -94,6 +94,8 @@ struct Reduction<D: PtsDomain> {
     /// The root's strategy reallocator differences consecutive rounds of
     /// this vector to score portfolio entries.
     child_cost: Vec<f64>,
+    /// The child whose report holds the best this round, if one does.
+    round_winner: Option<usize>,
 }
 
 impl<D: PtsDomain> Reduction<D> {
@@ -106,29 +108,35 @@ impl<D: PtsDomain> Reduction<D> {
             stats: SearchStats::default(),
             forced: 0,
             child_cost: vec![initial_cost; n_children],
+            round_winner: None,
         }
     }
 
-    /// Fold one child report into the reduction. Strict `<` keeps the
-    /// earliest achiever on cost ties, matching the flat master. Only an
-    /// improving payload is resolved to a full snapshot (losing deltas
-    /// are never materialized); a winning delta against a base this node
-    /// does not hold is a protocol violation — warned and ignored, like
-    /// the other malformed-message paths.
+    /// Fold child `k`'s report into the reduction. It wins on a lower
+    /// cost, or on this round's winning cost from a lower child index (the
+    /// TSW's rule for its CLWs), so arrival order never picks the winner;
+    /// a tie with a best carried from an earlier round keeps that. Only a
+    /// winning payload is resolved to a full snapshot (losing deltas are
+    /// never materialized); a winning delta against a base this node does
+    /// not hold is a protocol violation — warned and ignored, like the
+    /// other malformed-message paths.
     fn offer(
         &mut self,
         rank: usize,
+        k: usize,
         base: &BaseOf<D>,
         cost: f64,
         payload: PayloadOf<D>,
         tabu: TabuOf<D>,
     ) {
-        if cost < self.best_cost {
+        let tie_won = cost == self.best_cost && self.round_winner.is_some_and(|w| k < w);
+        if cost < self.best_cost || tie_won {
             match payload.resolve(base) {
                 Some(full) => {
                     self.best_cost = cost;
                     self.best_snapshot = full;
                     self.best_tabu = tabu;
+                    self.round_winner = Some(k);
                 }
                 None => protocol_warn(
                     rank,
@@ -158,17 +166,19 @@ impl<D: PtsDomain> Reduction<D> {
     /// has arrived are excused from the round (a report already folded
     /// still counts), excluded from the force/quorum arithmetic, and stay
     /// dead for the rest of the run. `deadline`, when set, bounds the
-    /// whole collection: silence past it
-    /// (a stalled but not-dead child, e.g. a paused machine) completes
-    /// the round with the reports in hand — the straggler's stale report
-    /// is dropped by the round guard next round and it resynchronizes on
-    /// the broadcast already sitting in its mailbox. Fault-free runs (no
-    /// deaths, `deadline` `None`) take exactly the historical path.
+    /// whole collection: silence past it (a stalled but not-dead child,
+    /// e.g. a paused machine) completes the round with the reports in
+    /// hand — the straggler's stale report is dropped by the round guard
+    /// next round and it resynchronizes on the broadcast already sitting
+    /// in its mailbox, sent to it in full. Fault-free runs (no deaths,
+    /// `deadline` `None`) take exactly the historical path.
     ///
     /// A sub-master passes its `parent`: traffic from above that the
     /// collection meets is kept for [`Parent::down_step`] (see
     /// [`Parent::keep`]), and the collection ends there with the reports
     /// in hand. The root has no parent.
+    ///
+    /// Afterwards `group` knows who reported round `g`.
     #[allow(clippy::too_many_arguments)]
     async fn collect_round<T: Transport<D::Problem>>(
         &mut self,
@@ -183,6 +193,7 @@ impl<D: PtsDomain> Reduction<D> {
     ) {
         let final_round = g + 1 == cfg.global_iters;
         group.start();
+        self.round_winner = None;
 
         while group.owed() > 0 && !parent.as_ref().is_some_and(|p| p.has_kept()) {
             let msg = match deadline {
@@ -288,7 +299,7 @@ impl<D: PtsDomain> Reduction<D> {
             self.child_cost[k] = cost;
             t.compute(cfg.work.per_report).await;
             self.merged = Trace::merge([&self.merged, &Trace::from_points(trace)]);
-            self.offer(t.rank(), base, cost, snapshot, tabu);
+            self.offer(t.rank(), k, base, cost, snapshot, tabu);
             // Stats are cumulative per child; summing every round would
             // over-count, so fold them in on the final round only.
             if final_round {
@@ -322,7 +333,7 @@ pub(crate) struct Quorum {
     /// Under [`SyncPolicy::HalfReport`] a group of TSWs or of CLWs forces
     /// once a quorum has replied; a group of sub-masters waits for every
     /// subtree, which forces within itself.
-    at_quorum: bool,
+    forces_at_quorum: bool,
     forced: bool,
 }
 
@@ -332,7 +343,7 @@ impl Quorum {
             children,
             dead: vec![false; children.len()],
             replied: vec![false; children.len()],
-            at_quorum: cfg.sync == SyncPolicy::HalfReport
+            forces_at_quorum: cfg.sync == SyncPolicy::HalfReport
                 && !matches!(children, Children::Shards { .. }),
             forced: false,
         }
@@ -375,6 +386,22 @@ impl Quorum {
         self.live().filter(|&k| !self.replied[k]).count()
     }
 
+    /// Child `k`'s copy of this round's broadcast: `payload`, diffed
+    /// against the base reporters hold, or the full `snapshot` for a child
+    /// that did not report, which may have missed a broadcast.
+    pub(crate) fn payload_for<P: PtsProblem>(
+        &self,
+        k: usize,
+        payload: &SnapshotPayload<P>,
+        snapshot: &Arc<P::Snapshot>,
+    ) -> SnapshotPayload<P> {
+        if self.replied[k] {
+            payload.clone()
+        } else {
+            SnapshotPayload::Full(Arc::clone(snapshot))
+        }
+    }
+
     /// Take child `k`'s reply; `false` for a duplicate or out of range.
     pub(crate) fn accept(&mut self, k: usize) -> bool {
         let fresh = self.replied.get(k) == Some(&false);
@@ -389,11 +416,11 @@ impl Quorum {
     /// met a broadcast), else when [`PtsConfig::report_quorum`] of the
     /// living have replied.
     pub(crate) fn stragglers(&mut self, cfg: &PtsConfig, cut: bool) -> Vec<usize> {
-        let at_quorum = || {
+        let quorum_reached = || {
             let (owed, replied) = (self.owed(), self.replied.iter().filter(|&&r| r).count());
             owed > 0 && replied >= cfg.report_quorum(replied + owed)
         };
-        if self.forced || !(cut || (self.at_quorum && at_quorum())) {
+        if self.forced || !(cut || (self.forces_at_quorum && quorum_reached())) {
             return Vec::new();
         }
         self.forced = true;
@@ -417,8 +444,8 @@ pub(crate) enum FromParent<P: PtsProblem> {
     /// The run's initial solution.
     Init(Arc<P::Snapshot>),
     /// The broadcast closing round `global`: the winner resolved, the
-    /// payload as it arrived (a sub-master relays it verbatim), its tabu
-    /// list, and the strategy the node's group runs from now on.
+    /// payload as it arrived (a sub-master relays it to its reporters),
+    /// its tabu list, and the strategy the node's group runs from now on.
     Round {
         global: u32,
         snapshot: Arc<P::Snapshot>,
@@ -712,14 +739,14 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
         }
 
         if !last_round {
-            // Diff the round winner against the base the children still
-            // hold, ship it once per child (Arc clones), then re-anchor
-            // the shared base on what was just broadcast.
+            // Diff the round winner against the base the reporters hold,
+            // ship it once per child (Arc clones), then re-anchor the
+            // shared base on what was just broadcast.
             let payload = SnapshotPayload::encode(cfg.snapshot_mode, &base, &red.best_snapshot);
             let tabu = TabuPayload::Full(Arc::clone(&red.best_tabu));
             send_down(t, cfg, children, |k| PtsMsg::Broadcast {
                 global: g,
-                snapshot: payload.clone(),
+                snapshot: group.payload_for(k, &payload, &red.best_snapshot),
                 tabu: tabu.clone(),
                 strategy: assign[k],
             });
@@ -748,9 +775,10 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
 /// Per global iteration: collect from the children (TSW group with local
 /// quorum/force policy at the leaves, `GroupReport`s above), reduce to
 /// the subtree best, forward one `GroupReport` to the parent (diffed
-/// against the shared base), then relay the parent's `Broadcast` payload
-/// verbatim (or `Stop`) back down. Everything from the parent arrives
-/// through `Parent::down_step`.
+/// against the shared base), then relay the parent's `Broadcast` (or
+/// `Stop`) back down — its payload to the children that reported, the
+/// full snapshot to the rest. Everything from the parent arrives through
+/// `Parent::down_step`.
 pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     t: &mut T,
     cfg: &PtsConfig,
@@ -821,9 +849,9 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
             },
         );
 
-        // Relay the parent's decision down the tree: every process below
-        // holds the base the payload was diffed against, so it goes on
-        // verbatim, and its strategy stamp covers this whole subtree.
+        // Relay the parent's decision down the tree: a delta that resolved
+        // here goes on as is to the children that reported round `g`, and
+        // the strategy stamp covers this whole subtree.
         match parent
             .down_step(t, Some(&base), g, deadline(t.now()), |rank| {
                 group.note_down(me, cfg, rank)
@@ -837,9 +865,9 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
                 tabu,
                 strategy,
             } => {
-                send_down(t, cfg, spec.children, |_| PtsMsg::Broadcast {
+                send_down(t, cfg, spec.children, |k| PtsMsg::Broadcast {
                     global,
-                    snapshot: payload.clone(),
+                    snapshot: group.payload_for(k, &payload, &snapshot),
                     tabu: tabu.clone(),
                     strategy,
                 });

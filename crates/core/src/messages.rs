@@ -201,8 +201,9 @@ pub enum PtsMsg<P: PtsProblem> {
         snapshot: Arc<P::Snapshot>,
     },
     /// Parent → TSW or sub-master: the global best after a global
-    /// iteration, with its tabu list. Sub-masters relay it down the tree
-    /// verbatim — every process below still holds the same base.
+    /// iteration, with its tabu list. Sub-masters relay it down the tree.
+    /// A child that reported the round gets the payload diffed against
+    /// the base it holds; one that did not gets the full snapshot.
     Broadcast {
         /// Global iteration this broadcast concludes.
         global: u32,

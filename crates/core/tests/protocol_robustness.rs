@@ -196,6 +196,90 @@ fn master_drops_stale_rejects_duplicate_and_ignores_unexpected_reports() {
 }
 
 #[test]
+fn equal_cost_reports_go_to_the_lower_child_index_whatever_their_order() {
+    // Round 0: TSWs 2 and 1 report the same cost, in reverse index order,
+    // and TSW 0 a worse one. TSW 1's snapshot and tabu list win, as they
+    // would had it reported first: the TSW's rule for its CLWs'
+    // proposals, so arrival order never picks the winner. Round 1: TSW 0
+    // ties the best carried from round 0, which stays.
+    let cfg = PtsConfig {
+        n_tsw: 3,
+        n_clw: 1,
+        global_iters: 2,
+        sync: SyncPolicy::WaitAll,
+        snapshot_mode: SnapshotMode::Full,
+        ..PtsConfig::default()
+    };
+    cfg.validate().unwrap();
+    let domain = QapDomain::random(8, 3);
+    let initial = domain.initial(cfg.seed);
+    assert!(domain.cost_of(&initial) > 10.0);
+    let swapped = |a: usize, b: usize| {
+        let mut loc_of = initial.as_slice().to_vec();
+        loc_of.swap(a, b);
+        QapAssignment::new(loc_of)
+    };
+    let tabu_report = |tsw: usize, global: u32, cost: f64, snapshot: QapAssignment| {
+        let PtsMsg::Report {
+            snapshot,
+            trace,
+            stats,
+            ..
+        } = report(tsw, global, cost, snapshot)
+        else {
+            unreachable!()
+        };
+        PtsMsg::Report {
+            tsw,
+            global,
+            cost,
+            snapshot,
+            tabu: Arc::new(vec![((tsw as u32, tsw as u32 + 1), 7)]),
+            trace,
+            stats,
+        }
+    };
+    let script = vec![
+        tabu_report(2, 0, 5.0, swapped(0, 1)),
+        tabu_report(1, 0, 5.0, swapped(2, 3)),
+        tabu_report(0, 0, 6.0, swapped(4, 5)),
+        tabu_report(0, 1, 5.0, swapped(6, 7)),
+        tabu_report(1, 1, 5.5, swapped(0, 7)),
+        tabu_report(2, 1, 5.5, swapped(1, 6)),
+    ];
+
+    let mut t = ScriptTransport::new(cfg.master_rank(), script);
+    let outcome = drive_sync(master::run_master(
+        &mut t,
+        &cfg,
+        &domain,
+        initial.clone(),
+        &RunControl::unlimited(),
+    ));
+
+    let broadcasts: Vec<_> = t
+        .sent
+        .iter()
+        .filter_map(|(_, m)| match m {
+            PtsMsg::Broadcast {
+                snapshot: SnapshotPayload::Full(snapshot),
+                tabu: TabuPayload::Full(tabu),
+                ..
+            } => Some((snapshot.as_ref(), tabu.as_ref())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(broadcasts.len(), 3, "one round-0 broadcast per TSW");
+    for (snapshot, tabu) in broadcasts {
+        assert_eq!(*snapshot, swapped(2, 3), "TSW 1's snapshot wins the tie");
+        assert_eq!(*tabu, vec![((1, 2), 7)], "and its tabu list with it");
+    }
+    assert_eq!(outcome.best_per_global_iter, vec![5.0, 5.0]);
+    assert_eq!(outcome.best, swapped(2, 3), "the carried best keeps a tie");
+    assert!(t.incoming.is_empty(), "script fully consumed");
+}
+
+#[test]
 fn sub_master_applies_local_quorum_and_rejects_malformed_reports() {
     // 4 TSWs, fan-out 2: sub-master 0 collects TSWs {0, 1} with a local
     // quorum of 1 under HalfReport, reduces to a group best, and forwards
@@ -943,6 +1027,57 @@ fn sub_master_relays_a_later_rounds_broadcast_and_collects_the_round_after_it() 
     assert_eq!(relayed, vec![(cfg.tsw_rank(0), 1), (cfg.tsw_rank(1), 1)]);
     assert_eq!(group_report_rounds(&t, cfg.master_rank()), vec![0, 2]);
     assert_eq!(t.count_sent("Stop"), 2);
+    assert!(t.incoming.is_empty(), "script fully consumed");
+}
+
+#[test]
+fn a_child_that_missed_the_round_gets_the_next_broadcast_in_full() {
+    // The root closes round 0 without this sub-master's report, and its
+    // delta broadcast arrives while the sub-master still waits for TSW 1.
+    // TSW 0 reported round 0, so it holds the base the delta was diffed
+    // against and gets the delta; TSW 1 did not, may not hold that base,
+    // and gets the full snapshot.
+    let (cfg, domain, snap) = sharded_four_tsws(2);
+    let mut moved = snap.as_slice().to_vec();
+    moved.swap(1, 5);
+    let moved = QapAssignment::new(moved);
+    let delta = SnapshotPayload::Delta {
+        base_seq: 0,
+        delta: Arc::new(QapAssignment::diff(&snap, &moved)),
+    };
+    let script = vec![
+        PtsMsg::Init {
+            snapshot: Arc::new(snap.clone()),
+        },
+        report(0, 0, 5.0, snap.clone()),
+        broadcast(0, delta),
+        report(0, 1, 4.0, snap.clone()),
+        report(1, 1, 3.0, snap.clone()),
+        PtsMsg::Stop,
+    ];
+    let mut t = ScriptTransport::new(cfg.shard_rank(0), script);
+    drive_sync(master::run_sub_master(&mut t, &cfg, 0, &domain));
+
+    let relayed: Vec<(usize, &SnapshotPayload<Qap>)> = t
+        .sent
+        .iter()
+        .filter_map(|(dst, m)| match m {
+            PtsMsg::Broadcast { snapshot, .. } => Some((*dst, snapshot)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(relayed.len(), 2);
+    assert_eq!(relayed[0].0, cfg.tsw_rank(0));
+    assert!(
+        matches!(relayed[0].1, SnapshotPayload::Delta { base_seq: 0, .. }),
+        "the reporter gets the delta"
+    );
+    assert_eq!(relayed[1].0, cfg.tsw_rank(1));
+    match relayed[1].1 {
+        SnapshotPayload::Full(full) => assert_eq!(**full, moved),
+        SnapshotPayload::Delta { .. } => panic!("TSW 1 missed round 0 and got a delta"),
+    }
+    assert_eq!(group_report_rounds(&t, cfg.master_rank()), vec![0, 1]);
     assert!(t.incoming.is_empty(), "script fully consumed");
 }
 

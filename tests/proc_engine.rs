@@ -235,3 +235,40 @@ fn proc_over_tcp_matches_async_and_keeps_pace() {
         "50 rounds over TCP took {took:?}"
     );
 }
+
+/// Seeds `proc_matches_async_round_by_round_with_two_tsws` runs: 20, or
+/// the count in `PROC_TWIN_SEEDS`.
+fn twin_seeds() -> u64 {
+    std::env::var("PROC_TWIN_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(20)
+}
+
+#[test]
+fn proc_matches_async_round_by_round_with_two_tsws() {
+    // Two TSWs now and then report the same cost in a round. Their
+    // collector gives the tie to the lower TSW index whatever order the
+    // reports arrive in, and on proc that order is socket timing, so
+    // both engines must walk the same search on every seed.
+    for seed in 0..twin_seeds() {
+        let run = Pts::builder()
+            .tsw_workers(2)
+            .clw_workers(1)
+            .candidates(5)
+            .depth(2)
+            .global_iters(200)
+            .local_iters(2)
+            .sync(SyncPolicy::WaitAll)
+            .seed(seed)
+            .build()
+            .unwrap();
+        let domain = QapDomain::random(64, seed);
+        let async_out = run.execute(&domain, &AsyncEngine::new());
+        let proc_out = run.execute(&domain, &ProcEngine::new(worker_exe()));
+        assert_eq!(
+            proc_out.outcome.best_per_global_iter, async_out.outcome.best_per_global_iter,
+            "seed {seed}: proc and async part ways"
+        );
+    }
+}

@@ -274,22 +274,22 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x0d37_2fe0_98fb_51ae,
         ),
         pin(
-            0x407d_1d00_b527_6bae,
+            0x407d_1d00_a892_31f6,
             0x407d_d6a9_4cf1_0cfe,
             0,
-            0x3fce_844a_953b_ee64,
+            0x3fce_844a_a123_9f57,
             480,
-            46312,
-            0x3abe_f207_d9e2_7f17,
+            46300,
+            0xf1ec_f33b_d51d_0b83,
         ),
         pin(
-            0x407d_1d03_32b0_2d8a,
+            0x407d_1d03_261a_f3d2,
             0x407d_d6a9_943e_a969,
             0,
-            0x3fce_8448_1528_bcfd,
+            0x3fce_8448_2110_6c05,
             480,
-            54592,
-            0x1b4b_c120_78e6_fba4,
+            54580,
+            0xc26f_a48f_09b1_16b8,
         ),
     ]
     .into_iter();
