@@ -206,11 +206,11 @@ pub struct PtsConfig {
     /// (default). When positive and the substrate supports receive
     /// deadlines (the vt engine), a collection node waiting on child
     /// reports gives up after this long of silence, warns, and completes
-    /// the round with what it has; a sub-master waiting on its parent's
-    /// broadcast gives up the same way and winds its subtree down. A TSW
-    /// waits for its broadcast without a deadline. This is what keeps
+    /// the round with what it has. This is what keeps
     /// [`SyncPolicy::WaitAll`] from hanging forever on a crashed worker
     /// under a [`pts_vcluster::FaultPlan`]; fault-free runs never hit it.
+    /// A TSW or sub-master waits for its parent without a deadline: a
+    /// parent's death reaches it as a `Down`.
     pub liveness_timeout: f64,
     /// Worker heartbeat interval in milliseconds for the proc engine,
     /// `0` = disabled (default). When positive, every worker process

@@ -453,7 +453,7 @@ pub(crate) enum FromParent<P: PtsProblem> {
         tabu: TabuPayload<P>,
         strategy: u8,
     },
-    /// `Stop`, the parent's death, or silence past the deadline.
+    /// `Stop` or the parent's death.
     WindDown,
 }
 
@@ -502,8 +502,8 @@ impl<P: PtsProblem> Parent<P> {
     /// `None`) or for a `Broadcast` of round `g` or later that resolves
     /// against `base`, taking kept messages first.
     ///
-    /// * `Stop`, this parent's `Down`, or silence until `deadline` wind
-    ///   the node down.
+    /// * `Stop` or this parent's `Down` winds the node down. There is no
+    ///   deadline: a parent's death reaches the node as its `Down`.
     /// * Any other `Down` is a child's death, handed to `child_down`.
     /// * A broadcast that does not resolve is warned about, and the wait
     ///   goes on.
@@ -518,21 +518,12 @@ impl<P: PtsProblem> Parent<P> {
         t: &mut T,
         base: Option<&SnapshotBase<P>>,
         g: u32,
-        deadline: Option<f64>,
         mut child_down: impl FnMut(usize),
     ) -> FromParent<P> {
         loop {
-            let msg = match (self.kept.pop_front(), deadline) {
-                (Some(msg), _) => msg,
-                (None, None) => t.recv().await,
-                (None, Some(d)) => {
-                    let Some(msg) = t.recv_deadline(d).await else {
-                        let why = format!("liveness timeout awaiting Broadcast {g}: winding down");
-                        protocol_warn(t.rank(), &why);
-                        return FromParent::WindDown;
-                    };
-                    msg
-                }
+            let msg = match self.kept.pop_front() {
+                Some(msg) => msg,
+                None => t.recv().await,
             };
             match msg {
                 PtsMsg::Init { snapshot } if base.is_none() => return FromParent::Init(snapshot),
@@ -793,7 +784,7 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
 
     // Wait for the Init relayed from above.
     let FromParent::Init(initial) = parent
-        .down_step(t, None, 0, None, |rank| group.note_down(me, cfg, rank))
+        .down_step(t, None, 0, |rank| group.note_down(me, cfg, rank))
         .await
     else {
         send_down(t, cfg, spec.children, |_| PtsMsg::Stop);
@@ -809,8 +800,9 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
     let mut base: BaseOf<D> = SnapshotBase::initial(Arc::clone(&initial));
     let mut red: Reduction<D> = Reduction::new(initial_cost, initial, spec.children.len());
     let mut child_forced = vec![0u64; spec.children.len()];
-    // Under a liveness timeout neither silent children nor a dead or
-    // stalled parent can hang the subtree.
+    // Under a liveness timeout silent children cannot hang the subtree.
+    // The parent's broadcast is awaited without one, as a TSW awaits its
+    // own: a parent's death arrives as its `Down`.
     let deadline = |now: f64| (cfg.liveness_timeout > 0.0).then_some(now + cfg.liveness_timeout);
 
     let mut g = 0;
@@ -853,9 +845,7 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
         // here goes on as is to the children that reported round `g`, and
         // the strategy stamp covers this whole subtree.
         match parent
-            .down_step(t, Some(&base), g, deadline(t.now()), |rank| {
-                group.note_down(me, cfg, rank)
-            })
+            .down_step(t, Some(&base), g, |rank| group.note_down(me, cfg, rank))
             .await
         {
             FromParent::Round {

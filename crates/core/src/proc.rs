@@ -280,10 +280,7 @@ pub fn worker_main(addr: &str, rank: u32, links: bool) -> Result<(), String> {
     if !wire::version_ok(version) {
         return Err(format!("setup version {version}"));
     }
-    // The config block's layout depends on the frame's declared version
-    // (older masters omit the portfolio tail); thread it through.
-    let cfg =
-        wire::get_config_versioned(&mut r, version).map_err(|e| format!("setup config: {e}"))?;
+    let cfg = wire::get_config(&mut r).map_err(|e| format!("setup config: {e}"))?;
     let kind = r.u8().map_err(|e| format!("setup kind: {e}"))?;
     let rank = rank as usize;
     match kind {

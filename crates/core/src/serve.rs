@@ -39,8 +39,10 @@
 //! `[version][kind][payload]`. Client → server kinds: [`kind::SUBMIT`],
 //! [`kind::CANCEL`]. Server → client: [`kind::ACCEPTED`],
 //! [`kind::PROGRESS`], [`kind::RESULT`], [`kind::ERROR`],
-//! [`kind::RETRYING`]. The [`Client`] type wraps the exchange for tests
-//! and tooling.
+//! [`kind::RETRYING`]. A frame of another [`SERVE_VERSION`], of an
+//! unknown kind, or whose payload does not decode gets an [`kind::ERROR`]
+//! for job 0, and the connection stays open. The [`Client`] type wraps
+//! the exchange for tests and tooling.
 
 use crate::config::PtsConfig;
 use crate::control::RunControl;
@@ -54,14 +56,9 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Version byte opening every client-protocol frame the server writes.
-/// Incoming frames are accepted back to [`MIN_SERVE_VERSION`]; a v1
-/// SUBMIT carries a v1 config block (no portfolio tail), which decodes
-/// with portfolio defaults.
-pub const SERVE_VERSION: u8 = 2;
-
-/// Oldest client-frame version still accepted.
-pub const MIN_SERVE_VERSION: u8 = 1;
+/// Version byte opening every client-protocol frame, both ways. A frame
+/// of any other version is a [`WireError::VersionMismatch`].
+pub const SERVE_VERSION: u8 = 3;
 
 /// Heartbeat interval (ms) the daemon arms on jobs that did not set one.
 /// A long-lived service cannot afford a hung worker wedging a runner
@@ -159,26 +156,10 @@ impl JobRequest {
         out
     }
 
-    /// Decode a [`kind::SUBMIT`] payload written at the current
-    /// [`SERVE_VERSION`].
+    /// Decode a [`kind::SUBMIT`] payload written by [`JobRequest::encode`].
     pub fn decode(payload: &[u8]) -> Result<JobRequest, WireError> {
-        JobRequest::decode_versioned(payload, SERVE_VERSION)
-    }
-
-    /// Decode a [`kind::SUBMIT`] payload from a frame that declared
-    /// `version` — the config block is not last in the payload, so the
-    /// layout cannot be inferred from the remaining bytes.
-    pub fn decode_versioned(payload: &[u8], version: u8) -> Result<JobRequest, WireError> {
-        if !(MIN_SERVE_VERSION..=SERVE_VERSION).contains(&version) {
-            return Err(WireError::VersionMismatch {
-                got: version,
-                want: SERVE_VERSION,
-            });
-        }
         let mut r = WireReader::new(payload);
-        // Serve and wire versions bumped in lockstep for the portfolio
-        // config tail; cap so a future serve-only bump keeps decoding.
-        let cfg = wire::get_config_versioned(&mut r, version.min(wire::WIRE_VERSION))?;
+        let cfg = wire::get_config(&mut r)?;
         let budget_ms = r.u64()?;
         let max_restarts = r.u32()?;
         let spec = match r.u8()? {
@@ -297,19 +278,18 @@ fn write_client_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> std::io:
     wire::write_frame(w, &body)
 }
 
-/// Split a client frame into (version, kind, payload), accepting
-/// versions back to [`MIN_SERVE_VERSION`].
-fn parse_client_frame(body: &[u8]) -> Result<(u8, u8, &[u8]), WireError> {
+/// Split a client frame of this [`SERVE_VERSION`] into (kind, payload).
+fn parse_client_frame(body: &[u8]) -> Result<(u8, &[u8]), WireError> {
     if body.len() < 2 {
         return Err(WireError::Truncated);
     }
-    if !(MIN_SERVE_VERSION..=SERVE_VERSION).contains(&body[0]) {
+    if body[0] != SERVE_VERSION {
         return Err(WireError::VersionMismatch {
             got: body[0],
             want: SERVE_VERSION,
         });
     }
-    Ok((body[0], body[1], &body[2..]))
+    Ok((body[1], &body[2..]))
 }
 
 /// Blocking client for the serve protocol — what `tests/serve.rs` and
@@ -348,7 +328,7 @@ impl Client {
             let Some(body) = wire::read_frame(&mut self.stream)? else {
                 return Ok(None);
             };
-            let (_version, k, payload) = parse_client_frame(&body)
+            let (k, payload) = parse_client_frame(&body)
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
             let mut r = WireReader::new(payload);
             let bad =
@@ -548,8 +528,10 @@ impl Server {
 
 /// Per-connection reader: accepts submissions and cancellations until the
 /// client disconnects; a disconnect cancels everything it submitted. A
-/// length prefix past the frame cap ends the connection like a hang-up,
-/// before anything is allocated for it.
+/// frame it cannot act on gets an [`kind::ERROR`] for job 0, so its
+/// client never waits for a reply that will not come. A length prefix
+/// past the frame cap ends the connection like a hang-up, before anything
+/// is allocated for it.
 fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
     static NEXT_JOB: AtomicU32 = AtomicU32::new(1);
     let writer = match stream.try_clone() {
@@ -582,11 +564,15 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
                     break 'conn;
                 }
             };
-            let Ok((version, k, payload)) = parse_client_frame(body) else {
-                continue;
+            let (k, payload) = match parse_client_frame(body) {
+                Ok(parsed) => parsed,
+                Err(e) => {
+                    send_error(&writer, 0, &format!("bad frame: {e}"));
+                    continue;
+                }
             };
             match k {
-                kind::SUBMIT => match JobRequest::decode_versioned(payload, version) {
+                kind::SUBMIT => match JobRequest::decode(payload) {
                     Ok(req) => {
                         let id = NEXT_JOB.fetch_add(1, Ordering::Relaxed);
                         let mut ctl = RunControl::unlimited();
@@ -613,20 +599,13 @@ fn client_loop(shared: Arc<Shared>, stream: Stream, conn: u64) {
                         wire::put_u32(&mut ack, id);
                         send_frame(&writer, kind::ACCEPTED, &ack);
                     }
-                    Err(e) => {
-                        let mut payload = Vec::new();
-                        wire::put_u32(&mut payload, 0);
-                        put_str(&mut payload, &format!("bad submit: {e}"));
-                        send_frame(&writer, kind::ERROR, &payload);
-                    }
+                    Err(e) => send_error(&writer, 0, &format!("bad submit: {e}")),
                 },
-                kind::CANCEL => {
-                    let mut r = WireReader::new(payload);
-                    if let Ok(job) = r.u32() {
-                        shared.cancel_job(job);
-                    }
-                }
-                _ => {}
+                kind::CANCEL => match WireReader::new(payload).u32() {
+                    Ok(job) => shared.cancel_job(job),
+                    Err(e) => send_error(&writer, 0, &format!("bad cancel: {e}")),
+                },
+                other => send_error(&writer, 0, &format!("unknown frame kind {other:#04x}")),
             }
         }
     }
@@ -644,6 +623,14 @@ fn send_frame(writer: &Mutex<Stream>, kind: u8, payload: &[u8]) {
     if write_client_frame(&mut *stream, kind, payload).is_err() {
         stream.shutdown();
     }
+}
+
+/// Send `job`'s [`kind::ERROR`] frame; job 0 names no job.
+fn send_error(writer: &Mutex<Stream>, job: u32, message: &str) {
+    let mut payload = Vec::new();
+    wire::put_u32(&mut payload, job);
+    put_str(&mut payload, message);
+    send_frame(writer, kind::ERROR, &payload);
 }
 
 /// Job-runner thread: takes ready jobs FIFO (skipping jobs still inside
@@ -716,12 +703,7 @@ fn effective_config(req: &PtsConfig, default_heartbeat_ms: u64) -> PtsConfig {
 fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
     let job_id = job.id;
     let writer = Arc::clone(&job.writer);
-    let send_error = |message: String| {
-        let mut payload = Vec::new();
-        wire::put_u32(&mut payload, job_id);
-        put_str(&mut payload, &message);
-        send_frame(&writer, kind::ERROR, &payload);
-    };
+    let fail = |message: String| send_error(&writer, job_id, &message);
     if job.ctl.should_stop() {
         // Cancelled, or out of budget, while queued: report without
         // running anything.
@@ -738,7 +720,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
     let cfg = effective_config(&job.req.cfg, shared.default_heartbeat_ms);
     if let Err(e) = cfg.validate() {
         // Deterministic failure — retrying cannot help.
-        send_error(format!("invalid config: {e}"));
+        fail(format!("invalid config: {e}"));
         return JobOutcome::Done;
     }
     let progress_writer = Arc::clone(&job.writer);
@@ -797,7 +779,7 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
             // The client asked for clean runs (a restart budget) and
             // never got one: exhausting the budget is a failure, not a
             // quietly-degraded result.
-            send_error(format!(
+            fail(format!(
                 "{} worker rank(s) died mid-run; restart budget exhausted after {} attempts",
                 dead_ranks.len(),
                 job.attempt + 1,
@@ -817,9 +799,9 @@ fn run_job(shared: &Shared, mut job: Job) -> JobOutcome {
             send_frame(&job.writer, kind::RESULT, &result.encode());
         }
         Err(message) if job.attempt > 0 => {
-            send_error(format!("{message} (after {} attempts)", job.attempt + 1));
+            fail(format!("{message} (after {} attempts)", job.attempt + 1));
         }
-        Err(message) => send_error(message),
+        Err(message) => fail(message),
     }
     JobOutcome::Done
 }
@@ -935,55 +917,22 @@ mod tests {
         write_client_frame(&mut out, kind::ACCEPTED, &[1, 0, 0, 0]).unwrap();
         let mut r = &out[..];
         let body = wire::read_frame(&mut r).unwrap().unwrap();
-        let (version, k, payload) = parse_client_frame(&body).unwrap();
-        assert_eq!(version, SERVE_VERSION);
+        assert_eq!(body[0], SERVE_VERSION);
+        let (k, payload) = parse_client_frame(&body).unwrap();
         assert_eq!(k, kind::ACCEPTED);
         assert_eq!(payload, &[1, 0, 0, 0]);
-        // The previous protocol version is still accepted...
-        let mut v1 = body.clone();
-        v1[0] = 1;
-        assert_eq!(parse_client_frame(&v1).map(|(v, _, _)| v), Ok(1));
-        // ...anything else is a typed mismatch.
-        let mut bad = body.clone();
-        bad[0] = 99;
-        assert_eq!(
-            parse_client_frame(&bad).err(),
-            Some(WireError::VersionMismatch {
-                got: 99,
-                want: SERVE_VERSION
-            })
-        );
-    }
-
-    #[test]
-    fn v1_submit_decodes_with_portfolio_defaults() {
-        // A v1 SUBMIT payload: the v1 config block (current encoding
-        // minus the 9-byte aspiration + portfolio tail — default config,
-        // so the tail is exactly 9 bytes), then budget/restarts/spec.
-        let req = JobRequest {
-            cfg: PtsConfig::default(),
-            spec: JobDomainSpec::QapRandom { n: 8, seed: 3 },
-            budget_ms: 1000,
-            max_restarts: 1,
-        };
-        let mut cfg_v2 = Vec::new();
-        wire::put_config(&req.cfg, &mut cfg_v2);
-        let mut payload = cfg_v2[..cfg_v2.len() - 9].to_vec();
-        wire::put_u64(&mut payload, req.budget_ms);
-        wire::put_u32(&mut payload, req.max_restarts);
-        payload.push(0);
-        wire::put_u32(&mut payload, 8);
-        wire::put_u64(&mut payload, 3);
-        let decoded = JobRequest::decode_versioned(&payload, 1).unwrap();
-        assert_eq!(decoded, req);
-        // An out-of-window version is a typed error, not a panic.
-        assert_eq!(
-            JobRequest::decode_versioned(&payload, 7).err(),
-            Some(WireError::VersionMismatch {
-                got: 7,
-                want: SERVE_VERSION
-            })
-        );
+        // The versions either side are typed mismatches.
+        for got in [SERVE_VERSION - 1, SERVE_VERSION + 1] {
+            let mut bad = body.clone();
+            bad[0] = got;
+            assert_eq!(
+                parse_client_frame(&bad).err(),
+                Some(WireError::VersionMismatch {
+                    got,
+                    want: SERVE_VERSION
+                })
+            );
+        }
     }
 
     #[test]

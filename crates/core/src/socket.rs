@@ -1760,6 +1760,34 @@ mod tests {
     }
 
     #[test]
+    fn a_hello_of_an_earlier_wire_version_is_refused() {
+        // Every rank is this binary, and no decoder reads an earlier
+        // version's frames, so the barrier must not admit its hello.
+        let mut router = SocketRouter::bind_unix_auto().unwrap();
+        let addr = router.addr().to_string();
+        let mut old = connect_once(&addr).unwrap();
+        let mut bytes = hello(0, "").unwrap();
+        bytes[0] = wire::WIRE_VERSION - 1;
+        old.write_all(&bytes).unwrap();
+        let joiner = std::thread::spawn(move || {
+            SocketTransport::<Qap>::handshake(&addr, 1, None, Duration::from_secs(5))
+        });
+        let err = router
+            .run_barrier(&[None, None], b"", Duration::from_millis(500))
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("1/2 connected, missing ranks [0]"),
+            "got: {msg}"
+        );
+        // The refused connection was closed without a setup frame.
+        old.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(old.read(&mut [0u8; 1]).ok(), Some(0));
+        drop(router);
+        let _ = joiner.join();
+    }
+
+    #[test]
     fn a_parent_without_a_link_listener_fails_the_barrier() {
         let mut router = SocketRouter::bind_unix_auto().unwrap();
         let joiners: Vec<_> = (0..2u32)

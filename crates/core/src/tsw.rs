@@ -71,7 +71,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     // snapshot base shared with the parent: reports diff against it
     // until the first broadcast re-anchors it.
     let FromParent::Init(initial) = parent
-        .down_step(t, None, 0, None, |rank| clws.note_down(me, cfg, rank))
+        .down_step(t, None, 0, |rank| clws.note_down(me, cfg, rank))
         .await
     else {
         send_live(t, cfg, &clws, || PtsMsg::Stop);
@@ -250,9 +250,7 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         // on without us (our report or its broadcast got lost to a fault):
         // either way adopt it and go on after the round it closes.
         match parent
-            .down_step(t, Some(&base), g, None, |rank| {
-                clws.note_down(me, cfg, rank)
-            })
+            .down_step(t, Some(&base), g, |rank| clws.note_down(me, cfg, rank))
             .await
         {
             FromParent::Round {

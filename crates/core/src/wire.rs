@@ -19,19 +19,15 @@
 //!
 //! | offset | size | field |
 //! |-------:|-----:|-------|
-//! | 0      | 1    | codec version ([`WIRE_VERSION`]) |
+//! | 0      | 1    | codec version: [`WIRE_VERSION`], any other is a [`WireError::VersionMismatch`] |
 //! | 1      | 1    | variant tag ([`tag` constants](self)) |
 //! | 2      | 1    | snapshot-payload kind: 0 none, 1 full, 2 delta |
-//! | 3      | 1    | reserved, written 0 (ignored on `GroupReport`, where v2 and v3 wrote a strategy id) |
+//! | 3      | 1    | reserved: written 0, any other value is a [`WireError::Tag`] |
 //! | 4      | 4    | destination rank (router addressing) |
 //! | 8      | 4    | origin index (`tsw` / `shard` / `clw` field; strategy id on broadcasts) |
 //! | 12     | 4    | aux count (tabu entries or moves; strategy id on `Investigate`) |
 //! | 16     | 8    | sequence (`global`, `seq`) |
 //! | 24     | 8    | cost (`f64` bits) |
-//!
-//! Variant tag 5 is decode-only. Peers before this codec sent a
-//! sub-master's broadcast under it, with a `Broadcast`'s layout, and it
-//! decodes as a [`PtsMsg::Broadcast`]; every broadcast is written as tag 1.
 //!
 //! The variant-specific body follows, sized so header + body equals
 //! `wire_size()` exactly; where the model charges legacy headroom (the
@@ -66,34 +62,20 @@ use pts_tabu::trace::TracePoint;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Codec version stamped into every frame header. The decoder also
-/// accepts frames back to [`MIN_WIRE_VERSION`] (older fields default);
-/// anything outside that window fails with
-/// [`WireError::VersionMismatch`].
+/// Codec version stamped into every message, heartbeat, tally and setup
+/// frame and every hello. A frame of any other version fails with
+/// [`WireError::VersionMismatch`], and the launch barrier refuses a hello
+/// of any other version: every rank of a run is the same binary.
 ///
 /// Version history:
-/// * 1 — initial socket codec.
-/// * 2 — portfolio search: strategy ids ride previously-zero header
-///   bytes (the broadcasts' origin, `Investigate` aux), and
-///   the config block grows an aspiration + portfolio tail. No frame
-///   changes size, so v1 frames decode as v2 with all-default strategy
-///   fields. v2 also put a strategy tag in `GroupReport`'s header byte 3
-///   and a quality rate in its reserved tail `u64`; nothing read either,
-///   so both are written 0 again and ignored on decode.
-/// * 3 — direct links between protocol-tree neighbours: a rank's hello
-///   carries its link-listener address, the router opens each rank's
-///   setup frame with a link block naming the rank's uplink, and a
-///   worker's final [`LinkTally`] frame reports the traffic its links
-///   carried past the router. Message frames do not change, so v1 and
-///   v2 message frames still decode.
-pub const WIRE_VERSION: u8 = 3;
+/// * 4 — one layout per frame: the config block ([`put_config`]) holds
+///   one slot per [`crate::config::PtsConfig`] field. Earlier versions
+///   are not decoded.
+pub const WIRE_VERSION: u8 = 4;
 
-/// Oldest frame version this codec still decodes.
-pub const MIN_WIRE_VERSION: u8 = 1;
-
-/// Is `v` a version this codec decodes?
+/// Is `v` this codec's version?
 pub(crate) fn version_ok(v: u8) -> bool {
-    (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&v)
+    v == WIRE_VERSION
 }
 
 /// Bytes of length prefix framing each message on a stream — the only
@@ -111,10 +93,6 @@ mod tag {
     pub const FORCE_REPORT: u8 = 2;
     pub const REPORT: u8 = 3;
     pub const GROUP_REPORT: u8 = 4;
-    /// Decode-only: v1–v3 peers sent a sub-master's broadcast under this
-    /// tag, with a `Broadcast`'s layout. It decodes as a `Broadcast`;
-    /// nothing writes it any more.
-    pub const GROUP_BROADCAST: u8 = 5;
     pub const ADOPT_STATE: u8 = 6;
     pub const INVESTIGATE: u8 = 7;
     pub const CUT_SHORT: u8 = 8;
@@ -135,12 +113,12 @@ mod tag {
 /// Why a buffer failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The frame's version byte is outside the
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] window this codec decodes.
+    /// The frame's version byte is not the decoder's version.
     VersionMismatch {
         /// Version byte found in the frame header.
         got: u8,
-        /// Newest version this codec speaks (always [`WIRE_VERSION`]).
+        /// The version the decoder speaks: [`WIRE_VERSION`], or
+        /// [`crate::serve::SERVE_VERSION`] for a client frame.
         want: u8,
     },
     /// Unknown variant tag or payload kind.
@@ -958,13 +936,9 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
     }
     let variant = h.u8()?;
     let kind = PayloadKind::from_byte(h.u8()?)?;
-    // Header byte 3 is written 0. A v2 or v3 portfolio peer put a
-    // strategy id there on GroupReport, which decodes ignoring it. On
-    // broadcasts it was once a tabu-payload kind; kind 1, a delta list,
-    // is no longer written and decodes as an unknown kind.
-    let byte3 = h.u8()?;
-    if variant != tag::GROUP_REPORT && byte3 != 0 {
-        return Err(WireError::Tag(byte3));
+    let reserved = h.u8()?;
+    if reserved != 0 {
+        return Err(WireError::Tag(reserved));
     }
     let dst = h.u32()?;
     let origin = h.u32()?;
@@ -982,7 +956,7 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
                 snapshot: Arc::new(snapshot),
             }
         }
-        tag::BROADCAST | tag::GROUP_BROADCAST => {
+        tag::BROADCAST => {
             // The tabu list, `aux` entries, is everything after the
             // snapshot payload.
             let snap_bytes = body
@@ -992,15 +966,11 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
             let mut r = WireReader::new(body);
             let snapshot = get_payload::<P>(&mut r, kind, snap_bytes, ctx)?;
             let tabu = TabuPayload::Full(Arc::new(get_tabu::<P>(&mut r, aux)?));
-            let global = seq as u32;
-            // The strategy id rides the otherwise-unused origin field
-            // (v1 frames always carry 0 there).
-            let strategy = origin as u8;
             PtsMsg::Broadcast {
-                global,
+                global: seq as u32,
                 snapshot,
                 tabu,
-                strategy,
+                strategy: origin as u8,
             }
         }
         tag::FORCE_REPORT => PtsMsg::ForceReport { global: seq as u32 },
@@ -1037,8 +1007,6 @@ pub fn decode_msg<P: WireProblem>(buf: &[u8], ctx: &P::Ctx) -> Result<(u32, PtsM
                     stats,
                 }
             } else {
-                // The reserved slot after `forced` held a portfolio
-                // peer's quality rate; it is ignored like byte 3.
                 PtsMsg::GroupReport {
                     shard: origin as usize,
                     global: seq as u32,
@@ -1144,76 +1112,32 @@ pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>
     Ok(Some(body))
 }
 
-/// Aspiration policy byte for the config block.
-fn asp_byte(a: pts_tabu::aspiration::Aspiration) -> u8 {
-    match a {
-        pts_tabu::aspiration::Aspiration::None => 0,
-        pts_tabu::aspiration::Aspiration::BestCost => 1,
-    }
-}
-
-fn asp_of(b: u8) -> Result<pts_tabu::aspiration::Aspiration, WireError> {
-    match b {
-        0 => Ok(pts_tabu::aspiration::Aspiration::None),
-        1 => Ok(pts_tabu::aspiration::Aspiration::BestCost),
-        other => Err(WireError::Tag(other)),
-    }
-}
-
-/// The values of the config block's placement-cost slots: net delay α
-/// (before the cost byte), then fuzzy β, the two goal fractions and the
-/// three weighted-sum weights (after it). Every run uses these constants
-/// (see [`crate::config::PtsConfig::eval_config`]); the slots keep the
-/// block's layout, and a block carrying other values is malformed.
-fn cost_slots() -> [f64; 7] {
-    let eval = pts_place::eval::EvalConfig::default();
-    let pts_place::eval::SchemeChoice::Fuzzy { beta } = eval.scheme else {
-        unreachable!("the evaluator's default scheme is fuzzy")
-    };
-    let [w_wire, w_delay, w_area] = crate::config::WEIGHTED_SUM_WEIGHTS;
-    [
-        eval.alpha,
-        beta,
-        eval.goal.target_frac,
-        eval.goal.zero_frac,
-        w_wire,
-        w_delay,
-        w_area,
-    ]
-}
-
-/// Encode a [`crate::config::PtsConfig`] (setup and job-submission
-/// frames; fixed field order, not part of any message's `wire_size`).
-/// Always emits the current ([`WIRE_VERSION`]) layout: the v1 field
-/// order followed by the v2 aspiration + portfolio tail.
+/// Encode a [`crate::config::PtsConfig`] for setup and job-submission
+/// frames (not part of any message's `wire_size`): one slot per field, in
+/// declaration order. A search strategy, the uniform one and each
+/// portfolio entry alike, is its six fields in declaration order, and
+/// the portfolio's length precedes its entries.
 pub fn put_config(cfg: &crate::config::PtsConfig, out: &mut Vec<u8>) {
     use crate::config::{CostKind, SnapshotMode, SyncPolicy};
-    let sync_byte = |s: SyncPolicy| match s {
-        SyncPolicy::WaitAll => 0u8,
-        SyncPolicy::HalfReport => 1,
-    };
     put_u64(out, cfg.n_tsw as u64);
     put_u64(out, cfg.n_clw as u64);
     put_u32(out, cfg.global_iters);
     put_u32(out, cfg.local_iters);
-    put_u64(out, cfg.search.candidates as u64);
-    put_u64(out, cfg.search.depth as u64);
-    put_u64(out, cfg.search.tenure);
+    put_strategy(&cfg.search, out);
+    put_u64(out, cfg.portfolio.len() as u64);
+    for s in &cfg.portfolio {
+        put_strategy(s, out);
+    }
     out.push(cfg.diversify as u8);
-    put_u64(out, cfg.search.diversify_depth as u64);
-    put_u64(out, cfg.search.diversify_width as u64);
-    // The policy twice: the block once had one slot per level.
-    out.extend([sync_byte(cfg.sync); 2]);
+    out.push(match cfg.sync {
+        SyncPolicy::WaitAll => 0,
+        SyncPolicy::HalfReport => 1,
+    });
     put_f64(out, cfg.report_fraction);
-    let slots = cost_slots();
-    put_f64(out, slots[0]);
     out.push(match cfg.cost {
         CostKind::Fuzzy => 0,
         CostKind::WeightedSum => 1,
     });
-    for &v in &slots[1..] {
-        put_f64(out, v);
-    }
     put_u64(out, cfg.seed);
     put_u64(out, cfg.shard_fanout as u64);
     out.push(match cfg.snapshot_mode {
@@ -1227,103 +1151,40 @@ pub fn put_config(cfg: &crate::config::PtsConfig, out: &mut Vec<u8>) {
     put_f64(out, cfg.work.per_diversify_step);
     put_f64(out, cfg.work.per_report);
     put_f64(out, cfg.liveness_timeout);
-    // Reserved: once a tabu-list encoding flag, always 0 now.
-    out.push(0);
     put_u64(out, cfg.heartbeat_ms);
     put_u64(out, cfg.reap_grace_ms);
-    // v2 tail: the uniform strategy's aspiration, then the portfolio.
-    out.push(asp_byte(cfg.search.aspiration));
-    put_u64(out, cfg.portfolio.len() as u64);
-    for s in &cfg.portfolio {
-        put_u64(out, s.tenure);
-        put_u64(out, s.candidates as u64);
-        put_u64(out, s.depth as u64);
-        put_u64(out, s.diversify_depth as u64);
-        put_u64(out, s.diversify_width as u64);
-        out.push(asp_byte(s.aspiration));
-    }
 }
 
-/// Decode a [`crate::config::PtsConfig`] written by [`put_config`] at the
-/// current [`WIRE_VERSION`]. For frames that declared an older version,
-/// use [`get_config_versioned`] — the config block is *not* the last
-/// thing in setup and job frames, so the decoder cannot infer the layout
-/// from the bytes remaining and must be told the carrier's version.
+/// Decode a [`crate::config::PtsConfig`] written by [`put_config`]. An
+/// unknown policy, cost, mode or aspiration byte is a [`WireError::Tag`],
+/// and a portfolio of more than 255 entries is [`WireError::Malformed`].
 pub fn get_config(r: &mut WireReader<'_>) -> Result<crate::config::PtsConfig, WireError> {
-    get_config_versioned(r, WIRE_VERSION)
-}
-
-/// Decode a config block from a frame whose header declared `version`.
-/// Version-1 blocks stop at `reap_grace_ms`; the aspiration and portfolio
-/// take their defaults (best-cost aspiration, empty portfolio — exactly
-/// the semantics a v1 peer ran with). Unknown versions are rejected with
-/// [`WireError::VersionMismatch`], never a panic, and a block whose
-/// placement-cost slots hold anything but this build's constants, or
-/// whose two sync slots differ, with [`WireError::Malformed`]: its sender
-/// meant a cost function or a policy split this build does not run.
-pub fn get_config_versioned(
-    r: &mut WireReader<'_>,
-    version: u8,
-) -> Result<crate::config::PtsConfig, WireError> {
-    use crate::config::{CostKind, PtsConfig, SearchStrategy, SnapshotMode, SyncPolicy, WorkModel};
-    if !version_ok(version) {
-        return Err(WireError::VersionMismatch {
-            got: version,
-            want: WIRE_VERSION,
-        });
-    }
-    let sync = |b: u8| match b {
-        0 => Ok(SyncPolicy::WaitAll),
-        1 => Ok(SyncPolicy::HalfReport),
-        other => Err(WireError::Tag(other)),
-    };
-    let n_tsw = r.u64()? as usize;
-    let n_clw = r.u64()? as usize;
-    let global_iters = r.u32()?;
-    let local_iters = r.u32()?;
-    let candidates = r.u64()? as usize;
-    let depth = r.u64()? as usize;
-    let tenure = r.u64()?;
-    let diversify = r.u8()? != 0;
-    let diversify_depth = r.u64()? as usize;
-    let diversify_width = r.u64()? as usize;
-    let mut cfg = PtsConfig {
-        n_tsw,
-        n_clw,
-        global_iters,
-        local_iters,
-        search: SearchStrategy {
-            candidates,
-            depth,
-            tenure,
-            diversify_depth,
-            diversify_width,
-            ..SearchStrategy::default()
+    use crate::config::{CostKind, PtsConfig, SnapshotMode, SyncPolicy, WorkModel};
+    // Fields are read in the order they are written here.
+    Ok(PtsConfig {
+        n_tsw: r.u64()? as usize,
+        n_clw: r.u64()? as usize,
+        global_iters: r.u32()?,
+        local_iters: r.u32()?,
+        search: get_strategy(r)?,
+        portfolio: {
+            let n = r.u64()?;
+            if n > 255 {
+                return Err(WireError::Malformed("portfolio longer than 255 entries"));
+            }
+            (0..n).map(|_| get_strategy(r)).collect::<Result<_, _>>()?
         },
-        portfolio: Vec::new(),
-        diversify,
-        sync: match (sync(r.u8()?)?, sync(r.u8()?)?) {
-            (upper, lower) if upper == lower => upper,
-            _ => return Err(WireError::Malformed("sync policies differ by level")),
+        diversify: r.u8()? != 0,
+        sync: match r.u8()? {
+            0 => SyncPolicy::WaitAll,
+            1 => SyncPolicy::HalfReport,
+            other => return Err(WireError::Tag(other)),
         },
         report_fraction: r.f64()?,
-        cost: {
-            let alpha = r.f64()?;
-            let cost = match r.u8()? {
-                0 => CostKind::Fuzzy,
-                1 => CostKind::WeightedSum,
-                other => return Err(WireError::Tag(other)),
-            };
-            let mut slots = [alpha; 7];
-            for v in &mut slots[1..] {
-                *v = r.f64()?;
-            }
-            if slots != cost_slots() {
-                return Err(WireError::Malformed(
-                    "placement-cost constants differ from the evaluator's",
-                ));
-            }
-            cost
+        cost: match r.u8()? {
+            0 => CostKind::Fuzzy,
+            1 => CostKind::WeightedSum,
+            other => return Err(WireError::Tag(other)),
         },
         seed: r.u64()?,
         shard_fanout: r.u64()? as usize,
@@ -1341,41 +1202,39 @@ pub fn get_config_versioned(
             per_report: r.f64()?,
         },
         liveness_timeout: r.f64()?,
-        heartbeat_ms: {
-            // The reserved byte before it once flagged delta-encoded
-            // tabu lists, which never changed a trajectory: an older
-            // peer's 1 there decodes exactly like 0.
-            let _reserved = r.u8()?;
-            r.u64()?
-        },
+        heartbeat_ms: r.u64()?,
         reap_grace_ms: r.u64()?,
-    };
-    if version >= 2 {
-        cfg.search.aspiration = asp_of(r.u8()?)?;
-        let n = r.u64()? as usize;
-        if n > 255 {
-            return Err(WireError::Malformed("portfolio longer than 255 entries"));
-        }
-        let mut portfolio = Vec::with_capacity(n);
-        for _ in 0..n {
-            let tenure = r.u64()?;
-            let candidates = r.u64()? as usize;
-            let depth = r.u64()? as usize;
-            let diversify_depth = r.u64()? as usize;
-            let diversify_width = r.u64()? as usize;
-            let aspiration = asp_of(r.u8()?)?;
-            portfolio.push(SearchStrategy {
-                candidates,
-                depth,
-                tenure,
-                diversify_depth,
-                diversify_width,
-                aspiration,
-            });
-        }
-        cfg.portfolio = portfolio;
-    }
-    Ok(cfg)
+    })
+}
+
+/// One search strategy of the config block.
+fn put_strategy(s: &crate::config::SearchStrategy, out: &mut Vec<u8>) {
+    use pts_tabu::aspiration::Aspiration;
+    put_u64(out, s.candidates as u64);
+    put_u64(out, s.depth as u64);
+    put_u64(out, s.tenure);
+    put_u64(out, s.diversify_depth as u64);
+    put_u64(out, s.diversify_width as u64);
+    out.push(match s.aspiration {
+        Aspiration::None => 0,
+        Aspiration::BestCost => 1,
+    });
+}
+
+fn get_strategy(r: &mut WireReader<'_>) -> Result<crate::config::SearchStrategy, WireError> {
+    use pts_tabu::aspiration::Aspiration;
+    Ok(crate::config::SearchStrategy {
+        candidates: r.u64()? as usize,
+        depth: r.u64()? as usize,
+        tenure: r.u64()?,
+        diversify_depth: r.u64()? as usize,
+        diversify_width: r.u64()? as usize,
+        aspiration: match r.u8()? {
+            0 => Aspiration::None,
+            1 => Aspiration::BestCost,
+            other => return Err(WireError::Tag(other)),
+        },
+    })
 }
 
 #[cfg(test)]
@@ -1424,14 +1283,16 @@ mod tests {
     #[test]
     fn bad_version_is_rejected() {
         let msg: PtsMsg<Qap> = PtsMsg::Stop;
-        let mut buf = encode_msg(&msg, 0);
-        buf[0] = 9;
-        let want = WireError::VersionMismatch {
-            got: 9,
-            want: WIRE_VERSION,
-        };
-        assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
-        assert_eq!(peek_dst(&buf), Err(want));
+        for got in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+            let mut buf = encode_msg(&msg, 0);
+            buf[0] = got;
+            let want = WireError::VersionMismatch {
+                got,
+                want: WIRE_VERSION,
+            };
+            assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
+            assert_eq!(peek_dst(&buf), Err(want));
+        }
     }
 
     #[test]
@@ -1445,8 +1306,8 @@ mod tests {
         assert_eq!(decode_tally(&frame), Some(tally));
         assert!(decode_msg::<Qap>(&frame, &()).is_err());
         assert!(!is_heartbeat(&frame));
-        // Anything else, or a tally cut short or stamped outside the
-        // version window, is no tally.
+        // Anything else, or a tally cut short or stamped with another
+        // version, is no tally.
         assert_eq!(decode_tally(&encode_msg(&PtsMsg::<Qap>::Stop, 0)), None);
         assert_eq!(decode_tally(&encode_heartbeat_frame(4)), None);
         assert_eq!(decode_tally(&frame[..frame.len() - 1]), None);
@@ -1512,7 +1373,10 @@ mod tests {
             shard_fanout: 3,
             sync: crate::config::SyncPolicy::WaitAll,
             snapshot_mode: crate::config::SnapshotMode::Full,
+            cost: crate::config::CostKind::WeightedSum,
+            differentiate_streams: true,
             seed: 0xDEADBEEF,
+            liveness_timeout: 2.5,
             heartbeat_ms: 250,
             reap_grace_ms: 7000,
             portfolio: vec![
@@ -1535,102 +1399,24 @@ mod tests {
     }
 
     #[test]
-    fn config_blocks_with_other_cost_constants_are_malformed() {
-        // α sits after the 75 bytes of counts, strategy knobs, sync bytes
-        // and report fraction; the cost byte follows, then β, the goal
-        // fractions and the weights. A block with anything but this
-        // build's constants there asked for a cost function this build
-        // does not run, at every version.
+    fn config_block_cut_short_is_truncated() {
         let cfg = crate::config::PtsConfig {
-            cost: crate::config::CostKind::WeightedSum,
+            portfolio: vec![crate::config::SearchStrategy::default(); 2],
             ..crate::config::PtsConfig::default()
         };
         let mut buf = Vec::new();
         put_config(&cfg, &mut buf);
-        assert_eq!(get_config(&mut WireReader::new(&buf)).unwrap(), cfg);
-        assert_eq!(buf[75..83], cost_slots()[0].to_le_bytes());
-        assert_eq!(buf[83], 1, "the weighted-sum cost byte");
-        for at in std::iter::once(75).chain((0..6).map(|i| 84 + 8 * i)) {
-            for value in [0.0, 1.5, f64::NAN] {
-                let mut bad = buf.clone();
-                bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
-                for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-                    assert!(
-                        matches!(
-                            get_config_versioned(&mut WireReader::new(&bad), version),
-                            Err(WireError::Malformed(_))
-                        ),
-                        "{value} at byte {at}, version {version}"
-                    );
-                }
-            }
+        for cut in 0..buf.len() {
+            assert_eq!(
+                get_config(&mut WireReader::new(&buf[..cut])).err(),
+                Some(WireError::Truncated),
+                "block cut at {cut} of {}",
+                buf.len()
+            );
         }
-    }
-
-    #[test]
-    fn config_blocks_with_two_sync_policies_are_malformed() {
-        // The two sync bytes sit at 65 and 66, after the counts and the
-        // strategy knobs. `put_config` writes the one policy into both;
-        // a block that asks for a different policy per level names a
-        // split this build does not run, at every version.
-        use crate::config::{PtsConfig, SyncPolicy};
-        for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
-            let cfg = PtsConfig {
-                sync,
-                ..PtsConfig::default()
-            };
-            let mut buf = Vec::new();
-            put_config(&cfg, &mut buf);
-            let byte = u8::from(sync == SyncPolicy::HalfReport);
-            assert_eq!(buf[65..67], [byte, byte]);
-            for at in [65, 66] {
-                let mut bad = buf.clone();
-                bad[at] = 1 - byte;
-                for version in MIN_WIRE_VERSION..=WIRE_VERSION {
-                    assert_eq!(
-                        get_config_versioned(&mut WireReader::new(&buf), version)
-                            .unwrap()
-                            .sync,
-                        sync
-                    );
-                    assert!(
-                        matches!(
-                            get_config_versioned(&mut WireReader::new(&bad), version),
-                            Err(WireError::Malformed(_))
-                        ),
-                        "{sync:?} with byte {at} flipped, version {version}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn v1_config_decodes_with_portfolio_defaults() {
-        // A v1 config block is the v2 encoding truncated before the
-        // aspiration + portfolio tail (41 bytes per entry + 9 fixed).
-        let cfg = crate::config::PtsConfig {
-            n_tsw: 4,
-            seed: 77,
-            ..crate::config::PtsConfig::default()
-        };
-        let mut buf = Vec::new();
-        put_config(&cfg, &mut buf);
-        let v1 = &buf[..buf.len() - 9];
-        let decoded = get_config_versioned(&mut WireReader::new(v1), 1).unwrap();
-        assert_eq!(decoded, cfg, "v1 defaults: empty portfolio, best-cost");
-        // A v1-declared reader must NOT consume the tail bytes.
         let mut r = WireReader::new(&buf);
-        let _ = get_config_versioned(&mut r, 1).unwrap();
-        assert_eq!(r.remaining(), 9);
-        // Unknown versions are a typed error, not a panic.
-        assert_eq!(
-            get_config_versioned(&mut WireReader::new(&buf), 9).err(),
-            Some(WireError::VersionMismatch {
-                got: 9,
-                want: WIRE_VERSION
-            })
-        );
+        assert_eq!(get_config(&mut r).unwrap(), cfg);
+        assert_eq!(r.remaining(), 0, "the block is read to its end");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! retry: a crashed attempt announced with a `retrying` frame, restarted
 //! up to `max_restarts`, and failed with a final error past that.
 //!
-//! A raw client that announces a frame past the cap is disconnected.
+//! A raw client that announces a frame past the cap is disconnected, and
+//! one that sends a frame the server cannot act on (another protocol
+//! version, an unknown kind, a cancel without a job id) gets an error
+//! reply and stays connected.
 //!
 //! The first tests drive an in-process [`Server`]; the teardown tests
 //! exercise the real `pts-serve` binary, where orphaned worker ranks are
@@ -123,6 +126,52 @@ fn a_client_announcing_a_frame_past_the_cap_is_disconnected() {
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let got = raw.read(&mut [0u8; 1]);
     assert_eq!(got.ok(), Some(0), "the server must end the connection");
+    stop.store(true, Ordering::Release);
+    server.join().unwrap();
+}
+
+#[test]
+fn a_frame_the_server_cannot_act_on_gets_an_error_for_job_0() {
+    // A frame of another protocol version, as a client of an earlier
+    // build sends, of an unknown kind, or a cancel without a job id gets
+    // an ERROR naming no job instead of silence, and the connection
+    // stays open for the next.
+    use parallel_tabu_search::core::serve::{kind, SERVE_VERSION};
+    use parallel_tabu_search::core::wire;
+    use std::os::unix::net::UnixStream;
+    /// Send one frame body; return the reply's kind, job and the rest.
+    fn exchange(raw: &mut UnixStream, body: &[u8]) -> (u8, u32, Vec<u8>) {
+        wire::write_frame(raw, body).unwrap();
+        let reply = wire::read_frame(raw)
+            .expect("a reply before the read timeout")
+            .expect("the connection stays open");
+        assert_eq!(reply[0], SERVE_VERSION);
+        let job = u32::from_le_bytes(reply[2..6].try_into().unwrap());
+        (reply[1], job, reply[6..].to_vec())
+    }
+    let (addr, stop, server) = start_server("unreadable", 1);
+    let path = addr.strip_prefix("unix:").expect("a unix address");
+    let mut raw = UnixStream::connect(path).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let submit = |version: u8, k: u8| {
+        let mut body = vec![version, k];
+        body.extend_from_slice(&qap_job(8, 1, 1, 0).encode());
+        body
+    };
+    for (body, reason) in [
+        (submit(SERVE_VERSION + 1, kind::SUBMIT), "version"),
+        (submit(SERVE_VERSION, 0x7f), "kind 0x7f"),
+        (vec![SERVE_VERSION, kind::CANCEL], "cancel"),
+    ] {
+        let (k, job, message) = exchange(&mut raw, &body);
+        assert_eq!((k, job), (kind::ERROR, 0));
+        let message = String::from_utf8_lossy(&message[4..]);
+        assert!(message.contains(reason), "got: {message}");
+    }
+    let (k, job, _) = exchange(&mut raw, &submit(SERVE_VERSION, kind::SUBMIT));
+    assert_eq!(k, kind::ACCEPTED);
+    assert!(job > 0);
+    drop(raw);
     stop.store(true, Ordering::Release);
     server.join().unwrap();
 }

@@ -153,15 +153,6 @@ fn qap_msg(
     }
 }
 
-/// Reset the v2 strategy carriage to the values a v1 encoder (which had
-/// no portfolio) necessarily produced: zero strategy ids.
-fn zero_strategy_fields(msg: &mut PtsMsg<Qap>) {
-    match msg {
-        PtsMsg::Broadcast { strategy, .. } | PtsMsg::Investigate { strategy, .. } => *strategy = 0,
-        _ => {}
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -265,61 +256,26 @@ proptest! {
 
     #[test]
     fn any_wrong_version_byte_is_a_typed_mismatch(
-        got in any::<u8>(),
         variant in 0u8..13,
         n in 2usize..12,
         seed in any::<u64>(),
         dst in 0u32..1024,
     ) {
-        // Cross-version compatibility: a frame stamped outside the
-        // accepted [MIN_WIRE_VERSION, WIRE_VERSION] window must fail
+        // A frame stamped with any version but this codec's must fail
         // decoding with the typed error — never a garbage decode, never a
         // panic — on both the full decoder and the router's header-only
-        // peek. Remap in-window bytes rather than discarding the case.
-        let got = if (wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION).contains(&got) {
-            wire::WIRE_VERSION + 1 + (got - wire::MIN_WIRE_VERSION)
-        } else {
-            got
-        };
+        // peek. Every other version byte is tried.
         let msg = qap_msg(
             variant, n, seed, 1, 2, 0.5, vec![], vec![], vec![], [0; 5], false,
         );
-        let mut buf = encode_msg(&msg, dst);
-        buf[0] = got;
-        let want = WireError::VersionMismatch { got, want: wire::WIRE_VERSION };
-        prop_assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
-        prop_assert_eq!(peek_dst(&buf).err(), Some(want));
-    }
-
-    #[test]
-    fn v1_frames_decode_with_default_strategy_fields(
-        variant in 0u8..13,
-        n in 2usize..12,
-        seed in any::<u64>(),
-        dst in 0u32..1024,
-        global in 0u32..100_000,
-        seq in any::<u64>(),
-        cost in -1.0e9f64..1.0e9,
-    ) {
-        // Backward compatibility: a v1 peer's frame is byte-for-byte a v2
-        // frame whose strategy bytes are zero — so restamping the version
-        // byte of such a frame to 1 must decode to the same message, and
-        // its re-encoding (as v2) must differ from the original frame in
-        // the version byte alone. Build the "v1 fixture" that way rather
-        // than from a hand-rolled byte table: the property then holds for
-        // every variant, not one golden.
-        let mut msg = qap_msg(
-            variant, n, seed, global, seq, cost, vec![], vec![], vec![], [0; 5], false,
-        );
-        zero_strategy_fields(&mut msg);
-        let mut buf = encode_msg(&msg, dst);
-        buf[0] = wire::MIN_WIRE_VERSION;
-        let (got_dst, decoded) = decode_msg::<Qap>(&buf, &()).expect("v1 frame must decode");
-        prop_assert_eq!(got_dst, dst);
-        prop_assert_eq!(decoded.tag(), msg.tag());
-        let again = encode_msg(&decoded, dst);
-        prop_assert_eq!(again[0], wire::WIRE_VERSION);
-        prop_assert_eq!(&again[1..], &buf[1..], "v1 frame must decode to default strategy fields");
+        let buf = encode_msg(&msg, dst);
+        for got in (0..=u8::MAX).filter(|&v| v != wire::WIRE_VERSION) {
+            let mut buf = buf.clone();
+            buf[0] = got;
+            let want = WireError::VersionMismatch { got, want: wire::WIRE_VERSION };
+            prop_assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
+            prop_assert_eq!(peek_dst(&buf).err(), Some(want));
+        }
     }
 
     #[test]
@@ -355,10 +311,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
-    // Broadcasts carry the full tabu list, and the config block keeps its
-    // layout: these frames must stay byte for byte what the codec has
-    // always written. One Broadcast per snapshot payload kind, then
-    // `put_config` of the default config.
+    // Broadcasts carry the full tabu list: these frames must stay byte
+    // for byte what the codec writes, and the config block its one slot
+    // per field. One Broadcast per snapshot payload kind, then
+    // `put_config` of the default config. The message layout has not
+    // moved since version 3: with that version byte, each broadcast
+    // frame is the one version 3 wrote.
+    let v3_pins = [0x55a8_a671_3a2e_31e6, 0xe3c8_fc67_acc8_d16e];
     let snapshot = Arc::new(QapAssignment::new(perm(8, 5)));
     let delta = Arc::new(QapDelta::new(vec![(1, 4), (4, 1)]));
     let tabu = Arc::new(vec![((0, 1), 5), ((2, 7), 3), ((4, 6), 11)]);
@@ -376,7 +335,10 @@ fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
             tabu: TabuPayload::Full(Arc::clone(&tabu)),
             strategy: 0,
         };
-        hashes.push(fnv1a(&encode_msg(&broadcast, 5)));
+        let mut frame = encode_msg(&broadcast, 5);
+        hashes.push(fnv1a(&frame));
+        frame[0] = 3;
+        assert_eq!(fnv1a(&frame), v3_pins[hashes.len() - 1]);
     }
     let mut config = Vec::new();
     wire::put_config(&PtsConfig::default(), &mut config);
@@ -384,53 +346,21 @@ fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
     assert_eq!(
         hashes,
         [
-            0x55a8_a671_3a2e_31e6,
-            0xe3c8_fc67_acc8_d16e,
-            0xb301_6228_44d9_fab4,
+            0xb5f9_c38e_0446_e541,
+            0xa2f9_05df_0040_1b79,
+            0xe6ff_8b3f_d3b4_98e4,
         ]
     );
 }
 
 #[test]
-fn a_tag_5_frame_decodes_as_the_broadcast_it_carries() {
-    // Peers before this codec sent a sub-master's broadcast under tag 5,
-    // with a Broadcast's layout. Such a frame decodes to that Broadcast,
-    // which re-encodes to the pinned tag-1 frame.
-    let pinned = [0x55a8_a671_3a2e_31e6, 0xe3c8_fc67_acc8_d16e];
-    for (payload, pinned) in [
-        SnapshotPayload::Full(Arc::new(QapAssignment::new(perm(8, 5)))),
-        SnapshotPayload::Delta {
-            base_seq: 3,
-            delta: Arc::new(QapDelta::new(vec![(1, 4), (4, 1)])),
-        },
-    ]
-    .into_iter()
-    .zip(pinned)
-    {
-        let broadcast: PtsMsg<Qap> = PtsMsg::Broadcast {
-            global: 3,
-            snapshot: payload,
-            tabu: TabuPayload::Full(Arc::new(vec![((0, 1), 5), ((2, 7), 3), ((4, 6), 11)])),
-            strategy: 0,
-        };
-        let buf = encode_msg(&broadcast, 5);
-        assert_eq!(fnv1a(&buf), pinned);
-        assert_eq!(buf[1], 1, "a Broadcast is written as tag 1");
-        let mut old = buf.clone();
-        old[1] = 5;
-        let (dst, decoded) = decode_msg::<Qap>(&old, &()).expect("tag 5 decodes");
-        assert_eq!(dst, 5);
-        assert_eq!(decoded.tag(), "Broadcast");
-        assert_eq!(encode_msg(&decoded, dst), buf);
-    }
-}
-
-#[test]
 fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
     // Header byte 3 of a broadcast once marked a delta-encoded tabu
-    // list. Nothing writes one any more; such a frame must fail with a
-    // typed error rather than decode or panic.
-    for variant in [1, 5] {
+    // list, and a GroupReport's once held a strategy id. Every variant
+    // writes it 0, and a frame with anything else there must fail with a
+    // typed error rather than decode or panic. A GroupReport's reserved
+    // tail slot is written 0 too.
+    for variant in [1, 4, 5] {
         let msg = qap_msg(
             variant,
             6,
@@ -446,6 +376,9 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
         );
         let mut buf = encode_msg(&msg, 1);
         assert_eq!(buf[3], 0, "{} writes byte 3 as 0", msg.tag());
+        if variant == 4 {
+            assert_eq!(buf[buf.len() - 8..], [0; 8], "the reserved tail slot");
+        }
         buf[3] = 1;
         assert_eq!(
             decode_msg::<Qap>(&buf, &()).err(),
@@ -457,88 +390,31 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
 }
 
 #[test]
-fn a_portfolio_peers_group_report_strategy_and_rate_are_ignored() {
-    // A v2 or v3 portfolio peer wrote a strategy id into a GroupReport's
-    // header byte 3 and a quality rate into the last tail slot. Nothing
-    // reads either any more: such a frame decodes to the same report,
-    // which re-encodes to the frame this codec writes, zeros included.
+fn a_frame_of_no_message_tag_is_a_typed_error() {
+    // Tag 5 once carried a sub-master's broadcast; 13 and 14 are the
+    // socket layer's heartbeat and tally, which never decode as messages.
     let msg = qap_msg(
-        4,
+        1,
         6,
         3,
         2,
-        5,
-        7.5,
+        0,
+        0.0,
         vec![((0, 1), 4)],
-        vec![(0.5, 1, 9.0), (1.5, 2, 7.5)],
         vec![],
-        [3, 2, 1, 0, 1],
+        vec![],
+        [0; 5],
         false,
     );
     let buf = encode_msg(&msg, 1);
-    let n = buf.len();
-    assert_eq!(buf[3], 0);
-    assert_eq!(buf[n - 8..], [0; 8]);
-    let mut peer = buf.clone();
-    peer[3] = 7;
-    peer[n - 8..].copy_from_slice(&0.25f64.to_le_bytes());
-    for version in [2, 3] {
-        peer[0] = version;
-        let (dst, decoded) = decode_msg::<Qap>(&peer, &()).expect("a peer's frame decodes");
-        assert_eq!(dst, 1);
-        match &decoded {
-            PtsMsg::GroupReport {
-                shard,
-                global,
-                cost,
-                trace,
-                forced,
-                ..
-            } => {
-                assert_eq!((*shard, *global, *cost, *forced), (6, 2, 7.5, 5));
-                let points: Vec<(f64, u64, f64)> = trace
-                    .iter()
-                    .map(|p| (p.time, p.iter, p.best_cost))
-                    .collect();
-                assert_eq!(points, [(0.5, 1, 9.0), (1.5, 2, 7.5)]);
-            }
-            other => panic!("decoded {}", other.tag()),
-        }
-        assert_eq!(encode_msg(&decoded, 1), buf, "version {version}");
-    }
-}
-
-#[test]
-fn the_reserved_config_byte_is_ignored_at_every_version() {
-    // The byte after `liveness_timeout` once flagged delta-encoded tabu
-    // lists. An older peer may still send 1 there; the flag never
-    // changed a trajectory, so it decodes exactly like 0.
-    let cfg = PtsConfig {
-        n_tsw: 6,
-        seed: 11,
-        ..PtsConfig::default()
-    };
-    let mut buf = Vec::new();
-    wire::put_config(&cfg, &mut buf);
-    // An empty portfolio's v2 tail is the aspiration byte and the entry
-    // count (9 bytes); the v1 block ends with `heartbeat_ms` and
-    // `reap_grace_ms` (16 bytes), right after the reserved byte.
-    let v1_len = buf.len() - 9;
-    let reserved = v1_len - 17;
-    assert_eq!(buf[reserved], 0, "put_config writes the reserved byte as 0");
-    for byte in [0, 1] {
-        buf[reserved] = byte;
-        for version in wire::MIN_WIRE_VERSION..=wire::WIRE_VERSION {
-            let block = if version == 1 {
-                &buf[..v1_len]
-            } else {
-                &buf[..]
-            };
-            let mut r = wire::WireReader::new(block);
-            let got = wire::get_config_versioned(&mut r, version).unwrap();
-            assert_eq!(got, cfg, "reserved byte {byte} at version {version}");
-            assert_eq!(r.remaining(), 0);
-        }
+    for t in std::iter::once(5).chain(13..=u8::MAX) {
+        let mut bad = buf.clone();
+        bad[1] = t;
+        assert_eq!(
+            decode_msg::<Qap>(&bad, &()).err(),
+            Some(WireError::Tag(t)),
+            "tag {t}"
+        );
     }
 }
 
