@@ -358,8 +358,7 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
     // Header byte 3 of a broadcast once marked a delta-encoded tabu
     // list, and a GroupReport's once held a strategy id. Every variant
     // writes it 0, and a frame with anything else there must fail with a
-    // typed error rather than decode or panic. A GroupReport's reserved
-    // tail slot is written 0 too.
+    // typed error rather than decode or panic.
     for variant in [1, 4, 5] {
         let msg = qap_msg(
             variant,
@@ -376,9 +375,6 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
         );
         let mut buf = encode_msg(&msg, 1);
         assert_eq!(buf[3], 0, "{} writes byte 3 as 0", msg.tag());
-        if variant == 4 {
-            assert_eq!(buf[buf.len() - 8..], [0; 8], "the reserved tail slot");
-        }
         buf[3] = 1;
         assert_eq!(
             decode_msg::<Qap>(&buf, &()).err(),
@@ -387,6 +383,58 @@ fn a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error() {
             msg.tag()
         );
     }
+}
+
+#[test]
+fn a_portfolio_peers_group_report_strategy_and_rate_are_ignored() {
+    // A portfolio peer once wrote a strategy id into a GroupReport's
+    // header byte 3 and a quality rate into the last tail slot. A report
+    // carries neither: the encoder writes both 0, and the decoder never
+    // reads the tail slot, so a rate left there decodes to the same
+    // report, which re-encodes to this codec's zeroed frame. Byte 3,
+    // unlike the tail slot, must be 0 on decode:
+    // `a_broadcast_marked_as_a_delta_tabu_list_is_a_typed_error` checks
+    // that a set one is a typed error.
+    let msg = qap_msg(
+        4,
+        6,
+        3,
+        2,
+        5,
+        7.5,
+        vec![((0, 1), 4)],
+        vec![(0.5, 1, 9.0), (1.5, 2, 7.5)],
+        vec![],
+        [3, 2, 1, 0, 1],
+        false,
+    );
+    let buf = encode_msg(&msg, 1);
+    let n = buf.len();
+    assert_eq!(buf[3], 0);
+    assert_eq!(buf[n - 8..], [0; 8]);
+    let mut peer = buf.clone();
+    peer[n - 8..].copy_from_slice(&0.25f64.to_le_bytes());
+    let (dst, decoded) = decode_msg::<Qap>(&peer, &()).expect("a frame with a rate decodes");
+    assert_eq!(dst, 1);
+    match &decoded {
+        PtsMsg::GroupReport {
+            shard,
+            global,
+            cost,
+            trace,
+            forced,
+            ..
+        } => {
+            assert_eq!((*shard, *global, *cost, *forced), (6, 2, 7.5, 5));
+            let points: Vec<(f64, u64, f64)> = trace
+                .iter()
+                .map(|p| (p.time, p.iter, p.best_cost))
+                .collect();
+            assert_eq!(points, [(0.5, 1, 9.0), (1.5, 2, 7.5)]);
+        }
+        other => panic!("decoded {}", other.tag()),
+    }
+    assert_eq!(encode_msg(&decoded, 1), buf);
 }
 
 #[test]
