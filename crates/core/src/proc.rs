@@ -19,13 +19,25 @@
 //! says hello (it learns its role only from the setup frame, but the
 //! engine knows every role before it spawns); rank 0 binds its own before
 //! any child exists. The worker handshakes with the router, which hands
-//! it one *setup frame* — its uplink, then config, domain specification,
-//! decode context, initial solution — connects its uplink and accepts its
+//! it one *setup frame* — its uplink, then config, decode context, initial
+//! solution, domain specification — connects its uplink and accepts its
 //! children's, reconstructs the domain from the spec ([`ProcDomain`]),
 //! re-freezes it against the shipped initial (freezing is deterministic),
 //! and runs the rank's role through the same [`crate::engine::run_role`]
 //! every other engine uses. Nothing in `master.rs`/`tsw.rs`/`clw.rs`
 //! knows whether its peers share its address space.
+//!
+//! # Launch
+//!
+//! A run's launch is its process spawns plus one pass over the setup
+//! bytes. The engine spawns every worker first and encodes the setup
+//! while they start; the router's barrier writes every rank's setup frame
+//! at once ([`SocketRouter::run_barrier`]), and each worker decodes its
+//! frame where it was read. The QAP specification is `n` and the upper
+//! triangle of each matrix, diagonal included — a `Qap` is symmetric by
+//! contract — which the worker decodes straight into the instance's
+//! shared buffers through the writer `Qap::random` uses: 526,344 bytes at
+//! n = 256, about half of the two full matrices.
 //!
 //! # Supervision
 //!
@@ -96,39 +108,47 @@ where
 impl ProcDomain for crate::qap_domain::QapDomain {
     const KIND: u8 = 1;
 
-    /// `n`, then the flow and distance matrices row-major.
+    /// `n`, then the flow matrix's upper triangle, diagonal included, row
+    /// by row, then the distance matrix's: `8 + 8·n·(n+1)` bytes. A `Qap`
+    /// is symmetric by contract, so the triangles are the whole instance.
+    /// The spec ends the setup frame ([`encode_setup`]), so `out` is sized
+    /// for it exactly.
     fn encode_spec(&self, out: &mut Vec<u8>) {
         let q = self.instance();
-        wire::put_u64(out, q.n() as u64);
-        for &v in q.flow_matrix() {
-            wire::put_f64(out, v);
-        }
-        for &v in q.dist_matrix() {
-            wire::put_f64(out, v);
+        let n = q.n();
+        out.reserve_exact(8 + 8 * n * (n + 1));
+        wire::put_u64(out, n as u64);
+        for m in [q.flow_matrix(), q.dist_matrix()] {
+            for i in 0..n {
+                for &v in &m[i * n + i..(i + 1) * n] {
+                    wire::put_f64(out, v);
+                }
+            }
         }
     }
 
+    /// Decodes the triangles straight into the instance's buffers, through
+    /// the writer `Qap::random` uses.
     fn decode_spec(r: &mut WireReader<'_>, _cfg: &PtsConfig) -> Result<Self, WireError> {
         let n = r.u64()? as usize;
         if !(2..=1 << 16).contains(&n) {
             return Err(WireError::Malformed("implausible QAP size"));
         }
-        // Two n × n f64 matrices must follow. Check before reserving them:
-        // `n` is untrusted, and 65,536² entries would abort the worker.
-        if (r.remaining() as u64) < 16 * (n as u64) * (n as u64) {
-            return Err(WireError::Malformed("QAP matrices shorter than n²"));
+        // Two triangles of n(n+1)/2 f64 each must follow. Check before
+        // anything is reserved for them: `n` is untrusted, and 65,536²
+        // entries would abort the worker.
+        let half = 8 * (n as u64) * (n as u64 + 1) / 2;
+        if (r.remaining() as u64) < 2 * half {
+            return Err(WireError::Malformed("QAP triangles shorter than n(n+1)/2"));
         }
-        let mut flow = Vec::with_capacity(n * n);
-        for _ in 0..n * n {
-            flow.push(r.f64()?);
-        }
-        let mut dist = Vec::with_capacity(n * n);
-        for _ in 0..n * n {
-            dist.push(r.f64()?);
-        }
-        Ok(crate::qap_domain::QapDomain::new(
-            pts_tabu::qap::Qap::from_matrices(flow, dist),
-        ))
+        let (flow, dist) = (r.bytes(half as usize)?, r.bytes(half as usize)?);
+        let mut cells = flow.chunks_exact(8).zip(dist.chunks_exact(8));
+        let f64_of = |v: &[u8]| f64::from_le_bytes(v.try_into().expect("8 bytes"));
+        let qap = pts_tabu::qap::Qap::from_upper_triangles(n, |_, _| {
+            let (f, d) = cells.next().expect("one value per upper cell");
+            (f64_of(f), f64_of(d))
+        });
+        Ok(crate::qap_domain::QapDomain::new(qap))
     }
 }
 
@@ -159,7 +179,10 @@ impl ProcDomain for crate::placement_problem::PlacementDomain {
 }
 
 /// Compose the setup frame every rank receives after the barrier:
-/// version, config, domain kind + spec, decode context, initial solution.
+/// version, config, domain kind, decode context, initial solution, spec.
+/// The spec goes last: on QAP it is nearly the whole frame, so the buffer
+/// takes its final size once, when the spec is written, and nothing
+/// grows it after.
 pub fn encode_setup<D: ProcDomain>(cfg: &PtsConfig, domain: &D, initial: &SnapshotOf<D>) -> Vec<u8>
 where
     D::Problem: WireProblem,
@@ -168,13 +191,13 @@ where
     out.push(wire::WIRE_VERSION);
     wire::put_config(cfg, &mut out);
     out.push(D::KIND);
-    domain.encode_spec(&mut out);
     let ctx = <D::Problem as WireProblem>::ctx_of(initial);
     <D::Problem as WireProblem>::put_ctx(&ctx, &mut out);
     let mut snap = Vec::new();
     <D::Problem as WireProblem>::put_snapshot(initial, &mut snap);
     wire::put_u32(&mut out, snap.len() as u32);
     out.extend_from_slice(&snap);
+    domain.encode_spec(&mut out);
     out
 }
 
@@ -188,11 +211,11 @@ fn worker_for_domain<D: ProcDomain>(
 where
     D::Problem: WireProblem,
 {
-    let domain = D::decode_spec(r, cfg).map_err(|e| format!("domain spec: {e}"))?;
     let ctx = <D::Problem as WireProblem>::get_ctx(r).map_err(|e| format!("ctx: {e}"))?;
     let snap_len = r.u32().map_err(|e| format!("initial length: {e}"))? as usize;
     let initial = <D::Problem as WireProblem>::get_snapshot(r, snap_len, &ctx)
         .map_err(|e| format!("initial solution: {e}"))?;
+    let domain = D::decode_spec(r, cfg).map_err(|e| format!("domain spec: {e}"))?;
     // Freezing is deterministic in (domain, initial): the worker arrives
     // at the same cost scheme the parent froze before spawning.
     let domain = domain.freeze(&initial);
@@ -431,11 +454,11 @@ impl ProcEngine {
         let parents: Vec<Option<usize>> = (0..total).map(|r| cfg.parent_rank(r)).collect();
         // Rank 0's link listener exists before any child does.
         let links0 = Listener::bind_like(&addr)?;
-        let setup = encode_setup(cfg, domain, &initial);
         let failure_grace = Duration::from_millis(cfg.reap_grace_ms);
 
-        // Children first (they connect while the barrier runs).
-        // Rank-tagged so the monitor can name the rank a corpse held.
+        // Children first: they start while the setup is encoded, and
+        // connect while the barrier runs. Rank-tagged so the monitor can
+        // name the rank a corpse held.
         let mut children: Vec<(usize, Child)> = Vec::with_capacity(total - 1);
         for rank in 1..total {
             let mut command = Command::new(&self.worker_exe);
@@ -458,6 +481,7 @@ impl ProcEngine {
             }
         }
 
+        let setup = encode_setup(cfg, domain, &initial);
         // Barrier on one thread, rank-0 handshake on this one (the
         // barrier counts the master's connection too).
         let barrier = std::thread::spawn(move || {
@@ -657,30 +681,38 @@ mod tests {
     use super::*;
     use crate::qap_domain::QapDomain;
 
+    /// The flow and distance matrices of `d`, as bit patterns.
+    fn matrix_bits(d: &QapDomain) -> [Vec<u64>; 2] {
+        let q = d.instance();
+        [q.flow_matrix(), q.dist_matrix()].map(|m| m.iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn qap_spec_roundtrips() {
-        let domain = QapDomain::random(8, 3);
-        let mut spec = Vec::new();
-        domain.encode_spec(&mut spec);
         let cfg = PtsConfig::default();
-        let rebuilt = QapDomain::decode_spec(&mut WireReader::new(&spec), &cfg).unwrap();
-        assert_eq!(rebuilt.instance().n(), 8);
-        assert_eq!(
-            rebuilt.instance().flow_matrix(),
-            domain.instance().flow_matrix()
-        );
-        assert_eq!(
-            rebuilt.instance().dist_matrix(),
-            domain.instance().dist_matrix()
-        );
+        for n in [2, 3, 17, 256] {
+            // Arbitrary bit patterns, diagonals included.
+            let mut rng = pts_util::Rng::new(n as u64);
+            let domain = QapDomain::new(pts_tabu::qap::Qap::from_upper_triangles(n, |_, _| {
+                (f64::from_bits(rng.next_u64()), rng.range_f64(-1e9, 1e9))
+            }));
+            let mut spec = Vec::new();
+            domain.encode_spec(&mut spec);
+            assert_eq!(spec.len(), 8 + 8 * n * (n + 1), "n = {n}");
+            let mut r = WireReader::new(&spec);
+            let rebuilt = QapDomain::decode_spec(&mut r, &cfg).unwrap();
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(rebuilt.instance().n(), n);
+            assert!(matrix_bits(&rebuilt) == matrix_bits(&domain), "n = {n}");
+        }
     }
 
     #[test]
     fn qap_spec_claiming_more_than_it_holds_is_a_typed_error() {
         let cfg = PtsConfig::default();
         let decode = |spec: &[u8]| QapDomain::decode_spec(&mut WireReader::new(spec), &cfg);
-        // A 72-byte spec claiming the largest size: rejected before the
-        // two 32 GiB matrices are reserved.
+        // A 72-byte spec claiming the largest size: rejected before its
+        // two 16 GiB triangles are reserved.
         let mut huge = Vec::new();
         wire::put_u64(&mut huge, 1 << 16);
         huge.extend_from_slice(&[0; 64]);
@@ -690,7 +722,16 @@ mod tests {
         wire::put_u64(&mut cut, 4096);
         cut.extend_from_slice(&[0; 8 * 4096 * 3]);
         assert!(matches!(decode(&cut), Err(WireError::Malformed(_))));
-        // A whole spec still decodes, and one byte short of whole does not.
+        // Two whole triangles decode, and one byte short of them does not.
+        let mut zeros = Vec::new();
+        wire::put_u64(&mut zeros, 64);
+        zeros.resize(8 + 8 * 64 * 65, 0);
+        assert_eq!(decode(&zeros).map(|d| d.instance().n()), Ok(64));
+        assert!(matches!(
+            decode(&zeros[..zeros.len() - 1]),
+            Err(WireError::Malformed(_))
+        ));
+        // So does an encoded spec, and one byte short of whole does not.
         let mut spec = Vec::new();
         QapDomain::random(5, 1).encode_spec(&mut spec);
         assert_eq!(decode(&spec).map(|d| d.instance().n()), Ok(5));
@@ -716,7 +757,7 @@ mod tests {
 
     #[test]
     fn setup_frame_decodes_in_order() {
-        let domain = QapDomain::random(6, 9);
+        let domain = QapDomain::random(64, 9);
         let cfg = PtsConfig::default();
         let initial = domain.initial(cfg.seed);
         let setup = encode_setup(&cfg, &domain, &initial);
@@ -725,14 +766,16 @@ mod tests {
         let got_cfg = wire::get_config(&mut r).unwrap();
         assert_eq!(got_cfg, cfg);
         assert_eq!(r.u8().unwrap(), <QapDomain as ProcDomain>::KIND);
-        let got_domain = QapDomain::decode_spec(&mut r, &got_cfg).unwrap();
         <pts_tabu::qap::Qap as WireProblem>::get_ctx(&mut r).unwrap();
         let n = r.u32().unwrap() as usize;
         let got_initial =
             <pts_tabu::qap::Qap as WireProblem>::get_snapshot(&mut r, n, &()).unwrap();
         assert_eq!(got_initial, initial);
+        let got_domain = QapDomain::decode_spec(&mut r, &got_cfg).unwrap();
         assert_eq!(r.remaining(), 0);
-        assert_eq!(got_domain.instance().n(), 6);
+        assert_eq!(got_domain.instance().n(), 64);
+        // The spec, written last, sized the frame: nothing grew it after.
+        assert_eq!(setup.capacity(), setup.len());
     }
 
     #[test]

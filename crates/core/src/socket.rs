@@ -58,12 +58,16 @@
 //!
 //! Workers retry their router connect with bounded backoff; the barrier
 //! has a deadline and fails naming the ranks that never arrived (a worker
-//! that crashed on startup turns into a clear error, not a hang). The
-//! barrier's acceptor blocks in `accept`; however the barrier ends, it
-//! shuts the listener down, which ends that `accept` (on Linux; elsewhere
-//! one throwaway connect wakes it), and joins the acceptor, so the
-//! listener closes with the barrier. A parent accepts its children's
-//! uplinks within the same handshake deadline, waiting in `poll(2)`.
+//! that crashed on startup turns into a clear error, not a hang), or the
+//! ranks whose setup frames are not out by then. It writes every rank's
+//! frame at once from its own thread, with non-waiting `send(2)` calls and
+//! one `poll(2)` for room, so a rank that reads late holds up no other and
+//! one that never reads cannot wedge the barrier. The barrier's acceptor
+//! blocks in `accept`; however the barrier ends, it shuts the listener
+//! down, which ends that `accept` (on Linux; elsewhere one throwaway
+//! connect wakes it), and joins the acceptor, so the listener closes with
+//! the barrier. A parent accepts its children's uplinks within the same
+//! handshake deadline, waiting in `poll(2)`.
 //!
 //! Heartbeat frames ([`crate::wire::encode_heartbeat_frame`]) keep the
 //! router's last-seen clock advancing on a rank's router stream, so the
@@ -222,8 +226,9 @@ mod sys {
 
     const SHUT_RDWR: c_int = 2;
 
-    /// `POLLIN`, the same bit on Linux, macOS and the BSDs.
+    /// `POLLIN` and `POLLOUT`, the same bits on Linux, macOS and the BSDs.
     const POLLIN: c_short = 0x1;
+    const POLLOUT: c_short = 0x4;
     // `nfds_t` is an `unsigned long` on Linux and an `unsigned int` on
     // macOS and the BSDs.
     #[cfg(any(target_os = "linux", target_os = "android"))]
@@ -250,8 +255,17 @@ mod sys {
             }
         }
 
-        /// Whether the last [`poll_readable`] found this socket with
-        /// something to read: bytes, its end, or an error.
+        /// Watch `sock` for room to write, its end, or an error.
+        pub fn writable(sock: &impl AsRawFd) -> PollFd {
+            PollFd {
+                fd: sock.as_raw_fd(),
+                events: POLLOUT,
+                revents: 0,
+            }
+        }
+
+        /// Whether the last [`poll_ready`] found this socket ready for
+        /// what it watches, at its end, or in error.
         pub fn ready(&self) -> bool {
             self.revents != 0
         }
@@ -324,11 +338,12 @@ mod sys {
         retry(|| unsafe { shutdown(sock.as_raw_fd(), SHUT_RDWR) } as isize).map(drop)
     }
 
-    /// Wait until a socket in `fds` has something to read — bytes, its
-    /// end, or an error — or until `until` passes: forever when `None`,
-    /// and an instant already past only looks. Returns how many sockets
-    /// are ready, 0 when the wait ran out.
-    pub fn poll_readable(fds: &mut [PollFd], until: Option<Instant>) -> std::io::Result<usize> {
+    /// Wait until a socket in `fds` is ready for what it watches — bytes
+    /// to read or room to write — or at its end or in error, or until
+    /// `until` passes: forever when `None`, and an instant already past
+    /// only looks. Returns how many sockets are ready, 0 when the wait ran
+    /// out.
+    pub fn poll_ready(fds: &mut [PollFd], until: Option<Instant>) -> std::io::Result<usize> {
         retry(|| {
             // Whole milliseconds, rounded up so the wait never ends early;
             // recomputed when a signal interrupts the wait.
@@ -680,22 +695,77 @@ fn get_link_block(r: &mut WireReader<'_>) -> Result<LinkBlock, WireError> {
     })
 }
 
-/// Write one rank's setup frame: the length prefix and its link block,
-/// then the engine's `setup` bytes, which go out without a copy.
-fn send_setup(
-    stream: &mut Stream,
+/// The head of one rank's setup frame: the length prefix, for a body of
+/// its link block and `setup_len` more bytes, then the link block.
+fn setup_head(
     uplink: Option<(usize, &str)>,
     children: u32,
-    setup: &[u8],
-) -> std::io::Result<()> {
+    setup_len: usize,
+) -> std::io::Result<Vec<u8>> {
     let mut block = Vec::new();
     put_link_block(&mut block, uplink, children);
-    let len = u32::try_from(block.len() + setup.len())
-        .map_err(|_| invalid(format!("setup frame of {} bytes", setup.len())))?;
+    let len = u32::try_from(block.len() + setup_len)
+        .map_err(|_| invalid(format!("setup frame of {setup_len} bytes")))?;
     let mut head = len.to_le_bytes().to_vec();
     head.extend_from_slice(&block);
-    stream.write_all(&head)?;
-    stream.write_all(setup)
+    Ok(head)
+}
+
+/// Write every rank's setup frame at once, from the calling thread: rank
+/// `r`'s is `heads[r]`, then `setup` for every rank but 0, which composed
+/// it. Each pass makes non-waiting `send(2)` calls to every rank with
+/// bytes left, then one `poll(2)` waits for room at any of them. So a rank
+/// that reads late holds up no other, and the setup goes out without a
+/// copy. Fails with `TimedOut` at `deadline`, naming the ranks whose
+/// frames are not out: a rank that never reads cannot wedge the barrier.
+fn send_setups(
+    streams: &[Stream],
+    heads: &[Vec<u8>],
+    setup: &[u8],
+    deadline: Instant,
+    timeout: Duration,
+) -> std::io::Result<()> {
+    let body = |rank: usize| if rank == 0 { &[][..] } else { setup };
+    let mut sent = vec![0usize; streams.len()];
+    loop {
+        let (mut waiting, mut polls) = (Vec::new(), Vec::new());
+        for (rank, stream) in streams.iter().enumerate() {
+            let (head, body) = (&heads[rank][..], body(rank));
+            while sent[rank] < head.len() + body.len() {
+                let rest = match sent[rank].checked_sub(head.len()) {
+                    Some(at) => &body[at..],
+                    None => &head[sent[rank]..],
+                };
+                match sys::send_now(stream, rest) {
+                    Ok(n) => sent[rank] += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        waiting.push(rank);
+                        polls.push(sys::PollFd::writable(stream));
+                        break;
+                    }
+                    Err(e) => {
+                        return Err(std::io::Error::new(
+                            e.kind(),
+                            format!("sending setup to rank {rank}: {e}"),
+                        ))
+                    }
+                }
+            }
+        }
+        if waiting.is_empty() {
+            return Ok(());
+        }
+        if Instant::now() >= deadline || sys::poll_ready(&mut polls, Some(deadline))? == 0 {
+            let ranks: Vec<String> = waiting.iter().map(usize::to_string).collect();
+            return Err(std::io::Error::new(
+                ErrorKind::TimedOut,
+                format!(
+                    "rank barrier timed out after {timeout:?}: setup frames to ranks [{}] not out",
+                    ranks.join(", ")
+                ),
+            ));
+        }
+    }
 }
 
 /// Accept `n` children on `listener`, each identified by its hello, by
@@ -713,7 +783,7 @@ fn accept_links(
             Ok(stream) => stream,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 let mut wait = [sys::PollFd::readable(listener)];
-                if sys::poll_readable(&mut wait, Some(deadline))? == 0 {
+                if sys::poll_ready(&mut wait, Some(deadline))? == 0 {
                     return Err(std::io::Error::new(
                         ErrorKind::TimedOut,
                         format!("{} of {n} link children never connected", n - links.len()),
@@ -1053,12 +1123,12 @@ impl SocketRouter {
     }
 
     /// Accept until every rank `0..parents.len()` has connected and said
-    /// hello, then send each rank its setup frame — its link block (the
-    /// uplink to `parents[rank]`, and how many ranks name it their
-    /// parent), then `setup`, which rank 0 composed and so does not get —
-    /// and start forwarding. Fails after
-    /// `timeout`, naming the ranks that never arrived, and when a rank's
-    /// parent said hello without a link listener.
+    /// hello, then send every rank its setup frame at once — its link
+    /// block (the uplink to `parents[rank]`, and how many ranks name it
+    /// their parent), then `setup`, which rank 0 composed and so does not
+    /// get — and start forwarding. Fails when `timeout` passes first,
+    /// naming the ranks that never arrived or whose setup frames are not
+    /// out, and when a rank's parent said hello without a link listener.
     pub fn run_barrier(
         &mut self,
         parents: &[Option<usize>],
@@ -1066,6 +1136,7 @@ impl SocketRouter {
         timeout: Duration,
     ) -> std::io::Result<()> {
         let total = parents.len();
+        let deadline = Instant::now() + timeout;
         let listener = Arc::new(self.listener.take().expect("barrier runs once"));
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::channel::<(u32, Stream, String)>();
@@ -1074,7 +1145,7 @@ impl SocketRouter {
             .name("pts-sock-accept".into())
             .spawn(move || accept_loop(&accept_from, &accept_stop, tx))
             .expect("spawn acceptor");
-        let gathered = gather(&rx, total, timeout);
+        let gathered = gather(&rx, total, deadline, timeout);
         // However the barrier ended, end the acceptor with it: raise the
         // flag and end its blocking `accept` by shutting the listener
         // down. Where that is refused (a listener elsewhere than Linux),
@@ -1087,7 +1158,7 @@ impl SocketRouter {
         }
         drop(listener);
 
-        let (mut streams, addrs): (Vec<Stream>, Vec<String>) = gathered?.into_iter().unzip();
+        let (streams, addrs): (Vec<Stream>, Vec<String>) = gathered?.into_iter().unzip();
         // Every uplink must lead to a listener, checked before any rank
         // hears of one.
         let mut children = vec![0u32; total];
@@ -1100,29 +1171,15 @@ impl SocketRouter {
             }
             children[p] += 1;
         }
-        // Hand every rank its setup frame, deepest ranks first: a parent's
-        // handshake waits for its children's uplinks, so they connect
-        // while its own setup is on the wire. (A cycle in `parents` only
-        // caps the depth.)
-        let mut depth = vec![0usize; total];
-        for (rank, d) in depth.iter_mut().enumerate() {
-            let mut up = parents[rank];
-            while let Some(p) = up.filter(|_| *d < total) {
-                *d += 1;
-                up = parents[p];
-            }
-        }
-        let mut order: Vec<usize> = (0..total).collect();
-        order.sort_by_key(|&rank| std::cmp::Reverse(depth[rank]));
-        for rank in order {
-            let stream = &mut streams[rank];
+        // Hand every rank its setup frame, all at once.
+        let mut heads = Vec::with_capacity(total);
+        for (rank, stream) in streams.iter().enumerate() {
             stream.set_read_timeout(None)?;
             let uplink = parents[rank].map(|p| (p, addrs[p].as_str()));
-            let setup = if rank == 0 { &[][..] } else { setup };
-            send_setup(stream, uplink, children[rank], setup).map_err(|e| {
-                std::io::Error::new(e.kind(), format!("sending setup to rank {rank}: {e}"))
-            })?;
+            let setup_len = if rank == 0 { 0 } else { setup.len() };
+            heads.push(setup_head(uplink, children[rank], setup_len)?);
         }
+        send_setups(&streams, &heads, setup, deadline, timeout)?;
         // Then start forwarding.
         let mut outboxes = Vec::with_capacity(total);
         let mut readers = Vec::with_capacity(total);
@@ -1176,15 +1233,16 @@ impl RouterSupervisor {
 }
 
 /// Collect one identified connection per rank `0..total` from the
-/// acceptor, with its link-listener address, or fail: on the deadline
-/// (naming the ranks that never arrived), on a rank outside the
-/// topology, or on a rank connecting twice.
+/// acceptor, with its link-listener address, or fail: at `deadline`, the
+/// barrier's `timeout` after it began (naming the ranks that never
+/// arrived), on a rank outside the topology, or on a rank connecting
+/// twice.
 fn gather(
     rx: &Receiver<(u32, Stream, String)>,
     total: usize,
+    deadline: Instant,
     timeout: Duration,
 ) -> std::io::Result<Vec<(Stream, String)>> {
-    let deadline = Instant::now() + timeout;
     let mut conns: Vec<Option<(Stream, String)>> = (0..total).map(|_| None).collect();
     let mut have = 0usize;
     while have < total {
@@ -1260,12 +1318,28 @@ fn accept_loop(listener: &Listener, stop: &AtomicBool, tx: Sender<(u32, Stream, 
 pub struct Handshake {
     /// The connected, identified router stream.
     pub stream: Stream,
-    /// The engine's setup bytes, verbatim (the router's link block taken
-    /// off the front); empty for rank 0, which composed them.
-    pub setup: Vec<u8>,
+    /// The engine's setup bytes, verbatim; empty for rank 0, which
+    /// composed them.
+    pub setup: SetupBytes,
     /// One stream per protocol-tree neighbour, with its rank: the uplink
     /// first when the rank has a parent, then every child.
     pub links: Vec<(usize, Stream)>,
+}
+
+/// The engine's setup bytes inside the setup frame as it was read: the
+/// router's link block stays in front of them, read but not cut off, so
+/// a large setup is never moved. Dereferences to the setup bytes alone.
+pub struct SetupBytes {
+    frame: Vec<u8>,
+    at: usize,
+}
+
+impl std::ops::Deref for SetupBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.frame[self.at..]
+    }
 }
 
 /// One link of a transport: a stream to a protocol-tree neighbour.
@@ -1325,16 +1399,15 @@ impl<P: WireProblem> SocketTransport<P> {
     ) -> std::io::Result<Handshake> {
         let mut stream = connect_retry(addr, overall, rank as u64)?;
         stream.write_all(&hello(rank, listener.map_or("", Listener::addr))?)?;
-        let mut setup = wire::read_frame(&mut stream)?.ok_or_else(|| {
+        let frame = wire::read_frame(&mut stream)?.ok_or_else(|| {
             std::io::Error::new(ErrorKind::UnexpectedEof, "router closed before setup frame")
         })?;
         let (block, at) = {
-            let mut r = WireReader::new(&setup);
+            let mut r = WireReader::new(&frame);
             let block =
                 get_link_block(&mut r).map_err(|e| invalid(format!("setup link block: {e}")))?;
-            (block, setup.len() - r.remaining())
+            (block, frame.len() - r.remaining())
         };
-        setup.drain(..at);
         // Every rank gets its setup frame at once, so the children are
         // connecting now: the link deadline starts here, not before the
         // barrier.
@@ -1357,7 +1430,7 @@ impl<P: WireProblem> SocketTransport<P> {
         }
         Ok(Handshake {
             stream,
-            setup,
+            setup: SetupBytes { frame, at },
             links,
         })
     }
@@ -1483,7 +1556,7 @@ impl<P: WireProblem> SocketTransport<P> {
             self.polls.push(sys::PollFd::readable(&self.reader.stream));
             self.polls
                 .extend(open.map(|l| sys::PollFd::readable(&l.reader.stream)));
-            match sys::poll_readable(&mut self.polls, until) {
+            match sys::poll_ready(&mut self.polls, until) {
                 Ok(0) => return None,
                 Ok(_) => {}
                 Err(_) => {
@@ -1663,7 +1736,7 @@ mod tests {
                     )
                     .unwrap();
                     let setup: &[u8] = if rank == 0 { b"" } else { b"setup!" };
-                    assert_eq!(hs.setup, setup);
+                    assert_eq!(&*hs.setup, setup);
                     SocketTransport::new(hs.stream, hs.links, rank, ()).unwrap()
                 })
             })
@@ -1886,6 +1959,82 @@ mod tests {
                 std::panic::resume_unwind(worker.join().unwrap_err())
             }
         }
+    }
+
+    /// Say hello to `router` as `rank`, with `link_addr` as its link
+    /// listener's address, over a bare stream that reads nothing yet.
+    fn bare_rank(router: &SocketRouter, rank: u32, link_addr: &str) -> Stream {
+        let mut stream = connect_once(router.addr()).unwrap();
+        stream.write_all(&hello(rank, link_addr).unwrap()).unwrap();
+        stream
+    }
+
+    /// The length of the next frame on `stream`, prefix excluded.
+    fn frame_len(mut stream: Stream) -> usize {
+        wire::read_frame(&mut stream)
+            .unwrap()
+            .expect("a frame")
+            .len()
+    }
+
+    /// A 4 MiB setup: many times what a socket buffer holds.
+    fn big_setup() -> Vec<u8> {
+        vec![7; 4 << 20]
+    }
+
+    /// The barrier needs only a parent's link address, not a listener.
+    const LINK_ADDR: &str = "unix:/nowhere/links.sock";
+
+    #[test]
+    fn a_rank_that_never_reads_its_setup_fails_the_barrier_at_its_deadline() {
+        within(Duration::from_secs(8), || {
+            let mut router = SocketRouter::bind_unix_auto().unwrap();
+            let rank0 = bare_rank(&router, 0, LINK_ADDR);
+            let _rank1 = bare_rank(&router, 1, "");
+            let reader = std::thread::spawn(move || frame_len(rank0));
+            let err = router
+                .run_barrier(&[None, Some(0)], &big_setup(), Duration::from_secs(2))
+                .unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::TimedOut, "got: {err}");
+            assert!(
+                err.to_string()
+                    .contains("setup frames to ranks [1] not out"),
+                "got: {err}"
+            );
+            // Rank 0's frame, its link block alone, went out all the same.
+            assert_eq!(reader.join().unwrap(), 12);
+        });
+    }
+
+    #[test]
+    fn every_rank_gets_its_setup_frame_at_once() {
+        within(Duration::from_secs(8), || {
+            let mut router = SocketRouter::bind_unix_auto().unwrap();
+            let [rank0, rank1, rank2] = [(0, LINK_ADDR), (1, ""), (2, "")]
+                .map(|(rank, addr)| bare_rank(&router, rank, addr));
+            // Rank 1 reads only once rank 2 has read its whole frame.
+            let (read, rank2_read) = std::sync::mpsc::channel();
+            let readers = [
+                std::thread::spawn(move || frame_len(rank0)),
+                std::thread::spawn(move || {
+                    rank2_read.recv().unwrap();
+                    frame_len(rank1)
+                }),
+                std::thread::spawn(move || {
+                    let len = frame_len(rank2);
+                    read.send(()).unwrap();
+                    len
+                }),
+            ];
+            let setup = big_setup();
+            router
+                .run_barrier(&[None, Some(0), Some(0)], &setup, Duration::from_secs(5))
+                .unwrap();
+            let lens = readers.map(|r| r.join().unwrap());
+            let child = 12 + LINK_ADDR.len() + setup.len();
+            assert_eq!(lens, [12, child, child]);
+            router.finish();
+        });
     }
 
     /// A 250,000-entry assignment: 2 MB on the wire, several times what a

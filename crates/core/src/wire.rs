@@ -71,7 +71,12 @@ use std::sync::Arc;
 /// * 4 — one layout per frame: the config block ([`put_config`]) holds
 ///   one slot per [`crate::config::PtsConfig`] field. Earlier versions
 ///   are not decoded.
-pub const WIRE_VERSION: u8 = 4;
+/// * 5 — the setup frame ends with the domain specification, after the
+///   decode context and the initial solution, and the QAP specification
+///   is `n` and the upper triangle of each matrix, diagonal included:
+///   `8 + 8·n·(n+1)` bytes instead of `8 + 16·n²` (see `crate::proc`).
+///   Message, heartbeat and tally frames keep version 4's layout.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Is `v` this codec's version?
 pub(crate) fn version_ok(v: u8) -> bool {

@@ -5,6 +5,11 @@
 //! domain proving the [`SearchProblem`] abstraction: n facilities with
 //! pairwise flows are assigned to n locations with pairwise distances,
 //! minimizing `Σ flow(i,j) · dist(loc(i), loc(j))`.
+//!
+//! Both matrices are symmetric by contract, and every instance is built
+//! from its two upper triangles: [`Qap::random`] draws them, the proc
+//! engine's setup frame carries them, and [`Qap::from_upper_triangles`]
+//! writes them once, in place, into the buffers every clone shares.
 
 use crate::problem::{AttrPair, SearchProblem};
 use pts_util::Rng;
@@ -87,6 +92,17 @@ impl std::ops::Index<usize> for QapAssignment {
 /// read-only data and copies only the O(n) assignment, so thousand-worker
 /// runs don't multiply the matrices.
 ///
+/// # The symmetric contract
+///
+/// Both matrices are symmetric: `flow(i,j) == flow(j,i)` and likewise for
+/// the distances. The costs rely on it. [`Qap::cost_exact`] sums each
+/// unordered pair once (`i < j`), and [`Qap::swap_delta`] and the batched
+/// kernel read a facility's row for its column. On an asymmetric pair the
+/// running cost would silently part from the exact one, so
+/// [`Qap::from_matrices`] refuses such a pair, and every other
+/// constructor mirrors an upper triangle. The diagonals take no part in
+/// any cost; they may hold anything.
+///
 /// # The restore memo
 ///
 /// [`SearchProblem::restore`] must derive the exact cost of the restored
@@ -120,9 +136,9 @@ impl std::ops::Index<usize> for QapAssignment {
 #[derive(Clone, Debug)]
 pub struct Qap {
     n: usize,
-    /// Row-major `n × n` flow matrix (symmetric, zero diagonal).
+    /// Row-major `n × n` flow matrix (symmetric).
     flow: Arc<[f64]>,
-    /// Row-major `n × n` distance matrix (symmetric, zero diagonal).
+    /// Row-major `n × n` distance matrix (symmetric).
     dist: Arc<[f64]>,
     /// Location of each facility.
     loc_of: Vec<usize>,
@@ -179,48 +195,66 @@ impl CostMemo {
 }
 
 impl Qap {
-    /// Random symmetric instance with uniform flows/distances in `[0, 10)`,
-    /// random initial assignment. Deterministic in `seed`.
+    /// Random symmetric instance with uniform flows/distances in `[0, 10)`
+    /// off the diagonal and zeros on it, random initial assignment.
+    /// Deterministic in `seed`: the upper triangles are drawn row by row,
+    /// a flow then a distance per cell, and the assignment after them.
     pub fn random(n: usize, seed: u64) -> Qap {
         assert!(n >= 2);
         let mut rng = Rng::new(seed);
-        let mut flow = vec![0.0; n * n];
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let f = rng.range_f64(0.0, 10.0);
-                let d = rng.range_f64(0.0, 10.0);
-                flow[i * n + j] = f;
-                flow[j * n + i] = f;
-                dist[i * n + j] = d;
-                dist[j * n + i] = d;
+        let (flow, dist) = symmetric_pair(n, |i, j| {
+            if i == j {
+                return (0.0, 0.0);
             }
-        }
+            let f = rng.range_f64(0.0, 10.0);
+            (f, rng.range_f64(0.0, 10.0))
+        });
         let mut loc_of: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut loc_of);
-        let mut qap = Qap {
-            n,
-            flow: flow.into(),
-            dist: dist.into(),
-            loc_of,
-            cost: 0.0,
-            memo: Arc::default(),
-        };
-        qap.cost = qap.cost_exact();
-        qap
+        Qap::with_matrices(n, flow, dist, loc_of)
     }
 
     /// Build from explicit matrices and an identity assignment.
+    ///
+    /// Panics unless both matrices are square, of one size n ≥ 2, and
+    /// symmetric (see [`Qap`]).
     pub fn from_matrices(flow: Vec<f64>, dist: Vec<f64>) -> Qap {
         let n = (flow.len() as f64).sqrt() as usize;
         assert_eq!(n * n, flow.len(), "flow must be square");
         assert_eq!(flow.len(), dist.len(), "matrices must match");
         assert!(n >= 2);
+        for (name, m) in [("flow", &flow), ("dist", &dist)] {
+            for i in 0..n {
+                for j in i + 1..n {
+                    assert!(
+                        m[i * n + j] == m[j * n + i],
+                        "{name} must be symmetric: ({i}, {j}) holds {} and ({j}, {i}) {}",
+                        m[i * n + j],
+                        m[j * n + i]
+                    );
+                }
+            }
+        }
+        Qap::with_matrices(n, flow.into(), dist.into(), (0..n).collect())
+    }
+
+    /// Build from the upper triangles of the two matrices, diagonals
+    /// included, and an identity assignment. `cell(i, j)` gives the flow
+    /// and the distance of cell `(i, j)`, `i <= j`; it is called once per
+    /// cell, row by row. Each matrix is written once, in place, into the
+    /// buffer its clones share, its lower triangle mirroring the upper.
+    pub fn from_upper_triangles(n: usize, cell: impl FnMut(usize, usize) -> (f64, f64)) -> Qap {
+        assert!(n >= 2);
+        let (flow, dist) = symmetric_pair(n, cell);
+        Qap::with_matrices(n, flow, dist, (0..n).collect())
+    }
+
+    fn with_matrices(n: usize, flow: Arc<[f64]>, dist: Arc<[f64]>, loc_of: Vec<usize>) -> Qap {
         let mut qap = Qap {
             n,
-            flow: flow.into(),
-            dist: dist.into(),
-            loc_of: (0..n).collect(),
+            flow,
+            dist,
+            loc_of,
             cost: 0.0,
             memo: Arc::default(),
         };
@@ -350,6 +384,42 @@ impl Qap {
         Lane::walk(&mut lanes, &self.loc_of, lo, n);
         lanes.map(|lane| lane.delta)
     }
+}
+
+/// The two symmetric `n × n` matrices whose upper cells `cell(i, j)`
+/// gives (see [`Qap::from_upper_triangles`]), each written once into the
+/// buffer it is shared from: the upper triangles row by row, then each
+/// lower triangle, row by row, from its upper one.
+fn symmetric_pair(
+    n: usize,
+    mut cell: impl FnMut(usize, usize) -> (f64, f64),
+) -> (Arc<[f64]>, Arc<[f64]>) {
+    let mut flow = Arc::<[f64]>::new_uninit_slice(n * n);
+    let mut dist = Arc::<[f64]>::new_uninit_slice(n * n);
+    {
+        let f = Arc::get_mut(&mut flow).expect("a new Arc has one owner");
+        let d = Arc::get_mut(&mut dist).expect("a new Arc has one owner");
+        for i in 0..n {
+            for j in i..n {
+                let (fv, dv) = cell(i, j);
+                f[i * n + j].write(fv);
+                d[i * n + j].write(dv);
+            }
+        }
+        for m in [f, d] {
+            for i in 1..n {
+                for j in 0..i {
+                    // SAFETY: `(j, i)`, `j < i`, is an upper cell, and the
+                    // loop above wrote every upper cell.
+                    let v = unsafe { m[j * n + i].assume_init() };
+                    m[i * n + j].write(v);
+                }
+            }
+        }
+    }
+    // SAFETY: the first loop wrote every cell `(i, j)` with `i <= j`, and
+    // the second every cell with `i > j`: all `n²` are initialised.
+    unsafe { (flow.assume_init(), dist.assume_init()) }
 }
 
 /// One move's share of a [`Qap::swap_deltas`] walk: its two facilities,
@@ -784,5 +854,96 @@ mod tests {
         // 2 facilities, flow 5 between them, distance 3.
         let q = Qap::from_matrices(vec![0.0, 5.0, 5.0, 0.0], vec![0.0, 3.0, 3.0, 0.0]);
         assert!((q.cost() - 15.0).abs() < 1e-12);
+    }
+
+    /// The generator as it was before instances were built in place: one
+    /// pass over the upper cells, a flow then a distance draw per cell,
+    /// each written to both of its cells. The oracle `Qap::random` must
+    /// match bit for bit.
+    fn random_index_form(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
+        let mut rng = Rng::new(seed);
+        let mut flow = vec![0.0; n * n];
+        let mut dist = vec![0.0; n * n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let f = rng.range_f64(0.0, 10.0);
+                let d = rng.range_f64(0.0, 10.0);
+                flow[i * n + j] = f;
+                flow[j * n + i] = f;
+                dist[i * n + j] = d;
+                dist[j * n + i] = d;
+            }
+        }
+        let mut loc_of: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut loc_of);
+        (flow, dist, loc_of)
+    }
+
+    fn bits(m: &[f64]) -> Vec<u64> {
+        m.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn random_instances_are_bit_identical_to_the_index_form_generator() {
+        for n in [2, 3, 17, 64, 256] {
+            for seed in [0, 1, 7, 1001, u64::MAX] {
+                let q = Qap::random(n, seed);
+                let (flow, dist, loc_of) = random_index_form(n, seed);
+                assert_eq!(bits(q.flow_matrix()), bits(&flow), "flow, n = {n}");
+                assert_eq!(bits(q.dist_matrix()), bits(&dist), "dist, n = {n}");
+                assert_eq!(q.snapshot_assignment(), loc_of, "n = {n}");
+                let oracle = Qap {
+                    loc_of,
+                    ..Qap::from_matrices(flow, dist)
+                };
+                assert_eq!(q.cost().to_bits(), oracle.cost_exact().to_bits());
+            }
+        }
+    }
+
+    /// On this asymmetric flow matrix the running cost and the exact sum
+    /// part after one swap: `apply(&(1, 2))` from the identity leaves the
+    /// running cost at 9, and `cost_exact` reads 12.
+    #[test]
+    #[should_panic(expected = "flow must be symmetric: (0, 1) holds 1 and (1, 0) 5")]
+    fn an_asymmetric_instance_is_refused() {
+        Qap::from_matrices(
+            vec![0.0, 1.0, 2.0, 5.0, 0.0, 3.0, 7.0, 11.0, 0.0],
+            vec![0.0, 1.0, 4.0, 1.0, 0.0, 2.0, 4.0, 2.0, 0.0],
+        );
+    }
+
+    #[test]
+    fn a_symmetric_pair_with_a_nonzero_diagonal_builds() {
+        let flow = vec![9.0, 1.0, 2.0, 1.0, -4.0, 3.0, 2.0, 3.0, 0.5];
+        let dist = vec![1.0, 1.0, 4.0, 1.0, 2.0, 2.0, 4.0, 2.0, 3.0];
+        let mut q = Qap::from_matrices(flow.clone(), dist.clone());
+        assert_eq!(q.flow_matrix(), flow);
+        assert_eq!(q.dist_matrix(), dist);
+        // The diagonals take no part in the cost: 1·1 + 2·4 + 3·2.
+        assert_eq!(q.cost(), 15.0);
+        q.apply(&(1, 2));
+        assert_eq!(q.cost().to_bits(), q.cost_exact().to_bits());
+    }
+
+    #[test]
+    fn upper_triangles_build_the_mirrored_pair_row_by_row() {
+        let n = 4;
+        let mut calls = Vec::new();
+        let q = Qap::from_upper_triangles(n, |i, j| {
+            calls.push((i, j));
+            ((10 * i + j) as f64, -((10 * i + j) as f64))
+        });
+        let upper: Vec<(usize, usize)> = (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+        assert_eq!(calls, upper);
+        for i in 0..n {
+            for j in 0..n {
+                let v = (10 * i.min(j) + i.max(j)) as f64;
+                assert_eq!(q.flow_matrix()[i * n + j], v);
+                assert_eq!(q.dist_matrix()[i * n + j], -v);
+            }
+        }
+        assert_eq!(q.snapshot_assignment(), [0, 1, 2, 3]);
+        assert_eq!(q.cost().to_bits(), q.cost_exact().to_bits());
     }
 }

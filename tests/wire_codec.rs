@@ -346,8 +346,8 @@ fn broadcast_frames_and_the_default_config_block_match_pinned_bytes() {
     assert_eq!(
         hashes,
         [
-            0xb5f9_c38e_0446_e541,
-            0xa2f9_05df_0040_1b79,
+            0xf971_a98b_7d2f_cb4c,
+            0x0807_5aa6_5b7c_4194,
             0xe6ff_8b3f_d3b4_98e4,
         ]
     );
