@@ -375,6 +375,56 @@ mod tests {
     }
 
     #[test]
+    fn qap_64_depth_3_search_matches_pinned_golden_values() {
+        // Absolute values, so a deterministic but wrong commit path fails:
+        // every step builds a chain, rolls back past its best prefix, undoes
+        // the prefix for the tabu test and re-applies it on acceptance.
+        // Update these constants only with a change meant to alter the
+        // trajectory.
+        let golden = [
+            (
+                true,
+                0x40e6_c590_9aaa_fd94,
+                0x40e6_de4f_362b_8120,
+                SearchStats {
+                    iterations: 400,
+                    accepted: 382,
+                    rejected_tabu: 18,
+                    aspirated: 1,
+                    improved_best: 58,
+                },
+            ),
+            (
+                false,
+                0x40e6_9fd0_fbc4_65d2,
+                0x40e6_ea0f_cd7e_d1ab,
+                SearchStats {
+                    iterations: 400,
+                    accepted: 366,
+                    rejected_tabu: 34,
+                    aspirated: 2,
+                    improved_best: 40,
+                },
+            ),
+        ];
+        for (early_accept, best, last, stats) in golden {
+            let mut q = Qap::random(64, 5);
+            let r = TabuSearch::new(TabuSearchConfig {
+                candidates: 16,
+                depth: 3,
+                iterations: 400,
+                early_accept,
+                seed: 6,
+                ..TabuSearchConfig::default()
+            })
+            .run(&mut q);
+            assert_eq!(r.best_cost.to_bits(), best, "early accept {early_accept}");
+            assert_eq!(r.final_cost.to_bits(), last, "early accept {early_accept}");
+            assert_eq!(r.stats, stats, "early accept {early_accept}");
+        }
+    }
+
+    #[test]
     fn deterministic_for_same_seed() {
         let mut q1 = Qap::random(15, 3);
         let mut q2 = Qap::random(15, 3);

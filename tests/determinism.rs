@@ -330,6 +330,46 @@ fn qap_swarm_shaped_async_run_matches_pinned_golden_values() {
 }
 
 #[test]
+fn qap_kernel_shaped_async_run_matches_pinned_golden_values() {
+    // The benchmark's `qap-kernel` shape, smaller: two CLWs per TSW at
+    // depth 3, so every investigation rolls back up to three moves, the
+    // proposing CLW re-applies its own winning prefix, and its sibling
+    // commits the same moves fresh. Update these constants only with a
+    // change that is meant to alter the trajectory.
+    let domain = QapDomain::random(64, 12);
+    let out = Pts::builder()
+        .tsw_workers(4)
+        .clw_workers(2)
+        .candidates(32)
+        .depth(3)
+        .global_iters(4)
+        .local_iters(40)
+        .seed(8)
+        .sync(SyncPolicy::WaitAll)
+        .build()
+        .unwrap()
+        .execute(&domain, &AsyncEngine::new());
+    let bits: Vec<u64> = out
+        .outcome
+        .best_per_global_iter
+        .iter()
+        .map(|c| c.to_bits())
+        .collect();
+    assert_eq!(out.outcome.best_cost.to_bits(), 0x40e6_aad6_016e_b0cd);
+    assert_eq!(
+        bits,
+        [
+            0x40e6_dbfc_f9c8_efa9,
+            0x40e6_aad6_016e_b0ce,
+            0x40e6_aad6_016e_b0cd,
+            0x40e6_aad6_016e_b0cd
+        ]
+    );
+    assert_eq!(out.outcome.trace.points().len(), 57);
+    assert_eq!(out.report.total_messages(), 3858);
+}
+
+#[test]
 fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
     // A heterogeneous portfolio adds strategy stamps to the wire, a
     // quality-rate reduction at leaf sub-masters, and the root's
