@@ -25,16 +25,21 @@
 //! diversified state is its own. So the CLW instead asks the snapshot type
 //! for the swaps between its own state and the TSW's
 //! ([`DeltaSnapshot::swap_path`]) and applies them as moves
-//! ([`FromSwap`]), as it applies a mirrored `ApplyMoves`: on QAP, an O(n)
-//! walk per swap. A `Full` payload is diffed against the CLW's state
-//! first, so delta and full syncs apply the same swaps and keep the same
-//! trajectory.
+//! ([`FromSwap`]) in one [`SearchProblem::apply_all`], as it applies a
+//! mirrored `ApplyMoves`. On QAP that prices two swaps per O(n) walk, each
+//! at the bits one `apply` per swap gives. A `Full` payload is diffed
+//! against the CLW's state first, so delta and full syncs apply the same
+//! swaps and keep the same trajectory.
 //!
 //! The CLW's cost after a followed sync is then its own running cost, not
 //! the exact sum; the two differ only in the last bits. The bound is the
-//! domain's: QAP follows a path of at most n/4 swaps, the point where the
-//! swaps' cost reaches the restore's. Past it, and on a domain whose
-//! snapshot offers no path (placement), the CLW restores the TSW's state.
+//! domain's: QAP follows a path of at most n/4 swaps. Past it, and on a
+//! domain whose snapshot offers no path (placement), the CLW restores the
+//! TSW's state.
+//!
+//! The proposer's own `ApplyMoves` walks nothing on QAP: its investigation
+//! rolled the same moves back, and the instance's commit log replays them
+//! at their logged deltas.
 
 use crate::config::PtsConfig;
 use crate::domain::{DeltaSnapshot, FromSwap, PtsDomain, PtsProblem};
@@ -162,9 +167,7 @@ async fn handle<D: PtsDomain, T: Transport<D::Problem>>(
             );
         }
         PtsMsg::ApplyMoves { moves } => {
-            for mv in &moves {
-                problem.apply(mv);
-            }
+            problem.apply_all(&moves);
             t.compute(cfg.work.per_commit * moves.len() as f64).await;
         }
         PtsMsg::AdoptState { seq, snapshot } => {
@@ -323,9 +326,11 @@ fn sync<P: PtsProblem>(problem: &mut P, payload: &SnapshotPayload<P>) {
     };
     match (path, payload) {
         (Some(path), _) => {
-            for (a, b) in path {
-                problem.apply(&P::Move::from_swap(a, b));
-            }
+            let moves: Vec<P::Move> = path
+                .into_iter()
+                .map(|(a, b)| P::Move::from_swap(a, b))
+                .collect();
+            problem.apply_all(&moves);
         }
         (None, SnapshotPayload::Full(target)) => problem.restore(target),
         (None, SnapshotPayload::Delta { delta, .. }) => {
@@ -386,6 +391,18 @@ mod tests {
         let (by_delta, by_full) = sync_both(&problem, &target);
         // Delta and full payloads follow the same swaps: the same bits.
         assert_eq!(by_delta.cost().to_bits(), by_full.cost().to_bits());
+        // Two swaps per walk end on the bits of one apply per swap.
+        let path = QapAssignment::swap_path(
+            &problem.snapshot(),
+            &QapAssignment::diff(&problem.snapshot(), &target),
+        )
+        .expect("a short path");
+        assert!(path.len() >= 3, "{path:?}");
+        let mut per_swap = problem.clone();
+        for mv in &path {
+            per_swap.apply(mv);
+        }
+        assert_eq!(by_delta.cost().to_bits(), per_swap.cost().to_bits());
         let exact = by_delta.cost_exact();
         assert!(
             (by_delta.cost() - exact).abs() <= 1e-12 * exact.abs(),

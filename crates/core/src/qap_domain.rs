@@ -122,9 +122,13 @@ impl DeltaSnapshot for QapAssignment {
 }
 
 /// A CLW follows a swap path of at most `n / MAX_PATH_DIVISOR` swaps and
-/// restores past it. A swap is an O(n) walk of about 2n multiply-adds, and
-/// a restore that misses the cost memo an O(n²) sum of about n²/2, so the
-/// longest path followed costs at most as much as the restore it replaces.
+/// restores past it. A swap is about 2n multiply-adds, and a restore that
+/// misses the cost memo an O(n²) sum of about n²/2. The bound was set where
+/// the longest path followed, one walk per swap, cost as much as the
+/// restore. `apply_all` now prices two swaps per walk, so at the bound a
+/// followed path costs about half a restore. The bound stays: moving it
+/// changes which syncs restore, and so the CLWs' running cost bits and
+/// every QAP golden.
 const MAX_PATH_DIVISOR: usize = 4;
 
 /// The QAP domain: one instance (flow/distance matrices) shared by value.

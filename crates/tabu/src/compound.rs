@@ -133,13 +133,6 @@ pub fn undo_compound<P: SearchProblem>(problem: &mut P, compound: &CompoundMove<
     }
 }
 
-/// Re-apply a compound move (e.g. the one chosen among several workers').
-pub fn apply_compound<P: SearchProblem>(problem: &mut P, compound: &CompoundMove<P::Move>) {
-    for mv in &compound.moves {
-        problem.apply(mv);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +170,7 @@ mod tests {
         let mut rng = Rng::new(3);
         let cm = build_compound(&mut q, &mut rng, None, 5, 3, false);
         undo_compound(&mut q, &cm);
-        apply_compound(&mut q, &cm);
+        q.apply_all(&cm.moves);
         assert!((q.cost() - cm.cost).abs() < 1e-9);
     }
 

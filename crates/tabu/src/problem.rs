@@ -58,6 +58,21 @@ pub trait SearchProblem {
     /// Revert a move previously applied (moves are self-inverse for swaps).
     fn undo(&mut self, mv: &Self::Move);
 
+    /// Apply `moves` in order.
+    ///
+    /// Contract: the state and the cost end bit for bit where one
+    /// [`SearchProblem::apply`] per move, in order, leaves them. The
+    /// default is that loop; an implementation overrides it to share work
+    /// between consecutive moves (QAP prices two swaps per walk), never to
+    /// reorder or merge a move's floating-point operations. The parallel
+    /// pipeline commits a mirrored `ApplyMoves` and a CLW's sync by swaps
+    /// through it, so its goldens ride on the contract.
+    fn apply_all(&mut self, moves: &[Self::Move]) {
+        for mv in moves {
+            self.apply(mv);
+        }
+    }
+
     /// Tabu attributes of a move in the *current* state (queried before the
     /// move is applied). These are the *source* attributes — e.g. `(item,
     /// current position)` pairs — recorded as tabu when a move is accepted,

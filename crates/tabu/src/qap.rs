@@ -133,6 +133,34 @@ impl std::ops::Index<usize> for QapAssignment {
 ///   entries stays cheaper than any index. Entries are evicted least
 ///   recently used first: a run's private solutions pass through once,
 ///   while a shared one is hit again and again and stays.
+///
+/// # The commit log
+///
+/// A compound move is built, rolled back and then, if the TSW accepts
+/// it, applied again: every one of its swaps is committed up to three
+/// times in states whose deltas are already known. So the instance logs
+/// its latest eight commits (`LOG_SWAPS`), each with the delta it added,
+/// and a cursor between the swaps that stand and the swaps undone after
+/// them.
+///
+/// - **Undo of the newest standing swap** adds the negated delta. Walked
+///   back, the swap visits the same facilities in the same order with the
+///   two distance rows exchanged, so every difference, product and partial
+///   sum is the exact negation of the forward walk's: round-to-nearest is
+///   symmetric in sign. The two can differ only in the sign of a zero,
+///   which adding to a nonzero running cost cannot see, and the running
+///   cost is never −0.0 (each sum starts at +0.0, and an exact zero sum
+///   of nonzero terms rounds to +0.0).
+/// - **Apply of the swap undone last** adds its logged delta, because the
+///   assignment is again the one that delta was priced in.
+/// - **Anything else** walks. A fresh apply drops the undone swaps and
+///   logs itself; an undo of any swap but the newest standing one, and a
+///   restore, clear the log.
+///
+/// So a roll-back and the replay of its prefix walk nothing, and every
+/// committed cost is the bits one walk per commit would give. The log is
+/// a fixed array inside the instance: it allocates nothing, and a clone,
+/// which holds the same assignment, keeps it.
 #[derive(Clone, Debug)]
 pub struct Qap {
     n: usize,
@@ -146,6 +174,8 @@ pub struct Qap {
     /// Exact costs of recently restored assignments, shared by every
     /// clone of this instance.
     memo: Arc<CostMemo>,
+    /// The latest swaps committed, with their deltas.
+    log: CommitLog,
 }
 
 /// Assignments the restore memo of one instance holds.
@@ -191,6 +221,106 @@ impl CostMemo {
             last.1 = cost;
         }
         entries.rotate_right(1);
+    }
+}
+
+/// Swaps the commit log holds: twice the deepest compound move the
+/// workloads and figures use (4), so a whole chain rolls back and replays
+/// from the log. A deeper chain stays exact; its oldest undos walk.
+const LOG_SWAPS: usize = 8;
+
+/// The latest swaps committed, each with the delta it added, in a ring.
+/// The swaps before `next` stand, newest last; the swaps from `next` on
+/// were undone, the one undone last at `next` (see [`Qap`]).
+#[derive(Clone, Copy, Debug)]
+struct CommitLog {
+    swaps: [LoggedSwap; LOG_SWAPS],
+    /// The slot after the newest standing swap.
+    next: usize,
+    /// Standing swaps, which end at `next`.
+    standing: usize,
+    /// Undone swaps, which start at `next`.
+    undone: usize,
+}
+
+/// One commit of the log. Every worker's instance carries its log, so
+/// facilities are stored as `u32`, 16 bytes an entry instead of 24: a
+/// committed facility indexes an `n × n` matrix, far below `u32::MAX`.
+#[derive(Clone, Copy, Debug)]
+struct LoggedSwap {
+    a: u32,
+    b: u32,
+    delta: f64,
+}
+
+impl LoggedSwap {
+    /// `true` when this is the commit of `mv`, exactly: an out-of-range
+    /// move matches no entry.
+    fn is(&self, mv: (usize, usize)) -> bool {
+        (self.a as usize, self.b as usize) == mv
+    }
+}
+
+impl CommitLog {
+    const EMPTY: CommitLog = CommitLog {
+        swaps: [LoggedSwap {
+            a: 0,
+            b: 0,
+            delta: 0.0,
+        }; LOG_SWAPS],
+        next: 0,
+        standing: 0,
+        undone: 0,
+    };
+
+    /// `true` when `mv` is the swap undone last.
+    fn redoes(&self, mv: (usize, usize)) -> bool {
+        self.undone > 0 && self.swaps[self.next].is(mv)
+    }
+
+    /// The delta `mv` added, when it is the swap undone last; it stands
+    /// again.
+    fn redo(&mut self, mv: (usize, usize)) -> Option<f64> {
+        if !self.redoes(mv) {
+            return None;
+        }
+        let delta = self.swaps[self.next].delta;
+        self.next = (self.next + 1) % LOG_SWAPS;
+        self.standing += 1;
+        self.undone -= 1;
+        Some(delta)
+    }
+
+    /// The delta `mv` added, when it is the newest standing swap; it is
+    /// undone.
+    fn undo(&mut self, mv: (usize, usize)) -> Option<f64> {
+        let newest = (self.next + LOG_SWAPS - 1) % LOG_SWAPS;
+        if self.standing == 0 || !self.swaps[newest].is(mv) {
+            return None;
+        }
+        self.next = newest;
+        self.standing -= 1;
+        self.undone += 1;
+        Some(self.swaps[newest].delta)
+    }
+
+    /// Log a fresh commit of `mv`, which drops the undone swaps and, when
+    /// the ring is full, the oldest standing one. `mv` was just committed,
+    /// so both its facilities are below n.
+    fn push(&mut self, (a, b): (usize, usize), delta: f64) {
+        self.swaps[self.next] = LoggedSwap {
+            a: a as u32,
+            b: b as u32,
+            delta,
+        };
+        self.next = (self.next + 1) % LOG_SWAPS;
+        self.standing = (self.standing + 1).min(LOG_SWAPS);
+        self.undone = 0;
+    }
+
+    fn clear(&mut self) {
+        self.standing = 0;
+        self.undone = 0;
     }
 }
 
@@ -257,6 +387,7 @@ impl Qap {
             loc_of,
             cost: 0.0,
             memo: Arc::default(),
+            log: CommitLog::EMPTY,
         };
         qap.cost = qap.cost_exact();
         qap
@@ -336,7 +467,9 @@ impl Qap {
     }
 
     /// [`Qap::swap_delta`] of one move, or of two moves in one pass over
-    /// the facilities: the segment walker behind `trial_costs` and `apply`.
+    /// the facilities: the segment walker behind `trial_costs` and
+    /// `apply`. `Qap::chained_deltas` is its twin for two moves committed
+    /// one after the other.
     ///
     /// Each lane hoists the flow rows of its two facilities and the
     /// distance rows of their locations out of the k-loop. The walk splits
@@ -383,6 +516,58 @@ impl Qap {
         }
         Lane::walk(&mut lanes, &self.loc_of, lo, n);
         lanes.map(|lane| lane.delta)
+    }
+
+    /// The deltas of `first` and of `second` committed after it, in one
+    /// two-lane walk: `apply_all`'s pair. Lane 1 prices `first` in the
+    /// current state, lane 2 prices `second` in the state `first` leaves.
+    ///
+    /// The two states differ only at `first`'s facilities, which are split
+    /// points: between split points both lanes read the same locations,
+    /// and at one of `first`'s facilities lane 2 reads the location the
+    /// swap gives it. So each lane visits the same k, in the same order,
+    /// with the same rows and locations, as a one-lane walk in its own
+    /// state, and each delta is bit-identical to that walk's. Neither move
+    /// may be a self-swap (see [`Qap::swap_deltas`]).
+    fn chained_deltas(&self, first: (usize, usize), second: (usize, usize)) -> [f64; 2] {
+        let [(a1, b1), (a2, b2)] = [first, second];
+        // Facility k's location once `first` is committed.
+        let after = |k: usize| match k {
+            k if k == a1 => self.loc_of[b1],
+            k if k == b1 => self.loc_of[a1],
+            k => self.loc_of[k],
+        };
+        let mut lanes = [
+            Lane::new(self, a1, b1),
+            Lane::at(self, a2, b2, after(a2), after(b2)),
+        ];
+        let mut points = [a1, b1, a2, b2];
+        points.sort_unstable();
+        let mut lo = 0;
+        for p in points {
+            if p < lo {
+                continue;
+            }
+            Lane::walk(&mut lanes, &self.loc_of, lo, p);
+            let [lane1, lane2] = &mut lanes;
+            if p != a1 && p != b1 {
+                lane1.add(p, self.loc_of[p]);
+            }
+            if p != a2 && p != b2 {
+                lane2.add(p, after(p));
+            }
+            lo = p + 1;
+        }
+        Lane::walk(&mut lanes, &self.loc_of, lo, self.n);
+        lanes.map(|lane| lane.delta)
+    }
+
+    /// Commit `mv` at `delta`, freshly priced, and log it.
+    #[inline]
+    fn commit(&mut self, mv: (usize, usize), delta: f64) {
+        self.loc_of.swap(mv.0, mv.1);
+        self.cost += delta;
+        self.log.push(mv, delta);
     }
 }
 
@@ -447,8 +632,16 @@ impl<'q> Lane<'q> {
         delta: 0.0,
     };
 
+    /// The lane of swap `(a, b)` in `q`'s current state.
     #[inline(always)]
     fn new(q: &'q Qap, a: usize, b: usize) -> Lane<'q> {
+        Lane::at(q, a, b, q.loc_of[a], q.loc_of[b])
+    }
+
+    /// The lane of swap `(a, b)` in a state that puts `a` at `la` and `b`
+    /// at `lb`.
+    #[inline(always)]
+    fn at(q: &'q Qap, a: usize, b: usize, la: usize, lb: usize) -> Lane<'q> {
         let n = q.n;
         let row = |m: &'q [f64], i: usize| &m[i * n..][..n];
         Lane {
@@ -456,8 +649,8 @@ impl<'q> Lane<'q> {
             b,
             fa: row(&q.flow, a),
             fb: row(&q.flow, b),
-            da: row(&q.dist, q.loc_of[a]),
-            db: row(&q.dist, q.loc_of[b]),
+            da: row(&q.dist, la),
+            db: row(&q.dist, lb),
             delta: 0.0,
         }
     }
@@ -512,23 +705,66 @@ impl SearchProblem for Qap {
         self.cost + self.swap_delta(mv.0, mv.1)
     }
 
-    /// Commits the swap with its delta from the one-lane walk over hoisted
-    /// rows (`Qap::swap_deltas`), so the committed cost is `cost +
-    /// swap_delta(a, b)` bit for bit. A self-swap adds `swap_delta`'s
-    /// `0.0` itself, since the walk does not return it.
+    /// Commits the swap at `cost + swap_delta(a, b)`, bit for bit: with
+    /// the delta it logged when it is the swap undone last, and otherwise
+    /// with the delta of the one-lane walk over hoisted rows
+    /// (`Qap::swap_deltas`). A self-swap adds `swap_delta`'s `0.0` itself,
+    /// since the walk does not return it.
     fn apply(&mut self, mv: &Self::Move) {
         let (a, b) = *mv;
-        self.cost += if a == b {
+        if let Some(delta) = self.log.redo(*mv) {
+            self.loc_of.swap(a, b);
+            self.cost += delta;
+            return;
+        }
+        let delta = if a == b {
             0.0
         } else {
             self.swap_deltas([(a, b)])[0]
         };
-        self.loc_of.swap(a, b);
+        self.commit(*mv, delta);
     }
 
+    /// Reverts the newest standing swap with its logged delta negated,
+    /// which is bit for bit the walk's (see [`Qap`]). Any other swap is
+    /// walked, since swaps are self-inverse, and clears the log.
     fn undo(&mut self, mv: &Self::Move) {
-        // Swaps are self-inverse.
-        self.apply(mv);
+        let (a, b) = *mv;
+        let delta = match self.log.undo(*mv) {
+            Some(delta) => -delta,
+            None => {
+                self.log.clear();
+                if a == b {
+                    0.0
+                } else {
+                    self.swap_deltas([(a, b)])[0]
+                }
+            }
+        };
+        self.loc_of.swap(a, b);
+        self.cost += delta;
+    }
+
+    /// Commits consecutive swaps two per walk (`Qap::chained_deltas`),
+    /// so every cost is the bits of one `apply` per move. A self-swap, a
+    /// redo and an odd last move go through `apply`; every commit is
+    /// logged.
+    fn apply_all(&mut self, moves: &[Self::Move]) {
+        let mut rest = moves;
+        while let [first, second, tail @ ..] = rest {
+            if first.0 == first.1 || second.0 == second.1 || self.log.redoes(*first) {
+                self.apply(first);
+                rest = &rest[1..];
+                continue;
+            }
+            let [d1, d2] = self.chained_deltas(*first, *second);
+            self.commit(*first, d1);
+            self.commit(*second, d2);
+            rest = tail;
+        }
+        if let [last] = rest {
+            self.apply(last);
+        }
     }
 
     fn attributes(&self, mv: &Self::Move) -> AttrPair<Self::Attribute> {
@@ -558,6 +794,7 @@ impl SearchProblem for Qap {
     /// [`Qap`]). A miss computes outside the memo's lock.
     fn restore(&mut self, snapshot: &Self::Snapshot) {
         assert_eq!(snapshot.len(), self.n);
+        self.log.clear();
         self.loc_of.clear();
         self.loc_of.extend_from_slice(snapshot.as_slice());
         self.cost = match self.memo.get(&self.loc_of) {
@@ -847,6 +1084,161 @@ mod tests {
             }
         });
         assert!(memo_keys(&q).len() <= MEMO_ENTRIES);
+    }
+
+    /// Apply or undo `mv`, and require the bits of one walk in the state
+    /// before it: `cost + swap_delta(a, b)`.
+    fn commit_checked(q: &mut Qap, mv: (usize, usize), undo: bool) {
+        let want = q.cost() + q.swap_delta(mv.0, mv.1);
+        if undo {
+            q.undo(&mv);
+        } else {
+            q.apply(&mv);
+        }
+        assert_eq!(q.cost().to_bits(), want.to_bits(), "undo {undo}, {mv:?}");
+    }
+
+    /// `(standing, undone)` swaps in the commit log.
+    fn log_counts(q: &Qap) -> (usize, usize) {
+        (q.log.standing, q.log.undone)
+    }
+
+    #[test]
+    fn a_chain_rolls_back_and_replays_from_the_log() {
+        // At n = 4 a delta is as large as the cost, so a rolled-back cost
+        // often takes other bits than the one the chain started from.
+        for (n, seed) in [(4, 16), (5, 17), (31, 18)] {
+            chain_rolls_back_and_replays(Qap::random(n, seed), seed);
+        }
+    }
+
+    fn chain_rolls_back_and_replays(mut q: Qap, seed: u64) {
+        let mut rng = Rng::new(seed);
+        for round in 0..50 {
+            let chain: Vec<_> = (0..4).map(|_| q.sample_move(&mut rng, None)).collect();
+            for &mv in &chain {
+                commit_checked(&mut q, mv, false);
+            }
+            let standing = log_counts(&q).0;
+            for &mv in chain.iter().rev() {
+                commit_checked(&mut q, mv, true);
+            }
+            // Every undo was a log hit: a walked undo clears the log.
+            assert_eq!(log_counts(&q), (standing - 4, 4));
+            // The prefix replays from the log, one move at a time or as a
+            // batch, at the bits of one walk per move.
+            let prefix = &chain[..2 + round % 2];
+            if round % 2 == 0 {
+                for &mv in prefix {
+                    commit_checked(&mut q, mv, false);
+                }
+            } else {
+                let mut walked = q.clone();
+                walked.log.clear();
+                for &mv in prefix {
+                    commit_checked(&mut walked, mv, false);
+                }
+                q.apply_all(prefix);
+                assert_eq!(q.cost().to_bits(), walked.cost().to_bits());
+                assert_eq!(q.loc_of, walked.loc_of);
+            }
+            let replayed = prefix.len();
+            assert_eq!(log_counts(&q), (standing - 4 + replayed, 4 - replayed));
+        }
+    }
+
+    #[test]
+    fn a_fresh_apply_drops_the_undone_swaps() {
+        let mut q = Qap::random(23, 18);
+        let (m1, m2, m3) = ((1, 5), (5, 9), (2, 7));
+        for (mv, undo) in [(m1, false), (m2, false), (m2, true), (m1, true)] {
+            commit_checked(&mut q, mv, undo);
+        }
+        assert_eq!(log_counts(&q), (0, 2));
+        // m3 takes m1's slot; the next one still holds m2, priced after
+        // m1, which is no longer a swap to redo.
+        commit_checked(&mut q, m3, false);
+        assert_eq!(log_counts(&q), (1, 0));
+        for (mv, undo) in [(m2, false), (m2, true), (m3, true), (m3, false)] {
+            commit_checked(&mut q, mv, undo);
+        }
+    }
+
+    #[test]
+    fn only_the_swap_undone_last_is_redone() {
+        let mut q = Qap::random(21, 23);
+        let (m1, m2) = ((2, 11), (11, 17));
+        for (mv, undo) in [(m1, false), (m2, false), (m2, true), (m1, true)] {
+            commit_checked(&mut q, mv, undo);
+        }
+        // m2 was priced after m1, which is undone: it walks, and drops
+        // the undone swaps.
+        commit_checked(&mut q, m2, false);
+        assert_eq!(log_counts(&q), (1, 0));
+        commit_checked(&mut q, m1, false);
+    }
+
+    #[test]
+    fn an_undo_of_an_older_swap_walks_and_clears_the_log() {
+        let mut q = Qap::random(19, 19);
+        let (m1, m2) = ((0, 18), (3, 4));
+        commit_checked(&mut q, m1, false);
+        commit_checked(&mut q, m2, false);
+        commit_checked(&mut q, m1, true);
+        assert_eq!(log_counts(&q), (0, 0));
+        // The reverse of the newest swap is another move, priced another
+        // way: it walks too.
+        commit_checked(&mut q, m2, false);
+        commit_checked(&mut q, (m2.1, m2.0), true);
+        assert_eq!(log_counts(&q), (0, 0));
+    }
+
+    #[test]
+    fn the_log_keeps_the_latest_swaps_and_restore_clears_it() {
+        let mut q = Qap::random(29, 20);
+        let mut rng = Rng::new(21);
+        let moves: Vec<_> = (0..LOG_SWAPS + 3)
+            .map(|_| q.sample_move(&mut rng, None))
+            .collect();
+        for &mv in &moves {
+            commit_checked(&mut q, mv, false);
+        }
+        assert_eq!(log_counts(&q), (LOG_SWAPS, 0));
+        for (i, &mv) in moves.iter().rev().enumerate() {
+            commit_checked(&mut q, mv, true);
+            // The oldest three fell out of the ring: their undos walk.
+            let undone = if i < LOG_SWAPS { i + 1 } else { 0 };
+            assert_eq!(log_counts(&q).1, undone, "undo {i}");
+        }
+        // A self-swap is logged at 0.0 and undone from the log.
+        commit_checked(&mut q, (4, 4), false);
+        commit_checked(&mut q, (4, 4), true);
+        assert_eq!(log_counts(&q), (0, 1));
+        q.restore(&q.snapshot());
+        assert_eq!(log_counts(&q), (0, 0));
+    }
+
+    #[test]
+    fn chained_deltas_are_the_one_lane_walks_in_their_own_states() {
+        for n in [3, 4, 9, 64] {
+            let mut q = Qap::random(n, 22 + n as u64);
+            let mut rng = Rng::new(n as u64);
+            for _ in 0..200 {
+                let first = q.sample_move(&mut rng, None);
+                let second = match rng.index(4) {
+                    0 => first,
+                    1 => (first.1, first.0),
+                    2 => (first.0, (first.0 + 1 + rng.index(n - 1)) % n),
+                    _ => q.sample_move(&mut rng, None),
+                };
+                let pair = q.chained_deltas(first, second);
+                let d1 = q.swap_deltas([first])[0];
+                q.apply(&first);
+                let d2 = q.swap_deltas([second])[0];
+                assert_eq!(pair.map(f64::to_bits), [d1.to_bits(), d2.to_bits()]);
+                assert_eq!(d2.to_bits(), q.swap_delta(second.0, second.1).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::aspiration::Aspiration;
 use crate::candidate::CandidateScratch;
-use crate::compound::{apply_compound, build_compound_with, undo_compound, CompoundMove};
+use crate::compound::{build_compound_with, undo_compound, CompoundMove};
 use crate::memory::FrequencyMemory;
 use crate::problem::SearchProblem;
 use crate::tabu_list::TabuList;
@@ -340,11 +340,6 @@ impl TabuSearch {
         }
         engine.into_result(problem)
     }
-}
-
-/// Re-apply helper exposed for the parallel layers.
-pub fn apply_moves<P: SearchProblem>(problem: &mut P, compound: &CompoundMove<P::Move>) {
-    apply_compound(problem, compound);
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use parallel_tabu_search::place::init::random_placement;
 use parallel_tabu_search::prelude::*;
 use parallel_tabu_search::tabu::candidate::{Candidate, CandidateList, CandidateScratch};
 use parallel_tabu_search::tabu::problem::AttrPair;
-use parallel_tabu_search::tabu::Qap;
+use parallel_tabu_search::tabu::{Qap, QapAssignment};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -246,6 +246,14 @@ proptest! {
             prop_assert_eq!(&s.mv, &r.mv);
             prop_assert_eq!(s.trial_cost.to_bits(), r.trial_cost.to_bits());
         }
+        // The default `apply_all` ends where one `apply` per move does.
+        let mut batched = p.clone();
+        batched.apply_all(&moves);
+        for mv in &moves {
+            p.apply(mv);
+        }
+        prop_assert_eq!(batched.snapshot(), p.snapshot());
+        prop_assert_eq!(batched.cost().to_bits(), p.cost().to_bits());
     }
 }
 
@@ -425,4 +433,240 @@ fn qap_commits_add_the_scalar_delta_bitwise() {
             assert_eq!(q.snapshot(), twin.snapshot());
         }
     }
+}
+
+/// A twin of a [`Qap`] that commits every swap at `cost + swap_delta(a,
+/// b)`, the scalar reference: its instance serves only for the
+/// assignment and `swap_delta`, and its own cost is the running sum.
+struct ScalarTwin {
+    q: Qap,
+    cost: f64,
+}
+
+impl ScalarTwin {
+    fn new(q: &Qap) -> ScalarTwin {
+        ScalarTwin {
+            q: q.clone(),
+            cost: q.cost(),
+        }
+    }
+
+    fn commit(&mut self, mv: &(usize, usize)) {
+        self.cost += self.q.swap_delta(mv.0, mv.1);
+        self.q.apply(mv);
+    }
+
+    fn restore(&mut self, s: &QapAssignment) {
+        self.q.restore(s);
+        self.cost = self.q.cost_exact();
+    }
+
+    /// `q` holds the twin's assignment at the twin's cost bits.
+    fn assert_twin_of(&self, q: &Qap, what: &str) {
+        assert_eq!(q.snapshot(), self.q.snapshot(), "{what}");
+        assert_eq!(q.cost().to_bits(), self.cost.to_bits(), "{what}");
+    }
+}
+
+#[test]
+fn qap_apply_all_edge_chains_match_per_move_applies_bitwise() {
+    for n in EDGE_SIZES {
+        let mut q = Qap::random(n, 60 + n as u64);
+        let moves = edge_moves(n);
+        let check = |q: &Qap, chain: &[(usize, usize)]| {
+            let mut batched = q.clone();
+            batched.apply_all(chain);
+            let mut per_move = q.clone();
+            let mut twin = ScalarTwin::new(q);
+            for mv in chain {
+                per_move.apply(mv);
+                twin.commit(mv);
+            }
+            let what = format!("n = {n}, chain {chain:?}");
+            assert_eq!(batched.snapshot(), per_move.snapshot(), "{what}");
+            assert_eq!(
+                batched.cost().to_bits(),
+                per_move.cost().to_bits(),
+                "{what}"
+            );
+            twin.assert_twin_of(&batched, &what);
+        };
+        for round in 0..3 {
+            // Every ordered pair of edge moves as one chain: the same move
+            // twice, a move and its reverse, two moves sharing one
+            // facility, and a self-swap in either place.
+            for &first in &moves {
+                for &second in &moves {
+                    check(&q, &[first, second]);
+                }
+            }
+            // Chain lengths 0–9 from every offset: pairs and an odd tail
+            // at every position.
+            for len in 0..=9 {
+                for start in 0..moves.len() {
+                    let chain: Vec<_> = (start..start + len)
+                        .map(|i| moves[i % moves.len()])
+                        .collect();
+                    check(&q, &chain);
+                }
+            }
+            // Leave a swap undone for the next round, so every chain that
+            // starts with it redoes it from the log.
+            let redo = moves[(round * 7 + 1) % moves.len()];
+            q.apply(&(0, n - 1));
+            q.apply(&redo);
+            q.undo(&redo);
+        }
+    }
+}
+
+/// A QAP instance with small integer flows and distances in `lo..hi`:
+/// sums are exact, so deltas cancel to exactly zero of either sign.
+fn small_integer_qap(n: usize, lo: i64, hi: i64, seed: u64) -> Qap {
+    let mut rng = Rng::new(seed);
+    let mut draw = move || (lo + rng.index((hi - lo) as usize) as i64) as f64;
+    let mut q =
+        Qap::from_upper_triangles(n, |i, j| if i == j { (0.0, 0.0) } else { (draw(), draw()) });
+    let mut loc_of: Vec<usize> = (0..n).collect();
+    Rng::new(seed ^ 1).shuffle(&mut loc_of);
+    q.restore(&QapAssignment::new(loc_of));
+    q
+}
+
+#[test]
+fn qap_commit_log_interleavings_match_the_scalar_twin() {
+    let instances = [
+        Qap::random(2, 1),
+        Qap::random(3, 2),
+        Qap::random(5, 3),
+        Qap::random(17, 4),
+        Qap::random(40, 5),
+        small_integer_qap(9, 0, 3, 6),
+        small_integer_qap(12, -2, 3, 7),
+        // Zero flows: every delta and the cost itself are exact zeros.
+        small_integer_qap(6, 0, 1, 8),
+    ];
+    let mut zero_deltas = 0;
+    for (i, start) in instances.iter().enumerate() {
+        let n = start.n();
+        let mut q = start.clone();
+        let mut twin = ScalarTwin::new(&q);
+        let mut rng = Rng::new(100 + i as u64);
+        // The swaps standing and undone, newest last, as the test applied
+        // them: the log's hits come from these.
+        let mut standing: Vec<(usize, usize)> = Vec::new();
+        let mut undone: Vec<(usize, usize)> = Vec::new();
+        let mut snapshots = vec![q.snapshot()];
+        let mut out = Vec::new();
+        let sample = |q: &mut Qap, rng: &mut Rng| {
+            if rng.chance(0.1) {
+                let a = rng.index(n);
+                (a, a)
+            } else {
+                q.sample_move(rng, None)
+            }
+        };
+        for step in 0..3000 {
+            let what = format!("instance {i}, step {step}");
+            match rng.index(9) {
+                // A fresh apply.
+                0 | 1 => {
+                    let mv = sample(&mut q, &mut rng);
+                    zero_deltas += usize::from(q.swap_delta(mv.0, mv.1) == 0.0);
+                    q.apply(&mv);
+                    twin.commit(&mv);
+                    standing.push(mv);
+                    undone.clear();
+                }
+                // An undo of the newest standing swap.
+                2 | 3 => {
+                    let Some(mv) = standing.pop() else { continue };
+                    q.undo(&mv);
+                    twin.commit(&mv);
+                    undone.push(mv);
+                }
+                // A redo of the swap undone last, alone or heading a chain.
+                4 => {
+                    let Some(mv) = undone.pop() else { continue };
+                    let mut chain = vec![mv];
+                    if rng.chance(0.5) {
+                        chain.extend(undone.iter().rev().take(rng.index(3)).copied());
+                        chain.push(sample(&mut q, &mut rng));
+                    }
+                    if chain.len() == 1 {
+                        q.apply(&mv);
+                    } else {
+                        // The fresh swap at its end drops the undone tail.
+                        q.apply_all(&chain);
+                        undone.clear();
+                    }
+                    for mv in &chain {
+                        twin.commit(mv);
+                    }
+                    standing.extend(&chain);
+                }
+                // A chain of fresh swaps, with reverses and repeats.
+                5 => {
+                    let len = rng.index(8);
+                    let mut chain: Vec<(usize, usize)> = Vec::with_capacity(len);
+                    for _ in 0..len {
+                        let mv = match chain.last() {
+                            Some(&(a, b)) if rng.chance(0.2) => (b, a),
+                            Some(&last) if rng.chance(0.1) => last,
+                            _ => sample(&mut q, &mut rng),
+                        };
+                        chain.push(mv);
+                    }
+                    q.apply_all(&chain);
+                    for mv in &chain {
+                        twin.commit(mv);
+                    }
+                    standing.extend(&chain);
+                    undone.clear();
+                }
+                // An undo of a swap that is not the newest standing one.
+                6 => {
+                    let mv = match standing.len() {
+                        0 | 1 => sample(&mut q, &mut rng),
+                        len => standing[rng.index(len - 1)],
+                    };
+                    q.undo(&mv);
+                    twin.commit(&mv);
+                    standing.clear();
+                    undone.clear();
+                }
+                // Trial costs move nothing.
+                7 => {
+                    let moves: Vec<_> = (0..rng.index(6))
+                        .map(|_| sample(&mut q, &mut rng))
+                        .collect();
+                    q.trial_costs(&moves, &mut out);
+                    for (mv, cost) in moves.iter().zip(&out) {
+                        let want = twin.cost + twin.q.swap_delta(mv.0, mv.1);
+                        assert_eq!(cost.to_bits(), want.to_bits(), "{what}, trial {mv:?}");
+                    }
+                }
+                // A restore or a diversification.
+                _ => {
+                    if rng.chance(0.5) {
+                        let s = snapshots[rng.index(snapshots.len())].clone();
+                        q.restore(&s);
+                        twin.restore(&s);
+                    } else {
+                        let depth = rng.index(4);
+                        for mv in q.diversify(&mut rng, (0, n), depth, 2, None) {
+                            twin.commit(&mv);
+                        }
+                    }
+                    standing.clear();
+                    undone.clear();
+                }
+            }
+            twin.assert_twin_of(&q, &what);
+            if step % 50 == 0 {
+                snapshots.push(q.snapshot());
+            }
+        }
+    }
+    assert!(zero_deltas > 100, "{zero_deltas} exact zero deltas");
 }

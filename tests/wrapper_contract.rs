@@ -9,6 +9,11 @@
 //! default body instead, and the traced run would part ways with the
 //! untraced one. [`Counted`] forwards exactly what `Traced` forwards and
 //! counts calls, so these tests hold every path to that contract.
+//!
+//! Neither wrapper forwards `SearchProblem::apply_all`. A wrapped CLW
+//! commits its syncs and mirrored moves through the default per-move loop,
+//! while a bare QAP CLW prices them two per walk, so the QAP runs below
+//! also prove that the two end on the same bits.
 
 mod common;
 
