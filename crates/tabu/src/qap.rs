@@ -1219,6 +1219,24 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_moves_panic_on_every_commit_path() {
+        let q = Qap::random(6, 24);
+        let panics = |f: &dyn Fn(&mut Qap)| {
+            let mut q = q.clone();
+            q.apply(&(1, 2));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut q))).is_err()
+        };
+        assert!(panics(&|q| q.apply(&(6, 0))));
+        assert!(panics(&|q| q.apply(&(6, 6))));
+        assert!(panics(&|q| q.undo(&(0, 6))));
+        // A facility that matches a logged one only in its low 32 bits.
+        #[cfg(target_pointer_width = "64")]
+        assert!(panics(&|q| q.undo(&((1 << 32) + 1, 2))));
+        assert!(panics(&|q| q.apply_all(&[(1, 2), (6, 0)])));
+        assert!(panics(&|q| q.apply_all(&[(6, 1), (2, 3), (4, 5)])));
+    }
+
+    #[test]
     fn chained_deltas_are_the_one_lane_walks_in_their_own_states() {
         for n in [3, 4, 9, 64] {
             let mut q = Qap::random(n, 22 + n as u64);
