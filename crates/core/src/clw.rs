@@ -83,15 +83,18 @@ pub async fn run_clw<D: PtsDomain, T: Transport<D::Problem>>(
     };
     let mut rng = worker_rng(cfg.seed, stream_salt);
 
-    // Messages received but not yet handled, in arrival order: TSW
-    // traffic (AdoptState, Investigate) that overtook the master's Init —
-    // it comes from a *different sender* — and whatever the TSW sent while
-    // an investigation ran. Each is handled before the next `recv`.
+    // Messages received but not yet handled, in arrival order: what a
+    // reordering route (vt's `JitterRoute`) delivered ahead of the TSW's
+    // own Init, such as its first AdoptState, and whatever the TSW sent
+    // while an investigation ran. Each is handled before the next `recv`.
+    // A TSW that dies before it passes the Init on ends this CLW with its
+    // `Down`.
     let mut pending: VecDeque<PtsMsg<D::Problem>> = VecDeque::new();
     let mut problem = loop {
         match t.recv().await {
             PtsMsg::Init { snapshot } => break domain.instantiate(&snapshot),
             PtsMsg::Stop => return,
+            PtsMsg::Down { rank } if rank == tsw_rank => return,
             other => pending.push_back(other),
         }
     };

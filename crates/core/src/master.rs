@@ -2,7 +2,7 @@
 //! sharded topology, the tree of sub-masters — generic over the problem
 //! domain.
 //!
-//! Distributes the initial solution to every worker, then runs
+//! Sends the initial solution down the tree, then runs
 //! `global_iters` rounds: collect one report per TSW — under the
 //! heterogeneous policy, forcing stragglers once half have reported —
 //! select the overall best, and broadcast it (solution + tabu list) back to
@@ -572,9 +572,9 @@ impl<P: PtsProblem> Parent<P> {
 }
 
 /// Send each of this node's children `k` the message `msg(k)`: the
-/// round's `Broadcast`, stamped with that child's strategy, or `Stop`.
-/// Cloning a broadcast per child is O(1): its snapshot (or delta) and
-/// tabu list sit behind `Arc`s.
+/// run's `Init`, the round's `Broadcast`, stamped with that child's
+/// strategy, or `Stop`. Cloning either per child is O(1): its snapshot
+/// (or delta) and tabu list sit behind `Arc`s.
 fn send_down<P: PtsProblem, T: Transport<P>>(
     t: &mut T,
     cfg: &PtsConfig,
@@ -583,28 +583,6 @@ fn send_down<P: PtsProblem, T: Transport<P>>(
 ) {
     for k in 0..children.len() {
         t.send(children.rank(cfg, k), msg(k));
-    }
-}
-
-/// Send the initial solution down (`Arc` clones, not copies): to each
-/// child in turn, followed at the leaf level by that TSW's CLWs.
-/// Sub-masters pass it on to their own subtrees.
-fn send_init<D: PtsDomain, T: Transport<D::Problem>>(
-    t: &mut T,
-    cfg: &PtsConfig,
-    children: Children,
-    initial: &Arc<SnapshotOf<D>>,
-) {
-    let init = || PtsMsg::Init {
-        snapshot: Arc::clone(initial),
-    };
-    for k in 0..children.len() {
-        t.send(children.rank(cfg, k), init());
-        if let Children::Tsws { lo, .. } = children {
-            for j in 0..cfg.n_clw {
-                t.send(cfg.clw_rank(lo + k, j), init());
-            }
-        }
     }
 }
 
@@ -652,11 +630,12 @@ pub async fn run_master<D: PtsDomain, T: Transport<D::Problem>>(
     let initial = Arc::new(initial);
     let children = cfg.root_children();
 
-    // Initialize the tree. Flat: the root addresses every worker, each
-    // TSW followed by its CLWs. Sharded: only the top sub-masters are
-    // addressed; they fan the Init out to their subtrees, keeping the
-    // root's traffic O(fan-out).
-    send_init::<D, T>(t, cfg, children, &initial);
+    // Initialize the tree: the root sends the Init to its own children
+    // only, and every sub-master and TSW passes it on to its own, so
+    // every node sends one Init per child.
+    send_down(t, cfg, children, |_| PtsMsg::Init {
+        snapshot: Arc::clone(&initial),
+    });
 
     // The base every child currently shares with this node: the initial
     // solution, re-anchored on each broadcast sent below.
@@ -791,7 +770,9 @@ pub async fn run_sub_master<D: PtsDomain, T: Transport<D::Problem>>(
         return;
     };
 
-    send_init::<D, T>(t, cfg, spec.children, &initial);
+    send_down(t, cfg, spec.children, |_| PtsMsg::Init {
+        snapshot: Arc::clone(&initial),
+    });
 
     // Seed the reduction exactly like the root: subtree best starts at
     // the initial solution with an empty tabu list, so a round in which

@@ -571,11 +571,8 @@ impl ProcEngine {
         let outcome: SearchOutcome<SnapshotOf<D>> =
             drive_sync(run_master(&mut t, cfg, domain, initial, &self.control));
 
-        let master_stats = {
-            let mut stats = t.take_stats();
-            stats.finished_at = outcome.end_time;
-            stats
-        };
+        let mut master_stats = t.stats();
+        master_stats.finished_at = outcome.end_time;
         drop(t);
         drop(monitor_stop);
         let _ = monitor.join();
@@ -594,11 +591,11 @@ impl ProcEngine {
         dead_ranks.dedup();
 
         // Rank 0's counters are its own (accurate local accounting);
-        // worker ranks' traffic comes from the hub: the frames it
-        // forwarded, plus the link counts each worker's final frame
-        // reported (a rank killed mid-run loses only its own). busy/work
-        // stay 0 for ranks that lived in other processes — like the async
-        // engine, the proc report measures traffic, not worker CPU.
+        // worker ranks' traffic is what each counted and reported in its
+        // final frame to the router (a rank killed mid-run loses only its
+        // own). busy/work stay 0 for ranks that lived in other processes —
+        // like the async engine, the proc report measures traffic, not
+        // worker CPU.
         let mut per_proc = router.traffic().to_proc_stats();
         if per_proc.is_empty() {
             per_proc = vec![Default::default(); total];

@@ -5,7 +5,7 @@
 //! measurements — busy/wait seconds per process), the thread engine with
 //! wall-clock and channel accounting, the cooperative async engine with
 //! its counters and wall-clock finish times, and the proc engine with
-//! the traffic its socket router observed. No field is
+//! the traffic each rank reported to its socket router. No field is
 //! engine-optional — code consuming a report never needs to know which
 //! substrate carried the run.
 

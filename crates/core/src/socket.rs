@@ -5,17 +5,16 @@
 //!
 //! * **Links.** Every parent–child edge of the protocol tree — master or
 //!   sub-master ↔ TSW, sub-master ↔ sub-master, TSW ↔ CLW — is a stream of
-//!   its own. All protocol traffic but one frame kind runs between tree
-//!   neighbours, so a message costs one hop and one wake-up of its
-//!   receiver. A rank with protocol children binds a [`Listener`] before
-//!   it says hello to the router, and inside
-//!   [`SocketTransport::handshake`] each child connects its *uplink* to its
-//!   parent's listener. Sends on a link never wait: one non-waiting
-//!   `send(2)`, and whatever the peer's socket has no room for goes to the
-//!   link's backlog, which a drain thread (spawned on the first overflow)
-//!   writes out in order. So two ranks that each send the other more than
-//!   a socket buffer holds cannot deadlock — the guarantee every
-//!   in-process transport has.
+//!   its own. Every protocol message runs between tree neighbours, so a
+//!   message costs one hop and one wake-up of its receiver. A rank with
+//!   protocol children binds a [`Listener`] before it says hello to the
+//!   router, and inside [`SocketTransport::handshake`] each child connects
+//!   its *uplink* to its parent's listener. Sends on a link never wait:
+//!   one non-waiting `send(2)`, and whatever the peer's socket has no room
+//!   for goes to the link's backlog, which a drain thread (spawned on the
+//!   first overflow) writes out in order. So two ranks that each send the
+//!   other more than a socket buffer holds cannot deadlock — the guarantee
+//!   every in-process transport has.
 //! * **The router.** [`SocketRouter`] is the hub of a star over every rank,
 //!   owned by the process that spawns a run (the
 //!   [`crate::proc::ProcEngine`]). It runs the launch barrier: it gathers
@@ -23,21 +22,19 @@
 //!   listener, and only then hands each rank its setup frame, led by a link
 //!   block that names the rank's uplink. Every listener is therefore bound
 //!   before any child learns of it, and no connect retries. After the
-//!   barrier the router forwards the one frame kind off the tree — the
-//!   `Init` a master or sub-master sends each CLW — reads heartbeats, and
-//!   totals per-rank traffic. Forwarding is *opaque*: the router reads the
-//!   destination rank straight out of the fixed frame header
-//!   ([`crate::wire::peek_dst`]) and never decodes a payload, so one router
-//!   serves every domain. It hands each frame on the way links do, through
-//!   a never-waiting outbox per rank.
+//!   barrier the router forwards nothing: it watches each rank's stream
+//!   for heartbeats and for the rank's final traffic tally, and keeps the
+//!   streams only to shut them when the run ends. It never decodes a
+//!   protocol message, so one router serves every domain.
 //!
 //! [`SocketTransport`] is the per-rank endpoint implementing [`Transport`].
 //! Like [`crate::transport::ThreadTransport`] it is a blocking transport:
 //! `recv` resolves on first poll, so protocol futures built over it are
 //! driven with [`crate::transport::drive_sync`]. There is no reader
 //! thread. A receive first takes a frame already buffered from any of the
-//! rank's streams, and only then waits in `poll(2)` over the router stream
-//! and every link.
+//! rank's links, and only then waits in `poll(2)` over every link and the
+//! router stream, which carries nothing to a rank after its setup frame:
+//! the transport watches it only for its end.
 //!
 //! # Ends of streams
 //!
@@ -71,16 +68,15 @@
 //!
 //! Heartbeat frames ([`crate::wire::encode_heartbeat_frame`]) keep the
 //! router's last-seen clock advancing on a rank's router stream, so the
-//! engine's monitor can tell a *hung* rank from a quiet one. The router
-//! counts the frames it forwards; link traffic never passes it, so each
-//! transport reports its link counts in one final frame as it drops
-//! ([`crate::wire::LinkTally`]) and the router adds them to the rank's
-//! totals. A rank killed mid-run never sends that frame: it loses its own
-//! link counts, and only those.
+//! engine's monitor can tell a *hung* rank from a quiet one. Traffic never
+//! passes the router, so each transport reports its own counts in one
+//! final frame as it drops ([`crate::wire::encode_tally_frame`]), and that
+//! frame is the rank's traffic. A rank killed mid-run never sends it: it
+//! loses its own counts, and only those.
 
 use crate::messages::PtsMsg;
 use crate::transport::Transport;
-use crate::wire::{self, LinkTally, WireError, WireProblem, WireReader, FRAME_LEN_BYTES};
+use crate::wire::{self, WireError, WireProblem, WireReader, FRAME_LEN_BYTES};
 use pts_vcluster::ProcStats;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -373,7 +369,7 @@ pub(crate) enum Next<'a> {
 
 /// A socket's read half with its own buffer, framing in place: one read
 /// can bring in many frames, and a frame split across reads waits in the
-/// buffer for its rest. The router's forwarders, every stream of a rank's
+/// buffer for its rest. The router's watchers, every link of a rank's
 /// transport and each `pts-serve` client connection read through one.
 pub(crate) struct FrameReader {
     stream: Stream,
@@ -809,49 +805,26 @@ fn accept_links(
     Ok(links)
 }
 
-/// Per-rank traffic counters the router accumulates — the source of
-/// `messages_sent` / `bytes_sent` / `messages_received` in the proc
-/// engine's [`crate::report::RunReport`]. The frames the router forwards
-/// count as it forwards them; each rank's link traffic arrives in its
-/// final tally frame.
-pub struct RouterTraffic {
-    sent_msgs: Vec<AtomicU64>,
-    sent_bytes: Vec<AtomicU64>,
-    recv_msgs: Vec<AtomicU64>,
-}
+/// Per-rank traffic the router collects — the source of `messages_sent`
+/// / `bytes_sent` / `messages_received` in the proc engine's
+/// [`crate::report::RunReport`]: each rank's final tally frame, as the
+/// rank counted its own traffic.
+pub struct RouterTraffic(Mutex<Vec<ProcStats>>);
 
 impl RouterTraffic {
     fn new(n: usize) -> RouterTraffic {
-        RouterTraffic {
-            sent_msgs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            sent_bytes: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            recv_msgs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
+        RouterTraffic(Mutex::new(vec![ProcStats::default(); n]))
     }
 
-    /// Add `rank`'s link traffic, from its final frame.
-    fn add(&self, rank: usize, tally: &LinkTally) {
-        self.sent_msgs[rank].fetch_add(tally.sent, Ordering::Relaxed);
-        self.sent_bytes[rank].fetch_add(tally.bytes, Ordering::Relaxed);
-        self.recv_msgs[rank].fetch_add(tally.received, Ordering::Relaxed);
-    }
-
-    /// Fold the counters into per-rank [`ProcStats`] (traffic fields
-    /// only; time accounting belongs to each process).
+    /// Per-rank [`ProcStats`] (traffic fields only; time accounting
+    /// belongs to each process), zero for a rank whose final frame has
+    /// not arrived.
     pub fn to_proc_stats(&self) -> Vec<ProcStats> {
-        (0..self.sent_msgs.len())
-            .map(|r| ProcStats {
-                messages_sent: self.sent_msgs[r].load(Ordering::Relaxed),
-                bytes_sent: self.sent_bytes[r].load(Ordering::Relaxed),
-                messages_received: self.recv_msgs[r].load(Ordering::Relaxed),
-                ..ProcStats::default()
-            })
-            .collect()
+        self.0.lock().expect("traffic lock").clone()
     }
 }
 
-/// The never-waiting write end toward one peer: a rank's delivery end at
-/// the router, or a link's write half.
+/// The never-waiting write half of a link.
 struct Outbox {
     state: Mutex<Outgoing>,
     /// Wakes the drain thread when bytes join the backlog or the outbox
@@ -965,20 +938,14 @@ impl Outbox {
         }
     }
 
-    /// Close the outbox and join its drain thread. With `flush`, the drain
-    /// thread first writes the backlog out, for no longer than
-    /// [`FLUSH_LIMIT`]; without, the socket shuts at once and the backlog
-    /// is dropped.
-    fn finish(&self, flush: bool) {
+    /// Close the outbox and join its drain thread, which first writes the
+    /// backlog out, for no longer than [`FLUSH_LIMIT`].
+    fn finish(&self) {
         let drain = match self.state.lock() {
             Ok(mut out) => {
                 out.closing = true;
                 if let Some(s) = &out.stream {
-                    if flush {
-                        let _ = s.set_write_timeout(Some(FLUSH_LIMIT));
-                    } else {
-                        s.shutdown();
-                    }
+                    let _ = s.set_write_timeout(Some(FLUSH_LIMIT));
                 }
                 out.drain.take()
             }
@@ -996,23 +963,19 @@ impl Outbox {
     }
 }
 
-/// The state forwarders, drain threads and the supervisor share, sized
-/// per rank by the barrier.
+/// The state the watchers and the supervisor share, sized per rank by
+/// the barrier.
 struct Hub {
-    outboxes: Vec<Arc<Outbox>>,
     traffic: Arc<RouterTraffic>,
     /// Per-rank last-frame-seen clock, milliseconds since `epoch`.
-    /// Heartbeats refresh it without being forwarded.
     last_seen: Vec<AtomicU64>,
     epoch: Instant,
 }
 
 impl Hub {
-    fn new(outboxes: Vec<Arc<Outbox>>, epoch: Instant) -> Hub {
-        let n = outboxes.len();
+    fn new(n: usize, epoch: Instant) -> Hub {
         let now_ms = epoch.elapsed().as_millis() as u64;
         Hub {
-            outboxes,
             traffic: Arc::new(RouterTraffic::new(n)),
             last_seen: (0..n).map(|_| AtomicU64::new(now_ms)).collect(),
             epoch,
@@ -1024,53 +987,38 @@ impl Hub {
         Some((self.epoch.elapsed().as_millis() as u64).saturating_sub(seen))
     }
 
-    /// Read rank `origin`'s frames until its stream ends: a heartbeat
-    /// only refreshes its last-seen clock, its final tally joins its
-    /// traffic, and every other frame goes on to the rank its header
-    /// names. The end itself — a clean exit or a killed process, the
-    /// socket cannot tell — needs no notice from here: the rank's link
-    /// peers read it off their links.
-    fn forward(&self, origin: usize, mut reader: FrameReader) {
+    /// Watch rank `origin`'s stream until it ends: every frame refreshes
+    /// the rank's last-seen clock, and its final tally becomes its
+    /// traffic. A heartbeat is only a sign of life, and any other frame is
+    /// a protocol bug, dropped with a warning: every protocol message
+    /// travels on a link. The end itself — a clean exit or a killed
+    /// process, the socket cannot tell — needs no notice from here: the
+    /// rank's link peers read it off their links.
+    fn watch(&self, origin: usize, mut reader: FrameReader) {
         while let Next::Frame(frame) = reader.next_frame(true) {
             self.last_seen[origin]
                 .store(self.epoch.elapsed().as_millis() as u64, Ordering::Relaxed);
             let body = &frame[FRAME_LEN_BYTES..];
-            if wire::is_heartbeat(body) {
-                // Liveness beacon: supervision, not traffic.
-                continue;
-            }
             if let Some(tally) = wire::decode_tally(body) {
-                self.traffic.add(origin, &tally);
-                continue;
-            }
-            let dst = match wire::peek_dst(body) {
-                Ok(d) => d as usize,
-                Err(e) => {
-                    crate::transport::protocol_warn(origin, &format!("undecodable frame: {e}"));
-                    continue;
-                }
-            };
-            let traffic = &self.traffic;
-            traffic.sent_msgs[origin].fetch_add(1, Ordering::Relaxed);
-            traffic.sent_bytes[origin].fetch_add(body.len() as u64, Ordering::Relaxed);
-            let Some(outbox) = self.outboxes.get(dst) else {
-                crate::transport::protocol_warn(origin, &format!("frame for unknown rank {dst}"));
-                continue;
-            };
-            if outbox.deliver(frame) {
-                traffic.recv_msgs[dst].fetch_add(1, Ordering::Relaxed);
+                self.traffic.0.lock().expect("traffic lock")[origin] = tally;
+            } else if !wire::is_heartbeat(body) {
+                crate::transport::protocol_warn(
+                    origin,
+                    "router dropping a frame that is neither a heartbeat nor a tally",
+                );
             }
         }
     }
 }
 
 /// The star hub: runs the launch barrier over one connection per rank,
-/// then forwards the frames ranks address through it until every
-/// connection winds down.
+/// then watches every connection until it winds down.
 pub struct SocketRouter {
     listener: Option<Listener>,
     addr: String,
-    forwarders: Vec<JoinHandle<()>>,
+    /// Every rank's stream after the barrier, kept to be shut.
+    streams: Vec<Stream>,
+    watchers: Vec<JoinHandle<()>>,
     hub: Arc<Hub>,
 }
 
@@ -1079,8 +1027,9 @@ impl SocketRouter {
         SocketRouter {
             addr: listener.addr().to_string(),
             listener: Some(listener),
-            forwarders: Vec::new(),
-            hub: Arc::new(Hub::new(Vec::new(), Instant::now())),
+            streams: Vec::new(),
+            watchers: Vec::new(),
+            hub: Arc::new(Hub::new(0, Instant::now())),
         }
     }
 
@@ -1100,7 +1049,7 @@ impl SocketRouter {
         &self.addr
     }
 
-    /// Shared traffic counters (live while forwarders run).
+    /// Shared per-rank traffic, filled in as final frames arrive.
     pub fn traffic(&self) -> Arc<RouterTraffic> {
         Arc::clone(&self.hub.traffic)
     }
@@ -1126,7 +1075,7 @@ impl SocketRouter {
     /// hello, then send every rank its setup frame at once — its link
     /// block (the uplink to `parents[rank]`, and how many ranks name it
     /// their parent), then `setup`, which rank 0 composed and so does not
-    /// get — and start forwarding. Fails when `timeout` passes first,
+    /// get — and start watching. Fails when `timeout` passes first,
     /// naming the ranks that never arrived or whose setup frames are not
     /// out, and when a rank's parent said hello without a link listener.
     pub fn run_barrier(
@@ -1180,33 +1129,31 @@ impl SocketRouter {
             heads.push(setup_head(uplink, children[rank], setup_len)?);
         }
         send_setups(&streams, &heads, setup, deadline, timeout)?;
-        // Then start forwarding.
-        let mut outboxes = Vec::with_capacity(total);
-        let mut readers = Vec::with_capacity(total);
-        for (rank, stream) in streams.into_iter().enumerate() {
-            readers.push(FrameReader::new(stream.try_clone()?));
-            outboxes.push(Outbox::new(stream, format!("pts-sock-drain{rank}")));
-        }
-        self.hub = Arc::new(Hub::new(outboxes, self.hub.epoch));
+        // Then start watching.
+        let readers = streams
+            .iter()
+            .map(|stream| Ok(FrameReader::new(stream.try_clone()?)))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        self.hub = Arc::new(Hub::new(total, self.hub.epoch));
         for (rank, reader) in readers.into_iter().enumerate() {
             let hub = Arc::clone(&self.hub);
             let handle = std::thread::Builder::new()
-                .name(format!("pts-sock-fwd{rank}"))
-                .spawn(move || hub.forward(rank, reader))
-                .expect("spawn forwarder");
-            self.forwarders.push(handle);
+                .name(format!("pts-sock-watch{rank}"))
+                .spawn(move || hub.watch(rank, reader))
+                .expect("spawn watcher");
+            self.watchers.push(handle);
         }
+        self.streams = streams;
         Ok(())
     }
 
-    /// Close every connection and join the forwarder and drain threads.
-    /// Called after the run's processes have exited (or to abort a failed
-    /// run), so nothing still queued has a reader.
+    /// Close every connection and join the watcher threads. Called after
+    /// the run's processes have exited (or to abort a failed run).
     pub fn finish(&mut self) {
-        for outbox in &self.hub.outboxes {
-            outbox.finish(false);
+        for stream in self.streams.drain(..) {
+            stream.shutdown();
         }
-        for handle in self.forwarders.drain(..) {
+        for handle in self.watchers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -1354,22 +1301,22 @@ struct Link {
 
 /// Per-rank socket endpoint implementing [`Transport`]: the rank's router
 /// stream and one link per protocol-tree neighbour. There is no reader
-/// thread: the protocol thread reads its own sockets through buffered
-/// read halves and decodes each frame as it takes it. A receive first
-/// takes a frame already buffered from any stream and only then waits in
-/// `poll(2)` — forever in `recv`, not at all in `try_recv`, and up to the
-/// deadline in `recv_deadline` — so [`crate::transport::drive_sync`]
-/// drives protocol futures built over this transport. `send` never waits
-/// for the receiver to read: a link's backlog, or the router's for the
-/// frames that cross it, takes what the receiver's socket cannot.
+/// thread: the protocol thread reads its own links through buffered read
+/// halves and decodes each frame as it takes it. A receive first takes a
+/// frame already buffered from any link and only then waits in `poll(2)`
+/// — forever in `recv`, not at all in `try_recv`, and up to the deadline
+/// in `recv_deadline` — so [`crate::transport::drive_sync`] drives
+/// protocol futures built over this transport. `send` never waits for
+/// the receiver to read: a link's backlog takes what the receiver's
+/// socket cannot.
 pub struct SocketTransport<P: WireProblem> {
     rank: usize,
     start: Instant,
     // Shared with the optional heartbeat thread; the lock serializes
-    // whole frames so a beacon never interleaves a protocol message.
+    // whole frames so a beacon never interleaves the final frame.
     writer: Arc<Mutex<Stream>>,
-    /// The router stream's read half.
-    reader: FrameReader,
+    /// The router stream's read half, watched only for its end.
+    router: Stream,
     links: Vec<Link>,
     /// Scratch for `poll(2)`: the router stream, then every open link.
     polls: Vec<sys::PollFd>,
@@ -1377,9 +1324,6 @@ pub struct SocketTransport<P: WireProblem> {
     /// The heartbeat thread and the sender whose drop stops it.
     heartbeat: Option<(Sender<()>, JoinHandle<()>)>,
     stats: ProcStats,
-    /// Link traffic, which the router never sees; reported in the final
-    /// frame.
-    tally: LinkTally,
     eof: bool,
 }
 
@@ -1459,14 +1403,13 @@ impl<P: WireProblem> SocketTransport<P> {
         Ok(SocketTransport {
             rank,
             start: Instant::now(),
-            reader: FrameReader::new(stream.try_clone()?),
+            router: stream.try_clone()?,
             writer: Arc::new(Mutex::new(stream)),
             polls: Vec::with_capacity(links.len() + 1),
             links,
             ctx,
             heartbeat: None,
             stats: ProcStats::default(),
-            tally: LinkTally::default(),
             eof: false,
         })
     }
@@ -1499,30 +1442,21 @@ impl<P: WireProblem> SocketTransport<P> {
         self.heartbeat = Some((stop_tx, handle));
     }
 
-    /// The next message already buffered on any stream; failing that, the
-    /// first stream end not yet reported. A link's end reads as `Down` of
-    /// its peer, once; the router stream's, or rank 0's link's, latches
-    /// `eof` instead. Heartbeats are skipped and undecodable frames
-    /// dropped.
+    /// The next message already buffered on any link; failing that, the
+    /// first link end not yet reported. A link's end reads as `Down` of
+    /// its peer, once; rank 0's latches `eof` instead, and after the
+    /// router stream's end no link end is reported. Heartbeats are skipped
+    /// and undecodable frames dropped.
     fn take_buffered(&mut self) -> Option<PtsMsg<P>> {
-        while let Next::Frame(frame) = self.reader.next_frame(false) {
-            if let Some(msg) = decode_frame::<P>(frame, &self.ctx, self.rank) {
-                self.stats.messages_received += 1;
-                return Some(msg);
-            }
-        }
         for link in &mut self.links {
             while let Next::Frame(frame) = link.reader.next_frame(false) {
                 if let Some(msg) = decode_frame::<P>(frame, &self.ctx, self.rank) {
                     self.stats.messages_received += 1;
-                    self.tally.received += 1;
                     return Some(msg);
                 }
             }
         }
-        if self.reader.closed {
-            // The router is gone: the run is being torn down.
-            self.eof = true;
+        if self.eof {
             return None;
         }
         for link in &mut self.links {
@@ -1553,7 +1487,7 @@ impl<P: WireProblem> SocketTransport<P> {
             }
             let open = self.links.iter().filter(|l| !l.reader.closed);
             self.polls.clear();
-            self.polls.push(sys::PollFd::readable(&self.reader.stream));
+            self.polls.push(sys::PollFd::readable(&self.router));
             self.polls
                 .extend(open.map(|l| sys::PollFd::readable(&l.reader.stream)));
             match sys::poll_ready(&mut self.polls, until) {
@@ -1566,8 +1500,9 @@ impl<P: WireProblem> SocketTransport<P> {
                 }
             }
             let mut ready = self.polls.iter().map(sys::PollFd::ready);
-            if ready.next() == Some(true) {
-                self.reader.fill(false);
+            if ready.next() == Some(true) && self.router_ended() {
+                // The router is gone: the run is being torn down.
+                self.eof = true;
             }
             for link in self.links.iter_mut().filter(|l| !l.reader.closed) {
                 if ready.next() == Some(true) {
@@ -1597,12 +1532,28 @@ impl<P: WireProblem> SocketTransport<P> {
         got
     }
 
-    /// Take the locally accounted stats (rank 0 feeds these into the
-    /// run report; a worker's reach the router as it drops).
-    pub fn take_stats(&mut self) -> ProcStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.finished_at = self.now();
-        stats
+    /// Whether the router stream has ended: at its end or in error. The
+    /// router sends a rank nothing after its setup frame, so any bytes
+    /// are dropped unread.
+    fn router_ended(&self) -> bool {
+        let mut scratch = [0u8; 64];
+        loop {
+            match sys::recv_now(&self.router, &mut scratch) {
+                Ok(0) => return true,
+                Ok(_) => continue,
+                Err(e) => return e.kind() != ErrorKind::WouldBlock,
+            }
+        }
+    }
+
+    /// A copy of the locally accounted stats, finished now. Rank 0 feeds
+    /// them into the run report; every rank's traffic counts reach the
+    /// router in its final frame as it drops.
+    pub fn stats(&self) -> ProcStats {
+        ProcStats {
+            finished_at: self.now(),
+            ..self.stats.clone()
+        }
     }
 }
 
@@ -1639,21 +1590,23 @@ impl<P: WireProblem> Transport<P> for SocketTransport<P> {
     }
 
     fn send(&mut self, dst: usize, msg: PtsMsg<P>) {
-        let bytes = msg.wire_size();
+        // Every protocol message travels on a tree edge: a destination
+        // without a link is a protocol bug, and the message is dropped
+        // uncounted.
+        let Some(link) = self.links.iter().find(|l| l.peer == dst) else {
+            crate::transport::protocol_warn(
+                self.rank,
+                &format!("dropping {} to rank {dst}: no link", msg.tag()),
+            );
+            return;
+        };
         self.stats.messages_sent += 1;
-        self.stats.bytes_sent += bytes;
+        self.stats.bytes_sent += msg.wire_size();
         crate::meter::note_send(&msg);
-        let frame = wire::frame(&wire::encode_msg(&msg, dst as u32));
         // A departed receiver means the run is winding up; like a dropped
         // channel receiver, the frame is silently discarded.
-        if let Some(link) = self.links.iter().find(|l| l.peer == dst) {
-            self.tally.sent += 1;
-            self.tally.bytes += bytes;
-            link.out.deliver(&frame);
-        } else {
-            let mut w = self.writer.lock().expect("writer lock");
-            let _ = w.write_all(&frame);
-        }
+        let frame = wire::frame(&wire::encode_msg(&msg, dst as u32));
+        link.out.deliver(&frame);
     }
 
     fn recv(&mut self) -> impl std::future::Future<Output = PtsMsg<P>> {
@@ -1690,13 +1643,11 @@ impl<P: WireProblem> Drop for SocketTransport<P> {
         // Write out what the links still hold, then tell the router what
         // they carried: the final frame.
         for link in &self.links {
-            link.out.finish(true);
+            link.out.finish();
         }
         if let Ok(mut w) = self.writer.lock() {
-            if !self.links.is_empty() {
-                let tally = wire::encode_tally_frame(self.rank as u32, &self.tally);
-                let _ = wire::write_frame(&mut *w, &tally);
-            }
+            let tally = wire::encode_tally_frame(self.rank as u32, &self.stats);
+            let _ = wire::write_frame(&mut *w, &tally);
             w.shutdown();
         }
         if let Some((stop, hb)) = heartbeat {
@@ -1747,9 +1698,9 @@ mod tests {
         joiners.into_iter().map(|j| j.join().unwrap()).collect()
     }
 
-    /// Two ranks joined only through the router.
+    /// Two ranks joined by a link: rank 1's uplink leads to rank 0.
     fn start_pair(router: &mut SocketRouter) -> (SocketTransport<Qap>, SocketTransport<Qap>) {
-        let mut ranks = start_tree(router, &[None, None]).into_iter();
+        let mut ranks = start_tree(router, &[None, Some(0)]).into_iter();
         (ranks.next().unwrap(), ranks.next().unwrap())
     }
 
@@ -1761,7 +1712,7 @@ mod tests {
     }
 
     #[test]
-    fn unix_pair_routes_messages() {
+    fn unix_pair_exchanges_messages() {
         let mut router = SocketRouter::bind_unix_auto().unwrap();
         let (mut a, mut b) = start_pair(&mut router);
         a.send(
@@ -1785,15 +1736,16 @@ mod tests {
             drive_sync(a.recv()),
             PtsMsg::Investigate { seq: 4, .. }
         ));
+        drop((a, b));
+        router.finish();
+        // Each rank's final frame carried its own counts.
         let traffic = router.traffic().to_proc_stats();
         assert_eq!(traffic[0].messages_sent, 1);
         assert_eq!(traffic[1].messages_sent, 1);
-        drop((a, b));
-        router.finish();
     }
 
     #[test]
-    fn tcp_pair_routes_messages() {
+    fn tcp_pair_exchanges_messages() {
         let mut router = SocketRouter::bind_tcp_loopback().unwrap();
         let (mut a, mut b) = start_pair(&mut router);
         a.send(1, PtsMsg::Stop);
@@ -1806,13 +1758,14 @@ mod tests {
     fn eof_synthesizes_stop() {
         let mut router = SocketRouter::bind_unix_auto().unwrap();
         let (a, mut b) = start_pair(&mut router);
-        drop(a);
-        router.finish(); // closes b's stream too
+        // The router stream ends while the link to rank 0 stays open.
+        router.finish();
         assert!(matches!(drive_sync(b.recv()), PtsMsg::Stop));
         assert!(
             matches!(drive_sync(b.recv()), PtsMsg::Stop),
             "EOF is sticky"
         );
+        drop((a, b));
     }
 
     #[test]
@@ -2070,27 +2023,33 @@ mod tests {
     }
 
     #[test]
-    fn bulk_exchange_past_socket_buffers_completes() {
-        within(Duration::from_secs(30), || {
-            let mut router = SocketRouter::bind_unix_auto().unwrap();
-            let (mut a, mut b) = start_pair(&mut router);
-            exchange_bulk(&mut a, &mut b);
-            drop((a, b));
-            router.finish();
-        });
-    }
-
-    #[test]
     fn link_peers_exchange_past_socket_buffers() {
         within(Duration::from_secs(30), || {
             let mut router = SocketRouter::bind_unix_auto().unwrap();
             let [r0, mut r1, mut r2] = start_chain(&mut router);
             exchange_bulk(&mut r1, &mut r2);
-            // The router carried none of it.
-            let routed = router.traffic().to_proc_stats();
-            assert!(routed.iter().all(|p| p.messages_sent == 0));
             drop((r0, r1, r2));
             router.finish();
+        });
+    }
+
+    #[test]
+    fn a_send_to_a_rank_without_a_link_reaches_no_one_and_counts_nothing() {
+        within(Duration::from_secs(30), || {
+            let mut router = SocketRouter::bind_unix_auto().unwrap();
+            let [mut r0, mut r1, mut r2] = start_chain(&mut router);
+            // Rank 2's one link leads to rank 1, not to rank 0.
+            r2.send(0, investigate(5));
+            let deadline = r0.now() + 0.1;
+            assert!(drive_sync(r0.recv_deadline(deadline)).is_none());
+            assert!(r1.try_recv().is_none());
+            drop((r0, r1, r2));
+            router.finish();
+            // Every final frame is in, and none counts a message.
+            for (rank, p) in router.traffic().to_proc_stats().iter().enumerate() {
+                let counts = (p.messages_sent, p.bytes_sent, p.messages_received);
+                assert_eq!(counts, (0, 0, 0), "rank {rank}");
+            }
         });
     }
 
@@ -2151,7 +2110,7 @@ mod tests {
     }
 
     /// Run the real protocol over sockets, every rank on a thread of its
-    /// own, and check what the router carried.
+    /// own, and check what the router saw.
     fn routed_run(cfg: crate::config::PtsConfig) {
         use crate::domain::PtsDomain;
         let total = cfg.total_procs();
@@ -2179,26 +2138,21 @@ mod tests {
             initial,
             &ctl,
         ));
-        let mut ranks: Vec<SocketTransport<Qap>> = std::iter::once(master)
+        let ranks: Vec<SocketTransport<Qap>> = std::iter::once(master)
             .chain(workers.into_iter().map(|w| w.join().unwrap()))
             .collect();
 
-        // Every rank is done, and the router forwarded nothing but one
-        // `Init` to each CLW.
+        // Every rank is done, and no transport has dropped: the router
+        // has seen no final frame, and no protocol frame crossed it.
         let routed = router.traffic().to_proc_stats();
-        let clws = cfg.n_tsw * cfg.n_clw;
-        assert_eq!(
-            routed.iter().map(|p| p.messages_sent).sum::<u64>(),
-            clws as u64
-        );
-        for (rank, p) in routed.iter().enumerate() {
-            let is_clw = matches!(cfg.role_of(rank), crate::config::Role::Clw { .. });
-            assert_eq!(p.messages_received, u64::from(is_clw), "rank {rank}");
-        }
+        assert!(routed.iter().all(|p| *p == ProcStats::default()));
 
-        // Once each rank's final frame is in, the router's totals are each
-        // rank's own counts.
-        let own: Vec<ProcStats> = ranks.iter_mut().map(|t| t.take_stats()).collect();
+        // Every message sent was read, so each crossed a link. Once each
+        // rank's final frame is in, the router's totals are each rank's
+        // own counts.
+        let own: Vec<ProcStats> = ranks.iter().map(SocketTransport::stats).collect();
+        let sent: u64 = own.iter().map(|p| p.messages_sent).sum();
+        assert_eq!(sent, own.iter().map(|p| p.messages_received).sum::<u64>());
         drop(ranks);
         router.finish();
         let totals = router.traffic().to_proc_stats();
@@ -2212,7 +2166,7 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_free_run_routes_only_init_to_clws() {
+    fn a_fault_free_run_sends_no_protocol_frame_over_the_router() {
         within(Duration::from_secs(60), || {
             let cfg = |n_tsw, n_clw, shard_fanout| crate::config::PtsConfig {
                 n_tsw,
@@ -2258,12 +2212,15 @@ mod tests {
         });
     }
 
-    /// Rank 1's transport over one end of a socket pair, and the other end
-    /// to write raw frames into.
-    fn direct() -> (SocketTransport<Qap>, UnixStream) {
+    /// Rank 1's transport whose uplink to rank 0 is one end of a socket
+    /// pair; the other end, to write raw frames into; and the router's end
+    /// of its quiet router stream, which must stay open.
+    fn direct() -> (SocketTransport<Qap>, UnixStream, UnixStream) {
         let (ours, theirs) = UnixStream::pair().unwrap();
-        let t = SocketTransport::new(Stream::Unix(ours), Vec::new(), 1, ()).unwrap();
-        (t, theirs)
+        let (router, routers) = UnixStream::pair().unwrap();
+        let uplink = vec![(0, Stream::Unix(ours))];
+        let t = SocketTransport::new(Stream::Unix(router), uplink, 1, ()).unwrap();
+        (t, theirs, routers)
     }
 
     fn framed(msg: &PtsMsg<Qap>) -> Vec<u8> {
@@ -2272,7 +2229,7 @@ mod tests {
 
     #[test]
     fn a_frame_written_in_two_halves_arrives_once_whole() {
-        let (mut t, mut peer) = direct();
+        let (mut t, mut peer, _router) = direct();
         let bytes = framed(&investigate(7));
         // Cut inside the length prefix, then inside the body.
         for cut in [2, bytes.len() / 2] {
@@ -2288,7 +2245,7 @@ mod tests {
 
     #[test]
     fn three_frames_in_one_write_arrive_in_order() {
-        let (mut t, mut peer) = direct();
+        let (mut t, mut peer, _router) = direct();
         let bytes: Vec<u8> = (1..=3).flat_map(|seq| framed(&investigate(seq))).collect();
         peer.write_all(&bytes).unwrap();
         for want in 1..=3 {
@@ -2302,7 +2259,7 @@ mod tests {
 
     #[test]
     fn a_heartbeat_between_messages_is_skipped() {
-        let (mut t, mut peer) = direct();
+        let (mut t, mut peer, _router) = direct();
         let mut bytes = framed(&investigate(1));
         bytes.extend(wire::frame(&wire::encode_heartbeat_frame(0)));
         bytes.extend(framed(&investigate(2)));
@@ -2320,17 +2277,21 @@ mod tests {
 
     #[test]
     fn a_length_prefix_past_the_cap_stops_without_allocating() {
-        let (mut t, mut peer) = direct();
+        let (mut t, mut peer, _router) = direct();
         peer.write_all(&u32::MAX.to_le_bytes()).unwrap();
         // The peer stays connected: the prefix alone ends the stream.
         assert!(matches!(drive_sync(t.recv()), PtsMsg::Stop));
-        assert_eq!(t.reader.buf.len(), READ_CHUNK, "grew for a refused frame");
+        assert_eq!(
+            t.links[0].reader.buf.len(),
+            READ_CHUNK,
+            "grew for a refused frame"
+        );
         assert!(matches!(drive_sync(t.recv()), PtsMsg::Stop), "sticky");
     }
 
     #[test]
     fn eof_inside_a_frame_is_a_sticky_stop() {
-        let (mut t, mut peer) = direct();
+        let (mut t, mut peer, _router) = direct();
         let bytes = framed(&investigate(5));
         peer.write_all(&bytes[..bytes.len() - 3]).unwrap();
         drop(peer);
@@ -2341,7 +2302,7 @@ mod tests {
 
     #[test]
     fn try_recv_on_an_empty_socket_returns_none() {
-        let (t, _peer) = direct();
+        let (t, _peer, _router) = direct();
         within(Duration::from_secs(10), move || {
             let mut t = t;
             assert!(t.try_recv().is_none());

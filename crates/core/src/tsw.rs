@@ -16,6 +16,8 @@
 //!
 //! Everything from the parent — `Init`, the broadcasts, `Stop` — arrives
 //! through the downward step, `Parent::down_step` in [`crate::master`].
+//! The TSW passes the `Init` on to its live CLWs as it arrives, so every
+//! message a CLW gets comes from its own TSW.
 //! A broadcast met while the TSW still collects from its CLWs acts like a
 //! `ForceReport`, and a `Stop` met there ends the TSW without a report.
 //! After adopting a broadcast the TSW resumes at the round after the one
@@ -67,9 +69,10 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
     };
     let mut div_rng = crate::clw::worker_rng(cfg.seed, div_salt);
 
-    // Wait for Init. The initial solution doubles as the sequence-0
-    // snapshot base shared with the parent: reports diff against it
-    // until the first broadcast re-anchors it.
+    // Wait for Init and pass it on to the CLWs at once, so that they
+    // instantiate while this TSW does. The initial solution doubles as
+    // the sequence-0 snapshot base shared with the parent: reports diff
+    // against it until the first broadcast re-anchors it.
     let FromParent::Init(initial) = parent
         .down_step(t, None, 0, |rank| clws.note_down(me, cfg, rank))
         .await
@@ -77,6 +80,9 @@ pub async fn run_tsw<D: PtsDomain, T: Transport<D::Problem>>(
         send_live(t, cfg, &clws, || PtsMsg::Stop);
         return;
     };
+    send_live(t, cfg, &clws, || PtsMsg::Init {
+        snapshot: Arc::clone(&initial),
+    });
     let mut problem = domain.instantiate(&initial);
     let mut base = SnapshotBase::<D::Problem>::initial(initial);
     // The state this TSW's CLWs currently hold — they start at Init and

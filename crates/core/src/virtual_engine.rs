@@ -151,25 +151,31 @@ pub(crate) fn run_tree<D: PtsDomain>(
 ) -> (SearchOutcome<SnapshotOf<D>>, ClusterReport, Vec<f64>) {
     let outcome_slot = Rc::new(RefCell::new(None));
     let finished = Rc::new(RefCell::new(vec![0.0; assignment.len()]));
+    // One configuration and one domain for the whole run: every rank's
+    // task borrows them, and its role instantiates its own problem.
+    let run = Rc::new((cfg.clone(), domain.clone()));
     // Spawn order must equal rank order: VirtualTransport identifies
     // rank with task id.
     {
-        let (cfg, domain) = (cfg.clone(), domain.clone());
-        let (slot, finished) = (Rc::clone(&outcome_slot), Rc::clone(&finished));
+        let (run, slot, finished) = (
+            Rc::clone(&run),
+            Rc::clone(&outcome_slot),
+            Rc::clone(&finished),
+        );
         cluster.spawn(assignment[0], move |ctx| async move {
+            let (cfg, domain) = &*run;
             let mut t = VirtualTransport { ctx, wall };
-            let outcome =
-                run_master(&mut t, &cfg, &domain, initial, &RunControl::unlimited()).await;
+            let outcome = run_master(&mut t, cfg, domain, initial, &RunControl::unlimited()).await;
             finished.borrow_mut()[0] = t.now();
             *slot.borrow_mut() = Some(outcome);
         });
     }
     for (rank, &machine) in assignment.iter().enumerate().skip(1) {
-        let (cfg, domain) = (cfg.clone(), domain.clone());
-        let finished = Rc::clone(&finished);
+        let (run, finished) = (Rc::clone(&run), Rc::clone(&finished));
         cluster.spawn(machine, move |ctx| async move {
+            let (cfg, domain) = &*run;
             let mut t = VirtualTransport { ctx, wall };
-            run_role(&mut t, &cfg, &domain, rank).await;
+            run_role(&mut t, cfg, domain, rank).await;
             finished.borrow_mut()[rank] = t.now();
         });
     }
@@ -262,7 +268,7 @@ mod tests {
         assert_eq!(vt.report.total_messages(), 209);
         assert_eq!(vt.report.total_bytes(), 13900);
         assert_eq!(vt.report.num_procs(), 10);
-        assert_eq!(stats_fold(&vt.report.per_proc), 0xeb56_ddfd_1a51_b9bb);
+        assert_eq!(stats_fold(&vt.report.per_proc), 0x54da_4553_358c_f297);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! | 1      | 1    | variant tag ([`tag` constants](self)) |
 //! | 2      | 1    | snapshot-payload kind: 0 none, 1 full, 2 delta |
 //! | 3      | 1    | reserved: written 0, any other value is a [`WireError::Tag`] |
-//! | 4      | 4    | destination rank (router addressing) |
+//! | 4      | 4    | destination rank, which nothing routes on (a sentinel on heartbeats and tallies) |
 //! | 8      | 4    | origin index (`tsw` / `shard` / `clw` field; strategy id on broadcasts) |
 //! | 12     | 4    | aux count (tabu entries or moves; strategy id on `Investigate`) |
 //! | 16     | 8    | sequence (`global`, `seq`) |
@@ -59,6 +59,7 @@ use crate::messages::{
 };
 use pts_tabu::search::SearchStats;
 use pts_tabu::trace::TracePoint;
+use pts_vcluster::ProcStats;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -110,8 +111,9 @@ mod tag {
     /// transports drop it on read. Kept out of the protocol enum so the
     /// `wire_size` model and the virtual engines are untouched.
     pub const HEARTBEAT: u8 = 13;
-    /// A worker's final frame to the router: its [`super::LinkTally`].
-    /// Like a heartbeat it is consumed by the router, never forwarded.
+    /// A rank's final frame to the router: its traffic counts
+    /// ([`super::encode_tally_frame`]). Like a heartbeat it is consumed
+    /// by the router.
     pub const TALLY: u8 = 14;
 }
 
@@ -833,21 +835,6 @@ pub fn encode_msg<P: WireProblem>(msg: &PtsMsg<P>, dst: u32) -> Vec<u8> {
     out
 }
 
-/// Destination rank of an encoded message, readable without a full decode
-/// — the router forwards raw frames on this field alone.
-pub fn peek_dst(buf: &[u8]) -> Result<u32, WireError> {
-    if buf.len() < HDR_BYTES as usize {
-        return Err(WireError::Truncated);
-    }
-    if !version_ok(buf[0]) {
-        return Err(WireError::VersionMismatch {
-            got: buf[0],
-            want: WIRE_VERSION,
-        });
-    }
-    Ok(u32::from_le_bytes(buf[4..8].try_into().unwrap()))
-}
-
 /// Is this frame a socket-layer heartbeat? Heartbeats never decode to a
 /// [`PtsMsg`]; the router and transports must drop them after noting the
 /// sender is alive.
@@ -856,8 +843,7 @@ pub fn is_heartbeat(buf: &[u8]) -> bool {
 }
 
 /// Encode a header-only heartbeat frame from `origin`. The destination
-/// field is a sentinel: the router consumes heartbeats instead of
-/// forwarding them.
+/// field is a sentinel: the router consumes heartbeats.
 pub fn encode_heartbeat_frame(origin: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(HDR_BYTES as usize);
     put_header(
@@ -873,27 +859,14 @@ pub fn encode_heartbeat_frame(origin: u32) -> Vec<u8> {
     out
 }
 
-/// The traffic a worker's links carried, which the router never saw:
-/// what the worker sent over them (messages and [`PtsMsg::wire_size`]
-/// bytes) and the messages it read from them. A worker reports it in
-/// its final frame ([`encode_tally_frame`]) and the router adds it to
-/// the rank's totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LinkTally {
-    /// Messages sent over links.
-    pub sent: u64,
-    /// Wire bytes of those messages.
-    pub bytes: u64,
-    /// Messages read from links.
-    pub received: u64,
-}
-
 /// Bytes of a tally frame after its header: three `u64` counts.
 const TALLY_BODY: usize = 24;
 
 /// Encode `origin`'s final tally frame: a header whose destination is a
-/// sentinel (the router consumes it), then the three counts.
-pub fn encode_tally_frame(origin: u32, tally: &LinkTally) -> Vec<u8> {
+/// sentinel (the router consumes it), then the rank's traffic as it
+/// counted it — messages sent, their [`PtsMsg::wire_size`] bytes, and
+/// messages received.
+pub fn encode_tally_frame(origin: u32, stats: &ProcStats) -> Vec<u8> {
     let mut out = Vec::with_capacity(HDR_BYTES as usize + TALLY_BODY);
     put_header(
         &mut out,
@@ -905,23 +878,24 @@ pub fn encode_tally_frame(origin: u32, tally: &LinkTally) -> Vec<u8> {
         0,
         0.0,
     );
-    put_u64(&mut out, tally.sent);
-    put_u64(&mut out, tally.bytes);
-    put_u64(&mut out, tally.received);
+    put_u64(&mut out, stats.messages_sent);
+    put_u64(&mut out, stats.bytes_sent);
+    put_u64(&mut out, stats.messages_received);
     out
 }
 
-/// The counts of a tally frame; `None` for any other frame, and for a
-/// tally frame of the wrong length.
-pub fn decode_tally(buf: &[u8]) -> Option<LinkTally> {
+/// The traffic counts of a tally frame, every other field zero; `None`
+/// for any other frame, and for a tally frame of the wrong length.
+pub fn decode_tally(buf: &[u8]) -> Option<ProcStats> {
     if buf.len() != HDR_BYTES as usize + TALLY_BODY || !version_ok(buf[0]) || buf[1] != tag::TALLY {
         return None;
     }
     let mut r = WireReader::new(&buf[HDR_BYTES as usize..]);
-    Some(LinkTally {
-        sent: r.u64().ok()?,
-        bytes: r.u64().ok()?,
-        received: r.u64().ok()?,
+    Some(ProcStats {
+        messages_sent: r.u64().ok()?,
+        bytes_sent: r.u64().ok()?,
+        messages_received: r.u64().ok()?,
+        ..ProcStats::default()
     })
 }
 
@@ -1250,7 +1224,6 @@ mod tests {
     fn roundtrip(msg: &PtsMsg<Qap>, dst: u32) -> PtsMsg<Qap> {
         let buf = encode_msg(msg, dst);
         assert_eq!(buf.len() as u64, msg.wire_size());
-        assert_eq!(peek_dst(&buf).unwrap(), dst);
         let (got_dst, decoded) = decode_msg::<Qap>(&buf, &()).unwrap();
         assert_eq!(got_dst, dst);
         decoded
@@ -1295,17 +1268,17 @@ mod tests {
                 got,
                 want: WIRE_VERSION,
             };
-            assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
-            assert_eq!(peek_dst(&buf), Err(want));
+            assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want));
         }
     }
 
     #[test]
     fn tally_frames_roundtrip_and_never_decode_as_messages() {
-        let tally = LinkTally {
-            sent: 9,
-            bytes: 2_283,
-            received: 7,
+        let tally = ProcStats {
+            messages_sent: 9,
+            bytes_sent: 2_283,
+            messages_received: 7,
+            ..ProcStats::default()
         };
         let frame = encode_tally_frame(4, &tally);
         assert_eq!(decode_tally(&frame), Some(tally));

@@ -186,9 +186,10 @@ fn master_drops_stale_rejects_duplicate_and_ignores_unexpected_reports() {
     // Stats folded once per TSW on the final round only — the duplicate
     // and stale reports did not inflate them.
     assert_eq!(outcome.tsw_stats.iterations, 2);
-    // Outbound protocol unchanged: Init to every worker, one Broadcast
-    // per TSW after round 0, Stop per TSW after the final round.
-    assert_eq!(t.count_sent("Init"), cfg.total_procs() - 1);
+    // Outbound protocol unchanged: Init to each TSW (which passes it on
+    // to its CLWs), one Broadcast per TSW after round 0, Stop per TSW
+    // after the final round.
+    assert_eq!(t.count_sent("Init"), 2);
     assert_eq!(t.count_sent("Broadcast"), 2);
     assert_eq!(t.count_sent("Stop"), 2);
     assert_eq!(t.count_sent("ForceReport"), 0);
@@ -314,22 +315,15 @@ fn sub_master_applies_local_quorum_and_rejects_malformed_reports() {
     let mut t = ScriptTransport::new(cfg.shard_rank(shard), script);
     drive_sync(master::run_sub_master(&mut t, &cfg, shard, &domain));
 
-    // Init fanned out to the group's TSWs and their CLWs.
+    // Init sent to the group's TSWs, each of which passes it on to its
+    // CLWs.
     let inits: Vec<usize> = t
         .sent
         .iter()
         .filter(|(_, m)| m.tag() == "Init")
         .map(|(dst, _)| *dst)
         .collect();
-    assert_eq!(
-        inits,
-        vec![
-            cfg.tsw_rank(0),
-            cfg.clw_rank(0, 0),
-            cfg.tsw_rank(1),
-            cfg.clw_rank(1, 0)
-        ]
-    );
+    assert_eq!(inits, vec![cfg.tsw_rank(0), cfg.tsw_rank(1)]);
     // Local force policy: quorum of 1 in a group of 2 — after TSW 0's
     // report, TSW 1 is forced by the SUB-master, not the root.
     let forces: Vec<usize> = t
@@ -844,6 +838,7 @@ fn tsw_drops_a_newer_broadcast_delta_against_a_base_it_does_not_hold() {
     assert_eq!(
         t.sent_tags(),
         vec![
+            (cfg.clw_rank(0, 0), "Init"),
             (cfg.clw_rank(0, 0), "AdoptState"),
             (cfg.clw_rank(0, 0), "Investigate"),
             (cfg.clw_rank(0, 0), "ApplyMoves"),
@@ -1166,8 +1161,9 @@ fn tsw_meeting_its_rounds_broadcast_mid_collection_reports_once_then_adopts() {
         .collect();
     assert_eq!(reports, vec![0, 1], "{:?}", t.sent_tags());
     assert_eq!(
-        t.sent_tags()[..4],
+        t.sent_tags()[..5],
         [
+            (clw, "Init"),
             (clw, "AdoptState"),
             (clw, "Investigate"),
             (clw, "CutShort"),
@@ -1213,7 +1209,12 @@ fn tsw_and_sub_master_meeting_stop_mid_collection_stop_without_reporting() {
     let clw = cfg.clw_rank(0, 0);
     assert_eq!(
         t.sent_tags(),
-        vec![(clw, "AdoptState"), (clw, "Investigate"), (clw, "Stop")]
+        vec![
+            (clw, "Init"),
+            (clw, "AdoptState"),
+            (clw, "Investigate"),
+            (clw, "Stop")
+        ]
     );
     assert!(t.incoming.is_empty());
 

@@ -153,7 +153,7 @@ fn vt_engine_is_bit_identical_to_sim_on_the_paper_cluster() {
                 utilization: 0x3fdd_7737_2e6b_f7c2,
                 messages: 369,
                 bytes: 41348,
-                stats: 0x86b9_00e7_bf37_5c58,
+                stats: 0x51cf_7d02_4595_4a3c,
             },
         ),
         (
@@ -167,7 +167,7 @@ fn vt_engine_is_bit_identical_to_sim_on_the_paper_cluster() {
                 utilization: 0x3fdd_a544_5576_f124,
                 messages: 321,
                 bytes: 39820,
-                stats: 0xb64e_1d75_90f1_7750,
+                stats: 0x807f_3e43_59b7_c13c,
             },
         ),
     ];
@@ -430,7 +430,7 @@ fn two_strategy_portfolio_replays_identically_and_vt_matches_sim() {
             utilization: 0x3fd2_bdcb_5dec_8099,
             messages: 483,
             bytes: 64148,
-            stats: 0x2ba4_adfb_f1fc_27d9,
+            stats: 0x4628_0cf5_5f4d_eba9,
         }
     );
 }

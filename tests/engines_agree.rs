@@ -246,8 +246,8 @@ fn sharded_async_matches_sharded_sim_and_replays_identically() {
 #[test]
 fn sharded_async_thousand_workers_root_traffic_is_o_fanout() {
     // The point of the tree: at n_tsw = 1024 with fan-out 32, the root
-    // exchanges messages with 32 sub-masters instead of 1024 TSWs (plus
-    // 1024 CLWs at Init) — O(fan-out) per round at every process.
+    // exchanges messages with 32 sub-masters instead of 1024 TSWs —
+    // O(fan-out) per round at every process.
     let domain = QapDomain::random(64, 11);
     let build = |fanout: usize| {
         Pts::builder()
@@ -273,9 +273,10 @@ fn sharded_async_thousand_workers_root_traffic_is_o_fanout() {
     assert_eq!(root.messages_received, 64);
     assert_eq!(root.messages_sent, 96);
 
-    // Same search, flat: the root exchanges O(n_tsw) messages (2048
-    // worker Inits out, 2048 reports in) — and the best-cost trajectory
-    // is identical, so sharding traded nothing but topology.
+    // Same search, flat: the root exchanges O(n_tsw) messages (1024
+    // Inits, 1024 Broadcasts and 1024 Stops out, 2048 reports in) — and
+    // the best-cost trajectory is identical, so sharding traded nothing
+    // but topology.
     let flat = build(0).execute(&domain, &AsyncEngine::new());
     assert_eq!(
         flat.outcome.best_per_global_iter,
@@ -283,7 +284,7 @@ fn sharded_async_thousand_workers_root_traffic_is_o_fanout() {
     );
     let flat_root = &flat.report.per_proc[0];
     assert_eq!(flat_root.messages_received, 2048);
-    assert!(flat_root.messages_sent >= 2048 + 1024);
+    assert_eq!(flat_root.messages_sent, 3 * 1024);
 }
 
 #[test]

@@ -151,6 +151,30 @@ fn tsw_dead_before_init_is_excused_from_every_round() {
 }
 
 #[test]
+fn a_tsw_killed_before_its_init_winds_its_clws_down() {
+    // TSW 1 dies before its Init reaches it, so it never passes the Init
+    // on: its CLWs' one message is its death notice, which must end them
+    // instead of leaving them parked for an Init that never comes.
+    use parallel_tabu_search::vcluster::TaskFate;
+    let domain = QapDomain::random(12, 3);
+    for sync in [SyncPolicy::WaitAll, SyncPolicy::HalfReport] {
+        let run = small_faulty_run(3, 2, sync, 0x1417);
+        let faults = FaultSpec::new(8).with(WorkerFault::KillTsw { at: 0.0, tsw: 1 });
+        let engine = VirtualEngine::new(scaled_paper_cluster(6)).with_faults(faults);
+        let repro = format!("corpus:tsw-killed-before-init {sync:?}");
+        let out = check_invariants(&run, &domain, &engine, &repro);
+        assert_eq!(out.outcome.best_per_global_iter.len(), 2, "{repro}");
+        let cfg = run.config();
+        assert_eq!(out.report.per_proc[cfg.tsw_rank(1)].fate, TaskFate::Killed);
+        for j in 0..cfg.n_clw {
+            let clw = &out.report.per_proc[cfg.clw_rank(1, j)];
+            assert_eq!(clw.fate, TaskFate::Completed, "{repro}: CLW {j}");
+            assert_eq!(clw.messages_received, 1, "{repro}: CLW {j}");
+        }
+    }
+}
+
+#[test]
 fn dead_clw_group_leaves_its_tsw_reporting_unimproved() {
     // Every CLW of TSW 0 dies: the TSW must skip its local iterations
     // (nobody to investigate) but still report each round.

@@ -162,8 +162,8 @@ fn cancelled_control_stops_after_first_round() {
 
 #[test]
 fn proc_per_rank_traffic_matches_async_twin() {
-    // Most traffic crosses links the router never sees: the per-rank
-    // report is whole only if every worker's final frame brought its link
+    // All traffic crosses links the router never sees: the per-rank
+    // report is whole only if every worker's final frame brought its own
     // counts in.
     let domain = QapDomain::random(14, 21);
     for (n_tsw, n_clw, fanout) in [(3, 1, 0), (2, 2, 0), (4, 2, 2)] {

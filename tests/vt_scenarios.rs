@@ -226,7 +226,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fdd_0515_6853_679c,
             480,
             34352,
-            0x154d_d40b_e8c7_9d9e,
+            0x57ef_30ae_aab2_a132,
         ),
         pin(
             0x406f_4e7b_f4e7_db64,
@@ -235,7 +235,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fdd_0513_2877_dfc3,
             480,
             40088,
-            0x7621_9b46_e71a_ab67,
+            0xc1d7_d255_d51b_5643,
         ),
         pin(
             0x407d_0793_0715_bca2,
@@ -244,7 +244,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fd3_f8dc_874f_3750,
             445,
             34276,
-            0x29dd_022f_22c5_a728,
+            0x00ba_767d_94cb_dfc8,
         ),
         pin(
             0x407d_0794_56a1_1531,
@@ -253,7 +253,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fd3_f8db_a452_e2b4,
             445,
             39820,
-            0x544f_b32b_3d91_840c,
+            0xea9b_b106_c4a2_06ac,
         ),
         pin(
             0x406d_b05a_330a_a7b1,
@@ -262,7 +262,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fd6_6e29_e774_4303,
             501,
             45500,
-            0x83bb_84f5_e013_58c5,
+            0x9ad0_3e8d_919d_c669,
         ),
         pin(
             0x406d_b069_99af_f83a,
@@ -271,7 +271,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fd6_6e20_1900_cffd,
             501,
             54044,
-            0x0d37_2fe0_98fb_51ae,
+            0x4a0f_a2e5_eafe_dbae,
         ),
         pin(
             0x407d_1d00_a892_31f6,
@@ -280,7 +280,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fce_844a_a123_9f57,
             480,
             46300,
-            0xf1ec_f33b_d51d_0b83,
+            0xa394_1cad_3a54_4c63,
         ),
         pin(
             0x407d_1d03_261a_f3d2,
@@ -289,7 +289,7 @@ fn vt_matches_sim_bit_for_bit_across_the_matrix_corner() {
             0x3fce_8448_2110_6c05,
             480,
             54580,
-            0xc26f_a48f_09b1_16b8,
+            0xa867_9ab7_529c_d4f4,
         ),
     ]
     .into_iter();

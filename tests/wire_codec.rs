@@ -11,9 +11,7 @@
 //! field, so byte identity catches any lossy or misaligned field without
 //! requiring `PartialEq` on message payloads (which hold `Arc`s).
 
-use parallel_tabu_search::core::wire::{
-    self, decode_msg, encode_msg, peek_dst, WireError, WireProblem,
-};
+use parallel_tabu_search::core::wire::{self, decode_msg, encode_msg, WireError, WireProblem};
 use parallel_tabu_search::core::{
     PlacementDelta, PlacementProblem, PtsConfig, PtsMsg, QapDelta, SnapshotPayload, TabuPayload,
 };
@@ -40,12 +38,11 @@ fn perm(n: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Encode → decode → re-encode; assert byte identity, the model-size pin,
-/// and the routable destination prefix.
+/// and the destination the header carries.
 fn check_roundtrip<P: WireProblem>(msg: &PtsMsg<P>, dst: u32, ctx: &P::Ctx) {
     let buf = encode_msg(msg, dst);
     // The model pin: encoded body length is exactly wire_size().
     prop_assert_eq!(buf.len() as u64, msg.wire_size());
-    prop_assert_eq!(peek_dst(&buf).unwrap(), dst);
     // A socket frame only adds the length prefix.
     let mut framed = Vec::new();
     wire::write_frame(&mut framed, &buf).unwrap();
@@ -263,8 +260,7 @@ proptest! {
     ) {
         // A frame stamped with any version but this codec's must fail
         // decoding with the typed error — never a garbage decode, never a
-        // panic — on both the full decoder and the router's header-only
-        // peek. Every other version byte is tried.
+        // panic. Every other version byte is tried.
         let msg = qap_msg(
             variant, n, seed, 1, 2, 0.5, vec![], vec![], vec![], [0; 5], false,
         );
@@ -273,8 +269,7 @@ proptest! {
             let mut buf = buf.clone();
             buf[0] = got;
             let want = WireError::VersionMismatch { got, want: wire::WIRE_VERSION };
-            prop_assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want.clone()));
-            prop_assert_eq!(peek_dst(&buf).err(), Some(want));
+            prop_assert_eq!(decode_msg::<Qap>(&buf, &()).err(), Some(want));
         }
     }
 
